@@ -777,16 +777,13 @@ def main(argv=None) -> int:
             else:
                 report = _run_dataset_images(args)
             output = _emit(report, args.format)
-    except DcxError as exc:
+        if args.out is not None:
+            args.out.write_text(output, encoding="utf-8")
+        else:
+            sys.stdout.write(output)
+    except (DcxError, OSError) as exc:
         print(f"dcx: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"dcx: {exc}", file=sys.stderr)
-        return 1
-    if args.out is not None:
-        args.out.write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
     return 0
 
 

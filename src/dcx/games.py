@@ -3,6 +3,14 @@
 Covers the closed-form state-space bounds, the factorial game-tree count,
 exhaustive breadth-first enumeration of legal positions with optional
 symmetry reduction, and the entropy of the per-ply state distribution.
+
+Enumeration works on bitboards: a position is one uint32 holding the X
+cell mask in bits 0-15 and the O mask in bits 16-31, which is why boards
+are capped at 16 cells. Each ply is a numpy array of such positions; win
+lines are cell masks, and a symmetry map is applied through byte lookup
+tables. The canonical representative of a symmetry class is its minimum
+packed image, not its minimum cell tuple, so the representatives differ
+from a tuple-based enumeration while the class counts are the same.
 """
 
 from __future__ import annotations
@@ -12,11 +20,16 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DegenerateInput, InvalidParameter, ResourceLimit
 from .measures import ENUMERATED, MeasureResult, log10_int, normalized_entropy
 
-# Boards beyond this many cells make exhaustive enumeration explode.
+# A position packs into one uint32, the X mask in bits 0-15 and the O mask
+# in bits 16-31, so enumeration stops at 16 cells.
 ENUMERATION_CELL_LIMIT = 16
+_O_SHIFT = 16
+_CELL_MASK = (1 << _O_SHIFT) - 1
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,8 @@ def win_lines(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     Directions are vectors in {-1,0,1}^D whose first nonzero component is
     positive, so each geometric line is generated once.
     """
+    if spec.side == 1:  # the single cell is the only line, in any dimension
+        return ((0,),)
     directions = [
         d
         for d in itertools.product((-1, 0, 1), repeat=spec.dims)
@@ -138,8 +153,11 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     """Index permutations for the board's axis-permutation/reflection group.
 
     For D = 2 this is the 8-element dihedral group; in general 2^D * D!.
-    Map m sends a board to its image via image[i] = board[m[i]].
+    Map m sends a board to its image via image[i] = board[m[i]]. A side-1
+    board has one cell, so its whole group is the single identity map.
     """
+    if spec.side == 1:
+        return ((0,),)
     maps = []
     axes = range(spec.dims)
     for perm in itertools.permutations(axes):
@@ -156,17 +174,76 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(maps)
 
 
-def canonical_form(board: tuple[int, ...], spec: GridGameSpec) -> tuple[int, ...]:
-    """Lexicographic minimum of the board over its symmetry group images."""
-    return min(tuple(board[i] for i in m) for m in symmetry_maps(spec))
+@lru_cache(maxsize=None)
+def _line_masks(spec: GridGameSpec) -> np.ndarray:
+    """One 16-bit cell mask per entry of win_lines(spec)."""
+    masks = np.array(
+        [sum(1 << cell for cell in line) for line in win_lines(spec)], dtype=np.uint32
+    )
+    masks.flags.writeable = False
+    return masks
 
 
-def _winner(board: tuple[int, ...], lines: tuple[tuple[int, ...], ...]) -> bool:
+@lru_cache(maxsize=None)
+def _symmetry_tables(spec: GridGameSpec) -> np.ndarray:
+    """Per symmetry map, the image of each low byte and each high byte.
+
+    tables[g, 0, b] is the image under map g of a cell mask whose low byte
+    is b and whose high byte is zero; tables[g, 1, b] the same for the high
+    byte. OR-ing the two gives the image of any 16-bit mask, so each map
+    costs 512 entries rather than one per mask.
+    """
+    maps = np.array(symmetry_maps(spec))
+    # argsort inverts each map: bit s of a board lands on bit inverse[s] of its image
+    weights = np.zeros((len(maps), 2 * 8), dtype=np.int64)
+    weights[:, : spec.cells] = 1 << np.argsort(maps, axis=1)
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    # distinct powers of two, so the sum is the OR of the moved bits
+    tables = (weights.reshape(len(maps), 2, 8) @ byte_bits.T).astype(np.uint32)
+    tables.flags.writeable = False
+    return tables
+
+
+def canonical_positions(positions: np.ndarray, spec: GridGameSpec) -> np.ndarray:
+    """Minimum packed image of each packed position over the symmetry group.
+
+    The representative is the smallest uint32, which orders by O mask first
+    and X mask second; it is not the lexicographically smallest cell tuple,
+    but every orbit still has exactly one.
+    """
+    x = positions & _CELL_MASK
+    o = positions >> _O_SHIFT
+    # intp indices once, not a conversion per table lookup
+    x_lo, x_hi, o_lo, o_hi = (
+        byte.astype(np.intp) for byte in (x & 0xFF, x >> 8, o & 0xFF, o >> 8)
+    )
+    best = np.full(positions.shape, np.iinfo(np.uint32).max, dtype=np.uint32)
+    for lo, hi in _symmetry_tables(spec):
+        image = (lo[o_lo] | hi[o_hi]) << _O_SHIFT
+        image |= lo[x_lo]
+        image |= hi[x_hi]
+        np.minimum(best, image, out=best)
+    return best
+
+
+def _distinct(positions: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a uint32 array.
+
+    np.unique gives the same result, but numpy 2.4.6 routes it through a hash
+    table that took 0.29 s on 480k uint32 values where sorting and
+    comparing neighbours took 6 ms (2-vCPU x86-64 machine).
+    """
+    ordered = np.sort(positions)
+    keep = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _completes_line(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    won = np.zeros(masks.shape, dtype=bool)
     for line in lines:
-        first = board[line[0]]
-        if first and all(board[i] == first for i in line[1:]):
-            return True
-    return False
+        won |= (masks & line) == line
+    return won
 
 
 @dataclass(frozen=True)
@@ -184,35 +261,36 @@ class PlyDistribution:
 def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribution:
     """Breadth-first count of legal positions reachable under alternation.
 
-    Positions where a player has already completed a line generate no
-    children. With symmetry on, positions are replaced by their canonical
-    form before deduplication.
+    Each ply's positions are one sorted, duplicate-free uint32 array, packed
+    as X mask | O mask << 16; that packing is what caps boards at
+    ENUMERATION_CELL_LIMIT cells. Positions where a player has already
+    completed a line are counted but generate no children. With symmetry
+    on, positions are replaced by canonical_positions (the minimum packed
+    image) before deduplication, giving one position per class.
     """
     if spec.cells > ENUMERATION_CELL_LIMIT:
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
             f"got {spec.cells}"
         )
-    lines = win_lines(spec)
-    empty = (0,) * spec.cells
-    frontier = {empty}
+    lines = _line_masks(spec)
+    cell_bits = np.uint32(1) << np.arange(spec.cells, dtype=np.uint32)
+    frontier = np.zeros(1, dtype=np.uint32)
     counts = [1]
     for ply in range(spec.max_plies):
-        player = 1 if ply % 2 == 0 else 2
-        seen: set[tuple[int, ...]] = set()
-        for board in frontier:
-            for cell, value in enumerate(board):
-                if value:
-                    continue
-                child = board[:cell] + (player,) + board[cell + 1 :]
-                if symmetry:
-                    child = canonical_form(child, spec)
-                seen.add(child)
-        if not seen:
+        shift = 0 if ply % 2 == 0 else _O_SHIFT
+        occupied = (frontier | (frontier >> _O_SHIFT)) & _CELL_MASK
+        free = (occupied[:, None] & cell_bits) == 0
+        children = _distinct((frontier[:, None] | (cell_bits << shift))[free])
+        if symmetry:
+            children = _distinct(canonical_positions(children, spec))
+        if children.size == 0:
             break
-        counts.append(len(seen))
-        # wins are counted in their ply but halt further expansion
-        frontier = {b for b in seen if not _winner(b, lines)}
+        counts.append(int(children.size))
+        # wins are counted in their ply but halt further expansion; only the
+        # player who just moved can have completed a line
+        mover = (children >> shift) & _CELL_MASK
+        frontier = children[~_completes_line(mover, lines)]
     return PlyDistribution(counts_per_ply=tuple(counts), symmetry_reduced=symmetry)
 
 

@@ -132,6 +132,8 @@ def from_json(text: str) -> ComplexityReport:
         )
     except KeyError as exc:
         raise FormatError(f"report is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"report has a malformed field: {exc}") from exc
 
 
 def to_csv(report: ComplexityReport) -> str:

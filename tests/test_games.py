@@ -11,7 +11,7 @@ from dcx.errors import DegenerateInput, InvalidParameter, ResourceLimit
 from dcx.games import (
     GridGameSpec,
     PlyDistribution,
-    canonical_form,
+    canonical_positions,
     enumerate_states,
     gtc_factorial,
     ply_entropy,
@@ -126,32 +126,124 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit):
             enumerate_states(QUBIC)
 
+    @pytest.mark.parametrize(
+        ("win", "raw", "sym"),
+        [
+            (4, (1, 16, 240, 1680, 10920, 43680, 160160),
+             (1, 3, 33, 219, 1413, 5514, 20122)),
+            (3, (1, 16, 240, 1680, 10920, 43680, 153296),
+             (1, 3, 33, 219, 1413, 5514, 19253)),
+        ],
+    )
+    def test_four_by_four_six_plies(self, win, raw, sym):
+        # frozen from the tuple enumeration below; too slow to rerun it here
+        spec = GridGameSpec(side=4, dims=2, max_plies=6, win_length=win)
+        assert enumerate_states(spec, symmetry=False).counts_per_ply == raw
+        assert enumerate_states(spec, symmetry=True).counts_per_ply == sym
+
+
+# --- the tuple enumeration the packed one replaced, kept as its oracle ---------
+
+
+def oracle_canonical_form(board, spec):
+    """Lexicographic minimum of the board over its symmetry group images."""
+    return min(tuple(board[i] for i in m) for m in symmetry_maps(spec))
+
+
+def oracle_winner(board, lines):
+    for line in lines:
+        first = board[line[0]]
+        if first and all(board[i] == first for i in line[1:]):
+            return True
+    return False
+
+
+def oracle_counts(spec, symmetry):
+    lines = win_lines(spec)
+    frontier = {(0,) * spec.cells}
+    counts = [1]
+    for ply in range(spec.max_plies):
+        player = 1 if ply % 2 == 0 else 2
+        seen = set()
+        for board in frontier:
+            for cell, value in enumerate(board):
+                if value:
+                    continue
+                child = board[:cell] + (player,) + board[cell + 1 :]
+                if symmetry:
+                    child = oracle_canonical_form(child, spec)
+                seen.add(child)
+        if not seen:
+            break
+        counts.append(len(seen))
+        frontier = {b for b in seen if not oracle_winner(b, lines)}
+    return tuple(counts)
+
+
+ORACLE_BOARDS = [
+    GridGameSpec(side=1, dims=1, max_plies=1, win_length=1),
+    GridGameSpec(side=6, dims=1, max_plies=6, win_length=3),
+    GridGameSpec(side=12, dims=1, max_plies=6, win_length=4),
+    GridGameSpec(side=3, dims=2, max_plies=9, win_length=1),
+    GridGameSpec(side=3, dims=2, max_plies=9, win_length=2),
+    TTT,
+    GridGameSpec(side=2, dims=3, max_plies=8, win_length=2),
+    GridGameSpec(side=2, dims=4, max_plies=7, win_length=2),
+    GridGameSpec(side=4, dims=2, max_plies=5, win_length=4),
+    GridGameSpec(side=4, dims=2, max_plies=5, win_length=3),
+]
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["raw", "sym"])
+@pytest.mark.parametrize(
+    "spec", ORACLE_BOARDS,
+    ids=[f"{s.side}^{s.dims}-p{s.max_plies}-w{s.win_length}" for s in ORACLE_BOARDS],
+)
+def test_matches_tuple_enumeration(spec, symmetry):
+    assert enumerate_states(spec, symmetry).counts_per_ply == oracle_counts(spec, symmetry)
+
+
+def pack(board: tuple[int, ...]) -> int:
+    """A 0/1/2 cell tuple as the uint32 the enumeration uses: X bits | O bits << 16."""
+    x = sum(1 << i for i, v in enumerate(board) if v == 1)
+    o = sum(1 << i for i, v in enumerate(board) if v == 2)
+    return x | o << 16
+
+
+def canonical(board: tuple[int, ...], spec: GridGameSpec) -> int:
+    return int(canonical_positions(np.array([pack(board)], dtype=np.uint32), spec)[0])
+
 
 class TestCanonicalForm:
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            board = tuple(int(v) for v in rng.integers(0, 3, 9))
-            canon = canonical_form(board, TTT)
-            assert canonical_form(canon, TTT) == canon
+        boards = np.array(
+            [pack(tuple(int(v) for v in rng.integers(0, 3, 9))) for _ in range(200)],
+            dtype=np.uint32,
+        )
+        canon = canonical_positions(boards, TTT)
+        assert np.array_equal(canonical_positions(canon, TTT), canon)
 
     def test_constant_on_orbits(self):
         rng = np.random.default_rng(1)
         maps = symmetry_maps(TTT)
         for _ in range(200):
             board = tuple(int(v) for v in rng.integers(0, 3, 9))
-            canon = canonical_form(board, TTT)
             m = maps[rng.integers(0, len(maps))]
             transformed = tuple(board[i] for i in m)
-            assert canonical_form(transformed, TTT) == canon
+            assert canonical(transformed, TTT) == canonical(board, TTT)
 
     def test_canonical_is_orbit_minimum(self):
+        # the representative is the smallest packed image, for every group
+        # size the enumeration meets: 2 (1-D), 8 (2-D), 48 (3-D), 384 (4-D)
         rng = np.random.default_rng(2)
-        maps = symmetry_maps(TTT)
-        for _ in range(50):
-            board = tuple(int(v) for v in rng.integers(0, 3, 9))
-            orbit = {tuple(board[i] for i in m) for m in maps}
-            assert canonical_form(board, TTT) == min(orbit)
+        for spec in (GridGameSpec(6, 1, 6, 3), TTT, GridGameSpec(2, 3, 8, 2),
+                     GridGameSpec(2, 4, 7, 2)):
+            maps = symmetry_maps(spec)
+            for _ in range(50):
+                board = tuple(int(v) for v in rng.integers(0, 3, spec.cells))
+                orbit = {pack(tuple(board[i] for i in m)) for m in maps}
+                assert canonical(board, spec) == min(orbit)
 
 
 class TestPlyEntropy:

@@ -1,6 +1,7 @@
 """Report serialization, comparison rules, and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
@@ -69,6 +70,13 @@ class TestSerialization:
     def test_from_json_rejects_missing_keys(self):
         payload = json.loads(to_json(sample_report()))
         del payload["measures"]
+        with pytest.raises(FormatError):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("measures", [5, [5]], ids=["non-list", "non-dict-entry"])
+    def test_from_json_rejects_malformed_measures(self, measures):
+        payload = json.loads(to_json(sample_report()))
+        payload["measures"] = measures
         with pytest.raises(FormatError):
             from_json(json.dumps(payload))
 
@@ -142,6 +150,21 @@ class TestCli:
         target = targets["gtc_factorial_log10"]
         assert (target["value"], target["tolerance"]) == (34, 1)
         assert abs(gtc - target["value"]) <= target["tolerance"]
+
+    def test_one_cell_board_in_many_dimensions(self, capsys):
+        # a side-1 board has one cell whatever its dimension count
+        start = time.perf_counter()
+        code = main(
+            ["--format", "json", "game", "custom", "--side", "1", "--dims", "12",
+             "--plies", "1", "--win", "1"]
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        values = {m["measure_name"]: m["value"] for m in payload["measures"]}
+        assert values["legal_positions_total"] == 2.0
+        assert values["symmetry_classes_total"] == 2.0
+        assert elapsed < 2.0
 
     def test_game_enumeration_can_be_skipped(self, capsys):
         assert main(["--format", "json", "game", "ttt", "--no-enumerate"]) == 0
@@ -247,6 +270,18 @@ class TestCli:
     def test_compare_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["compare", str(missing), str(missing)]) == 1
+
+    def test_compare_forged_report(self, tmp_path, capsys):
+        forged = tmp_path / "forged.json"
+        forged.write_text('{"measures": 5}', encoding="utf-8")
+        assert main(["compare", str(forged), str(forged)]) == 1
+        assert capsys.readouterr().err.startswith("dcx: ")
+
+    def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "report.json"
+        assert main(["--format", "json", "--out", str(dest), "game", "ttt"]) == 1
+        assert capsys.readouterr().err.startswith("dcx: ")
+        assert not dest.exists()
 
     def test_out_writes_file(self, tmp_path):
         dest = tmp_path / "report.csv"
