@@ -608,17 +608,14 @@ def _run_dataset_images(args) -> ComplexityReport:
         ds = _load_image_dataset(name, args, args.split or "all")
         if name == "mnist":
             ds = datasets.binarize(ds)
-            per_image = 1.0 - np.count_nonzero(
-                ds.images.reshape(ds.image_count, -1), axis=1
-            ) / (ds.pixel_count * ds.channel_count)
-            measures.append(
-                MeasureResult(
-                    "zero_sparsity_mean",
-                    float(per_image.mean()),
-                    "mean zero-pixel fraction after binarization at threshold 0",
-                    ANALYTIC,
-                )
-            )
+            convention = "mean zero-pixel fraction after binarization at threshold 0"
+        else:
+            convention = "mean zero-valued fraction over raw intensities"
+        per_image = dm.image_zero_sparsities(ds.images)
+        measures.append(
+            MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
+        )
+        if name == "mnist":
             targets.append(
                 ReferenceTarget("zero_sparsity_mean", 0.813, 0.01, _PUBLISHED)
             )
@@ -631,30 +628,10 @@ def _run_dataset_images(args) -> ComplexityReport:
                         ANALYTIC,
                     )
                 )
-        else:
-            per_image = 1.0 - np.count_nonzero(
-                ds.images.reshape(ds.image_count, -1), axis=1
-            ) / (ds.pixel_count * ds.channel_count)
-            measures.append(
-                MeasureResult(
-                    "zero_sparsity_mean",
-                    float(per_image.mean()),
-                    "mean zero-valued fraction over raw intensities",
-                    ANALYTIC,
-                )
-            )
     elif args.measure == "gini":
         ds = _load_image_dataset(name, args, args.split or "all")
         channels = ("red", "green", "blue") if ds.channel_count == 3 else ("gray",)
-        values = np.zeros((ds.image_count, ds.channel_count))
-        skipped = 0
-        for i in range(ds.image_count):
-            for c in range(ds.channel_count):
-                try:
-                    values[i, c] = dm.channel_gini(ds.images[i], c)
-                except DcxError:
-                    values[i, c] = np.nan
-                    skipped += 1
+        values, skipped = dm.channel_ginis(ds.images)
         for c, channel_name in enumerate(channels):
             column = values[:, c]
             measures.append(
@@ -676,11 +653,7 @@ def _run_dataset_images(args) -> ComplexityReport:
         split = args.split or ("train" if name == "mnist" else "all")
         ds = _load_image_dataset(name, args, split)
         binarize_first = name == "mnist" and mode == "binarized"
-        per_image = np.empty(ds.image_count)
-        for i in range(ds.image_count):
-            per_image[i] = dm.image_entropy(
-                ds.images[i], binarize_first=binarize_first
-            ).value
+        per_image = dm.image_entropies(ds.images, binarize_first=binarize_first)
         summaries = dm.summarize_by_class(per_image, ds.labels, ds.class_names)
         convention = (
             "normalized per-image intensity entropy, 256 bins over [0, 255], "

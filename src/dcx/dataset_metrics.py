@@ -11,10 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import LabeledImageDataset, TabularDataset
-from .errors import DegenerateInput, InvalidParameter
-from .measures import (
+from .errors import DegenerateInput, InvalidParameter, InvalidValue
+# histogram and shannon_entropy are no longer called here, but stay
+# importable from this module: the benchmark's traced run
+# (perfbench/spans.py) wraps them under these names.
+from .measures import (  # noqa: F401
     ANALYTIC,
     MeasureResult,
+    bin_indices,
     gini,
     histogram,
     log10_product,
@@ -35,12 +39,102 @@ def feature_space_dimensionality(dataset: LabeledImageDataset) -> float:
     )
 
 
+# Images per chunk in the batch kernels: keeps their temporaries to a few MB.
+CHUNK_IMAGES = 256
+
+
+def _image_rows(images) -> np.ndarray:
+    """The N x ... array as N rows of pooled values; refuses empty images."""
+    arr = np.asarray(images)
+    if arr.ndim < 1:
+        raise InvalidParameter("expected an N x H x W x C array of images")
+    per_image = int(np.prod(arr.shape[1:]))
+    if per_image == 0 and len(arr):
+        raise DegenerateInput("empty image")
+    return arr.reshape(len(arr), per_image)
+
+
+def image_zero_sparsities(images) -> np.ndarray:
+    """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
+    rows = _image_rows(images)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), CHUNK_IMAGES):
+        chunk = rows[start : start + CHUNK_IMAGES]
+        out[start : start + len(chunk)] = 1.0 - np.count_nonzero(chunk, axis=1) / rows.shape[1]
+    return out
+
+
 def image_zero_sparsity(image: np.ndarray) -> float:
     """Fraction of zero-valued pixels; 1 minus the nonzero fraction."""
-    arr = np.asarray(image)
-    if arr.size == 0:
-        raise DegenerateInput("empty image")
-    return 1.0 - np.count_nonzero(arr) / arr.size
+    return float(image_zero_sparsities(np.asarray(image).reshape(1, -1))[0])
+
+
+def _entropy_bins(values: np.ndarray, bin_count: int, binarize_first: bool) -> np.ndarray:
+    """The bin of each value over [0, 255]; binarize_first sends nonzero
+    values to 255 first."""
+    if binarize_first:
+        values = np.where(values > 0, 255, 0)
+    return bin_indices(values, bin_count, 0.0, 255.0)
+
+
+def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Per row, the sum of the terms where keep holds, in column order.
+
+    Equals numpy's pairwise sum of each row's compressed vector
+    terms[i][keep[i]]: kept terms move to the front in column order, and
+    rows with the same kept count are summed as one [rows, :k] block.
+    Padding a row with zeros instead would change the pairwise tree.
+    """
+    order = np.argsort(~keep, axis=1, kind="stable")
+    packed = np.take_along_axis(terms, order, axis=1)
+    lengths = keep.sum(axis=1)
+    sums = np.zeros(len(terms))
+    for k in np.unique(lengths):
+        rows = np.flatnonzero(lengths == k)
+        sums[rows] = packed[rows, :k].sum(axis=1)
+    return sums
+
+
+def image_entropies(
+    images, bin_count: int = 256, binarize_first: bool = False
+) -> np.ndarray:
+    """Per image, the normalized entropy of its pooled intensity histogram.
+
+    images is N x H x W x C (any N x ... array works: each image pools all
+    its values). Each value lands in one of bin_count equal bins over
+    [0, 255], as in measures.histogram; the entropy of the bin frequencies,
+    in bits, is divided by log2(bin_count). Bit-identical to
+    shannon_entropy(histogram(...).probabilities()) / log2(bin_count) per
+    image.
+    """
+    if isinstance(bin_count, bool) or not isinstance(bin_count, (int, np.integer)):
+        raise InvalidParameter("bin_count must be an integer")
+    if bin_count < 1:
+        raise InvalidParameter("bin_count must be at least 1")
+    rows = _image_rows(images)
+    count, size = rows.shape
+    if rows.dtype == np.uint8:
+        # the bin of each of the 256 values, looked up rather than computed per pixel
+        table = _entropy_bins(np.arange(256, dtype=np.uint8), bin_count, binarize_first)
+    # p * log2(p) for every p = c / size a histogram of one image can hold
+    p = np.arange(size + 1) / size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = p * np.log2(p)
+    plogp[0] = 0.0
+    out = np.empty(count)
+    for start in range(0, count, CHUNK_IMAGES):
+        chunk = rows[start : start + CHUNK_IMAGES]
+        if rows.dtype == np.uint8:
+            bins = table[chunk]
+        else:
+            bins = _entropy_bins(chunk, bin_count, binarize_first)
+        # offset each image's bins so that one bincount counts every image
+        bins += np.arange(len(chunk))[:, None] * bin_count
+        counts = np.bincount(bins.ravel(), minlength=len(chunk) * bin_count)
+        counts = counts.reshape(len(chunk), bin_count)
+        sums = _pairwise_row_sums(plogp[counts], counts > 0)
+        out[start : start + len(chunk)] = -sums
+    return out / np.log2(bin_count)
 
 
 def image_entropy(
@@ -52,14 +146,7 @@ def image_entropy(
     binarize_first sends nonzero pixels to 255 first, so mass lands in the
     first and last bins only.
     """
-    arr = np.asarray(image)
-    if arr.size == 0:
-        raise DegenerateInput("empty image")
-    values = arr.reshape(-1)
-    if binarize_first:
-        values = np.where(values > 0, 255, 0)
-    hist = histogram(values, bin_count, (0.0, 255.0))
-    value = shannon_entropy(hist.probabilities()) / np.log2(bin_count)
+    value = image_entropies(np.asarray(image).reshape(1, -1), bin_count, binarize_first)[0]
     mode = "binarized to bins 0 and 255" if binarize_first else "raw intensities"
     return MeasureResult(
         measure_name="image_entropy",
@@ -72,6 +159,44 @@ def image_entropy(
     )
 
 
+def channel_ginis(images) -> tuple[np.ndarray, int]:
+    """Per image and channel, the Gini index of the channel plane.
+
+    images is N x H x W x C. Returns the N x C values, NaN where a plane is
+    all zero (its Gini is undefined), and the count of those planes. Each
+    value is bit-identical to measures.gini over the plane.
+    """
+    arr = np.asarray(images)
+    if arr.ndim != 4:
+        raise InvalidParameter("expected an N x H x W x C array of images")
+    count, height, width, channels = arr.shape
+    n = height * width
+    if n == 0 and count * channels:
+        raise DegenerateInput("gini needs at least one value")
+    ranks = np.arange(1, n + 1)
+    weights = (n - ranks + 0.5) / n
+    out = np.empty((count, channels))
+    all_zero = 0
+    for start in range(0, count, CHUNK_IMAGES):
+        chunk = arr[start : start + CHUNK_IMAGES]
+        # channel-major copy: one row per (image, channel) plane
+        planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2)).reshape(-1, n)
+        if np.any(planes < 0):
+            raise InvalidValue("gini is defined for non-negative values only")
+        totals = planes.sum(axis=1, dtype=float)
+        zero = totals == 0.0
+        all_zero += int(np.count_nonzero(zero))
+        # a stable sort of uint8 rows is a radix sort
+        shares = np.sort(planes, axis=1, kind="stable").astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(shares, totals[:, None], out=shares)
+        np.multiply(shares, weights, out=shares)
+        values = 1.0 - 2.0 * shares.sum(axis=1)
+        values[zero] = np.nan
+        out[start : start + len(chunk)] = values.reshape(len(chunk), channels)
+    return out, all_zero
+
+
 def channel_gini(image: np.ndarray, channel: int) -> float:
     """Gini index over one channel plane of an H x W x C image."""
     arr = np.asarray(image)
@@ -81,7 +206,10 @@ def channel_gini(image: np.ndarray, channel: int) -> float:
         raise InvalidParameter("expected an H x W x C image")
     if not 0 <= channel < arr.shape[2]:
         raise InvalidParameter(f"channel {channel} outside 0..{arr.shape[2] - 1}")
-    return gini(arr[:, :, channel].reshape(-1).astype(float))
+    values, all_zero = channel_ginis(arr[None, :, :, channel : channel + 1])
+    if all_zero:
+        raise DegenerateInput("gini is undefined for an all-zero array")
+    return float(values[0, 0])
 
 
 def _resolve(name_or_index, names: tuple[str, ...], kind: str) -> int:

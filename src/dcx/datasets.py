@@ -1,16 +1,13 @@
 """Bit-exact readers for the case-study datasets: IDX tensors (MNIST),
 CIFAR-10 binary batches, and the Iris CSV. Parsers are pure over byte
 buffers; loaders locate files in a local directory and never touch the
-network. A checksum-verified fetch helper is provided for users who need
-to download the archives themselves.
+network.
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
 import struct
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -145,6 +142,13 @@ def parse_cifar10(
     Each record is a label byte followed by three 1024-byte channel planes
     (red, green, blue), each a row-major 32 x 32 grid.
     """
+    labels, planes = _cifar_records(data)
+    images = planes.transpose(0, 2, 3, 1).copy()
+    return LabeledImageDataset(images=images, labels=labels, class_names=class_names)
+
+
+def _cifar_records(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels and a records x 3 x 32 x 32 view of the planes."""
     if len(data) % _CIFAR_RECORD != 0:
         raise TruncatedInput(
             f"batch length {len(data)} is not a multiple of {_CIFAR_RECORD}"
@@ -154,9 +158,7 @@ def parse_cifar10(
     labels = raw[:, 0].astype(np.int64)
     if len(labels) and labels.max() > 9:
         raise FormatError(f"label byte {labels.max()} outside 0..9")
-    planes = raw[:, 1:].reshape(records, 3, 32, 32)
-    images = planes.transpose(0, 2, 3, 1).copy()
-    return LabeledImageDataset(images=images, labels=labels, class_names=class_names)
+    return labels, raw[:, 1:].reshape(records, 3, 32, 32)
 
 
 def _iris_class_index(name: str) -> int:
@@ -209,6 +211,11 @@ def binarize(dataset: LabeledImageDataset, threshold: int = 0) -> LabeledImageDa
         class_names=dataset.class_names,
         pixel_value_count=2,
     )
+
+
+def _is_gzip(path: Path) -> bool:
+    with path.open("rb") as handle:
+        return handle.read(2) == b"\x1f\x8b"
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -287,12 +294,25 @@ def load_cifar10(data_dir: str | Path, split: str = "all") -> LabeledImageDatase
         "test": _CIFAR_TEST,
         "all": _CIFAR_TRAIN + _CIFAR_TEST,
     }[split]
-    blocks = [parse_cifar10(_read_bytes(_find_file(directory, (n,)))) for n in names]
-    return LabeledImageDataset(
-        images=np.concatenate([b.images for b in blocks]),
-        labels=np.concatenate([b.labels for b in blocks]),
-        class_names=CIFAR10_CLASS_NAMES,
-    )
+    # Each batch is decoded straight into one preallocated array. A plain
+    # batch is sized from the file system; a gzipped one is read up front,
+    # since only its decompressed length gives its size.
+    batches = [_read_bytes(path) if _is_gzip(path) else path
+               for path in (_find_file(directory, (n,)) for n in names)]
+    counts = [(len(b) if isinstance(b, bytes) else b.stat().st_size) // _CIFAR_RECORD
+              for b in batches]
+    images = np.empty((sum(counts), 32, 32, 3), dtype=np.uint8)
+    labels = np.empty(sum(counts), dtype=np.int64)
+    start = 0
+    for name, batch, count in zip(names, batches, counts):
+        data = batch if isinstance(batch, bytes) else _read_bytes(batch)
+        block_labels, planes = _cifar_records(data)
+        if len(block_labels) != count:
+            raise FormatError(f"{name} changed size while loading")
+        images[start : start + count] = planes.transpose(0, 2, 3, 1)
+        labels[start : start + count] = block_labels
+        start += count
+    return LabeledImageDataset(images=images, labels=labels, class_names=CIFAR10_CLASS_NAMES)
 
 
 def load_iris(path: str | Path | None = None) -> TabularDataset:
@@ -301,18 +321,3 @@ def load_iris(path: str | Path | None = None) -> TabularDataset:
         return parse_iris_csv(Path(path).read_text(encoding="utf-8"))
     ref = resources.files("dcx").joinpath("data/iris.csv")
     return parse_iris_csv(ref.read_text(encoding="utf-8"))
-
-
-def fetch(url: str, dest: str | Path, sha256: str) -> Path:
-    """Download url to dest, verifying the SHA-256 checksum before writing."""
-    dest = Path(dest)
-    with urllib.request.urlopen(url) as response:
-        data = response.read()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != sha256.lower():
-        raise FormatError(
-            f"checksum mismatch for {url}: got {digest}, expected {sha256}"
-        )
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_bytes(data)
-    return dest

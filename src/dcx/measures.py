@@ -109,11 +109,16 @@ def histogram(
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise DegenerateInput("histogram needs at least one value")
-    width = (hi - lo) / bin_count
-    idx = np.floor((v - lo) / width).astype(np.int64)
-    idx = np.clip(idx, 0, bin_count - 1)
-    counts = np.bincount(idx, minlength=bin_count)
+    counts = np.bincount(bin_indices(v, bin_count, lo, hi), minlength=bin_count)
     return Histogram(lo=lo, hi=hi, counts=tuple(int(c) for c in counts))
+
+
+def bin_indices(values, bin_count: int, lo: float, hi: float) -> np.ndarray:
+    """histogram's bin of each value, same shape: the int64 array
+    min(floor((v - lo) / width), bin_count - 1), clamped at 0."""
+    width = (hi - lo) / bin_count
+    idx = np.floor((np.asarray(values, dtype=float) - lo) / width).astype(np.int64)
+    return np.clip(idx, 0, bin_count - 1)
 
 
 def variance_diversity(values: Sequence[float]) -> float:

@@ -91,6 +91,13 @@ def to_json(report: ComplexityReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _number(value, field: str) -> int | float:
+    """value, if it is a JSON number; bool is refused although it subclasses int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"report field {field} must be a number, got {type(value).__name__}")
+    return value
+
+
 def from_json(text: str) -> ComplexityReport:
     try:
         payload = json.loads(text)
@@ -102,7 +109,7 @@ def from_json(text: str) -> ComplexityReport:
         measures = tuple(
             MeasureResult(
                 measure_name=m["measure_name"],
-                value=m["value"],
+                value=_number(m["value"], "value"),
                 convention=m["convention"],
                 provenance=Provenance(
                     kind=m["provenance"]["kind"],
@@ -115,8 +122,8 @@ def from_json(text: str) -> ComplexityReport:
         targets = tuple(
             ReferenceTarget(
                 measure_name=t["measure_name"],
-                value=t["value"],
-                tolerance=t["tolerance"],
+                value=_number(t["value"], "value"),
+                tolerance=_number(t["tolerance"], "tolerance"),
                 source=t["source"],
             )
             for t in payload["reference_targets"]

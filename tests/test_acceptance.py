@@ -23,9 +23,10 @@ from dcx.cartpole import (
     rollout_entropy,
 )
 from dcx.dataset_metrics import (
-    channel_gini,
+    channel_ginis,
     feature_space_dimensionality,
-    image_entropy,
+    image_entropies,
+    image_zero_sparsities,
     median_of_medians,
     summarize_by_class,
     tabular_gini,
@@ -41,7 +42,6 @@ from dcx.descriptors import (
     strategy_entropy,
     tree_complexity,
 )
-from dcx.errors import DegenerateInput
 from dcx.games import enumerate_states, gtc_factorial, preset, ssc_combinatorial
 from dcx.measures import normalized_entropy, shannon_entropy
 
@@ -180,8 +180,7 @@ def test_criterion_07_mnist_measures():
         full = binarize(load_mnist(directory, split="all"))
         assert feature_space_dimensionality(full) == approx(9.04, abs=0.01)
 
-        flat = full.images.reshape(full.image_count, -1)
-        zero_fraction = 1.0 - np.count_nonzero(flat, axis=1) / flat.shape[1]
+        zero_fraction = image_zero_sparsities(full.images)
         assert float(zero_fraction.mean()) == approx(0.813, abs=0.01)
         summaries = summarize_by_class(zero_fraction, full.labels, full.class_names)
         means = {s.class_name: s.mean for s in summaries}
@@ -191,9 +190,7 @@ def test_criterion_07_mnist_measures():
         assert max(means, key=means.get) == "1"
 
         train = load_mnist(directory, split="train")
-        per_image = np.empty(train.image_count)
-        for i in range(train.image_count):
-            per_image[i] = image_entropy(train.images[i], binarize_first=True).value
+        per_image = image_entropies(train.images, binarize_first=True)
         entropy_summaries = summarize_by_class(
             per_image, train.labels, train.class_names
         )
@@ -208,21 +205,13 @@ def test_criterion_08_cifar10_measures():
         full = load_cifar10(directory, split="all")
         assert feature_space_dimensionality(full) == approx(11.67, abs=0.01)
 
-        ginis = np.full((full.image_count, 3), np.nan)
-        for i in range(full.image_count):
-            for c in range(3):
-                try:
-                    ginis[i, c] = channel_gini(full.images[i], c)
-                except DegenerateInput:
-                    pass
+        ginis, _ = channel_ginis(full.images)
         medians = np.nanmedian(ginis, axis=0)
         assert medians[0] == approx(0.235, abs=0.01)
         assert medians[1] == approx(0.237, abs=0.01)
         assert medians[2] == approx(0.26, abs=0.01)
 
-        per_image = np.empty(full.image_count)
-        for i in range(full.image_count):
-            per_image[i] = image_entropy(full.images[i]).value
+        per_image = image_entropies(full.images)
         summaries = summarize_by_class(per_image, full.labels, full.class_names)
         medians_by_class = {s.class_name: s.median for s in summaries}
         assert median_of_medians(summaries) == approx(0.925, abs=0.02)

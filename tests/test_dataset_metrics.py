@@ -1,21 +1,26 @@
-"""Per-image and per-class dataset measures against hand-worked examples."""
+"""Per-image and per-class dataset measures against hand-worked examples,
+and the batch kernels against the per-image loop they replace."""
 
 import numpy as np
 import pytest
 
 from dcx.dataset_metrics import (
+    CHUNK_IMAGES,
     channel_gini,
+    channel_ginis,
     feature_space_dimensionality,
+    image_entropies,
     image_entropy,
+    image_zero_sparsities,
     image_zero_sparsity,
     median_of_medians,
     summarize_by_class,
     summarize_class,
     tabular_gini,
 )
-from dcx.datasets import LabeledImageDataset, load_iris
-from dcx.errors import DegenerateInput, InvalidParameter
-from dcx.measures import log10_product
+from dcx.datasets import LabeledImageDataset, load_cifar10, load_iris, load_mnist
+from dcx.errors import DegenerateInput, InvalidParameter, InvalidValue
+from dcx.measures import gini, histogram, log10_product, shannon_entropy
 
 
 def small_dataset() -> LabeledImageDataset:
@@ -201,3 +206,136 @@ class TestIrisGrid:
         for (class_name, feature), expected in self.EXPECTED.items():
             value = tabular_gini(ds, class_name, feature)
             assert value == pytest.approx(expected, abs=5e-4), (class_name, feature)
+
+
+# --- the per-image loop the batch kernels replace, kept as their oracle -------
+
+
+def oracle_entropies(images, bin_count=256, binarize_first=False) -> np.ndarray:
+    out = []
+    for image in images:
+        values = np.asarray(image).reshape(-1)
+        if binarize_first:
+            values = np.where(values > 0, 255, 0)
+        hist = histogram(values, bin_count, (0.0, 255.0))
+        out.append(shannon_entropy(hist.probabilities()) / np.log2(bin_count))
+    return np.array(out, dtype=float)
+
+
+def oracle_ginis(images) -> tuple[np.ndarray, int]:
+    values = np.zeros((images.shape[0], images.shape[3]))
+    skipped = 0
+    for i in range(images.shape[0]):
+        for c in range(images.shape[3]):
+            try:
+                values[i, c] = gini(images[i][:, :, c].reshape(-1).astype(float))
+            except DegenerateInput:
+                values[i, c] = np.nan
+                skipped += 1
+    return values, skipped
+
+
+def oracle_zero_sparsities(images) -> np.ndarray:
+    return np.array([1.0 - np.count_nonzero(im) / im.size for im in images], dtype=float)
+
+
+def assert_kernels_match_oracle(images, bin_counts=(256,)):
+    for bin_count in bin_counts:
+        for binarize_first in (False, True):
+            got = image_entropies(images, bin_count, binarize_first)
+            want = oracle_entropies(images, bin_count, binarize_first)
+            assert got.tobytes() == want.tobytes(), (bin_count, binarize_first)
+    values, skipped = channel_ginis(images)
+    want_values, want_skipped = oracle_ginis(images)
+    assert values.tobytes() == want_values.tobytes()
+    assert skipped == want_skipped
+    assert image_zero_sparsities(images).tobytes() == oracle_zero_sparsities(images).tobytes()
+
+
+class TestBatchKernelsMatchPerImageLoop:
+    def test_synthetic_mnist(self, synthetic_mnist_dir):
+        assert_kernels_match_oracle(load_mnist(synthetic_mnist_dir).images)
+
+    def test_synthetic_cifar(self, synthetic_cifar_dir):
+        assert_kernels_match_oracle(load_cifar10(synthetic_cifar_dir).images)
+
+    def test_constant_images_fill_one_bin(self):
+        images = np.stack([np.full((6, 5, 3), v, dtype=np.uint8) for v in (1, 40, 255)])
+        assert_kernels_match_oracle(images)
+        assert image_entropies(images).tolist() == [0.0, 0.0, 0.0]
+
+    def test_image_holding_every_value(self):
+        image = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)
+        images = np.stack([image, image[::-1], image.transpose(1, 0, 2)])
+        assert_kernels_match_oracle(images)
+        assert image_entropies(images)[0] == 1.0
+
+    def test_all_zero_planes_are_nan_and_counted(self):
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, size=(9, 8, 8, 3), dtype=np.uint8)
+        images[2, :, :, 1] = 0
+        images[5] = 0
+        values, skipped = channel_ginis(images)
+        assert skipped == 4
+        assert np.isnan(values[2, 1]) and np.isnan(values[5]).all()
+        assert np.count_nonzero(np.isnan(values)) == 4
+        assert_kernels_match_oracle(images)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_count_not_a_multiple_of_the_chunk(self, channels):
+        rng = np.random.default_rng(channels)
+        count = 2 * CHUNK_IMAGES + 37
+        images = rng.integers(0, 256, size=(count, 12, 10, channels), dtype=np.uint8)
+        images[rng.random(images.shape) < 0.6] = 0
+        images[count - 1, :, :, 0] = 0
+        assert_kernels_match_oracle(images, bin_counts=(256, 2, 17, 300))
+
+    def test_float_images_take_the_formula_path(self):
+        rng = np.random.default_rng(5)
+        images = rng.uniform(0.0, 255.0, size=(40, 7, 7, 2))
+        images[images < 60.0] = 0.0
+        assert_kernels_match_oracle(images, bin_counts=(256, 17))
+
+    def test_single_image_functions_are_the_n1_case(self):
+        rng = np.random.default_rng(6)
+        images = rng.integers(0, 256, size=(5, 8, 8, 3), dtype=np.uint8)
+        entropies = image_entropies(images)
+        ginis, _ = channel_ginis(images)
+        for i, image in enumerate(images):
+            assert image_entropy(image).value == entropies[i]
+            assert [channel_gini(image, c) for c in range(3)] == ginis[i].tolist()
+            assert image_zero_sparsity(image) == image_zero_sparsities(images)[i]
+
+
+class TestBatchKernelErrors:
+    def test_entropy_rejects_bad_bin_count(self):
+        images = np.zeros((2, 4, 4, 1), dtype=np.uint8)
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(InvalidParameter):
+                image_entropies(images, bin_count=bad)
+
+    def test_rejects_empty_images(self):
+        images = np.zeros((3, 0, 4, 1), dtype=np.uint8)
+        with pytest.raises(DegenerateInput):
+            image_entropies(images)
+        with pytest.raises(DegenerateInput):
+            image_zero_sparsities(images)
+        with pytest.raises(DegenerateInput):
+            channel_ginis(images)
+
+    def test_gini_needs_four_dimensions(self):
+        with pytest.raises(InvalidParameter):
+            channel_ginis(np.ones((4, 4, 3), dtype=np.uint8))
+
+    def test_gini_rejects_negative_values(self):
+        images = np.ones((2, 4, 4, 1), dtype=np.int16)
+        images[1, 0, 0, 0] = -1
+        with pytest.raises(InvalidValue):
+            channel_ginis(images)
+
+    def test_no_images_give_no_values(self):
+        images = np.zeros((0, 4, 4, 3), dtype=np.uint8)
+        assert image_entropies(images).shape == (0,)
+        assert image_zero_sparsities(images).shape == (0,)
+        values, skipped = channel_ginis(images)
+        assert values.shape == (0, 3) and skipped == 0

@@ -1,5 +1,6 @@
 """Binary dataset parsing: IDX tensors, CIFAR batches, and the iris table."""
 
+import gzip
 import struct
 
 import numpy as np
@@ -192,6 +193,35 @@ class TestLoaders:
         assert test.image_count == 4
         assert both.image_count == 34
         assert both.images.shape == (34, 32, 32, 3)
+
+    @staticmethod
+    def parsed_batches(root):
+        names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+        return [parse_cifar10((root / n).read_bytes()) for n in names]
+
+    def test_cifar_loader_equals_the_parsed_batches(self, synthetic_cifar_dir):
+        blocks = self.parsed_batches(synthetic_cifar_dir / "cifar-10-batches-bin")
+        both = load_cifar10(synthetic_cifar_dir)
+        expected = np.concatenate([b.images for b in blocks])
+        assert both.images.dtype == np.uint8 and both.images.flags.c_contiguous
+        assert both.images.tobytes() == expected.tobytes()
+        assert both.labels.dtype == np.int64
+        assert both.labels.tobytes() == np.concatenate([b.labels for b in blocks]).tobytes()
+
+    def test_cifar_gzipped_batch(self, synthetic_cifar_dir):
+        root = synthetic_cifar_dir / "cifar-10-batches-bin"
+        blocks = self.parsed_batches(root)
+        batch = root / "data_batch_3.bin"
+        batch.with_name(batch.name + ".gz").write_bytes(gzip.compress(batch.read_bytes()))
+        batch.unlink()
+        both = load_cifar10(synthetic_cifar_dir)
+        assert both.images.tobytes() == np.concatenate([b.images for b in blocks]).tobytes()
+
+    def test_cifar_truncated_batch(self, synthetic_cifar_dir):
+        batch = synthetic_cifar_dir / "cifar-10-batches-bin" / "data_batch_2.bin"
+        batch.write_bytes(batch.read_bytes()[:-5])
+        with pytest.raises(TruncatedInput):
+            load_cifar10(synthetic_cifar_dir)
 
 
 class TestDatasetValidation:

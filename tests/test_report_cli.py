@@ -1,10 +1,15 @@
 """Report serialization, comparison rules, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import dcx
 from dcx.cli import main
 from dcx.errors import FormatError, InvalidParameter
 from dcx.games import gtc_factorial
@@ -18,6 +23,15 @@ from dcx.report import (
     to_json,
     to_text,
 )
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports dcx from the tree under test."""
+    src = str(Path(dcx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
 
 
 def sample_report(domain="toy", value=1.5, convention="stated") -> ComplexityReport:
@@ -79,6 +93,17 @@ class TestSerialization:
         payload["measures"] = measures
         with pytest.raises(FormatError):
             from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", ["abc", True, None, [1.0]])
+    def test_from_json_rejects_non_numeric_values(self, value):
+        for field in ("measure value", "target value", "target tolerance"):
+            payload = json.loads(to_json(sample_report()))
+            if field == "measure value":
+                payload["measures"][0]["value"] = value
+            else:
+                payload["reference_targets"][0][field.split()[1]] = value
+            with pytest.raises(FormatError):
+                from_json(json.dumps(payload))
 
     def test_from_json_rejects_non_json(self):
         with pytest.raises(FormatError):
@@ -276,6 +301,28 @@ class TestCli:
         forged.write_text('{"measures": 5}', encoding="utf-8")
         assert main(["compare", str(forged), str(forged)]) == 1
         assert capsys.readouterr().err.startswith("dcx: ")
+
+    def test_compare_non_numeric_value_exits_1_without_traceback(self, tmp_path):
+        good, forged = tmp_path / "good.json", tmp_path / "forged.json"
+        assert main(["--format", "json", "--out", str(good), "game", "ttt", "--no-enumerate"]) == 0
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        payload["measures"][0]["value"] = "abc"
+        forged.write_text(json.dumps(payload), encoding="utf-8")
+        result = run_python("-m", "dcx.cli", "compare", str(good), str(forged))
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ")
+        assert "Traceback" not in result.stderr
+
+    def test_import_loads_no_network_modules(self):
+        # urllib itself is imported by pathlib (for urllib.parse); the
+        # request, HTTP and TLS stacks must stay out
+        code = (
+            "import sys, dcx.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl', 'socket'} & set(sys.modules)))"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "report.json"
