@@ -3,7 +3,11 @@ benchmark (2d), a high-gravity copy (2dg), and a simplified 3d version built
 from two independent planar systems.
 
 Supports the empirical measures on top: constant-action limit, Monte Carlo
-band-survival sparsity, and random-rollout feature/action entropy.
+band-survival sparsity, and random-rollout feature/action entropy. One
+formula, _planar_update, holds the dynamics: the rollout steps Python floats
+with math's sine and cosine, the constant-action trials step numpy columns
+with numpy's, and both give the same bits for the same state. Each measure
+refuses work whose arrays would exceed MEMORY_BUDGET before it allocates.
 """
 
 from __future__ import annotations
@@ -13,13 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAction, InvalidParameter
+from .errors import InvalidAction, InvalidParameter, ResourceLimit
 from .measures import histogram, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
 
 # initial state components are drawn uniformly from this interval
 INIT_BOUND = 0.05
+
+# Largest working set, in bytes, a measure may ask for. Fixed so that no
+# result depends on the host; paper-scale runs (a million 3d trials, 200k
+# rollout samples, 100k walks of 200 steps) stay under a tenth of it.
+MEMORY_BUDGET = 2 << 30
+
+
+def _check_budget(nbytes: int, work: str) -> None:
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimit(
+            f"{work} needs about {nbytes / 2**30:.3g} GiB of arrays, over the "
+            f"{MEMORY_BUDGET >> 30} GiB budget"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,15 +98,16 @@ def params_for_variant(variant: str) -> CartPoleParams:
     raise InvalidParameter(f"variant must be one of {VARIANTS}")
 
 
-def _planar_update(x, x_dot, theta, theta_dot, force, p: CartPoleParams):
+def _planar_update(x, x_dot, theta, theta_dot, sin, cos, force, p: CartPoleParams):
     """One semi-implicit Euler step of the planar dynamics.
 
-    Works elementwise on scalars and numpy arrays alike.
+    Works elementwise on scalars and numpy arrays alike; sin and cos are
+    sin(theta) and cos(theta), computed by the caller. The squares stay
+    powers: a Python or numpy float ** 2 calls libm's pow, which can differ
+    from c * c in the last bit.
     """
     total_mass = p.cart_mass + p.pole_mass
     pole_ml = p.pole_mass * p.pole_half_length
-    sin = np.sin(theta)
-    cos = np.cos(theta)
     temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
     theta_acc = (p.gravity * sin - cos * temp) / (
         p.pole_half_length * (4.0 / 3.0 - p.pole_mass * cos**2 / total_mass)
@@ -101,6 +119,20 @@ def _planar_update(x, x_dot, theta, theta_dot, force, p: CartPoleParams):
         theta + p.timestep * theta_dot,
         theta_dot + p.timestep * theta_acc,
     )
+
+
+def _advance(state, forces: tuple[float, ...], p: CartPoleParams, sin, cos) -> list:
+    """Step every axis block of a flat state under its force.
+
+    state holds Python floats (stepped with math.sin/math.cos) or one numpy
+    column per component (stepped with np.sin/np.cos); returns a list of
+    the same kind.
+    """
+    out = []
+    for axis, force in enumerate(forces):
+        x, x_dot, theta, theta_dot = state[4 * axis : 4 * axis + 4]
+        out += _planar_update(x, x_dot, theta, theta_dot, sin(theta), cos(theta), force, p)
+    return out
 
 
 def _axis_forces(action: int, params: CartPoleParams, magnitude: float):
@@ -141,38 +173,22 @@ def step(
         )
     magnitude = params.force_magnitude if force_override is None else force_override
     forces = _axis_forces(action, params, magnitude)
-    out: list[float] = []
-    for axis, force in enumerate(forces):
-        block = state[4 * axis : 4 * axis + 4]
-        out.extend(_planar_update(*block, force, params))
-    return tuple(float(v) for v in out)
+    return tuple(float(v) for v in _advance(state, forces, params, math.sin, math.cos))
 
 
 def is_failed(state: tuple[float, ...], params: CartPoleParams) -> bool:
     """True when any axis leaves the track or drops the pole."""
-    for axis in range(params.axis_count):
-        x, _, theta, _ = state[4 * axis : 4 * axis + 4]
-        if abs(x) > params.position_threshold or abs(theta) > params.angle_threshold:
-            return True
-    return False
+    x_limit, theta_limit = params.position_threshold, params.angle_threshold
+    if abs(state[0]) > x_limit or abs(state[2]) > theta_limit:
+        return True
+    return params.axis_count == 2 and (abs(state[4]) > x_limit or abs(state[6]) > theta_limit)
 
 
-def _batch_step(states: np.ndarray, forces: tuple[float, ...], p: CartPoleParams) -> np.ndarray:
-    out = np.empty_like(states)
-    for axis, force in enumerate(forces):
-        i = 4 * axis
-        out[:, i], out[:, i + 1], out[:, i + 2], out[:, i + 3] = _planar_update(
-            states[:, i], states[:, i + 1], states[:, i + 2], states[:, i + 3], force, p
-        )
-    return out
-
-
-def _batch_failed(states: np.ndarray, p: CartPoleParams) -> np.ndarray:
-    failed = np.zeros(len(states), dtype=bool)
+def _columns_failed(columns: list, p: CartPoleParams) -> np.ndarray:
+    failed = np.zeros(len(columns[0]), dtype=bool)
     for axis in range(p.axis_count):
-        i = 4 * axis
-        failed |= np.abs(states[:, i]) > p.position_threshold
-        failed |= np.abs(states[:, i + 2]) > p.angle_threshold
+        failed |= np.abs(columns[4 * axis]) > p.position_threshold
+        failed |= np.abs(columns[4 * axis + 2]) > p.angle_threshold
     return failed
 
 
@@ -181,22 +197,35 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
 
     Every trial starts from a uniform [-0.05, 0.05] state and repeats the
     positive x push until the failure predicate fires; the failing step is
-    included in the count.
+    included in the count. The live trials are kept as one numpy column per
+    state component; trials that fail are dropped after each step, and the
+    step count lands at their original index, so the mean sums the same
+    array in the same order whatever the order of failure.
     """
     if trials < 1:
         raise InvalidParameter("trials must be at least 1")
+    # two sets of state columns plus about eight per-trial temporaries
+    _check_budget(
+        trials * (2 * params.state_size + 8) * 8,
+        f"constant_action_limit with {trials} {params.variant} trials",
+    )
     rng = np.random.default_rng(seed)
-    states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, params.state_size))
+    start = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, params.state_size))
+    columns = list(start.T)
+    del start  # the draw is freed once the first step replaces these views
     forces = _axis_forces(1, params, params.force_magnitude)
     steps = np.zeros(trials)
-    alive = np.ones(trials, dtype=bool)
+    live = np.arange(trials)
     count = 0
-    while alive.any():
+    while live.size:
         count += 1
-        states[alive] = _batch_step(states[alive], forces, params)
-        failed_now = alive & _batch_failed(states, params)
-        steps[failed_now] = count
-        alive &= ~failed_now
+        columns = _advance(columns, forces, params, np.sin, np.cos)
+        failed = _columns_failed(columns, params)
+        if failed.any():
+            steps[live[failed]] = count
+            kept = ~failed
+            live = live[kept]
+            columns = [column[kept] for column in columns]
     return float(steps.mean())
 
 
@@ -219,25 +248,36 @@ def analytic_sparsity(
     which is unbiased, reduces to the plain integer band at integer limits,
     and keeps survival strictly monotone in the limit under a shared seed.
     """
-    if limit <= 0:
-        raise InvalidParameter("limit must be positive")
+    if not limit > 0:  # also refuses NaN
+        raise InvalidParameter("limit must be a positive number")
     if episode_length < 1 or samples < 1:
         raise InvalidParameter("episode_length and samples must be positive")
     if axes not in (1, 2):
         raise InvalidParameter("axes must be 1 or 2")
     if limit >= episode_length:
         return 1.0
+    # one chunk's int64 draws and int32 walks; the budget also keeps
+    # 2 * episode_length far inside int32
+    _check_budget(
+        min(_WALK_CHUNK, samples) * episode_length * 12,
+        f"analytic_sparsity with episode_length {episode_length}",
+    )
     rng = np.random.default_rng(seed)
+    # after k steps a +/-1 walk sits at 2 * heads - k, heads the 1-draws so far
+    offsets = np.arange(1, episode_length + 1, dtype=np.int32)
     survived = 0
     done = 0
     while done < samples:
         block = min(_WALK_CHUNK, samples - done)
-        bands = np.floor(limit + rng.random(block))[:, None]
+        bands = np.floor(limit + rng.random(block)).astype(np.int64)
         ok = np.ones(block, dtype=bool)
         for _ in range(axes):
-            steps = rng.integers(0, 2, size=(block, episode_length)) * 2 - 1
-            walk = np.cumsum(steps, axis=1)
-            ok &= (np.abs(walk) <= bands).all(axis=1)
+            draws = rng.integers(0, 2, size=(block, episode_length))
+            walk = np.cumsum(draws, axis=1, dtype=np.int32)
+            walk *= 2
+            walk -= offsets
+            np.abs(walk, out=walk)
+            ok &= walk.max(axis=1) <= bands
         survived += int(ok.sum())
         done += block
     return survived / samples
@@ -261,6 +301,47 @@ class RolloutConfig:
             raise InvalidParameter("max_steps must be at least 1")
 
 
+def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (pre-step state, action) samples of random play.
+
+    Actions are drawn one at a time, interleaved with the initial-state
+    draws of each restart, so the sample depends only on the seed.
+    """
+    n = params.state_size
+    # the samples and a column's histogram temporaries, plus about eight
+    # words per bin (the counts, their Python-int tuple, the probabilities)
+    _check_budget(
+        (cfg.sample_count * (n + 4) + cfg.bin_count * 8) * 8,
+        f"rollout_entropy with {cfg.sample_count} {params.variant} samples "
+        f"and {cfg.bin_count} bins",
+    )
+    rng = np.random.default_rng(cfg.seed)
+    features = np.empty((cfg.sample_count, n))
+    actions = np.empty(cfg.sample_count, dtype=np.int64)
+    action_forces = [
+        _axis_forces(a, params, params.force_magnitude) for a in range(params.action_count)
+    ]
+    draw_action = rng.integers
+    action_count = params.action_count
+    sin, cos = math.sin, math.cos
+
+    def fresh() -> list[float]:
+        return rng.uniform(-INIT_BOUND, INIT_BOUND, size=n).tolist()
+
+    state = fresh()
+    age = 0
+    for i in range(cfg.sample_count):
+        action = int(draw_action(action_count))
+        features[i] = state
+        actions[i] = action
+        state = _advance(state, action_forces[action], params, sin, cos)
+        age += 1
+        if age >= cfg.max_steps or is_failed(state, params):
+            state = fresh()
+            age = 0
+    return features, actions
+
+
 def rollout_entropy(
     params: CartPoleParams, cfg: RolloutConfig
 ) -> tuple[float, float]:
@@ -271,28 +352,9 @@ def rollout_entropy(
     min-max normalized over the collected sample and histogrammed into
     bin_count bins; returns (sum of per-feature bits, action bits).
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = params.state_size
-    features = np.empty((cfg.sample_count, n))
-    actions = np.empty(cfg.sample_count, dtype=np.int64)
-
-    def fresh() -> tuple[float, ...]:
-        return tuple(rng.uniform(-INIT_BOUND, INIT_BOUND, size=n))
-
-    state = fresh()
-    age = 0
-    for i in range(cfg.sample_count):
-        action = int(rng.integers(params.action_count))
-        features[i] = state
-        actions[i] = action
-        state = step(state, action, params)
-        age += 1
-        if age >= cfg.max_steps or is_failed(state, params):
-            state = fresh()
-            age = 0
-
+    features, actions = _rollout(params, cfg)
     feature_bits = 0.0
-    for j in range(n):
+    for j in range(params.state_size):
         column = features[:, j]
         lo, hi = float(column.min()), float(column.max())
         if hi == lo:

@@ -109,8 +109,8 @@ def image_entropies(
     """
     if isinstance(bin_count, bool) or not isinstance(bin_count, (int, np.integer)):
         raise InvalidParameter("bin_count must be an integer")
-    if bin_count < 1:
-        raise InvalidParameter("bin_count must be at least 1")
+    if bin_count < 2:  # one bin has log2(1) = 0 to normalize by
+        raise InvalidParameter("bin_count must be at least 2")
     rows = _image_rows(images)
     count, size = rows.shape
     if rows.dtype == np.uint8:

@@ -7,7 +7,9 @@ network.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -104,6 +106,18 @@ def parse_idx(data: bytes) -> np.ndarray:
     count, then one big-endian uint32 size per dimension; the payload is
     row-major and must hold exactly the product of the sizes.
     """
+    sizes = _idx_sizes(data)
+    expected = math.prod(sizes)
+    payload = data[4 + 4 * len(sizes) :]
+    if len(payload) != expected:
+        raise TruncatedInput(
+            f"IDX payload holds {len(payload)} bytes, header promises {expected}"
+        )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(sizes)
+
+
+def _idx_sizes(data: bytes) -> tuple[int, ...]:
+    """The dimension sizes from the IDX header at the start of data."""
     if len(data) < 4:
         raise TruncatedInput("IDX header needs at least 4 bytes")
     if data[0] != 0 or data[1] != 0:
@@ -114,16 +128,7 @@ def parse_idx(data: bytes) -> np.ndarray:
     header_end = 4 + 4 * ndim
     if len(data) < header_end:
         raise TruncatedInput("IDX header ends before all dimension sizes")
-    sizes = struct.unpack(f">{ndim}I", data[4:header_end])
-    expected = 1
-    for s in sizes:
-        expected *= s
-    payload = data[header_end:]
-    if len(payload) != expected:
-        raise TruncatedInput(
-            f"IDX payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(sizes)
+    return struct.unpack(f">{ndim}I", data[4:header_end])
 
 
 def write_idx(tensor: np.ndarray) -> bytes:
@@ -221,8 +226,39 @@ def _is_gzip(path: Path) -> bool:
 def _read_bytes(path: Path) -> bytes:
     data = path.read_bytes()
     if data[:2] == b"\x1f\x8b":
-        return gzip.decompress(data)
+        try:
+            return gzip.decompress(data)
+        except EOFError:
+            raise TruncatedInput(f"{path.name}: gzip stream ends early") from None
     return data
+
+
+@contextmanager
+def _idx_stream(path: Path):
+    """The open IDX file at path (plain or gzipped), positioned after its
+    header, and the dimension sizes that header gives."""
+    opened = gzip.open(path, "rb") if _is_gzip(path) else path.open("rb")
+    with opened as handle:
+        try:
+            head = handle.read(4)
+            head += handle.read(4 * head[3] if len(head) == 4 else 0)
+            yield handle, _idx_sizes(head)
+        except EOFError:
+            raise TruncatedInput(f"{path.name}: gzip stream ends early") from None
+
+
+def _read_into(handle, out: np.ndarray) -> int:
+    """Fill out from handle; returns the bytes read. Reads 1 MiB at a time,
+    because a gzip stream's readinto decompresses into a temporary copy of
+    the whole request first."""
+    view = memoryview(out).cast("B")
+    filled = 0
+    while filled < len(view):
+        got = handle.readinto(view[filled : filled + (1 << 20)])
+        if not got:
+            break
+        filled += got
+    return filled
 
 
 def _find_file(directory: Path, names: tuple[str, ...]) -> Path:
@@ -254,24 +290,43 @@ def load_mnist(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
     if (directory / "mnist").is_dir():
         directory = directory / "mnist"
     parts = ("train", "test") if split == "all" else (split,)
-    image_blocks = []
-    label_blocks = []
-    for part in parts:
-        image_name, label_name = _MNIST_FILES[part]
-        images = parse_idx(_read_bytes(_find_file(directory, (image_name,))))
-        labels = parse_idx(_read_bytes(_find_file(directory, (label_name,))))
-        if images.ndim != 3:
-            raise FormatError(f"{image_name}: expected a 3-dimensional tensor")
-        if labels.ndim != 1 or len(labels) != len(images):
-            raise FormatError(f"{label_name}: label count does not match images")
-        image_blocks.append(images)
-        label_blocks.append(labels)
-    stacked = np.concatenate(image_blocks)[..., None]
-    return LabeledImageDataset(
-        images=stacked,
-        labels=np.concatenate(label_blocks).astype(np.int64),
-        class_names=MNIST_CLASS_NAMES,
-    )
+    files = [[_find_file(directory, (name,)) for name in _MNIST_FILES[part]] for part in parts]
+    # The image headers size one preallocated array; each image file is then
+    # decoded straight into its slice of it.
+    shapes = []
+    for image_path, _ in files:
+        with _idx_stream(image_path) as (_, sizes):
+            if len(sizes) != 3:
+                raise FormatError(f"{image_path.name}: expected a 3-dimensional tensor")
+        # deflate expands at most 1032-fold, so no file, gzipped or not, holds
+        # more; refusing such a header bounds the allocation by the input
+        if math.prod(sizes) > 1032 * image_path.stat().st_size:
+            raise TruncatedInput(
+                f"{image_path.name}: header promises more bytes than the file holds"
+            )
+        shapes.append(sizes)
+    if len({sizes[1:] for sizes in shapes}) != 1:
+        raise FormatError("train and test images differ in size")
+    total = sum(sizes[0] for sizes in shapes)
+    images = np.empty((total, *shapes[0][1:], 1), dtype=np.uint8)
+    labels = np.empty(total, dtype=np.int64)
+    start = 0
+    for (image_path, label_path), sizes in zip(files, shapes):
+        block = images[start : start + sizes[0]]
+        with _idx_stream(image_path) as (handle, reread):
+            if reread != sizes:
+                raise FormatError(f"{image_path.name} changed while loading")
+            if _read_into(handle, block) != block.nbytes or handle.read(1):
+                raise TruncatedInput(
+                    f"{image_path.name}: IDX payload does not hold exactly the "
+                    f"{block.nbytes} bytes its header promises"
+                )
+        block_labels = parse_idx(_read_bytes(label_path))
+        if block_labels.ndim != 1 or len(block_labels) != sizes[0]:
+            raise FormatError(f"{label_path.name}: label count does not match images")
+        labels[start : start + sizes[0]] = block_labels
+        start += sizes[0]
+    return LabeledImageDataset(images=images, labels=labels, class_names=MNIST_CLASS_NAMES)
 
 
 _CIFAR_TRAIN = tuple(f"data_batch_{i}.bin" for i in range(1, 6))

@@ -38,4 +38,5 @@ class TruncatedInput(DcxError, ValueError):
 
 
 class ResourceLimit(DcxError, RuntimeError):
-    """Refused work that would blow the guarded enumeration budget."""
+    """Refused work that would blow a guarded budget (enumeration cells,
+    cart-pole array bytes)."""

@@ -1,12 +1,16 @@
 """Cart-pole simulator: physics sanity, measured action limits, and the
-random-walk sparsity model checked against exact enumeration."""
+random-walk sparsity model checked against exact enumeration. The kernels
+are checked bit for bit against the straightforward loops they replaced."""
 
 import numpy as np
 import pytest
 
 from dcx.cartpole import (
+    INIT_BOUND,
     CartPoleParams,
     RolloutConfig,
+    _axis_forces,
+    _rollout,
     analytic_sparsity,
     constant_action_limit,
     is_failed,
@@ -39,6 +43,113 @@ def brute_force_band_survival(band: int, length: int) -> float:
     walks = np.cumsum(steps, axis=1)
     ok = (np.abs(walks) <= band).all(axis=1)
     return float(ok.mean())
+
+
+def oracle_planar_update(x, x_dot, theta, theta_dot, force, p):
+    """The planar step as it was written before the kernels were tuned,
+    trigonometry included; an independent copy, so that the oracles below
+    also check dcx.cartpole._planar_update."""
+    total_mass = p.cart_mass + p.pole_mass
+    pole_ml = p.pole_mass * p.pole_half_length
+    sin = np.sin(theta)
+    cos = np.cos(theta)
+    temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
+    theta_acc = (p.gravity * sin - cos * temp) / (
+        p.pole_half_length * (4.0 / 3.0 - p.pole_mass * cos**2 / total_mass)
+    )
+    x_acc = temp - pole_ml * theta_acc * cos / total_mass
+    return (
+        x + p.timestep * x_dot,
+        x_dot + p.timestep * x_acc,
+        theta + p.timestep * theta_dot,
+        theta_dot + p.timestep * theta_acc,
+    )
+
+
+def oracle_step(state, action, p):
+    """The tuple step with numpy's sine and cosine on scalars."""
+    out = []
+    for axis, force in enumerate(_axis_forces(action, p, p.force_magnitude)):
+        out.extend(oracle_planar_update(*state[4 * axis : 4 * axis + 4], force, p))
+    return tuple(float(v) for v in out)
+
+
+def oracle_rollout(p, cfg):
+    """The tuple-step rollout loop: (features, actions)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = p.state_size
+    features = np.empty((cfg.sample_count, n))
+    actions = np.empty(cfg.sample_count, dtype=np.int64)
+
+    def fresh():
+        return tuple(rng.uniform(-INIT_BOUND, INIT_BOUND, size=n))
+
+    state = fresh()
+    age = 0
+    for i in range(cfg.sample_count):
+        action = int(rng.integers(p.action_count))
+        features[i] = state
+        actions[i] = action
+        state = oracle_step(state, action, p)
+        age += 1
+        if age >= cfg.max_steps or is_failed(state, p):
+            state = fresh()
+            age = 0
+    return features, actions
+
+
+def oracle_batch_step(states, forces, p):
+    out = np.empty_like(states)
+    for axis, force in enumerate(forces):
+        i = 4 * axis
+        out[:, i], out[:, i + 1], out[:, i + 2], out[:, i + 3] = oracle_planar_update(
+            states[:, i], states[:, i + 1], states[:, i + 2], states[:, i + 3], force, p
+        )
+    return out
+
+
+def oracle_batch_failed(states, p):
+    failed = np.zeros(len(states), dtype=bool)
+    for axis in range(p.axis_count):
+        i = 4 * axis
+        failed |= np.abs(states[:, i]) > p.position_threshold
+        failed |= np.abs(states[:, i + 2]) > p.angle_threshold
+    return failed
+
+
+def oracle_constant_action_limit(p, trials, seed):
+    """The masked loop: every step gathers the live rows of one
+    trials x state_size array, writes them back and tests every trial."""
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, p.state_size))
+    forces = _axis_forces(1, p, p.force_magnitude)
+    steps = np.zeros(trials)
+    alive = np.ones(trials, dtype=bool)
+    count = 0
+    while alive.any():
+        count += 1
+        states[alive] = oracle_batch_step(states[alive], forces, p)
+        failed_now = alive & oracle_batch_failed(states, p)
+        steps[failed_now] = count
+        alive &= ~failed_now
+    return float(steps.mean())
+
+
+def oracle_sparsity(limit, episode_length, samples, seed, axes):
+    """Chunked int64 +/-1 walks compared with a float band per sample."""
+    rng = np.random.default_rng(seed)
+    survived = 0
+    done = 0
+    while done < samples:
+        block = min(16384, samples - done)
+        bands = np.floor(limit + rng.random(block))[:, None]
+        ok = np.ones(block, dtype=bool)
+        for _ in range(axes):
+            walk = np.cumsum(rng.integers(0, 2, size=(block, episode_length)) * 2 - 1, axis=1)
+            ok &= (np.abs(walk) <= bands).all(axis=1)
+        survived += int(ok.sum())
+        done += block
+    return survived / samples
 
 
 class TestPhysics:
@@ -136,6 +247,13 @@ class TestConstantActionLimit:
         values = {constant_action_limit(p, 500, seed=s) for s in range(6)}
         assert len(values) > 1
 
+    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
+    def test_compacted_trials_match_masked_loop(self, variant):
+        p = params_for_variant(variant)
+        for trials, seed in ((1, 0), (37, 1), (5000, 2), (20_000, 11)):
+            got = constant_action_limit(p, trials, seed)
+            assert got.hex() == oracle_constant_action_limit(p, trials, seed).hex()
+
 
 class TestAnalyticSparsity:
     def test_band_wider_than_episode_is_certain(self):
@@ -192,9 +310,27 @@ class TestAnalyticSparsity:
         sparse_2dg = analytic_sparsity(9.22, samples=100_000, seed=0)
         assert sparse_2d > sparse_2dg
 
+    def test_walk_arithmetic_matches_int64_walks(self):
+        cases = (
+            (9.37, 200, 40_000, 0, 1),
+            (10.6, 200, 20_000, 1, 2),
+            (3.0, 12, 17_000, 5, 1),
+            (0.4, 30, 999, 2, 2),
+            (49.5, 50, 3000, 3, 1),
+        )
+        for case in cases:
+            assert analytic_sparsity(*case).hex() == oracle_sparsity(*case).hex(), case
+
+    def test_infinite_limit_is_certain(self):
+        assert analytic_sparsity(float("inf")) == 1.0
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):
             analytic_sparsity(0.0)
+        with pytest.raises(InvalidParameter):
+            analytic_sparsity(float("nan"))
+        with pytest.raises(InvalidParameter):
+            analytic_sparsity(-float("inf"))
         with pytest.raises(InvalidParameter):
             analytic_sparsity(9.0, axes=3)
         with pytest.raises(InvalidParameter):
@@ -227,3 +363,16 @@ class TestRolloutEntropy:
         p = params_for_variant("2d")
         cfg = RolloutConfig(seed=9, sample_count=3_000)
         assert rollout_entropy(p, cfg) == rollout_entropy(p, cfg)
+
+    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
+    def test_scalar_steps_match_tuple_step_loop(self, variant):
+        p = params_for_variant(variant)
+        # writing cos * cos for cos**2 moves the 2d seed-0 features from
+        # sample 229 on, so these lengths see last-bit differences
+        configs = [RolloutConfig(seed=seed, sample_count=3000) for seed in (0, 1, 2)]
+        configs.append(RolloutConfig(seed=5, sample_count=3000, max_steps=7))
+        for cfg in configs:
+            features, actions = _rollout(p, cfg)
+            want_features, want_actions = oracle_rollout(p, cfg)
+            assert features.tobytes() == want_features.tobytes(), cfg
+            assert actions.tobytes() == want_actions.tobytes(), cfg

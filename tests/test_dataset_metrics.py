@@ -310,9 +310,12 @@ class TestBatchKernelsMatchPerImageLoop:
 class TestBatchKernelErrors:
     def test_entropy_rejects_bad_bin_count(self):
         images = np.zeros((2, 4, 4, 1), dtype=np.uint8)
-        for bad in (0, -3, 2.5, True):
+        for bad in (0, 1, -3, 2.5, True):
             with pytest.raises(InvalidParameter):
                 image_entropies(images, bin_count=bad)
+        # one bin leaves log2(1) = 0 to normalize by
+        with pytest.raises(InvalidParameter):
+            image_entropy(np.arange(16, dtype=np.uint8).reshape(4, 4), bin_count=1)
 
     def test_rejects_empty_images(self):
         images = np.zeros((3, 0, 4, 1), dtype=np.uint8)

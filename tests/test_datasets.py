@@ -185,6 +185,72 @@ class TestLoaders:
         with pytest.raises(InvalidParameter):
             load_mnist(synthetic_mnist_dir, split="validation")
 
+    @staticmethod
+    def concatenated_mnist(root, parts):
+        """What a load is: each part's parsed IDX files, concatenated."""
+        names = {
+            "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+            "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+        }
+        images, labels = [], []
+        for part in parts:
+            for name, out in zip(names[part], (images, labels)):
+                path = root / name if (root / name).exists() else root / f"{name}.gz"
+                data = path.read_bytes()
+                out.append(parse_idx(gzip.decompress(data) if path.suffix == ".gz" else data))
+        return np.concatenate(images)[..., None], np.concatenate(labels).astype(np.int64)
+
+    @pytest.mark.parametrize("gzip_images", [False, True])
+    def test_mnist_loader_equals_the_concatenated_parts(self, synthetic_mnist_dir, gzip_images):
+        root = synthetic_mnist_dir / "mnist"
+        if gzip_images:
+            image_file = root / "train-images-idx3-ubyte"
+            (root / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(image_file.read_bytes()))
+            image_file.unlink()
+        for split, parts in (("train", ["train"]), ("test", ["test"]), ("all", ["train", "test"])):
+            loaded = load_mnist(synthetic_mnist_dir, split=split)
+            images, labels = self.concatenated_mnist(root, parts)
+            assert loaded.images.shape == images.shape
+            assert loaded.images.dtype == np.uint8 and loaded.images.flags.c_contiguous
+            assert loaded.images.tobytes() == images.tobytes()
+            assert loaded.labels.dtype == np.int64
+            assert loaded.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["cut_payload", "trailing_byte", "cut_gzip", "cut_header", "forged_count"],
+    )
+    def test_mnist_damaged_image_file_is_truncated_input(self, synthetic_mnist_dir, damage):
+        path = synthetic_mnist_dir / "mnist" / "t10k-images-idx3-ubyte"
+        data = path.read_bytes()
+        if damage == "cut_payload":
+            path.write_bytes(data[:-5])
+        elif damage == "trailing_byte":
+            path.write_bytes(data + b"\0")
+        elif damage == "cut_gzip":
+            path.with_name(path.name + ".gz").write_bytes(gzip.compress(data)[:-12])
+            path.unlink()
+        elif damage == "cut_header":
+            path.write_bytes(data[:10])
+        else:
+            # a header promising 2**32 - 1 images must not be allocated
+            path.write_bytes(data[:4] + struct.pack(">I", 2**32 - 1) + data[8:])
+        with pytest.raises(TruncatedInput):
+            load_mnist(synthetic_mnist_dir, split="test")
+
+    def test_mnist_mismatched_parts_are_format_errors(self, synthetic_mnist_dir):
+        root = synthetic_mnist_dir / "mnist"
+        (root / "t10k-images-idx3-ubyte").write_bytes(
+            write_idx(np.zeros((8, 14, 14), dtype=np.uint8))
+        )
+        with pytest.raises(FormatError):
+            load_mnist(synthetic_mnist_dir, split="all")
+        (root / "t10k-images-idx3-ubyte").write_bytes(
+            write_idx(np.zeros((7, 28, 28), dtype=np.uint8))
+        )
+        with pytest.raises(FormatError):
+            load_mnist(synthetic_mnist_dir, split="test")
+
     def test_cifar_splits(self, synthetic_cifar_dir):
         train = load_cifar10(synthetic_cifar_dir, split="train")
         test = load_cifar10(synthetic_cifar_dir, split="test")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -31,6 +32,22 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+def run_capped_cli(*args: str) -> subprocess.CompletedProcess:
+    """`python -m dcx.cli` with the child's address space capped at 1 GiB,
+    so an oversized allocation fails in the child with a MemoryError
+    traceback instead of taking the machine's memory."""
+    src = str(Path(dcx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "dcx.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap,
     )
 
 
@@ -248,6 +265,32 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         values = {m["measure_name"]: m["value"] for m in payload["measures"]}
         assert values["constant_action_limit"] == pytest.approx(9.37, abs=1.0)
+
+    def test_cartpole_nan_limit_exits_1(self, capsys):
+        code = main(["--format", "json", "cartpole", "--measure", "sparsity", "--limit", "nan"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--measure", "sparsity", "--episode-length", "100000000", "--limit", "5"],
+            ["--measure", "limit", "--variant", "3d", "--trials", "1000000000"],
+            ["--measure", "sparsity", "--trials", "1000000000"],
+            ["--measure", "entropy", "--samples", "10000000000"],
+            ["--measure", "entropy", "--bins", "100000000000"],
+        ],
+    )
+    def test_cartpole_refuses_oversized_work_before_allocating(self, args):
+        # under the cap an attempted allocation would end in a traceback
+        result = run_capped_cli("cartpole", *args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ")
+        assert "budget" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
 
     def test_cartpole_3d_reports_carry_deviation_note(self, capsys):
         for measure in ("table", "limit"):
