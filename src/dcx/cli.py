@@ -1,6 +1,7 @@
-"""Command-line surface. Every subcommand builds a ComplexityReport and
-emits it as text, JSON, or CSV; exit code 0 on success, 1 on measure
-errors, 2 on usage errors.
+"""Command-line surface. Each subcommand computes its measures and notes;
+`main` assembles them into one ComplexityReport, annotated with the
+published targets from the reference table, and emits it as text, JSON,
+or CSV. Exit code 0 on success, 1 on measure errors, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,8 @@ from .report import (
 )
 
 _PUBLISHED = "published case study"
+_3D_REFERENCE = _PUBLISHED + " (reference only; coupled 3d dynamics)"
+_BINNING_REFERENCE = _PUBLISHED + " (reference only; binning conventions unpublished)"
 
 _VARIANT_DESCRIPTOR = {"2d": "cartpole2d", "2dg": "cartpole2d-g", "3d": "cartpole3d"}
 
@@ -43,6 +47,83 @@ _3D_NOTE = (
     "3d dynamics are simplified to two independent planar cart-pole systems; "
     "published 3d values used coupled dynamics and are reference-only"
 )
+
+_CARTPOLE_2D_TABLE = (
+    ("state_space_complexity_log10", 6.0, 0.01, _PUBLISHED),
+    ("tree_complexity_uniform_sum_log10", 30.4, 0.05, _PUBLISHED),
+    ("game_space_complexity_log10", 14.0, 0.05, _PUBLISHED),
+)
+
+# (report domain, measure mode) -> the published targets the report
+# carries, as (measure name, value, tolerance, source) in report order.
+# The mode is the --measure choice, or None for game, descriptor and
+# cart-pole table reports. A target may name a measure its report lacks:
+# `game ttt --no-enumerate` still carries the enumeration counts, and
+# `descriptor pogo` the information entropy that --breakdown adds.
+_REFERENCES = {
+    ("ttt", None): (
+        ("ssc_combinatorial_log10", 3.78, 0.01, _PUBLISHED),
+        ("gtc_factorial_log10", 5.56, 0.01, _PUBLISHED),
+        ("legal_positions_total", 5478, 0, _PUBLISHED),
+        ("symmetry_classes_total", 765, 0, _PUBLISHED),
+    ),
+    ("qubic", None): (
+        ("ssc_combinatorial_log10", 30, 1, _PUBLISHED),
+        ("gtc_factorial_log10", 34, 1, _PUBLISHED),
+    ),
+    ("pogo", None): (
+        ("state_space_complexity_log10", 60.1, 0.1, _PUBLISHED),
+        ("tree_complexity_power_log10", 816.7, 0.1, _PUBLISHED),
+        ("game_space_complexity_log10", 65.0, 0.1, _PUBLISHED),
+        ("information_entropy", 0.870, 0.005, _PUBLISHED),
+    ),
+    ("cartpole2d", None): _CARTPOLE_2D_TABLE,
+    ("cartpole2d-g", None): _CARTPOLE_2D_TABLE,
+    ("cartpole3d", None): (
+        ("state_space_complexity_log10", 24.0, 0.01, _PUBLISHED),
+        ("tree_complexity_uniform_sum_log10", 60.3, 0.05, _PUBLISHED),
+        ("game_space_complexity_log10", 27.2, 0.05, _PUBLISHED),
+    ),
+    ("monopoly", None): (
+        ("strategy_entropy_railroads", 0.52, 0.01, _PUBLISHED),
+        ("strategy_entropy_boardwalk", 0.90, 0.01, _PUBLISHED),
+    ),
+    ("cartpole2d", "limit"): (("constant_action_limit", 9.37, 1.0, _PUBLISHED),),
+    ("cartpole2d-g", "limit"): (("constant_action_limit", 9.22, 1.0, _PUBLISHED),),
+    ("cartpole3d", "limit"): (("constant_action_limit", 10.6, 1.0, _3D_REFERENCE),),
+    ("cartpole2d", "sparsity"): (("analytic_sparsity", 0.1171, 0.02, _PUBLISHED),),
+    ("cartpole2d-g", "sparsity"): (("analytic_sparsity", 0.1118, 0.02, _PUBLISHED),),
+    ("cartpole3d", "sparsity"): (("analytic_sparsity", 0.054, 0.02, _3D_REFERENCE),),
+    ("cartpole2d", "entropy"): (
+        ("feature_entropy_sum_bits", 20.556, 0.0, _BINNING_REFERENCE),
+        ("action_entropy_bits", 0.999, 0.01, _PUBLISHED),
+    ),
+    ("cartpole2d-g", "entropy"): (
+        ("feature_entropy_sum_bits", 17.626, 0.0, _BINNING_REFERENCE),
+        ("action_entropy_bits", 1.0, 0.01, _PUBLISHED),
+    ),
+    ("cartpole3d", "entropy"): (
+        ("feature_entropy_sum_bits", 99.999, 0.0, _BINNING_REFERENCE),
+        ("action_entropy_bits", 2.322, 0.01, _PUBLISHED),
+    ),
+    ("mnist", "sparsity"): (("zero_sparsity_mean", 0.813, 0.01, _PUBLISHED),),
+    ("mnist", "entropy"): (("entropy_median_of_medians", 0.090, 0.02, _PUBLISHED),),
+    ("cifar10", "gini"): (
+        ("gini_median_red", 0.235, 0.01, _PUBLISHED),
+        ("gini_median_green", 0.237, 0.01, _PUBLISHED),
+        ("gini_median_blue", 0.26, 0.01, _PUBLISHED),
+    ),
+    ("cifar10", "entropy"): (
+        ("entropy_median_of_medians", 0.925, 0.02, _PUBLISHED),
+        ("entropy_median_bird", 0.892, 0.02, _PUBLISHED),
+        ("entropy_median_truck", 0.946, 0.02, _PUBLISHED),
+    ),
+}
+
+# What each subcommand runner returns: the report domain and measure mode,
+# which key _REFERENCES, then the measures, the notes, and the seed the
+# report records (None where no value depends on it).
+_Fields = tuple[str, str | None, list[MeasureResult], list[str], int | None]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,21 +212,7 @@ def _game_spec(args) -> tuple[games.GridGameSpec, int]:
     return spec, avg
 
 
-_GAME_TARGETS = {
-    "ttt": (
-        ReferenceTarget("ssc_combinatorial_log10", 3.78, 0.01, _PUBLISHED),
-        ReferenceTarget("gtc_factorial_log10", 5.56, 0.01, _PUBLISHED),
-        ReferenceTarget("legal_positions_total", 5478, 0, _PUBLISHED),
-        ReferenceTarget("symmetry_classes_total", 765, 0, _PUBLISHED),
-    ),
-    "qubic": (
-        ReferenceTarget("ssc_combinatorial_log10", 30, 1, _PUBLISHED),
-        ReferenceTarget("gtc_factorial_log10", 34, 1, _PUBLISHED),
-    ),
-}
-
-
-def _run_game(args) -> ComplexityReport:
+def _run_game(args) -> _Fields:
     spec, avg = _game_spec(args)
     total, log10_total = games.ssc_combinatorial(spec)
     measures = [
@@ -178,34 +245,22 @@ def _run_game(args) -> ComplexityReport:
     if not args.no_enumerate and spec.cells <= games.ENUMERATION_CELL_LIMIT:
         raw = games.enumerate_states(spec, symmetry=False)
         sym = games.enumerate_states(spec, symmetry=True)
-        measures.append(
+        measures += [
             MeasureResult(
                 "legal_positions_total",
                 float(raw.total),
                 "breadth-first count of reachable positions; wins halt expansion",
                 ENUMERATED,
-            )
-        )
-        measures.append(
+            ),
             MeasureResult(
                 "symmetry_classes_total",
                 float(sym.total),
                 "breadth-first count of canonical forms under the board symmetry group",
                 ENUMERATED,
-            )
-        )
-        raw_entropy = games.ply_entropy(raw)
-        sym_entropy = games.ply_entropy(sym)
-        measures.append(
-            MeasureResult(
-                "ply_entropy_raw", raw_entropy.value, raw_entropy.convention, ENUMERATED
-            )
-        )
-        measures.append(
-            MeasureResult(
-                "ply_entropy_sym", sym_entropy.value, sym_entropy.convention, ENUMERATED
-            )
-        )
+            ),
+            replace(games.ply_entropy(raw), measure_name="ply_entropy_raw"),
+            replace(games.ply_entropy(sym), measure_name="ply_entropy_sym"),
+        ]
     elif not args.no_enumerate:
         notes.append(
             f"enumeration skipped: {spec.cells} cells exceeds the "
@@ -214,12 +269,7 @@ def _run_game(args) -> ComplexityReport:
     name = args.preset if args.preset != "custom" else (
         f"grid_{spec.side}x{spec.dims}d_win{spec.win_length}"
     )
-    return ComplexityReport(
-        domain_name=name,
-        measures=tuple(measures),
-        reference_targets=_GAME_TARGETS.get(args.preset, ()),
-        notes=tuple(notes),
-    )
+    return name, None, measures, notes, None
 
 
 def _resolve_descriptor(source: str) -> descriptors.DomainDescriptor:
@@ -246,36 +296,14 @@ def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
         raise DcxError(f"{source!r} is not a breakdown file or bundled name") from None
 
 
-_DESCRIPTOR_TARGETS = {
-    "pogo": (
-        ReferenceTarget("state_space_complexity_log10", 60.1, 0.1, _PUBLISHED),
-        ReferenceTarget("tree_complexity_power_log10", 816.7, 0.1, _PUBLISHED),
-        ReferenceTarget("game_space_complexity_log10", 65.0, 0.1, _PUBLISHED),
-        ReferenceTarget("information_entropy", 0.870, 0.005, _PUBLISHED),
-    ),
-    "cartpole2d": (
-        ReferenceTarget("state_space_complexity_log10", 6.0, 0.01, _PUBLISHED),
-        ReferenceTarget("tree_complexity_uniform_sum_log10", 30.4, 0.05, _PUBLISHED),
-        ReferenceTarget("game_space_complexity_log10", 14.0, 0.05, _PUBLISHED),
-    ),
-    "cartpole2d-g": (
-        ReferenceTarget("state_space_complexity_log10", 6.0, 0.01, _PUBLISHED),
-        ReferenceTarget("tree_complexity_uniform_sum_log10", 30.4, 0.05, _PUBLISHED),
-        ReferenceTarget("game_space_complexity_log10", 14.0, 0.05, _PUBLISHED),
-    ),
-    "cartpole3d": (
-        ReferenceTarget("state_space_complexity_log10", 24.0, 0.01, _PUBLISHED),
-        ReferenceTarget("tree_complexity_uniform_sum_log10", 60.3, 0.05, _PUBLISHED),
-        ReferenceTarget("game_space_complexity_log10", 27.2, 0.05, _PUBLISHED),
-    ),
-    "monopoly": (
-        ReferenceTarget("strategy_entropy_railroads", 0.52, 0.01, _PUBLISHED),
-        ReferenceTarget("strategy_entropy_boardwalk", 0.90, 0.01, _PUBLISHED),
-    ),
-}
+def _run_descriptor(args) -> _Fields:
+    return _describe(_resolve_descriptor(args.source), args.breakdown, [])
 
 
-def _descriptor_measures(d: descriptors.DomainDescriptor) -> list[MeasureResult]:
+def _describe(
+    d: descriptors.DomainDescriptor, breakdown: str | None, notes: list[str]
+) -> _Fields:
+    """The descriptor report's fields; notes lead the descriptor's own."""
     measures = [
         MeasureResult(
             "state_space_complexity_log10",
@@ -336,97 +364,43 @@ def _descriptor_measures(d: descriptors.DomainDescriptor) -> list[MeasureResult]
             "avg_game_length", float(d.avg_game_length), "descriptor field", ANALYTIC
         )
     )
-    return measures
-
-
-def _run_descriptor(args) -> ComplexityReport:
-    d = _resolve_descriptor(args.source)
-    measures = _descriptor_measures(d)
-    notes = list(d.notes)
+    notes = notes + list(d.notes)
     if descriptors.estimated_slack_log10(d):
         notes.append(
             "estimate-marked components are reported separately as "
             "estimated_slack_log10 and excluded from the firm sums"
         )
-    if args.breakdown:
-        breakdown = _resolve_breakdown(args.breakdown)
-        measures.append(descriptors.information_entropy(breakdown))
+    if breakdown:
+        measures.append(descriptors.information_entropy(_resolve_breakdown(breakdown)))
     if d.name == "monopoly":
-        measures.append(
-            _renamed(
-                descriptors.strategy_entropy([0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3]),
-                "strategy_entropy_railroads",
-            )
-        )
-        measures.append(
-            _renamed(
-                descriptors.strategy_entropy([0.5, 1 / 6, 1 / 6, 1 / 6]),
-                "strategy_entropy_boardwalk",
-            )
-        )
+        railroads = descriptors.strategy_entropy([0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3])
+        boardwalk = descriptors.strategy_entropy([0.5, 1 / 6, 1 / 6, 1 / 6])
+        measures.append(replace(railroads, measure_name="strategy_entropy_railroads"))
+        measures.append(replace(boardwalk, measure_name="strategy_entropy_boardwalk"))
         notes.append(
             "strategy entropies assume one advantaged player (80% or 50% win "
             "chance) with the rest split evenly"
         )
-    return ComplexityReport(
-        domain_name=d.name,
-        measures=tuple(measures),
-        reference_targets=_DESCRIPTOR_TARGETS.get(d.name, ()),
-        notes=tuple(notes),
-    )
+    return d.name, None, measures, notes, None
 
 
-def _renamed(measure: MeasureResult, name: str) -> MeasureResult:
-    return MeasureResult(name, measure.value, measure.convention, measure.provenance)
-
-
-_CARTPOLE_LIMIT_REFERENCE = {"2d": 9.37, "2dg": 9.22, "3d": 10.6}
-_CARTPOLE_SPARSITY_REFERENCE = {"2d": 0.1171, "2dg": 0.1118, "3d": 0.054}
-_CARTPOLE_FEATURE_REFERENCE = {"2d": 20.556, "2dg": 17.626, "3d": 99.999}
-_CARTPOLE_ACTION_REFERENCE = {"2d": 0.999, "2dg": 1.0, "3d": 2.322}
-
-
-def _run_cartpole(args) -> ComplexityReport:
-    params = cp.params_for_variant(args.variant)
-    notes = [] if args.variant != "3d" else [_3D_NOTE]
-    targets = []
-    measures = []
+def _run_cartpole(args) -> _Fields:
     domain = _VARIANT_DESCRIPTOR[args.variant]
-
+    notes = [] if args.variant != "3d" else [_3D_NOTE]
     if args.measure == "table":
-        d = descriptors.bundled_descriptor(domain)
-        measures = _descriptor_measures(d)
-        targets = list(_DESCRIPTOR_TARGETS.get(domain, ()))
-        notes.extend(d.notes)
-        return ComplexityReport(
-            domain_name=domain,
-            measures=tuple(measures),
-            reference_targets=tuple(targets),
-            notes=tuple(notes),
-        )
+        return _describe(descriptors.bundled_descriptor(domain), None, notes)
 
+    params = cp.params_for_variant(args.variant)
     if args.measure == "limit":
-        value = cp.constant_action_limit(params, args.trials, args.seed)
-        measures.append(
+        measures = [
             MeasureResult(
                 "constant_action_limit",
-                value,
+                cp.constant_action_limit(params, args.trials, args.seed),
                 "mean repeated identical pushes until failure; uniform "
                 "[-0.05, 0.05] inits; the failing step is counted",
                 monte_carlo(args.seed, args.trials),
             )
-        )
-        source = _PUBLISHED if args.variant != "3d" else (
-            _PUBLISHED + " (reference only; coupled 3d dynamics)"
-        )
-        targets.append(
-            ReferenceTarget(
-                "constant_action_limit",
-                _CARTPOLE_LIMIT_REFERENCE[args.variant],
-                1.0,
-                source,
-            )
-        )
+        ]
     elif args.measure == "sparsity":
         samples = args.samples if args.samples is not None else 100_000
         if args.limit is not None:
@@ -442,7 +416,7 @@ def _run_cartpole(args) -> ComplexityReport:
             seed=args.seed,
             axes=params.axis_count,
         )
-        measures.append(
+        measures = [
             MeasureResult(
                 "analytic_sparsity",
                 value,
@@ -451,103 +425,42 @@ def _run_cartpole(args) -> ComplexityReport:
                 f"episode_length={args.episode_length}; fractional limits "
                 "dither the integer band per sample",
                 monte_carlo(args.seed, samples),
-            )
-        )
-        measures.append(
+            ),
             MeasureResult(
                 "action_limit_band",
                 limit,
                 limit_source,
                 ANALYTIC if args.limit is not None else monte_carlo(args.seed, args.trials),
-            )
-        )
-        source = _PUBLISHED if args.variant != "3d" else (
-            _PUBLISHED + " (reference only; coupled 3d dynamics)"
-        )
-        targets.append(
-            ReferenceTarget(
-                "analytic_sparsity",
-                _CARTPOLE_SPARSITY_REFERENCE[args.variant],
-                0.02,
-                source,
-            )
-        )
+            ),
+        ]
     else:
         samples = args.samples if args.samples is not None else 20_000
         cfg = cp.RolloutConfig(seed=args.seed, sample_count=samples, bin_count=args.bins)
         feature_bits, action_bits = cp.rollout_entropy(params, cfg)
-        convention = (
-            "uniform random actions, restart on failure; pre-step states; "
-            f"per-feature min-max then {args.bins} bins; bits summed over features"
-        )
-        measures.append(
+        measures = [
             MeasureResult(
                 "feature_entropy_sum_bits",
                 feature_bits,
-                convention,
+                "uniform random actions, restart on failure; pre-step states; "
+                f"per-feature min-max then {args.bins} bins; bits summed over features",
                 monte_carlo(args.seed, samples),
-            )
-        )
-        measures.append(
+            ),
             MeasureResult(
                 "action_entropy_bits",
                 action_bits,
                 "empirical entropy of the uniform random action stream",
                 monte_carlo(args.seed, samples),
-            )
-        )
-        targets.append(
-            ReferenceTarget(
-                "feature_entropy_sum_bits",
-                _CARTPOLE_FEATURE_REFERENCE[args.variant],
-                0.0,
-                _PUBLISHED + " (reference only; binning conventions unpublished)",
-            )
-        )
-        targets.append(
-            ReferenceTarget(
-                "action_entropy_bits",
-                _CARTPOLE_ACTION_REFERENCE[args.variant],
-                0.01,
-                _PUBLISHED,
-            )
-        )
+            ),
+        ]
         if args.variant == "3d":
             notes.append(
                 "published 3d action entropy 2.322 bits equals log2(5); this "
                 "action set has 4 pushes, so 2.0 bits is the ceiling here"
             )
-    return ComplexityReport(
-        domain_name=domain,
-        measures=tuple(measures),
-        reference_targets=tuple(targets),
-        seed=args.seed,
-        notes=tuple(notes),
-    )
+    return domain, args.measure, measures, notes, args.seed
 
 
-def _data_dir(arg: Path | None) -> Path:
-    if arg is not None:
-        return arg
-    env = os.environ.get("DCX_DATA_DIR")
-    if env:
-        return Path(env)
-    return Path("data")
-
-
-def _load_image_dataset(name: str, args, split: str) -> datasets.LabeledImageDataset:
-    directory = _data_dir(args.data_dir)
-    try:
-        if name == "mnist":
-            return datasets.load_mnist(directory, split=split)
-        return datasets.load_cifar10(directory, split=split)
-    except FileNotFoundError as exc:
-        raise DcxError(
-            f"{name} files not found: {exc}; pass --data-dir or set DCX_DATA_DIR"
-        ) from exc
-
-
-def _run_dataset_iris(args) -> ComplexityReport:
+def _run_iris(args) -> _Fields:
     ds = datasets.load_iris()
     measures = []
     if args.measure == "dimensionality":
@@ -581,18 +494,26 @@ def _run_dataset_iris(args) -> ComplexityReport:
                 ANALYTIC,
             )
         )
-    return ComplexityReport(domain_name="iris", measures=tuple(measures))
+    return "iris", args.measure, measures, [], None
 
 
-def _run_dataset_images(args) -> ComplexityReport:
+def _run_dataset(args) -> _Fields:
     name = args.name
-    default_mode = "binarized" if name == "mnist" else "raw"
-    mode = args.mode or default_mode
+    if name == "iris":
+        return _run_iris(args)
+    mode = args.mode or ("binarized" if name == "mnist" else "raw")
+    split = args.split or ("train" if name == "mnist" and args.measure == "entropy" else "all")
+    directory = args.data_dir or Path(os.environ.get("DCX_DATA_DIR") or "data")
+    load = datasets.load_mnist if name == "mnist" else datasets.load_cifar10
+    try:
+        ds = load(directory, split=split)
+    except FileNotFoundError as exc:
+        raise DcxError(
+            f"{name} files not found: {exc}; pass --data-dir or set DCX_DATA_DIR"
+        ) from exc
     measures: list[MeasureResult] = []
     notes = []
-    targets: list[ReferenceTarget] = []
     if args.measure == "dimensionality":
-        ds = _load_image_dataset(name, args, args.split or "all")
         if mode == "binarized" and name == "mnist":
             ds = datasets.binarize(ds)
         measures.append(
@@ -605,7 +526,6 @@ def _run_dataset_images(args) -> ComplexityReport:
             )
         )
     elif args.measure == "sparsity":
-        ds = _load_image_dataset(name, args, args.split or "all")
         if name == "mnist":
             ds = datasets.binarize(ds)
             convention = "mean zero-pixel fraction after binarization at threshold 0"
@@ -616,9 +536,6 @@ def _run_dataset_images(args) -> ComplexityReport:
             MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
         )
         if name == "mnist":
-            targets.append(
-                ReferenceTarget("zero_sparsity_mean", 0.813, 0.01, _PUBLISHED)
-            )
             for summary in dm.summarize_by_class(per_image, ds.labels, ds.class_names):
                 measures.append(
                     MeasureResult(
@@ -629,29 +546,20 @@ def _run_dataset_images(args) -> ComplexityReport:
                     )
                 )
     elif args.measure == "gini":
-        ds = _load_image_dataset(name, args, args.split or "all")
         channels = ("red", "green", "blue") if ds.channel_count == 3 else ("gray",)
         values, skipped = dm.channel_ginis(ds.images)
         for c, channel_name in enumerate(channels):
-            column = values[:, c]
             measures.append(
                 MeasureResult(
                     f"gini_median_{channel_name}",
-                    float(np.nanmedian(column)),
+                    float(np.nanmedian(values[:, c])),
                     "median over images of the per-image channel Gini index",
                     ANALYTIC,
                 )
             )
         if skipped:
             notes.append(f"{skipped} all-zero channel planes skipped")
-        if name == "cifar10":
-            for channel_name, ref in (("red", 0.235), ("green", 0.237), ("blue", 0.26)):
-                targets.append(
-                    ReferenceTarget(f"gini_median_{channel_name}", ref, 0.01, _PUBLISHED)
-                )
     else:
-        split = args.split or ("train" if name == "mnist" else "all")
-        ds = _load_image_dataset(name, args, split)
         binarize_first = name == "mnist" and mode == "binarized"
         per_image = dm.image_entropies(ds.images, binarize_first=binarize_first)
         summaries = dm.summarize_by_class(per_image, ds.labels, ds.class_names)
@@ -677,24 +585,26 @@ def _run_dataset_images(args) -> ComplexityReport:
                     ANALYTIC,
                 )
             )
-        if name == "mnist":
-            targets.append(
-                ReferenceTarget("entropy_median_of_medians", 0.090, 0.02, _PUBLISHED)
-            )
-        else:
-            targets.append(
-                ReferenceTarget("entropy_median_of_medians", 0.925, 0.02, _PUBLISHED)
-            )
-            targets.append(
-                ReferenceTarget("entropy_median_bird", 0.892, 0.02, _PUBLISHED)
-            )
-            targets.append(
-                ReferenceTarget("entropy_median_truck", 0.946, 0.02, _PUBLISHED)
-            )
+    return name, args.measure, measures, notes, None
+
+
+_RUNNERS = {
+    "game": _run_game,
+    "descriptor": _run_descriptor,
+    "cartpole": _run_cartpole,
+    "dataset": _run_dataset,
+}
+
+
+def _report(args) -> ComplexityReport:
+    domain, mode, measures, notes, seed = _RUNNERS[args.command](args)
     return ComplexityReport(
-        domain_name=name,
+        domain_name=domain,
         measures=tuple(measures),
-        reference_targets=tuple(targets),
+        reference_targets=tuple(
+            ReferenceTarget(*row) for row in _REFERENCES.get((domain, mode), ())
+        ),
+        seed=seed,
         notes=tuple(notes),
     )
 
@@ -738,18 +648,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "compare":
             output = _run_compare(args, args.format)
-        elif args.command == "game":
-            output = _emit(_run_game(args), args.format)
-        elif args.command == "descriptor":
-            output = _emit(_run_descriptor(args), args.format)
-        elif args.command == "cartpole":
-            output = _emit(_run_cartpole(args), args.format)
         else:
-            if args.name == "iris":
-                report = _run_dataset_iris(args)
-            else:
-                report = _run_dataset_images(args)
-            output = _emit(report, args.format)
+            output = _emit(_report(args), args.format)
         if args.out is not None:
             args.out.write_text(output, encoding="utf-8")
         else:

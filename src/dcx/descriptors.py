@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import DegenerateInput, FormatError, InvalidParameter
+from .errors import DegenerateInput, FormatError, InvalidParameter, check_fields
 from .measures import (
     ANALYTIC,
     MeasureResult,
@@ -110,85 +110,41 @@ class DomainDescriptor:
 
 
 def _parse_cardinality(raw, where: str) -> int | Power:
-    if isinstance(raw, bool):
-        raise FormatError(f"{where}: cardinality must be an integer or base/exp pair")
-    if isinstance(raw, int):
-        return raw
     if isinstance(raw, dict):
-        if set(raw) != {"base", "exp"}:
-            raise FormatError(f"{where}: power form needs exactly base and exp")
-        base, exp = raw["base"], raw["exp"]
-        if not isinstance(base, int) or not isinstance(exp, int):
-            raise FormatError(f"{where}: base and exp must be integers")
-        return Power(base=base, exp=exp)
-    raise FormatError(f"{where}: cardinality must be an integer or base/exp pair")
+        check_fields(raw, f"{where}: cardinality", {"base": "int", "exp": "int"})
+        return Power(base=raw["base"], exp=raw["exp"])
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise FormatError(f"{where}: cardinality must be an integer or base/exp pair")
+    return raw
 
 
-_COMPONENT_KEYS = {"name", "cardinality", "role", "hierarchy_level", "estimate", "note"}
-_COMPONENT_REQUIRED = {"name", "cardinality", "role"}
-_DESCRIPTOR_KEYS = {
-    "name",
-    "branching_factor",
-    "avg_game_length",
-    "max_game_length",
-    "components",
-    "initial_state_count",
-    "notes",
+_COMPONENT_FIELDS = {"name": "str", "cardinality": "any", "role": "str"}
+_COMPONENT_OPTIONAL = {"hierarchy_level": "str?", "estimate": "bool", "note": "str?"}
+_DESCRIPTOR_FIELDS = {
+    "name": "str",
+    "branching_factor": "any",
+    "avg_game_length": "any",
+    "max_game_length": "any",
+    "components": "list",
 }
-_DESCRIPTOR_REQUIRED = {
-    "name",
-    "branching_factor",
-    "avg_game_length",
-    "max_game_length",
-    "components",
-}
+_DESCRIPTOR_OPTIONAL = {"initial_state_count": "any", "notes": "strs"}
 
 
 def _parse_component(raw, index: int) -> Component:
     where = f"components[{index}]"
-    if not isinstance(raw, dict):
-        raise FormatError(f"{where}: expected an object")
-    unknown = set(raw) - _COMPONENT_KEYS
-    if unknown:
-        raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _COMPONENT_REQUIRED - set(raw)
-    if missing:
-        raise FormatError(f"{where}: missing keys {sorted(missing)}")
-    estimate = raw.get("estimate", False)
-    if not isinstance(estimate, bool):
-        raise FormatError(f"{where}: estimate must be true or false")
-    return Component(
-        name=raw["name"],
-        cardinality=_parse_cardinality(raw["cardinality"], where),
-        role=raw["role"],
-        hierarchy_level=raw.get("hierarchy_level"),
-        estimate=estimate,
-        note=raw.get("note"),
-    )
+    check_fields(raw, where, _COMPONENT_FIELDS, _COMPONENT_OPTIONAL)
+    return Component(**{**raw, "cardinality": _parse_cardinality(raw["cardinality"], where)})
 
 
 def descriptor_from_mapping(obj: dict) -> DomainDescriptor:
     """Build a descriptor from parsed JSON, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise FormatError("descriptor root must be an object")
-    unknown = set(obj) - _DESCRIPTOR_KEYS
-    if unknown:
-        raise FormatError(f"descriptor has unknown keys {sorted(unknown)}")
-    missing = _DESCRIPTOR_REQUIRED - set(obj)
-    if missing:
-        raise FormatError(f"descriptor is missing keys {sorted(missing)}")
-    raw_components = obj["components"]
-    if not isinstance(raw_components, list):
-        raise FormatError("components must be a list")
+    check_fields(obj, "descriptor", _DESCRIPTOR_FIELDS, _DESCRIPTOR_OPTIONAL)
     components = tuple(
-        _parse_component(raw, i) for i, raw in enumerate(raw_components)
+        _parse_component(raw, i) for i, raw in enumerate(obj["components"])
     )
     initial = obj.get("initial_state_count")
     if initial is not None:
         initial = _parse_cardinality(initial, "initial_state_count")
-    notes = obj.get("notes", [])
-    if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
-        raise FormatError("notes must be a list of strings")
     return DomainDescriptor(
         name=obj["name"],
         branching_factor=obj["branching_factor"],
@@ -196,7 +152,7 @@ def descriptor_from_mapping(obj: dict) -> DomainDescriptor:
         max_game_length=obj["max_game_length"],
         components=components,
         initial_state_count=initial,
-        notes=tuple(notes),
+        notes=tuple(obj.get("notes", [])),
     )
 
 
@@ -205,7 +161,7 @@ def load_descriptor(path: str | Path) -> DomainDescriptor:
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"descriptor is not valid JSON: {exc}") from exc
     return descriptor_from_mapping(obj)
 
@@ -310,13 +266,11 @@ class InformationBreakdown:
 
 
 def breakdown_from_mapping(obj: dict) -> InformationBreakdown:
-    if not isinstance(obj, dict) or set(obj) != {"elements"}:
-        raise FormatError("breakdown must be an object with a single elements key")
+    check_fields(obj, "breakdown", {"elements": "list"})
     elements = []
     for i, raw in enumerate(obj["elements"]):
-        if not isinstance(raw, dict) or set(raw) != {"name", "count", "units"}:
-            raise FormatError(f"elements[{i}] needs exactly name, count and units")
-        elements.append(BreakdownElement(raw["name"], raw["count"], raw["units"]))
+        check_fields(raw, f"elements[{i}]", {"name": "str", "count": "any", "units": "any"})
+        elements.append(BreakdownElement(**raw))
     return InformationBreakdown(elements=tuple(elements))
 
 
@@ -324,7 +278,7 @@ def load_breakdown(path: str | Path) -> InformationBreakdown:
     text = Path(path).read_text(encoding="utf-8")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"breakdown is not valid JSON: {exc}") from exc
     return breakdown_from_mapping(obj)
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .errors import FormatError, InvalidParameter
+from .errors import FormatError, InvalidParameter, check_fields
 from .measures import MeasureResult, Provenance
 
 TOOL_VERSION = "0.1.0"
@@ -86,60 +87,70 @@ def _report_payload(report: ComplexityReport) -> dict:
 
 
 def to_json(report: ComplexityReport) -> str:
+    """The report as RFC 8259 JSON, which has no NaN or infinity: a
+    non-finite measure value is refused rather than written."""
+    for m in report.measures:
+        if not math.isfinite(m.value):
+            raise FormatError(
+                f"measure {m.measure_name} is {m.value!r}, which JSON cannot hold"
+            )
     payload = _report_payload(report)
     payload["determinism_hash"] = report.determinism_hash()
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _number(value, field: str) -> int | float:
-    """value, if it is a JSON number; bool is refused although it subclasses int."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"report field {field} must be a number, got {type(value).__name__}")
-    return value
+_REPORT_FIELDS = {
+    "domain_name": "str",
+    "measures": "list",
+    "reference_targets": "list",
+    "tool_version": "str",
+    "timestamp": "str",
+    "seed": "int?",
+    "notes": "strs",
+}
+_MEASURE_FIELDS = {"measure_name": "str", "value": "num", "convention": "str", "provenance": "any"}
+_PROVENANCE_FIELDS = {"kind": "str", "seed": "int?", "samples": "int?"}
+_TARGET_FIELDS = {"measure_name": "str", "value": "num", "tolerance": "num", "source": "str"}
+
+
+def _measure(raw, where: str) -> MeasureResult:
+    check_fields(raw, where, _MEASURE_FIELDS)
+    check_fields(raw["provenance"], f"{where}.provenance", _PROVENANCE_FIELDS)
+    return MeasureResult(**{**raw, "provenance": Provenance(**raw["provenance"])})
+
+
+def _target(raw, where: str) -> ReferenceTarget:
+    check_fields(raw, where, _TARGET_FIELDS)
+    return ReferenceTarget(**raw)
 
 
 def from_json(text: str) -> ComplexityReport:
+    """Parse a report written by to_json, checking every key and field type.
+
+    Raises FormatError on any other input. The embedded determinism_hash
+    is accepted but not trusted: the parsed report recomputes its own.
+    """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError("report root must be an object")
+    check_fields(payload, "report", _REPORT_FIELDS, {"determinism_hash": "str"})
     try:
-        measures = tuple(
-            MeasureResult(
-                measure_name=m["measure_name"],
-                value=_number(m["value"], "value"),
-                convention=m["convention"],
-                provenance=Provenance(
-                    kind=m["provenance"]["kind"],
-                    seed=m["provenance"]["seed"],
-                    samples=m["provenance"]["samples"],
-                ),
-            )
-            for m in payload["measures"]
-        )
-        targets = tuple(
-            ReferenceTarget(
-                measure_name=t["measure_name"],
-                value=_number(t["value"], "value"),
-                tolerance=_number(t["tolerance"], "tolerance"),
-                source=t["source"],
-            )
-            for t in payload["reference_targets"]
-        )
         return ComplexityReport(
             domain_name=payload["domain_name"],
-            measures=measures,
-            reference_targets=targets,
+            measures=tuple(
+                _measure(m, f"measures[{i}]") for i, m in enumerate(payload["measures"])
+            ),
+            reference_targets=tuple(
+                _target(t, f"reference_targets[{i}]")
+                for i, t in enumerate(payload["reference_targets"])
+            ),
             tool_version=payload["tool_version"],
             timestamp=payload["timestamp"],
             seed=payload["seed"],
             notes=tuple(payload["notes"]),
         )
-    except KeyError as exc:
-        raise FormatError(f"report is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except InvalidParameter as exc:
         raise FormatError(f"report has a malformed field: {exc}") from exc
 
 

@@ -266,6 +266,26 @@ class TestSchemaStrictness:
         with pytest.raises(FormatError):
             descriptor_from_mapping(mapping)
 
+    @pytest.mark.parametrize(
+        ("edit"),
+        [
+            lambda m: m.update(name=3),
+            lambda m: m["components"][0].update(name=["a"]),
+            lambda m: m["components"][0].update(note=7),
+            lambda m: m["components"][0].update(role=None),
+            lambda m: m["components"][0].update(hierarchy_level=1),
+            lambda m: m["components"][0].update(cardinality={"base": True, "exp": 2}),
+            lambda m: m.update(components={"pieces": 100}),
+        ],
+        ids=["descriptor-name", "component-name", "note", "role", "hierarchy-level",
+             "power-base", "components"],
+    )
+    def test_field_types_checked(self, edit):
+        mapping = minimal_mapping()
+        edit(mapping)
+        with pytest.raises(FormatError):
+            descriptor_from_mapping(mapping)
+
     def test_power_cardinality_parses(self):
         mapping = minimal_mapping()
         mapping["components"][0]["cardinality"] = {"base": 5, "exp": 28}
@@ -290,6 +310,20 @@ class TestSchemaStrictness:
         with pytest.raises(FormatError):
             breakdown_from_mapping({"elements": [], "extra": True})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"elements": [{"name": 1, "count": 1, "units": 1}]},
+            {"elements": [{"name": "x", "count": 1}]},
+            {"elements": "ab"},
+            [],
+        ],
+        ids=["numeric-name", "missing-units", "string-elements", "list-root"],
+    )
+    def test_breakdown_field_types_checked(self, obj):
+        with pytest.raises(FormatError):
+            breakdown_from_mapping(obj)
+
     def test_component_validation(self):
         with pytest.raises(InvalidParameter):
             Component(name="x", cardinality=0, role="state")
@@ -308,6 +342,13 @@ class TestSchemaStrictness:
         d = load_descriptor(path)
         assert d.name == "toy"
         assert state_space_complexity(d) == pytest.approx(2.0)
+
+    def test_load_descriptor_rejects_integer_past_digit_limit(self, tmp_path):
+        path = tmp_path / "huge.json"
+        text = json.dumps(minimal_mapping(branching_factor="HUGE"))
+        path.write_text(text.replace('"HUGE"', "9" * 5000), encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_descriptor(path)
 
     def test_load_descriptor_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,14 +1,23 @@
-"""Determinism hashes of default CLI reports at seed 0.
+"""Golden corpus: what every bundled CLI invocation prints at seed 0.
 
-Each pin is the report's `determinism_hash`, which covers every value,
-convention and provenance but not the timestamp. A change that alters a
-value on purpose updates its pin and says so in CHANGES.md.
+Report pins are the report's `determinism_hash`, which covers every value,
+convention, provenance, reference target and note but not the timestamp.
+Byte pins are the sha256 of the exact text a non-report invocation writes:
+text and CSV reports, `compare` rows and the two typed usage errors. A
+pin changes only when a value changes on purpose, and CHANGES.md lists
+the change.
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dcx
 from dcx.cli import main
 
 CARTPOLE_PINS = {
@@ -23,11 +32,215 @@ CARTPOLE_PINS = {
     ("3d", "entropy"): "eb53b18ab8e7799acaa5c8514254c0388cbb17cb78e5c6aa2e76d904967fc9ca",
 }
 
+# determinism_hash of `dcx --format json --seed 0 <command>`
+REPORT_PINS = {
+    "game ttt":
+        "d3ea16193ea8c10fab01d778cb7a30dd065b29ad79e30d1004ae2337a617f799",
+    "game ttt --no-enumerate":
+        "ea73504c7bf01666163eccf9b680dc2cfd65cedffc330a375c0cdafa23e5eea7",
+    "game qubic":
+        "37ee88575e1299829010151a14f880dd090a4a32443b95155800a1f9908ffe8c",
+    "game custom --side 2 --dims 2 --plies 4 --win 2":
+        "99d34e301e88cb61274cda13c62dcff3c82cd8f5b3c9b4d4c4937d089e9e4353",
+    "descriptor cartpole2d":
+        "9e60ad915c8262c7bb9c7e0c00cecfc5ca990d1c71efb6085ccf30dc48a0a52c",
+    "descriptor cartpole2d-g":
+        "3eb026eab33beb836753332d076c44be2007c7d466ccaa9e500a0c3fdb572ee0",
+    "descriptor cartpole3d":
+        "4bea6d9940e0154a7dbed2e981fd266eb809a06721a0458ee892339090840b10",
+    "descriptor monopoly":
+        "4b3b6f8d4fdd1807de71b67bc7e22661aafe43808025999ac2163e92d1ee45fd",
+    "descriptor pogo":
+        "1007736ca198c4ab7fccb9c2c4e5b8f31c873d462fcd2bad93760c5e5a2de3c6",
+    "descriptor pogo --breakdown pogo":
+        "c36bf0e31c8733a5f4afcf84fb762892fb5055eb345978b22dbc36d57ec8c0eb",
+    "cartpole --variant 2d --measure table":
+        "9e60ad915c8262c7bb9c7e0c00cecfc5ca990d1c71efb6085ccf30dc48a0a52c",
+    "cartpole --variant 2dg --measure table":
+        "3eb026eab33beb836753332d076c44be2007c7d466ccaa9e500a0c3fdb572ee0",
+    "cartpole --variant 3d --measure table":
+        "db2c854557fc7ae0512b7ae163ac70314f702d86b66f67c36aff180c30d1b7de",
+    "dataset iris --measure dimensionality":
+        "643240cc937606380f7066317fca6a1bf6e80226be23d9a869856fa57cfd18f5",
+    "dataset iris --measure sparsity":
+        "83295acec9a75d866fa9ae6d45f68d31450ec0d79bba9a1895904462bdb85e34",
+    "dataset iris --measure gini":
+        "83295acec9a75d866fa9ae6d45f68d31450ec0d79bba9a1895904462bdb85e34",
+    "dataset iris --measure entropy":
+        "f522d82d0a3dff98160b8eec0dead3dd747a9bf4a264e600cf085bba5e50f986",
+}
+
+# determinism_hash of `dcx --format json --seed 0 dataset <name> --measure
+# <measure> <options> --data-dir <dir>` on the conftest synthetic files
+IMAGE_PINS = {
+    ("mnist", "dimensionality", ""):
+        "a6c75f5f6ca3d333388ab625e514725e5389473c1550ccad3873886c4d3aacb6",
+    ("mnist", "dimensionality", "--mode raw"):
+        "13e1be968331bb1ef3e196d0fd602c45a2b10eb6467d7ea45fa692a99cb99669",
+    ("mnist", "dimensionality", "--mode binarized"):
+        "a6c75f5f6ca3d333388ab625e514725e5389473c1550ccad3873886c4d3aacb6",
+    ("mnist", "dimensionality", "--split test"):
+        "87ccd7e9c3abf7944fb97b112ff7e6be4d8472089c97d8919d83bd5990b6089d",
+    ("mnist", "sparsity", ""):
+        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+    ("mnist", "sparsity", "--mode raw"):
+        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+    ("mnist", "sparsity", "--mode binarized"):
+        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+    ("mnist", "sparsity", "--split test"):
+        "88544cc3c4ccd99d2b7d01463f627eed266e4c580accb4e3571fcfe82ab1804d",
+    ("mnist", "gini", ""):
+        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
+    ("mnist", "gini", "--mode raw"):
+        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
+    ("mnist", "gini", "--mode binarized"):
+        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
+    ("mnist", "gini", "--split test"):
+        "da989a34214b9eb3561456e4aa56eaec3ac1ee3c8177c67a744cf1a7905ec857",
+    ("mnist", "entropy", ""):
+        "ce1d8362d2eab747926fa513380b61b5f755d7f84f9391bb4152957a4c8d2620",
+    ("mnist", "entropy", "--mode raw"):
+        "31b69baf6a45e7dde8deda2b8aca1abcac08cc1cf87d3c8dc9c2bf986b2e4171",
+    ("mnist", "entropy", "--mode binarized"):
+        "ce1d8362d2eab747926fa513380b61b5f755d7f84f9391bb4152957a4c8d2620",
+    ("mnist", "entropy", "--split test"):
+        "f7a0ee6a2a9e838ab28193dc1f21436aed7e70db74f5a3d5c24234b77075b0c2",
+    ("cifar10", "dimensionality", ""):
+        "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
+    ("cifar10", "dimensionality", "--mode raw"):
+        "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
+    ("cifar10", "dimensionality", "--mode binarized"):
+        "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
+    ("cifar10", "dimensionality", "--split test"):
+        "862352eeb54ef55dce2873007ff3c253817f8fae45ca1ebe690d6449203b2d8b",
+    ("cifar10", "sparsity", ""):
+        "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
+    ("cifar10", "sparsity", "--mode raw"):
+        "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
+    ("cifar10", "sparsity", "--mode binarized"):
+        "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
+    ("cifar10", "sparsity", "--split test"):
+        "9b8af2c8b881994209b8d4ad6e42bba97563afc2e83f317c6152ab68ff0d993f",
+    ("cifar10", "gini", ""):
+        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
+    ("cifar10", "gini", "--mode raw"):
+        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
+    ("cifar10", "gini", "--mode binarized"):
+        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
+    ("cifar10", "gini", "--split test"):
+        "4838e97f55bc54dd2f18a8251c097448a31a6e07d672aa63994050b773053d0a",
+    ("cifar10", "entropy", ""):
+        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+    ("cifar10", "entropy", "--mode raw"):
+        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+    ("cifar10", "entropy", "--mode binarized"):
+        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+    ("cifar10", "entropy", "--split test"):
+        "b96c48c9259a50ca442562ebd7ea26aaf65959c60b26a171156b929b9eac79ed",
+}
+
+# sha256 of the stdout of `dcx <command>`
+STDOUT_PINS = {
+    "descriptor pogo --breakdown pogo":
+        "e1b49b993a17f2dafbf4760434f13c0e750cf9ee6db2a66340862fd20fc7de9e",
+    "--format csv cartpole --variant 2d --measure table":
+        "50ce175b3d03fc67a7daec08bf7489ba39cfe4a9abbc3b7ce92cac78b8183784",
+    "--format csv cartpole --variant 2dg --measure table":
+        "6325447fac3e0c49297e0a352f9e23e824b91602135aa2e0e48d1fbad939bdf7",
+    "--format csv cartpole --variant 3d --measure table":
+        "a2dfe75b5ed55117d10f471ae12fce7bce56f5623edc38fc5c84cf30ae0c2dde",
+}
+
+# sha256 of the stdout of `dcx --format json compare <a> <b>`, where ttt is
+# the report of `game ttt --no-enumerate` and qubic that of `game qubic`
+COMPARE_PINS = {
+    ("ttt", "qubic"):
+        "74d43279d40fd568bd147e65887cf9e354cf26af88fe614bef6e1832cfee9733",
+    ("qubic", "ttt"):
+        "7c7d4799422aafab2e1b927dbee0016856e348a44daf5549eb98f4c9c41d1448",
+}
+
+# (exit code, sha256 of stderr) of `dcx <command>` in a fresh process with
+# COLUMNS=80, since argparse wraps its usage text to the terminal width
+ERROR_PINS = {
+    "descriptor nosuch": (
+        1, "1209f35d593beb10d47aa07bff532bb9dd160af7f6df8dd3d78faa62cca862fc",
+    ),
+    "cartpole --variant 4d": (
+        2, "52e0aa771c7abbf01ebb85d5c82eef60af02552f8953188efd80611fdc1d7a33",
+    ),
+}
+
+COMPARE_SOURCES = {"ttt": "game ttt --no-enumerate", "qubic": "game qubic"}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def report_hash(argv: list[str], capsys) -> str:
+    assert main(["--format", "json", "--seed", "0", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["determinism_hash"]
+
+
+def stdout_sha(argv: list[str], capsys) -> str:
+    assert main(argv) == 0
+    return sha256(capsys.readouterr().out)
+
+
+def compare_sha(a: str, b: str, tmp_path: Path, capsys) -> str:
+    paths = {}
+    for name, command in COMPARE_SOURCES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        assert main(["--format", "json", "--out", str(paths[name]), *command.split()]) == 0
+    return stdout_sha(["--format", "json", "compare", str(paths[a]), str(paths[b])], capsys)
+
+
+def error_pin(command: str) -> tuple[int, str]:
+    src = str(Path(dcx.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "COLUMNS": "80",
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "dcx.cli", *command.split()],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    return result.returncode, sha256(result.stderr)
+
 
 @pytest.mark.parametrize(("variant", "measure"), sorted(CARTPOLE_PINS))
 def test_cartpole_report_hash(variant, measure, capsys):
-    args = ["--format", "json", "--seed", "0", "cartpole", "--variant", variant,
-            "--measure", measure]
-    assert main(args) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["determinism_hash"] == CARTPOLE_PINS[variant, measure]
+    argv = ["cartpole", "--variant", variant, "--measure", measure]
+    assert report_hash(argv, capsys) == CARTPOLE_PINS[variant, measure]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PINS))
+def test_report_hash(command, capsys):
+    assert report_hash(command.split(), capsys) == REPORT_PINS[command]
+
+
+@pytest.mark.parametrize(("name", "measure", "options"), sorted(IMAGE_PINS))
+def test_image_report_hash(name, measure, options, request, capsys):
+    directory = request.getfixturevalue(
+        "synthetic_mnist_dir" if name == "mnist" else "synthetic_cifar_dir"
+    )
+    argv = ["dataset", name, "--measure", measure, *options.split(),
+            "--data-dir", str(directory)]
+    assert report_hash(argv, capsys) == IMAGE_PINS[name, measure, options]
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_PINS))
+def test_stdout_bytes(command, capsys):
+    assert stdout_sha(command.split(), capsys) == STDOUT_PINS[command]
+
+
+@pytest.mark.parametrize(("a", "b"), sorted(COMPARE_PINS))
+def test_compare_bytes(a, b, tmp_path, capsys):
+    assert compare_sha(a, b, tmp_path, capsys) == COMPARE_PINS[a, b]
+
+
+@pytest.mark.parametrize("command", sorted(ERROR_PINS))
+def test_error_bytes(command):
+    assert error_pin(command) == ERROR_PINS[command]

@@ -111,7 +111,7 @@ class TestSerialization:
         with pytest.raises(FormatError):
             from_json(json.dumps(payload))
 
-    @pytest.mark.parametrize("value", ["abc", True, None, [1.0]])
+    @pytest.mark.parametrize("value", ["abc", True, None, [1.0], float("inf"), float("nan")])
     def test_from_json_rejects_non_numeric_values(self, value):
         for field in ("measure value", "target value", "target tolerance"):
             payload = json.loads(to_json(sample_report()))
@@ -121,6 +121,45 @@ class TestSerialization:
                 payload["reference_targets"][0][field.split()[1]] = value
             with pytest.raises(FormatError):
                 from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        ("path", "value"),
+        [
+            (("domain_name",), 3),
+            (("measures", 0, "measure_name"), 5),
+            (("measures", 0, "convention"), None),
+            (("measures", 0, "provenance"), "analytic"),
+            (("measures", 0, "provenance", "kind"), 1),
+            (("measures", 0, "provenance", "kind"), "guessed"),
+            (("measures", 1, "provenance", "seed"), True),
+            (("measures", 1, "provenance", "samples"), 1.5),
+            (("reference_targets", 0, "measure_name"), None),
+            (("reference_targets", 0, "source"), ["x"]),
+            (("notes",), "abc"),
+            (("notes",), [1]),
+            (("seed",), "3"),
+            (("seed",), False),
+            (("tool_version",), 1),
+            (("timestamp",), None),
+            (("determinism_hash",), 0),
+            (("surplus",), 1),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_from_json_rejects_mistyped_fields(self, path, value):
+        payload = json.loads(to_json(sample_report()))
+        *parents, key = path
+        owner = payload
+        for step in parents:
+            owner = owner[step]
+        owner[key] = value
+        with pytest.raises(FormatError):
+            from_json(json.dumps(payload))
+
+    def test_to_json_refuses_non_finite_values(self):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(FormatError, match="alpha"):
+                to_json(sample_report(value=value))
 
     def test_from_json_rejects_non_json(self):
         with pytest.raises(FormatError):
@@ -266,6 +305,15 @@ class TestCli:
         values = {m["measure_name"]: m["value"] for m in payload["measures"]}
         assert values["constant_action_limit"] == pytest.approx(9.37, abs=1.0)
 
+    def test_cartpole_infinite_limit_refused_in_json_only(self, capsys):
+        args = ["cartpole", "--measure", "sparsity", "--limit", "inf", "--samples", "10"]
+        assert main(["--format", "json", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and "action_limit_band" in err
+        assert main(args) == 0
+        assert "action_limit_band" in capsys.readouterr().out
+
     def test_cartpole_nan_limit_exits_1(self, capsys):
         code = main(["--format", "json", "cartpole", "--measure", "sparsity", "--limit", "nan"])
         assert code == 1
@@ -352,6 +400,22 @@ class TestCli:
         payload["measures"][0]["value"] = "abc"
         forged.write_text(json.dumps(payload), encoding="utf-8")
         result = run_python("-m", "dcx.cli", "compare", str(good), str(forged))
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        ("field", "literal"),
+        [("measure_name", "5"), ("value", "9" * 5000)],
+        ids=["numeric-name", "5000-digit-value"],
+    )
+    def test_compare_mistyped_field_exits_1_without_traceback(self, tmp_path, field, literal):
+        good, forged = tmp_path / "good.json", tmp_path / "forged.json"
+        assert main(["--format", "json", "--out", str(good), "game", "ttt", "--no-enumerate"]) == 0
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        payload["measures"][0][field] = "FORGED"
+        forged.write_text(json.dumps(payload).replace('"FORGED"', literal), encoding="utf-8")
+        result = run_python("-m", "dcx.cli", "compare", str(forged), str(forged))
         assert result.returncode == 1
         assert result.stderr.startswith("dcx: ")
         assert "Traceback" not in result.stderr

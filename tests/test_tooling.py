@@ -1,0 +1,36 @@
+"""What tools outside the package read from it: the build's version
+attribute, and the functions the traced benchmark run wraps."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+import dcx
+import dcx.cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_build_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    attr = project["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == dcx.__version__
+
+
+def test_every_traced_target_resolves(monkeypatch):
+    # `perfbench/run.py --trace 1` replaces each (owner, attribute) that
+    # spans.targets names; one that no longer resolves fails the run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    unresolved = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _group, _hook in spans.targets(dcx)
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert unresolved == []
+    assert callable(dcx.cli.build_parser) and callable(dcx.cli.main)
