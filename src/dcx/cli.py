@@ -2,23 +2,25 @@
 `main` assembles them into one ComplexityReport, annotated with the
 published targets from the reference table, and emits it as text, JSON,
 or CSV. Exit code 0 on success, 1 on measure errors, 2 on usage errors.
+
+The cart-pole simulator and the dataset modules, and with them numpy, are
+imported in the branch that computes with them, so the closed-form
+subcommands (games, descriptors, cart-pole tables, compare) start without
+numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import cartpole as cp
-from . import dataset_metrics as dm
-from . import datasets, descriptors, games
-from .errors import DcxError
+from . import descriptors, games
+from .errors import DcxError, FormatError
 from .measures import (
     ANALYTIC,
     ENUMERATED,
@@ -228,20 +230,32 @@ def _run_game(args) -> _Fields:
             "log10 of the exact sum over per-ply stone-count arrangements",
             ANALYTIC,
         ),
-        MeasureResult(
-            "ssc_combinatorial_total",
-            float(total),
-            "exact integer total of per-ply stone-count arrangements",
-            ANALYTIC,
-        ),
+    ]
+    notes = []
+    try:
+        total_value = float(total)
+    except OverflowError:
+        notes.append(
+            "ssc_combinatorial_total omitted: the exact total exceeds the "
+            "float range; ssc_combinatorial_log10 carries its magnitude"
+        )
+    else:
+        measures.append(
+            MeasureResult(
+                "ssc_combinatorial_total",
+                total_value,
+                "exact integer total of per-ply stone-count arrangements",
+                ANALYTIC,
+            )
+        )
+    measures.append(
         MeasureResult(
             "gtc_factorial_log10",
             games.gtc_factorial(spec.cells, avg),
             "log10 of the falling factorial cells! / (cells - avg_moves)!",
             ANALYTIC,
-        ),
-    ]
-    notes = []
+        )
+    )
     if not args.no_enumerate and spec.cells <= games.ENUMERATION_CELL_LIMIT:
         raw = games.enumerate_states(spec, symmetry=False)
         sym = games.enumerate_states(spec, symmetry=True)
@@ -390,6 +404,8 @@ def _run_cartpole(args) -> _Fields:
     if args.measure == "table":
         return _describe(descriptors.bundled_descriptor(domain), None, notes)
 
+    from . import cartpole as cp
+
     params = cp.params_for_variant(args.variant)
     if args.measure == "limit":
         measures = [
@@ -461,6 +477,11 @@ def _run_cartpole(args) -> _Fields:
 
 
 def _run_iris(args) -> _Fields:
+    import numpy as np
+
+    from . import dataset_metrics as dm
+    from . import datasets
+
     ds = datasets.load_iris()
     measures = []
     if args.measure == "dimensionality":
@@ -501,6 +522,12 @@ def _run_dataset(args) -> _Fields:
     name = args.name
     if name == "iris":
         return _run_iris(args)
+
+    import numpy as np
+
+    from . import dataset_metrics as dm
+    from . import datasets
+
     mode = args.mode or ("binarized" if name == "mnist" else "raw")
     split = args.split or ("train" if name == "mnist" and args.measure == "entropy" else "all")
     directory = args.data_dir or Path(os.environ.get("DCX_DATA_DIR") or "data")
@@ -614,6 +641,12 @@ def _run_compare(args, fmt: str) -> str:
     b = from_json(args.report_b.read_text(encoding="utf-8"))
     rows = compare(a, b)
     if fmt == "json":
+        for row in rows:
+            if not math.isfinite(row["difference"]):
+                raise FormatError(
+                    f"measure {row['measure_name']} differs by {row['difference']!r}, "
+                    "which JSON cannot hold"
+                )
         return json.dumps(
             {"a": a.domain_name, "b": b.domain_name, "rows": rows}, indent=2
         )

@@ -11,6 +11,8 @@ lines are cell masks, and a symmetry map is applied through byte lookup
 tables. The canonical representative of a symmetry class is its minimum
 packed image, not its minimum cell tuple, so the representatives differ
 from a tuple-based enumeration while the class counts are the same.
+Only the enumeration imports numpy; the closed forms are plain integer
+and math arithmetic.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateInput, InvalidParameter, ResourceLimit
 from .measures import ENUMERATED, MeasureResult, log10_int, normalized_entropy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A position packs into one uint32, the X mask in bits 0-15 and the O mask
 # in bits 16-31, so enumeration stops at 16 cells.
@@ -177,6 +181,8 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _line_masks(spec: GridGameSpec) -> np.ndarray:
     """One 16-bit cell mask per entry of win_lines(spec)."""
+    import numpy as np
+
     masks = np.array(
         [sum(1 << cell for cell in line) for line in win_lines(spec)], dtype=np.uint32
     )
@@ -193,6 +199,8 @@ def _symmetry_tables(spec: GridGameSpec) -> np.ndarray:
     byte. OR-ing the two gives the image of any 16-bit mask, so each map
     costs 512 entries rather than one per mask.
     """
+    import numpy as np
+
     maps = np.array(symmetry_maps(spec))
     # argsort inverts each map: bit s of a board lands on bit inverse[s] of its image
     weights = np.zeros((len(maps), 2 * 8), dtype=np.int64)
@@ -211,6 +219,8 @@ def canonical_positions(positions: np.ndarray, spec: GridGameSpec) -> np.ndarray
     and X mask second; it is not the lexicographically smallest cell tuple,
     but every orbit still has exactly one.
     """
+    import numpy as np
+
     x = positions & _CELL_MASK
     o = positions >> _O_SHIFT
     # intp indices once, not a conversion per table lookup
@@ -233,6 +243,8 @@ def _distinct(positions: np.ndarray) -> np.ndarray:
     table that took 0.29 s on 480k uint32 values where sorting and
     comparing neighbours took 6 ms (2-vCPU x86-64 machine).
     """
+    import numpy as np
+
     ordered = np.sort(positions)
     keep = np.ones(ordered.shape, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
@@ -240,6 +252,8 @@ def _distinct(positions: np.ndarray) -> np.ndarray:
 
 
 def _completes_line(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     won = np.zeros(masks.shape, dtype=bool)
     for line in lines:
         won |= (masks & line) == line
@@ -268,6 +282,8 @@ def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribut
     on, positions are replaced by canonical_positions (the minimum packed
     image) before deduplication, giving one position per class.
     """
+    import numpy as np
+
     if spec.cells > ENUMERATION_CELL_LIMIT:
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DegenerateInput,
@@ -16,6 +14,13 @@ from .errors import (
     InvalidParameter,
     InvalidValue,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that compute with it, so the
+# closed forms below (log10_product, log10_int, gtc_power, Power) and the
+# result types load without it.
 
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOLERANCE = 1e-9
@@ -28,6 +33,8 @@ def gini(values: Sequence[float]) -> float:
     Returns 0 for a perfectly even array and approaches 1 - 1/N when a
     single element holds all the mass.
     """
+    import numpy as np
+
     c = np.asarray(values, dtype=float).ravel()
     if c.size == 0:
         raise DegenerateInput("gini needs at least one value")
@@ -43,6 +50,8 @@ def gini(values: Sequence[float]) -> float:
 
 
 def _check_distribution(p: np.ndarray) -> None:
+    import numpy as np
+
     if p.size == 0:
         raise InvalidDistribution("empty probability vector")
     if np.any(p < 0.0) or np.any(p > 1.0):
@@ -54,6 +63,8 @@ def _check_distribution(p: np.ndarray) -> None:
 
 def shannon_entropy(probabilities: Sequence[float]) -> float:
     """Shannon entropy in bits; 0 * log2(0) is taken as 0."""
+    import numpy as np
+
     p = np.asarray(probabilities, dtype=float).ravel()
     _check_distribution(p)
     nz = p[p > 0.0]
@@ -66,6 +77,8 @@ def normalized_entropy(probabilities: Sequence[float], event_count: int) -> floa
     Equals 1 only for the uniform distribution over event_count events, so
     the caller must state how many events the normalization assumes.
     """
+    import numpy as np
+
     if isinstance(event_count, bool) or not isinstance(event_count, (int, np.integer)):
         raise InvalidParameter("event_count must be an integer")
     if event_count < 2:
@@ -90,6 +103,8 @@ class Histogram:
         return sum(self.counts)
 
     def probabilities(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.counts, dtype=float) / self.total
 
 
@@ -101,6 +116,8 @@ def histogram(
     A value v maps to bin min(floor((v - lo) / width), bin_count - 1);
     values outside the range clamp to the boundary bins.
     """
+    import numpy as np
+
     if bin_count < 1:
         raise InvalidParameter("bin_count must be at least 1")
     lo, hi = float(value_range[0]), float(value_range[1])
@@ -116,6 +133,8 @@ def histogram(
 def bin_indices(values, bin_count: int, lo: float, hi: float) -> np.ndarray:
     """histogram's bin of each value, same shape: the int64 array
     min(floor((v - lo) / width), bin_count - 1), clamped at 0."""
+    import numpy as np
+
     width = (hi - lo) / bin_count
     idx = np.floor((np.asarray(values, dtype=float) - lo) / width).astype(np.int64)
     return np.clip(idx, 0, bin_count - 1)
@@ -123,6 +142,8 @@ def bin_indices(values, bin_count: int, lo: float, hi: float) -> np.ndarray:
 
 def variance_diversity(values: Sequence[float]) -> float:
     """Population variance (divides by N, not N - 1)."""
+    import numpy as np
+
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise DegenerateInput("variance needs at least one value")
@@ -139,6 +160,8 @@ def attribute_diversity(entities: Iterable[Iterable]) -> int:
 
 def distance_diversity(points: Sequence[Sequence[float]], metric: str = "euclidean") -> float:
     """Mean pairwise distance over unordered point pairs."""
+    import numpy as np
+
     try:
         pts = np.asarray(points, dtype=float)
     except (TypeError, ValueError) as exc:

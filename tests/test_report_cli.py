@@ -257,6 +257,21 @@ class TestCli:
         assert main(["game", "custom"]) == 1
         assert "custom games need" in capsys.readouterr().err
 
+    def test_custom_game_past_float_range_omits_the_exact_total(self):
+        # the exact arrangement total of a 40x40 board to 1600 plies has
+        # about 760 digits: the float total is omitted, its log10 stays
+        result = run_python(
+            "-m", "dcx.cli", "--format", "json", "game", "custom",
+            "--side", "40", "--dims", "2", "--plies", "1600", "--win", "5", "--no-enumerate",
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        report = from_json(result.stdout)
+        names = [m.measure_name for m in report.measures]
+        assert "ssc_combinatorial_total" not in names
+        assert "ssc_combinatorial_log10" in names and "gtc_factorial_log10" in names
+        assert any("ssc_combinatorial_total omitted" in note for note in report.notes)
+
     def test_custom_game_runs(self, capsys):
         code = main(
             ["--format", "json", "game", "custom", "--side", "2", "--dims", "2",
@@ -420,6 +435,24 @@ class TestCli:
         assert result.stderr.startswith("dcx: ")
         assert "Traceback" not in result.stderr
 
+    def test_compare_json_refuses_a_non_finite_difference(self, tmp_path):
+        # both reports load, but 1e308 - (-1e308) overflows to inf, which
+        # RFC 8259 JSON cannot hold; text and CSV still print it
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, value in ((a, 1e308), (b, -1e308)):
+            report = ComplexityReport(
+                domain_name=path.stem,
+                measures=(MeasureResult("m", value, "stated", ANALYTIC),),
+            )
+            path.write_text(to_json(report), encoding="utf-8")
+        result = run_python("-m", "dcx.cli", "--format", "json", "compare", str(a), str(b))
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ") and "inf" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        for fmt in ("text", "csv"):
+            assert main(["--format", fmt, "compare", str(a), str(b)]) == 0
+
     def test_import_loads_no_network_modules(self):
         # urllib itself is imported by pathlib (for urllib.parse); the
         # request, HTTP and TLS stacks must stay out
@@ -430,6 +463,51 @@ class TestCli:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        ("argv", "exit_code", "loads_numpy"),
+        [
+            ((), 0, False),
+            (("--help",), 0, False),
+            *[(("--format", "json", "descriptor", name), 0, False)
+              for name in ("cartpole2d", "cartpole2d-g", "cartpole3d", "pogo")],
+            *[(("--format", "csv", "cartpole", "--variant", v, "--measure", "table"), 0, False)
+              for v in ("2d", "2dg", "3d")],
+            (("--format", "json", "game", "ttt", "--no-enumerate"), 0, False),
+            (("--format", "json", "game", "qubic"), 0, False),
+            (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, False),
+            (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, False),
+            (("descriptor", "nosuch"), 1, False),
+            (("cartpole", "--variant", "4d"), 2, False),
+            (("--format", "json", "dataset", "iris"), 0, True),
+            (("--format", "json", "descriptor", "monopoly"), 0, True),
+        ],
+        ids=lambda v: (" ".join(v) or "import") if isinstance(v, tuple) else None,
+    )
+    def test_numpy_loads_only_where_a_value_needs_it(self, tmp_path, argv, exit_code, loads_numpy):
+        # closed forms (games, descriptor arithmetic, cart-pole tables,
+        # compare, errors) never touch a numpy value, so they must not pay
+        # for its import; an empty argv means a bare `import dcx.cli`
+        reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
+        for name, path in reports.items():
+            extra = ("--no-enumerate",) if name == "ttt" else ()
+            assert main(["--format", "json", "--out", str(path), "game", name, *extra]) == 0
+        argv = [arg.format(**reports) for arg in argv]
+        probe = (
+            "import sys\n"
+            "import dcx\n"
+            "before = 'numpy' in sys.modules\n"
+            "from dcx.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "after = 'numpy' in sys.modules\n"
+            "print(f'probe: {code} {before} {after}', file=sys.stderr)\n"
+        )
+        result = run_python("-c", probe, *argv)
+        assert "Traceback" not in result.stderr, result.stderr
+        assert result.stderr.splitlines()[-1] == f"probe: {exit_code} False {loads_numpy}"
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "report.json"

@@ -2,6 +2,9 @@
 attribute, and the functions the traced benchmark run wraps."""
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,25 @@ def test_every_traced_target_resolves(monkeypatch):
     ]
     assert unresolved == []
     assert callable(dcx.cli.build_parser) and callable(dcx.cli.main)
+
+
+def test_every_traced_target_resolves_after_a_bare_import():
+    # dcx exports its submodules lazily, so targets() must resolve them
+    # itself in a fresh interpreter where only `import dcx` has run
+    src = str(Path(dcx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys\n"
+        "import dcx\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "import spans\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('dcx.'))\n"
+        "unresolved = [f'{getattr(o, \"__name__\", o)}.{a}'\n"
+        "              for o, a, _g, _h in spans.targets(dcx) if not callable(getattr(o, a, None))]\n"
+        "print(loaded, unresolved)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[] []"
