@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidAction, InvalidParameter, ResourceLimit
-from .measures import histogram, shannon_entropy
+from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
 
@@ -30,6 +30,11 @@ INIT_BOUND = 0.05
 # rollout samples, 100k walks of 200 steps) stay under a tenth of it.
 MEMORY_BUDGET = 2 << 30
 
+# Most random-walk steps analytic_sparsity may draw, so that no request
+# runs for days: about 16 s on a 2-vCPU x86-64 machine, 27 times the 3d
+# default of 100k walks of 200 steps on each of two axes.
+WALK_STEP_BUDGET = 1 << 30
+
 
 def _check_budget(nbytes: int, work: str) -> None:
     if nbytes > MEMORY_BUDGET:
@@ -37,6 +42,11 @@ def _check_budget(nbytes: int, work: str) -> None:
             f"{work} needs about {nbytes / 2**30:.3g} GiB of arrays, over the "
             f"{MEMORY_BUDGET >> 30} GiB budget"
         )
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidParameter(f"seed must be non-negative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -204,6 +214,7 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
     """
     if trials < 1:
         raise InvalidParameter("trials must be at least 1")
+    _check_seed(seed)
     # two sets of state columns plus about eight per-trial temporaries
     _check_budget(
         trials * (2 * params.state_size + 8) * 8,
@@ -254,6 +265,7 @@ def analytic_sparsity(
         raise InvalidParameter("episode_length and samples must be positive")
     if axes not in (1, 2):
         raise InvalidParameter("axes must be 1 or 2")
+    _check_seed(seed)
     if limit >= episode_length:
         return 1.0
     # one chunk's int64 draws and int32 walks; the budget also keeps
@@ -262,6 +274,11 @@ def analytic_sparsity(
         min(_WALK_CHUNK, samples) * episode_length * 12,
         f"analytic_sparsity with episode_length {episode_length}",
     )
+    if samples * episode_length * axes > WALK_STEP_BUDGET:
+        raise ResourceLimit(
+            f"analytic_sparsity with {samples} samples of {episode_length} steps "
+            f"on {axes} axes draws over the {WALK_STEP_BUDGET}-step budget"
+        )
     rng = np.random.default_rng(seed)
     # after k steps a +/-1 walk sits at 2 * heads - k, heads the 1-draws so far
     offsets = np.arange(1, episode_length + 1, dtype=np.int32)
@@ -293,6 +310,7 @@ class RolloutConfig:
     max_steps: int = 500
 
     def __post_init__(self) -> None:
+        _check_seed(self.seed)
         if self.sample_count < 1:
             raise InvalidParameter("sample_count must be at least 1")
         if self.bin_count < 1:
@@ -364,3 +382,77 @@ def rollout_entropy(
     counts = np.bincount(actions, minlength=params.action_count)
     action_bits = shannon_entropy(counts / counts.sum())
     return feature_bits, float(action_bits)
+
+
+# One function per cart-pole report: each returns its measures and notes.
+def limit_measures(
+    params: CartPoleParams, trials: int = 10_000, seed: int = 0
+) -> tuple[list[MeasureResult], list[str]]:
+    return [
+        MeasureResult(
+            "constant_action_limit",
+            constant_action_limit(params, trials, seed),
+            "mean repeated identical pushes until failure; uniform "
+            "[-0.05, 0.05] inits; the failing step is counted",
+            monte_carlo(seed, trials),
+        )
+    ], []
+
+
+def sparsity_measures(
+    params: CartPoleParams, limit: float | None = None, trials: int = 10_000,
+    samples: int | None = None, episode_length: int = 200, seed: int = 0,
+) -> tuple[list[MeasureResult], list[str]]:
+    """Band-survival sparsity; without a limit, the band is measured with
+    constant_action_limit over trials. samples defaults to 100,000."""
+    samples = samples if samples is not None else 100_000
+    if limit is not None:
+        limit_source, band_provenance = "user-provided action limit", ANALYTIC
+    else:
+        limit = constant_action_limit(params, trials, seed)
+        limit_source = "measured constant-action limit"
+        band_provenance = monte_carlo(seed, trials)
+    value = analytic_sparsity(
+        limit, episode_length=episode_length, samples=samples, seed=seed, axes=params.axis_count
+    )
+    return [
+        MeasureResult(
+            "analytic_sparsity",
+            value,
+            "fraction of random +/-1 walks staying inside the action-limit "
+            f"band; one full-length walk per axis; band from {limit_source}; "
+            f"episode_length={episode_length}; fractional limits "
+            "dither the integer band per sample",
+            monte_carlo(seed, samples),
+        ),
+        MeasureResult("action_limit_band", limit, limit_source, band_provenance),
+    ], []
+
+
+def entropy_measures(
+    params: CartPoleParams, samples: int | None = None, bins: int = 256, seed: int = 0
+) -> tuple[list[MeasureResult], list[str]]:
+    """Random-rollout feature and action entropy; samples defaults to 20,000."""
+    samples = samples if samples is not None else 20_000
+    cfg = RolloutConfig(seed=seed, sample_count=samples, bin_count=bins)
+    feature_bits, action_bits = rollout_entropy(params, cfg)
+    measures = [
+        MeasureResult(
+            "feature_entropy_sum_bits",
+            feature_bits,
+            "uniform random actions, restart on failure; pre-step states; "
+            f"per-feature min-max then {bins} bins; bits summed over features",
+            monte_carlo(seed, samples),
+        ),
+        MeasureResult(
+            "action_entropy_bits",
+            action_bits,
+            "empirical entropy of the uniform random action stream",
+            monte_carlo(seed, samples),
+        ),
+    ]
+    notes = [] if params.variant != "3d" else [
+        "published 3d action entropy 2.322 bits equals log2(5); this "
+        "action set has 4 pushes, so 2.0 bits is the ceiling here"
+    ]
+    return measures, notes

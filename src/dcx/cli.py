@@ -1,7 +1,8 @@
-"""Command-line surface. Each subcommand computes its measures and notes;
-`main` assembles them into one ComplexityReport, annotated with the
-published targets from the reference table, and emits it as text, JSON,
-or CSV. Exit code 0 on success, 1 on measure errors, 2 on usage errors.
+"""Command-line surface. Each subcommand resolves its input and takes the
+report's measures and notes from its domain module; `main`
+assembles them into one ComplexityReport, annotated with the published
+targets from the reference table, and emits it as text, JSON, or CSV.
+Exit code 0 on success, 1 on measure errors, 2 on usage errors.
 
 The cart-pole simulator and the dataset modules, and with them numpy, are
 imported in the branch that computes with them, so the closed-form
@@ -16,19 +17,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import descriptors, games
 from .errors import DcxError, FormatError
-from .measures import (
-    ANALYTIC,
-    ENUMERATED,
-    MeasureResult,
-    log10_product,
-    monte_carlo,
-    normalized_entropy,
-)
+# log10_product and normalized_entropy are no longer called here, but stay
+# importable from this module: the benchmark's traced run
+# (perfbench/spans.py) wraps them under these names.
+from .measures import MeasureResult, log10_product, normalized_entropy  # noqa: F401
 from .report import (
     ComplexityReport,
     ReferenceTarget,
@@ -198,91 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _game_spec(args) -> tuple[games.GridGameSpec, int]:
-    if args.preset != "custom":
-        spec = games.preset(args.preset)
-        default_avg = {"ttt": 9, "qubic": 20}[args.preset]
-        avg = args.avg_length if args.avg_length is not None else default_avg
-        return spec, avg
-    missing = [n for n in ("side", "dims", "plies", "win") if getattr(args, n) is None]
-    if missing:
-        raise DcxError(f"custom games need --side --dims --plies --win (missing {missing})")
-    spec = games.GridGameSpec(
-        side=args.side, dims=args.dims, max_plies=args.plies, win_length=args.win
-    )
-    avg = args.avg_length if args.avg_length is not None else min(spec.max_plies, spec.cells)
-    return spec, avg
-
-
 def _run_game(args) -> _Fields:
-    spec, avg = _game_spec(args)
-    total, log10_total = games.ssc_combinatorial(spec)
-    measures = [
-        MeasureResult(
-            "ssc_upper_bound_log10",
-            games.ssc_upper_bound(spec),
-            "log10(3^cells): each cell empty or one of two marks",
-            ANALYTIC,
-        ),
-        MeasureResult(
-            "ssc_combinatorial_log10",
-            log10_total,
-            "log10 of the exact sum over per-ply stone-count arrangements",
-            ANALYTIC,
-        ),
-    ]
-    notes = []
-    try:
-        total_value = float(total)
-    except OverflowError:
-        notes.append(
-            "ssc_combinatorial_total omitted: the exact total exceeds the "
-            "float range; ssc_combinatorial_log10 carries its magnitude"
-        )
+    if args.preset != "custom":
+        spec, name = games.preset(args.preset), args.preset
     else:
-        measures.append(
-            MeasureResult(
-                "ssc_combinatorial_total",
-                total_value,
-                "exact integer total of per-ply stone-count arrangements",
-                ANALYTIC,
-            )
+        missing = [n for n in ("side", "dims", "plies", "win") if getattr(args, n) is None]
+        if missing:
+            raise DcxError(f"custom games need --side --dims --plies --win (missing {missing})")
+        spec = games.GridGameSpec(
+            side=args.side, dims=args.dims, max_plies=args.plies, win_length=args.win
         )
-    measures.append(
-        MeasureResult(
-            "gtc_factorial_log10",
-            games.gtc_factorial(spec.cells, avg),
-            "log10 of the falling factorial cells! / (cells - avg_moves)!",
-            ANALYTIC,
-        )
-    )
-    if not args.no_enumerate and spec.cells <= games.ENUMERATION_CELL_LIMIT:
-        raw = games.enumerate_states(spec, symmetry=False)
-        sym = games.enumerate_states(spec, symmetry=True)
-        measures += [
-            MeasureResult(
-                "legal_positions_total",
-                float(raw.total),
-                "breadth-first count of reachable positions; wins halt expansion",
-                ENUMERATED,
-            ),
-            MeasureResult(
-                "symmetry_classes_total",
-                float(sym.total),
-                "breadth-first count of canonical forms under the board symmetry group",
-                ENUMERATED,
-            ),
-            replace(games.ply_entropy(raw), measure_name="ply_entropy_raw"),
-            replace(games.ply_entropy(sym), measure_name="ply_entropy_sym"),
-        ]
-    elif not args.no_enumerate:
-        notes.append(
-            f"enumeration skipped: {spec.cells} cells exceeds the "
-            f"{games.ENUMERATION_CELL_LIMIT}-cell guard"
-        )
-    name = args.preset if args.preset != "custom" else (
-        f"grid_{spec.side}x{spec.dims}d_win{spec.win_length}"
-    )
+        name = f"grid_{spec.side}x{spec.dims}d_win{spec.win_length}"
+    measures, notes = games.grid_measures(spec, args.avg_length, not args.no_enumerate)
     return name, None, measures, notes, None
 
 
@@ -311,224 +234,41 @@ def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
 
 
 def _run_descriptor(args) -> _Fields:
-    return _describe(_resolve_descriptor(args.source), args.breakdown, [])
-
-
-def _describe(
-    d: descriptors.DomainDescriptor, breakdown: str | None, notes: list[str]
-) -> _Fields:
-    """The descriptor report's fields; notes lead the descriptor's own."""
-    measures = [
-        MeasureResult(
-            "state_space_complexity_log10",
-            descriptors.state_space_complexity(d),
-            "sum of log10 cardinalities over firm state components",
-            ANALYTIC,
-        ),
-        MeasureResult(
-            "environment_space_bound_log10",
-            descriptors.environment_space_bound(d),
-            "state-space arithmetic read as a bound on raw environment states",
-            ANALYTIC,
-        ),
-    ]
-    slack = descriptors.estimated_slack_log10(d)
-    if slack:
-        measures.append(
-            MeasureResult(
-                "estimated_slack_log10",
-                slack,
-                "log10 contributed by estimate-marked components, kept out of firm sums",
-                ANALYTIC,
-            )
-        )
-    if d.instance_components():
-        measures.append(
-            MeasureResult(
-                "game_space_complexity_log10",
-                descriptors.game_space_complexity(d, include_initial_states=True),
-                "sum over instance components plus the initial-state factor",
-                ANALYTIC,
-            )
-        )
-    if d.branching_factor >= 2:
-        measures.append(
-            MeasureResult(
-                "tree_complexity_uniform_sum_log10",
-                descriptors.tree_complexity(d, "uniform_sum"),
-                "log10 of the exact sum of b^i for i = 1..max_game_length",
-                ANALYTIC,
-            )
-        )
-        measures.append(
-            MeasureResult(
-                "tree_complexity_power_log10",
-                descriptors.tree_complexity(d, "power"),
-                "avg_game_length * log10(branching_factor)",
-                ANALYTIC,
-            )
-        )
-    measures.append(
-        MeasureResult(
-            "branching_factor", float(d.branching_factor), "descriptor field", ANALYTIC
-        )
-    )
-    measures.append(
-        MeasureResult(
-            "avg_game_length", float(d.avg_game_length), "descriptor field", ANALYTIC
-        )
-    )
-    notes = notes + list(d.notes)
-    if descriptors.estimated_slack_log10(d):
-        notes.append(
-            "estimate-marked components are reported separately as "
-            "estimated_slack_log10 and excluded from the firm sums"
-        )
-    if breakdown:
-        measures.append(descriptors.information_entropy(_resolve_breakdown(breakdown)))
-    if d.name == "monopoly":
-        railroads = descriptors.strategy_entropy([0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3])
-        boardwalk = descriptors.strategy_entropy([0.5, 1 / 6, 1 / 6, 1 / 6])
-        measures.append(replace(railroads, measure_name="strategy_entropy_railroads"))
-        measures.append(replace(boardwalk, measure_name="strategy_entropy_boardwalk"))
-        notes.append(
-            "strategy entropies assume one advantaged player (80% or 50% win "
-            "chance) with the rest split evenly"
-        )
+    d = _resolve_descriptor(args.source)
+    breakdown = _resolve_breakdown(args.breakdown) if args.breakdown else None
+    measures, notes = descriptors.descriptor_measures(d, breakdown)
     return d.name, None, measures, notes, None
 
 
 def _run_cartpole(args) -> _Fields:
     domain = _VARIANT_DESCRIPTOR[args.variant]
-    notes = [] if args.variant != "3d" else [_3D_NOTE]
+    lead = [_3D_NOTE] if args.variant == "3d" else []
     if args.measure == "table":
-        return _describe(descriptors.bundled_descriptor(domain), None, notes)
+        measures, notes = descriptors.descriptor_measures(descriptors.bundled_descriptor(domain))
+        return domain, None, measures, lead + notes, None
 
     from . import cartpole as cp
 
     params = cp.params_for_variant(args.variant)
     if args.measure == "limit":
-        measures = [
-            MeasureResult(
-                "constant_action_limit",
-                cp.constant_action_limit(params, args.trials, args.seed),
-                "mean repeated identical pushes until failure; uniform "
-                "[-0.05, 0.05] inits; the failing step is counted",
-                monte_carlo(args.seed, args.trials),
-            )
-        ]
+        measures, notes = cp.limit_measures(params, args.trials, args.seed)
     elif args.measure == "sparsity":
-        samples = args.samples if args.samples is not None else 100_000
-        if args.limit is not None:
-            limit = args.limit
-            limit_source = "user-provided action limit"
-        else:
-            limit = cp.constant_action_limit(params, args.trials, args.seed)
-            limit_source = "measured constant-action limit"
-        value = cp.analytic_sparsity(
-            limit,
-            episode_length=args.episode_length,
-            samples=samples,
-            seed=args.seed,
-            axes=params.axis_count,
+        measures, notes = cp.sparsity_measures(
+            params, args.limit, args.trials, args.samples, args.episode_length, args.seed
         )
-        measures = [
-            MeasureResult(
-                "analytic_sparsity",
-                value,
-                "fraction of random +/-1 walks staying inside the action-limit "
-                f"band; one full-length walk per axis; band from {limit_source}; "
-                f"episode_length={args.episode_length}; fractional limits "
-                "dither the integer band per sample",
-                monte_carlo(args.seed, samples),
-            ),
-            MeasureResult(
-                "action_limit_band",
-                limit,
-                limit_source,
-                ANALYTIC if args.limit is not None else monte_carlo(args.seed, args.trials),
-            ),
-        ]
     else:
-        samples = args.samples if args.samples is not None else 20_000
-        cfg = cp.RolloutConfig(seed=args.seed, sample_count=samples, bin_count=args.bins)
-        feature_bits, action_bits = cp.rollout_entropy(params, cfg)
-        measures = [
-            MeasureResult(
-                "feature_entropy_sum_bits",
-                feature_bits,
-                "uniform random actions, restart on failure; pre-step states; "
-                f"per-feature min-max then {args.bins} bins; bits summed over features",
-                monte_carlo(args.seed, samples),
-            ),
-            MeasureResult(
-                "action_entropy_bits",
-                action_bits,
-                "empirical entropy of the uniform random action stream",
-                monte_carlo(args.seed, samples),
-            ),
-        ]
-        if args.variant == "3d":
-            notes.append(
-                "published 3d action entropy 2.322 bits equals log2(5); this "
-                "action set has 4 pushes, so 2.0 bits is the ceiling here"
-            )
-    return domain, args.measure, measures, notes, args.seed
-
-
-def _run_iris(args) -> _Fields:
-    import numpy as np
-
-    from . import dataset_metrics as dm
-    from . import datasets
-
-    ds = datasets.load_iris()
-    measures = []
-    if args.measure == "dimensionality":
-        measures.append(
-            MeasureResult(
-                "feature_space_dimensionality_log10",
-                log10_product([ds.row_count, len(ds.feature_names) + 1]),
-                "log10 of rows x columns (features plus the class label)",
-                ANALYTIC,
-            )
-        )
-    elif args.measure in ("gini", "sparsity"):
-        for class_name in ds.class_names:
-            for feature_name in ds.feature_names:
-                measures.append(
-                    MeasureResult(
-                        f"gini_{class_name}_{feature_name}",
-                        dm.tabular_gini(ds, class_name, feature_name),
-                        "Gini index over the raw per-class measurement values",
-                        ANALYTIC,
-                    )
-                )
-    else:
-        counts = np.bincount(ds.labels, minlength=len(ds.class_names))
-        measures.append(
-            MeasureResult(
-                "class_distribution_entropy",
-                normalized_entropy(counts / counts.sum(), len(ds.class_names)),
-                "normalized entropy of the class label distribution; "
-                f"event_count = {len(ds.class_names)}",
-                ANALYTIC,
-            )
-        )
-    return "iris", args.measure, measures, [], None
+        measures, notes = cp.entropy_measures(params, args.samples, args.bins, args.seed)
+    return domain, args.measure, measures, lead + notes, args.seed
 
 
 def _run_dataset(args) -> _Fields:
-    name = args.name
-    if name == "iris":
-        return _run_iris(args)
-
-    import numpy as np
-
     from . import dataset_metrics as dm
     from . import datasets
 
-    mode = args.mode or ("binarized" if name == "mnist" else "raw")
+    name = args.name
+    if name == "iris":
+        measures, notes = dm.iris_measures(datasets.load_iris(), args.measure)
+        return name, args.measure, measures, notes, None
     split = args.split or ("train" if name == "mnist" and args.measure == "entropy" else "all")
     directory = args.data_dir or Path(os.environ.get("DCX_DATA_DIR") or "data")
     load = datasets.load_mnist if name == "mnist" else datasets.load_cifar10
@@ -538,80 +278,7 @@ def _run_dataset(args) -> _Fields:
         raise DcxError(
             f"{name} files not found: {exc}; pass --data-dir or set DCX_DATA_DIR"
         ) from exc
-    measures: list[MeasureResult] = []
-    notes = []
-    if args.measure == "dimensionality":
-        if mode == "binarized" and name == "mnist":
-            ds = datasets.binarize(ds)
-        measures.append(
-            MeasureResult(
-                "feature_space_dimensionality_log10",
-                dm.feature_space_dimensionality(ds),
-                "log10 of pixels x channels x classes x pixel values x images; "
-                f"pixel values = {ds.pixel_value_count}",
-                ANALYTIC,
-            )
-        )
-    elif args.measure == "sparsity":
-        if name == "mnist":
-            ds = datasets.binarize(ds)
-            convention = "mean zero-pixel fraction after binarization at threshold 0"
-        else:
-            convention = "mean zero-valued fraction over raw intensities"
-        per_image = dm.image_zero_sparsities(ds.images)
-        measures.append(
-            MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
-        )
-        if name == "mnist":
-            for summary in dm.summarize_by_class(per_image, ds.labels, ds.class_names):
-                measures.append(
-                    MeasureResult(
-                        f"zero_sparsity_mean_{summary.class_name}",
-                        summary.mean,
-                        "per-class mean zero-pixel fraction",
-                        ANALYTIC,
-                    )
-                )
-    elif args.measure == "gini":
-        channels = ("red", "green", "blue") if ds.channel_count == 3 else ("gray",)
-        values, skipped = dm.channel_ginis(ds.images)
-        for c, channel_name in enumerate(channels):
-            measures.append(
-                MeasureResult(
-                    f"gini_median_{channel_name}",
-                    float(np.nanmedian(values[:, c])),
-                    "median over images of the per-image channel Gini index",
-                    ANALYTIC,
-                )
-            )
-        if skipped:
-            notes.append(f"{skipped} all-zero channel planes skipped")
-    else:
-        binarize_first = name == "mnist" and mode == "binarized"
-        per_image = dm.image_entropies(ds.images, binarize_first=binarize_first)
-        summaries = dm.summarize_by_class(per_image, ds.labels, ds.class_names)
-        convention = (
-            "normalized per-image intensity entropy, 256 bins over [0, 255], "
-            "channels pooled"
-            + ("; binarized to bins 0 and 255 first" if binarize_first else "")
-        )
-        measures.append(
-            MeasureResult(
-                "entropy_median_of_medians",
-                dm.median_of_medians(summaries),
-                convention + f"; split = {split}",
-                ANALYTIC,
-            )
-        )
-        for summary in summaries:
-            measures.append(
-                MeasureResult(
-                    f"entropy_median_{summary.class_name}",
-                    summary.median,
-                    convention,
-                    ANALYTIC,
-                )
-            )
+    measures, notes = dm.image_measures(name, ds, args.measure, args.mode, split)
     return name, args.measure, measures, notes, None
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import datasets
 from .datasets import LabeledImageDataset, TabularDataset
 from .errors import DegenerateInput, InvalidParameter, InvalidValue
 # histogram and shannon_entropy are no longer called here, but stay
@@ -22,6 +23,7 @@ from .measures import (  # noqa: F401
     gini,
     histogram,
     log10_product,
+    normalized_entropy,
     shannon_entropy,
 )
 
@@ -304,3 +306,121 @@ def median_of_medians(summaries: list[ClassSummary]) -> float:
     if not summaries:
         raise DegenerateInput("no class summaries to aggregate")
     return float(np.median([s.median for s in summaries]))
+
+
+# One function per dataset report: each returns its measures and notes.
+# They call datasets.binarize through the module, where the traced run wraps it.
+def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureResult], list[str]]:
+    """measure is dimensionality, gini (also sparsity) or entropy."""
+    if measure == "dimensionality":
+        return [
+            MeasureResult(
+                "feature_space_dimensionality_log10",
+                log10_product([dataset.row_count, len(dataset.feature_names) + 1]),
+                "log10 of rows x columns (features plus the class label)",
+                ANALYTIC,
+            )
+        ], []
+    if measure in ("gini", "sparsity"):
+        return [
+            MeasureResult(
+                f"gini_{class_name}_{feature_name}",
+                tabular_gini(dataset, class_name, feature_name),
+                "Gini index over the raw per-class measurement values",
+                ANALYTIC,
+            )
+            for class_name in dataset.class_names
+            for feature_name in dataset.feature_names
+        ], []
+    class_count = len(dataset.class_names)
+    counts = np.bincount(dataset.labels, minlength=class_count)
+    return [
+        MeasureResult(
+            "class_distribution_entropy",
+            normalized_entropy(counts / counts.sum(), class_count),
+            "normalized entropy of the class label distribution; "
+            f"event_count = {class_count}",
+            ANALYTIC,
+        )
+    ], []
+
+
+def image_measures(
+    name: str, dataset: LabeledImageDataset, measure: str, mode: str | None = None,
+    split: str = "all",
+) -> tuple[list[MeasureResult], list[str]]:
+    """name is mnist or cifar10; measure is dimensionality, sparsity, gini
+    or entropy. MNIST is binarized unless mode is raw (sparsity always
+    binarizes it); CIFAR-10 is always raw. split, the part of the dataset
+    loaded, is recorded in the entropy convention."""
+    mnist = name == "mnist"
+    binarized = mnist and mode != "raw"
+    measures: list[MeasureResult] = []
+    notes = []
+    if measure == "dimensionality":
+        if binarized:
+            dataset = datasets.binarize(dataset)
+        measures.append(
+            MeasureResult(
+                "feature_space_dimensionality_log10",
+                feature_space_dimensionality(dataset),
+                "log10 of pixels x channels x classes x pixel values x images; "
+                f"pixel values = {dataset.pixel_value_count}",
+                ANALYTIC,
+            )
+        )
+    elif measure == "sparsity":
+        if mnist:
+            dataset = datasets.binarize(dataset)
+            convention = "mean zero-pixel fraction after binarization at threshold 0"
+        else:
+            convention = "mean zero-valued fraction over raw intensities"
+        per_image = image_zero_sparsities(dataset.images)
+        measures.append(
+            MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
+        )
+        if mnist:
+            measures += [
+                MeasureResult(
+                    f"zero_sparsity_mean_{summary.class_name}",
+                    summary.mean,
+                    "per-class mean zero-pixel fraction",
+                    ANALYTIC,
+                )
+                for summary in summarize_by_class(per_image, dataset.labels, dataset.class_names)
+            ]
+    elif measure == "gini":
+        channels = ("red", "green", "blue") if dataset.channel_count == 3 else ("gray",)
+        values, skipped = channel_ginis(dataset.images)
+        measures += [
+            MeasureResult(
+                f"gini_median_{channel_name}",
+                float(np.nanmedian(values[:, c])),
+                "median over images of the per-image channel Gini index",
+                ANALYTIC,
+            )
+            for c, channel_name in enumerate(channels)
+        ]
+        if skipped:
+            notes.append(f"{skipped} all-zero channel planes skipped")
+    else:
+        per_image = image_entropies(dataset.images, binarize_first=binarized)
+        summaries = summarize_by_class(per_image, dataset.labels, dataset.class_names)
+        convention = (
+            "normalized per-image intensity entropy, 256 bins over [0, 255], "
+            "channels pooled"
+            + ("; binarized to bins 0 and 255 first" if binarized else "")
+        )
+        measures.append(
+            MeasureResult(
+                "entropy_median_of_medians",
+                median_of_medians(summaries),
+                convention + f"; split = {split}",
+                ANALYTIC,
+            )
+        )
+        measures += [
+            MeasureResult(f"entropy_median_{s.class_name}", s.median, convention, ANALYTIC)
+            for s in summaries
+        ]
+    return measures, notes

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -324,6 +324,84 @@ def strategy_entropy(win_probabilities) -> MeasureResult:
         convention=f"win probabilities; event_count = {len(probs)} players",
         provenance=ANALYTIC,
     )
+
+
+def descriptor_measures(
+    d: DomainDescriptor, breakdown: InformationBreakdown | None = None
+) -> tuple[list[MeasureResult], list[str]]:
+    """The descriptor report's measures and notes; a breakdown adds the
+    information entropy."""
+    measures = [
+        MeasureResult(
+            "state_space_complexity_log10",
+            state_space_complexity(d),
+            "sum of log10 cardinalities over firm state components",
+            ANALYTIC,
+        ),
+        MeasureResult(
+            "environment_space_bound_log10",
+            environment_space_bound(d),
+            "state-space arithmetic read as a bound on raw environment states",
+            ANALYTIC,
+        ),
+    ]
+    notes = list(d.notes)
+    slack = estimated_slack_log10(d)
+    if slack:
+        measures.append(
+            MeasureResult(
+                "estimated_slack_log10",
+                slack,
+                "log10 contributed by estimate-marked components, kept out of firm sums",
+                ANALYTIC,
+            )
+        )
+        notes.append(
+            "estimate-marked components are reported separately as "
+            "estimated_slack_log10 and excluded from the firm sums"
+        )
+    if d.instance_components():
+        measures.append(
+            MeasureResult(
+                "game_space_complexity_log10",
+                game_space_complexity(d, include_initial_states=True),
+                "sum over instance components plus the initial-state factor",
+                ANALYTIC,
+            )
+        )
+    if d.branching_factor >= 2:
+        measures += [
+            MeasureResult(
+                "tree_complexity_uniform_sum_log10",
+                tree_complexity(d, "uniform_sum"),
+                "log10 of the exact sum of b^i for i = 1..max_game_length",
+                ANALYTIC,
+            ),
+            MeasureResult(
+                "tree_complexity_power_log10",
+                tree_complexity(d, "power"),
+                "avg_game_length * log10(branching_factor)",
+                ANALYTIC,
+            ),
+        ]
+    for field_name in ("branching_factor", "avg_game_length"):
+        measures.append(
+            MeasureResult(field_name, float(getattr(d, field_name)), "descriptor field", ANALYTIC)
+        )
+    if breakdown is not None:
+        measures.append(information_entropy(breakdown))
+    if d.name == "monopoly":
+        for strategy, probabilities in (
+            ("railroads", [0.8, 0.2 / 3, 0.2 / 3, 0.2 / 3]),
+            ("boardwalk", [0.5, 1 / 6, 1 / 6, 1 / 6]),
+        ):
+            result = strategy_entropy(probabilities)
+            measures.append(replace(result, measure_name=f"strategy_entropy_{strategy}"))
+        notes.append(
+            "strategy entropies assume one advantaged player (80% or 50% win "
+            "chance) with the rest split evenly"
+        )
+    return measures, notes
 
 
 def path_sparsity_bound(

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateInput, InvalidParameter, ResourceLimit
-from .measures import ENUMERATED, MeasureResult, log10_int, normalized_entropy
+from .measures import ANALYTIC, ENUMERATED, MeasureResult, log10_int, normalized_entropy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,6 +64,9 @@ TIC_TAC_TOE = GridGameSpec(side=3, dims=2, max_plies=9, win_length=3)
 QUBIC = GridGameSpec(side=4, dims=3, max_plies=64, win_length=4)
 
 PRESETS = {"ttt": TIC_TAC_TOE, "qubic": QUBIC}
+
+# published average game lengths; any other board defaults to its max_plies
+_AVERAGE_GAME_LENGTHS = {TIC_TAC_TOE: 9, QUBIC: 20}
 
 
 def preset(name: str) -> GridGameSpec:
@@ -282,13 +285,13 @@ def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribut
     on, positions are replaced by canonical_positions (the minimum packed
     image) before deduplication, giving one position per class.
     """
-    import numpy as np
-
-    if spec.cells > ENUMERATION_CELL_LIMIT:
+    if spec.cells > ENUMERATION_CELL_LIMIT:  # refused before numpy loads
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
             f"got {spec.cells}"
         )
+    import numpy as np
+
     lines = _line_masks(spec)
     cell_bits = np.uint32(1) << np.arange(spec.cells, dtype=np.uint32)
     frontier = np.zeros(1, dtype=np.uint32)
@@ -324,7 +327,7 @@ def ply_entropy(dist: PlyDistribution) -> MeasureResult:
     value = normalized_entropy(probs, event_count=len(counts))
     kind = "symmetry-reduced" if dist.symmetry_reduced else "raw legal"
     return MeasureResult(
-        measure_name="ply_entropy",
+        measure_name="ply_entropy_sym" if dist.symmetry_reduced else "ply_entropy_raw",
         value=value,
         convention=(
             f"per-ply {kind} position counts / total; "
@@ -332,3 +335,81 @@ def ply_entropy(dist: PlyDistribution) -> MeasureResult:
         ),
         provenance=ENUMERATED,
     )
+
+
+def grid_measures(
+    spec: GridGameSpec, avg_game_length: int | None = None, enumeration: bool = True
+) -> tuple[list[MeasureResult], list[str]]:
+    """The game report's measures and notes. avg_game_length (default: a
+    preset board's published length, else max_plies) feeds the factorial
+    tree count; boards past the enumeration limit get a note instead of
+    the enumerated counts."""
+    if avg_game_length is None:
+        avg_game_length = _AVERAGE_GAME_LENGTHS.get(spec, spec.max_plies)
+    total, log10_total = ssc_combinatorial(spec)
+    measures = [
+        MeasureResult(
+            "ssc_upper_bound_log10",
+            ssc_upper_bound(spec),
+            "log10(3^cells): each cell empty or one of two marks",
+            ANALYTIC,
+        ),
+        MeasureResult(
+            "ssc_combinatorial_log10",
+            log10_total,
+            "log10 of the exact sum over per-ply stone-count arrangements",
+            ANALYTIC,
+        ),
+    ]
+    notes = []
+    try:
+        total_value = float(total)
+    except OverflowError:
+        notes.append(
+            "ssc_combinatorial_total omitted: the exact total exceeds the "
+            "float range; ssc_combinatorial_log10 carries its magnitude"
+        )
+    else:
+        measures.append(
+            MeasureResult(
+                "ssc_combinatorial_total",
+                total_value,
+                "exact integer total of per-ply stone-count arrangements",
+                ANALYTIC,
+            )
+        )
+    measures.append(
+        MeasureResult(
+            "gtc_factorial_log10",
+            gtc_factorial(spec.cells, avg_game_length),
+            "log10 of the falling factorial cells! / (cells - avg_moves)!",
+            ANALYTIC,
+        )
+    )
+    if not enumeration:
+        return measures, notes
+    try:
+        raw = enumerate_states(spec, symmetry=False)
+    except ResourceLimit:
+        notes.append(
+            f"enumeration skipped: {spec.cells} cells exceeds the "
+            f"{ENUMERATION_CELL_LIMIT}-cell guard"
+        )
+        return measures, notes
+    sym = enumerate_states(spec, symmetry=True)
+    measures += [
+        MeasureResult(
+            "legal_positions_total",
+            float(raw.total),
+            "breadth-first count of reachable positions; wins halt expansion",
+            ENUMERATED,
+        ),
+        MeasureResult(
+            "symmetry_classes_total",
+            float(sym.total),
+            "breadth-first count of canonical forms under the board symmetry group",
+            ENUMERATED,
+        ),
+        ply_entropy(raw), ply_entropy(sym),
+    ]
+    return measures, notes

@@ -7,6 +7,7 @@ import pytest
 
 from dcx.cartpole import (
     INIT_BOUND,
+    WALK_STEP_BUDGET,
     CartPoleParams,
     RolloutConfig,
     _axis_forces,
@@ -18,7 +19,7 @@ from dcx.cartpole import (
     rollout_entropy,
     step,
 )
-from dcx.errors import InvalidAction, InvalidParameter
+from dcx.errors import InvalidAction, InvalidParameter, ResourceLimit
 
 
 def exact_band_survival(band: int, length: int) -> float:
@@ -255,6 +256,11 @@ class TestConstantActionLimit:
             assert got.hex() == oracle_constant_action_limit(p, trials, seed).hex()
 
 
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(InvalidParameter, match="seed"):
+            constant_action_limit(params_for_variant("2d"), 10, -1)
+
+
 class TestAnalyticSparsity:
     def test_band_wider_than_episode_is_certain(self):
         assert analytic_sparsity(250.0, episode_length=200) == 1.0
@@ -335,6 +341,16 @@ class TestAnalyticSparsity:
             analytic_sparsity(9.0, axes=3)
         with pytest.raises(InvalidParameter):
             analytic_sparsity(9.0, samples=0)
+        with pytest.raises(InvalidParameter, match="seed"):
+            analytic_sparsity(9.0, samples=10, seed=-1)
+
+    def test_refuses_work_past_the_step_budget_before_drawing(self):
+        # a drawing call would run for hours at these sizes, so refusing
+        # promptly shows the check comes first
+        over = WALK_STEP_BUDGET // 200 + 1
+        for samples, axes in ((over, 1), (over // 2 + 1, 2), (10**12, 1)):
+            with pytest.raises(ResourceLimit, match="budget"):
+                analytic_sparsity(9.0, episode_length=200, samples=samples, axes=axes)
 
 
 class TestRolloutEntropy:
@@ -358,6 +374,10 @@ class TestRolloutEntropy:
         feature_bits, action_bits = rollout_entropy(p, cfg)
         assert 0.0 < feature_bits <= 8 * 8
         assert action_bits == pytest.approx(2.0, abs=0.05)
+
+    def test_refuses_a_negative_seed(self):
+        with pytest.raises(InvalidParameter, match="seed"):
+            RolloutConfig(seed=-1)
 
     def test_deterministic_under_seed(self):
         p = params_for_variant("2d")

@@ -1,5 +1,6 @@
 """Report serialization, comparison rules, and the command-line surface."""
 
+import ast
 import json
 import os
 import resource
@@ -62,6 +63,23 @@ def sample_report(domain="toy", value=1.5, convention="stated") -> ComplexityRep
         seed=3,
         notes=("first note", "second note"),
     )
+
+
+def test_cli_builds_no_measures():
+    # every measure's name, convention and provenance is written in the
+    # domain module that computes it; the CLI only resolves inputs and
+    # assembles what the domain modules return
+    tree = ast.parse(Path(dcx.cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            assert getattr(func, "id", getattr(func, "attr", None)) != "MeasureResult"
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            assert not names & {"ANALYTIC", "ENUMERATED", "monte_carlo"}, node.module
+            assert not (node.module == "dataclasses" and "replace" in names)
+        elif isinstance(node, ast.Import):
+            assert "dataclasses" not in {alias.name for alias in node.names}
 
 
 class TestSerialization:
@@ -344,6 +362,7 @@ class TestCli:
             ["--measure", "sparsity", "--trials", "1000000000"],
             ["--measure", "entropy", "--samples", "10000000000"],
             ["--measure", "entropy", "--bins", "100000000000"],
+            ["--measure", "sparsity", "--limit", "5", "--samples", "1000000000000"],
         ],
     )
     def test_cartpole_refuses_oversized_work_before_allocating(self, args):
@@ -354,6 +373,45 @@ class TestCli:
         assert "budget" in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["game", "ttt", "--avg-length", "0"],
+            ["cartpole", "--measure", "entropy", "--samples", "0"],
+            ["cartpole", "--measure", "sparsity", "--limit", "3", "--samples", "0"],
+            ["cartpole", "--measure", "limit", "--trials", "0"],
+            ["cartpole", "--measure", "sparsity", "--trials", "0"],
+            ["cartpole", "--measure", "entropy", "--samples", "10", "--bins", "0"],
+            ["cartpole", "--measure", "sparsity", "--limit", "3", "--episode-length", "0"],
+        ],
+    )
+    def test_zero_valued_flags_exit_1(self, args, capsys):
+        # a zero is a value the kernel refuses, never a request for the default
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ")
+
+    @pytest.mark.parametrize("measure", ["limit", "sparsity", "entropy"])
+    def test_negative_seed_exits_1_without_traceback(self, measure):
+        result = run_python(
+            "-m", "dcx.cli", "--seed", "-1", "cartpole", "--measure", measure,
+            "--trials", "10", "--samples", "10",
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ") and "seed" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["game", "ttt", "--no-enumerate"], ["descriptor", "pogo"], ["cartpole", "--measure", "table"]],
+    )
+    def test_closed_forms_accept_any_seed(self, args, capsys):
+        # no value of these reports depends on the seed
+        assert main(["--seed", "-1", *args]) == 0
+        assert main(["--seed", str(2**70), *args]) == 0
 
     def test_cartpole_3d_reports_carry_deviation_note(self, capsys):
         for measure in ("table", "limit"):
