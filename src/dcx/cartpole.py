@@ -4,10 +4,13 @@ from two independent planar systems.
 
 Supports the empirical measures on top: constant-action limit, Monte Carlo
 band-survival sparsity, and random-rollout feature/action entropy. One
-formula, _planar_update, holds the dynamics: the rollout steps Python floats
-with math's sine and cosine, the constant-action trials step numpy columns
-with numpy's, and both give the same bits for the same state. Each measure
-refuses work whose arrays would exceed MEMORY_BUDGET before it allocates.
+formula, bound to a variant's constants by _planar, holds the dynamics: the
+rollout steps Python floats with math's sine and cosine, the constant-action
+trials step numpy columns with numpy's. The two are not bit-interchangeable:
+a Python float's ** 2 is libm's pow and a numpy array's is x * x, which
+differ in the last bit on about one uniform double in a thousand. So each
+is pinned to its own oracle in the tests. Each measure refuses work whose
+arrays would exceed MEMORY_BUDGET before it allocates.
 """
 
 from __future__ import annotations
@@ -108,40 +111,49 @@ def params_for_variant(variant: str) -> CartPoleParams:
     raise InvalidParameter(f"variant must be one of {VARIANTS}")
 
 
-def _planar_update(x, x_dot, theta, theta_dot, sin, cos, force, p: CartPoleParams):
-    """One semi-implicit Euler step of the planar dynamics.
+def _planar(p: CartPoleParams):
+    """The planar dynamics with p's constants bound once.
 
-    Works elementwise on scalars and numpy arrays alike; sin and cos are
-    sin(theta) and cos(theta), computed by the caller. The squares stay
-    powers: a Python or numpy float ** 2 calls libm's pow, which can differ
-    from c * c in the last bit.
+    Returns update(x, x_dot, theta, theta_dot, sin, cos, force), one
+    semi-implicit Euler step that works elementwise on Python floats and
+    numpy arrays alike; sin and cos are sin(theta) and cos(theta), computed
+    by the caller. The squares stay ** 2: on a Python float that calls
+    libm's pow, which can differ from v * v in the last bit, while on a
+    numpy array it is np.square, that is x * x. So scalar and array steps
+    of one state need not agree to the bit; each is checked against its
+    own oracle.
     """
-    total_mass = p.cart_mass + p.pole_mass
-    pole_ml = p.pole_mass * p.pole_half_length
-    temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
-    theta_acc = (p.gravity * sin - cos * temp) / (
-        p.pole_half_length * (4.0 / 3.0 - p.pole_mass * cos**2 / total_mass)
-    )
-    x_acc = temp - pole_ml * theta_acc * cos / total_mass
-    return (
-        x + p.timestep * x_dot,
-        x_dot + p.timestep * x_acc,
-        theta + p.timestep * theta_dot,
-        theta_dot + p.timestep * theta_acc,
-    )
+    gravity, pole_mass, half_length, dt = p.gravity, p.pole_mass, p.pole_half_length, p.timestep
+    total_mass = p.cart_mass + pole_mass
+    pole_ml = pole_mass * half_length
+
+    def update(x, x_dot, theta, theta_dot, sin, cos, force):
+        temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
+        theta_acc = (gravity * sin - cos * temp) / (
+            half_length * (4.0 / 3.0 - pole_mass * cos**2 / total_mass)
+        )
+        x_acc = temp - pole_ml * theta_acc * cos / total_mass
+        return (
+            x + dt * x_dot,
+            x_dot + dt * x_acc,
+            theta + dt * theta_dot,
+            theta_dot + dt * theta_acc,
+        )
+
+    return update
 
 
-def _advance(state, forces: tuple[float, ...], p: CartPoleParams, sin, cos) -> list:
+def _advance(state, forces: tuple[float, ...], update, sin, cos) -> list:
     """Step every axis block of a flat state under its force.
 
     state holds Python floats (stepped with math.sin/math.cos) or one numpy
-    column per component (stepped with np.sin/np.cos); returns a list of
-    the same kind.
+    column per component (stepped with np.sin/np.cos); update is _planar's
+    step; returns a list of the same kind.
     """
     out = []
     for axis, force in enumerate(forces):
         x, x_dot, theta, theta_dot = state[4 * axis : 4 * axis + 4]
-        out += _planar_update(x, x_dot, theta, theta_dot, sin(theta), cos(theta), force, p)
+        out += update(x, x_dot, theta, theta_dot, sin(theta), cos(theta), force)
     return out
 
 
@@ -183,7 +195,9 @@ def step(
         )
     magnitude = params.force_magnitude if force_override is None else force_override
     forces = _axis_forces(action, params, magnitude)
-    return tuple(float(v) for v in _advance(state, forces, params, math.sin, math.cos))
+    return tuple(
+        float(v) for v in _advance(state, forces, _planar(params), math.sin, math.cos)
+    )
 
 
 def is_failed(state: tuple[float, ...], params: CartPoleParams) -> bool:
@@ -225,12 +239,13 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
     columns = list(start.T)
     del start  # the draw is freed once the first step replaces these views
     forces = _axis_forces(1, params, params.force_magnitude)
+    update = _planar(params)
     steps = np.zeros(trials)
     live = np.arange(trials)
     count = 0
     while live.size:
         count += 1
-        columns = _advance(columns, forces, params, np.sin, np.cos)
+        columns = _advance(columns, forces, update, np.sin, np.cos)
         failed = _columns_failed(columns, params)
         if failed.any():
             steps[live[failed]] = count
@@ -259,8 +274,8 @@ def analytic_sparsity(
     which is unbiased, reduces to the plain integer band at integer limits,
     and keeps survival strictly monotone in the limit under a shared seed.
     """
-    if not limit > 0:  # also refuses NaN
-        raise InvalidParameter("limit must be a positive number")
+    if not 0 < limit < math.inf:  # also refuses NaN
+        raise InvalidParameter(f"limit must be a positive finite number, got {limit}")
     if episode_length < 1 or samples < 1:
         raise InvalidParameter("episode_length and samples must be positive")
     if axes not in (1, 2):
@@ -319,42 +334,92 @@ class RolloutConfig:
             raise InvalidParameter("max_steps must be at least 1")
 
 
+# raw PCG64 words the rollout draws at a time; fixed, so its memory is too
+_WORD_BLOCK = 4096
+
+
+def _raw_words(bits):
+    """The bit generator's 64-bit outputs in order, drawn a block at a time."""
+    while True:
+        yield from bits.random_raw(_WORD_BLOCK).tolist()
+
+
 def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (pre-step state, action) samples of random play.
 
     Actions are drawn one at a time, interleaved with the initial-state
-    draws of each restart, so the sample depends only on the seed.
+    draws of each restart, so the sample depends only on the seed. The
+    draws are read from the PCG64 words behind np.random.default_rng(seed)
+    and replay, bit for bit, what rng.integers(action_count) and
+    rng.uniform(-INIT_BOUND, INIT_BOUND, n) would return:
+    - an action takes the low 32 bits of a new word and keeps the high 32
+      for the next action, as PCG64's next_uint32 does; action counts are
+      powers of two, so Lemire's bounded draw never rejects and is the top
+      log2(action_count) bits of the half;
+    - a restart takes n whole words, w -> (w >> 11) * 2**-53 as in
+      next_double, scaled onto the interval, and leaves a kept half in place.
     """
     n = params.state_size
-    # the samples and a column's histogram temporaries, plus about eight
-    # words per bin (the counts, their Python-int tuple, the probabilities)
+    action_count = params.action_count
+    assert action_count & (action_count - 1) == 0, "the replay needs 2**k actions"
+    # the samples and a column's histogram temporaries, about eight words
+    # per bin (the counts, their Python-int tuple, the probabilities) and
+    # seven per raw word (the uint64 block and its Python ints)
     _check_budget(
-        (cfg.sample_count * (n + 4) + cfg.bin_count * 8) * 8,
+        (cfg.sample_count * (n + 4) + cfg.bin_count * 8 + _WORD_BLOCK * 7) * 8,
         f"rollout_entropy with {cfg.sample_count} {params.variant} samples "
         f"and {cfg.bin_count} bins",
     )
-    rng = np.random.default_rng(cfg.seed)
+    words = _raw_words(np.random.default_rng(cfg.seed).bit_generator)
     features = np.empty((cfg.sample_count, n))
     actions = np.empty(cfg.sample_count, dtype=np.int64)
-    action_forces = [
-        _axis_forces(a, params, params.force_magnitude) for a in range(params.action_count)
+    feature_out, action_out = memoryview(features.reshape(-1)), memoryview(actions)
+    # per action, (offset of the axis block, force) for every axis
+    pushes = [
+        tuple(zip(range(0, n, 4), _axis_forces(a, params, params.force_magnitude)))
+        for a in range(action_count)
     ]
-    draw_action = rng.integers
-    action_count = params.action_count
+    update = _planar(params)
     sin, cos = math.sin, math.cos
+    x_limit, theta_limit = params.position_threshold, params.angle_threshold
+    max_steps = cfg.max_steps
+    shift = 32 - (action_count.bit_length() - 1)  # 32 - log2(action_count)
+    mask = action_count - 1
+    # Generator.uniform(low, high) is low + (high - low) * next_double
+    low, width = -INIT_BOUND, INIT_BOUND - -INIT_BOUND
 
     def fresh() -> list[float]:
-        return rng.uniform(-INIT_BOUND, INIT_BOUND, size=n).tolist()
+        return [low + width * ((next(words) >> 11) * 2.0**-53) for _ in range(n)]
 
     state = fresh()
     age = 0
+    kept = -1  # the high half of the last action word, or -1 once used
+    k = 0
     for i in range(cfg.sample_count):
-        action = int(draw_action(action_count))
-        features[i] = state
-        actions[i] = action
-        state = _advance(state, action_forces[action], params, sin, cos)
+        if kept < 0:
+            word = next(words)
+            action = (word >> shift) & mask
+            kept = word >> 32
+        else:
+            action = kept >> shift
+            kept = -1
+        action_out[i] = action
         age += 1
-        if age >= cfg.max_steps or is_failed(state, params):
+        failed = age >= max_steps
+        for j, force in pushes[action]:
+            x, x_dot, theta, theta_dot = state[j : j + 4]
+            feature_out[k + j] = x
+            feature_out[k + j + 1] = x_dot
+            feature_out[k + j + 2] = theta
+            feature_out[k + j + 3] = theta_dot
+            # the step lands in the locals, for the failure test, and in state
+            x, x_dot, theta, theta_dot = state[j : j + 4] = update(
+                x, x_dot, theta, theta_dot, sin(theta), cos(theta), force
+            )
+            if abs(x) > x_limit or abs(theta) > theta_limit:
+                failed = True
+        k += n
+        if failed:
             state = fresh()
             age = 0
     return features, actions

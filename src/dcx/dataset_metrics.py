@@ -135,7 +135,7 @@ def image_entropies(
         counts = np.bincount(bins.ravel(), minlength=len(chunk) * bin_count)
         counts = counts.reshape(len(chunk), bin_count)
         sums = _pairwise_row_sums(plogp[counts], counts > 0)
-        out[start : start + len(chunk)] = -sums
+        out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
     return out / np.log2(bin_count)
 
 

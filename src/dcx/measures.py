@@ -68,7 +68,8 @@ def shannon_entropy(probabilities: Sequence[float]) -> float:
     p = np.asarray(probabilities, dtype=float).ravel()
     _check_distribution(p)
     nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    # 0.0 - s, not -s: a point mass gives 0.0, not -0.0; all else is -s
+    return float(0.0 - (nz * np.log2(nz)).sum())
 
 
 def normalized_entropy(probabilities: Sequence[float], event_count: int) -> float:

@@ -5,8 +5,10 @@ are checked bit for bit against the straightforward loops they replaced."""
 import numpy as np
 import pytest
 
+from dcx import cartpole
 from dcx.cartpole import (
     INIT_BOUND,
+    MEMORY_BUDGET,
     WALK_STEP_BUDGET,
     CartPoleParams,
     RolloutConfig,
@@ -49,7 +51,7 @@ def brute_force_band_survival(band: int, length: int) -> float:
 def oracle_planar_update(x, x_dot, theta, theta_dot, force, p):
     """The planar step as it was written before the kernels were tuned,
     trigonometry included; an independent copy, so that the oracles below
-    also check dcx.cartpole._planar_update."""
+    also check dcx.cartpole._planar."""
     total_mass = p.cart_mass + p.pole_mass
     pole_ml = p.pole_mass * p.pole_half_length
     sin = np.sin(theta)
@@ -327,9 +329,6 @@ class TestAnalyticSparsity:
         for case in cases:
             assert analytic_sparsity(*case).hex() == oracle_sparsity(*case).hex(), case
 
-    def test_infinite_limit_is_certain(self):
-        assert analytic_sparsity(float("inf")) == 1.0
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):
             analytic_sparsity(0.0)
@@ -337,6 +336,8 @@ class TestAnalyticSparsity:
             analytic_sparsity(float("nan"))
         with pytest.raises(InvalidParameter):
             analytic_sparsity(-float("inf"))
+        with pytest.raises(InvalidParameter, match="finite"):
+            analytic_sparsity(float("inf"))
         with pytest.raises(InvalidParameter):
             analytic_sparsity(9.0, axes=3)
         with pytest.raises(InvalidParameter):
@@ -396,3 +397,65 @@ class TestRolloutEntropy:
             want_features, want_actions = oracle_rollout(p, cfg)
             assert features.tobytes() == want_features.tobytes(), cfg
             assert actions.tobytes() == want_actions.tobytes(), cfg
+
+
+def restart_indices(features, actions, p):
+    """The samples a restart produced: those that are not one step on
+    from the sample before."""
+    rows = features.tolist()
+    return [
+        i for i in range(1, len(rows))
+        if step(tuple(rows[i - 1]), int(actions[i - 1]), p) != tuple(rows[i])
+    ]
+
+
+class TestRolloutReplay:
+    """_rollout reads its draws from raw PCG64 words; oracle_rollout calls
+    Generator.integers and Generator.uniform. They must agree bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(p, cfg):
+        features, actions = _rollout(p, cfg)
+        want_features, want_actions = oracle_rollout(p, cfg)
+        assert features.tobytes() == want_features.tobytes(), cfg
+        assert actions.tobytes() == want_actions.tobytes(), cfg
+        return features, actions
+
+    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
+    def test_restarts_after_odd_and_even_action_counts(self, variant):
+        # a restart after an odd number of actions finds a kept 32-bit half
+        # and must leave it for the next action; after an even number none
+        p = params_for_variant(variant)
+        parities = set()
+        for cfg in (
+            RolloutConfig(seed=3, sample_count=2000),  # failure restarts
+            RolloutConfig(seed=4, sample_count=2000, max_steps=7),
+            RolloutConfig(seed=6, sample_count=500, max_steps=1),
+        ):
+            features, actions = self.assert_matches_oracle(p, cfg)
+            parities |= {i % 2 for i in restart_indices(features, actions, p)}
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    def test_draws_cross_refills_of_the_word_block(self, variant, block, monkeypatch):
+        # blocks of 1 and 3 words split every restart's n = 4 or 8 words
+        # across refills, blocks of 8 some of them
+        monkeypatch.setattr(cartpole, "_WORD_BLOCK", block)
+        p = params_for_variant(variant)
+        self.assert_matches_oracle(p, RolloutConfig(seed=block, sample_count=1500))
+        self.assert_matches_oracle(p, RolloutConfig(seed=block, sample_count=300, max_steps=3))
+
+    def test_refuses_an_oversized_rollout_before_drawing(self, monkeypatch):
+        # with numpy out of reach, a refusal shows that the budget check
+        # comes before any draw or allocation, and a config that fits gets
+        # past it; the fixed word block adds a constant to the budget
+        p = params_for_variant("3d")
+        fixed = 256 * 8 + cartpole._WORD_BLOCK * 7
+        fits = (MEMORY_BUDGET // 8 - fixed) // (p.state_size + 4)
+        monkeypatch.setattr(cartpole, "np", None)
+        for samples in (fits + 1, 10**12):
+            with pytest.raises(ResourceLimit, match="budget"):
+                _rollout(p, RolloutConfig(seed=0, sample_count=samples, bin_count=256))
+        with pytest.raises(AttributeError):
+            _rollout(p, RolloutConfig(seed=0, sample_count=fits, bin_count=256))

@@ -62,6 +62,11 @@ class TestEntropy:
     def test_certain_outcome_is_zero(self):
         assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("probs", [[1.0], [0.0, 1.0, 0.0]])
+    def test_certain_outcome_is_positive_zero(self, probs):
+        # -0.0 == 0.0, so the sign is checked on its own; a report showed -0
+        assert math.copysign(1.0, shannon_entropy(probs)) == 1.0
+
     def test_zero_probability_events_contribute_nothing(self):
         assert shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0)
 

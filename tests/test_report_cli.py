@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import resource
 import subprocess
@@ -338,14 +339,26 @@ class TestCli:
         values = {m["measure_name"]: m["value"] for m in payload["measures"]}
         assert values["constant_action_limit"] == pytest.approx(9.37, abs=1.0)
 
-    def test_cartpole_infinite_limit_refused_in_json_only(self, capsys):
-        args = ["cartpole", "--measure", "sparsity", "--limit", "inf", "--samples", "10"]
-        assert main(["--format", "json", *args]) == 1
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("limit", ["inf", "-inf"])
+    def test_cartpole_infinite_limit_refused_in_every_format(self, capsys, fmt, limit):
+        args = ["--format", fmt, "cartpole", "--measure", "sparsity", f"--limit={limit}",
+                "--samples", "10"]
+        assert main(args) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("dcx: ") and "action_limit_band" in err
+        assert err.startswith("dcx: ") and "finite" in err
+
+    def test_point_mass_entropy_prints_positive_zero(self, capsys):
+        args = ["cartpole", "--variant", "2dg", "--measure", "entropy", "--samples", "1"]
         assert main(args) == 0
-        assert "action_limit_band" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        line = next(row for row in out.splitlines() if "action_entropy" in row)
+        assert line.split()[1] == "0"
+        assert main(["--format", "json", *args]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        values = {m["measure_name"]: m["value"] for m in payload["measures"]}
+        assert math.copysign(1.0, values["action_entropy_bits"]) == 1.0
 
     def test_cartpole_nan_limit_exits_1(self, capsys):
         code = main(["--format", "json", "cartpole", "--measure", "sparsity", "--limit", "nan"])
