@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAction, InvalidParameter, ResourceLimit
+from .errors import (
+    MEMORY_BUDGET,  # noqa: F401 (importable from here too)
+    InvalidAction,
+    InvalidParameter,
+    ResourceLimit,
+    check_budget,
+)
 from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
@@ -28,23 +34,10 @@ VARIANTS = ("2d", "2dg", "3d")
 # initial state components are drawn uniformly from this interval
 INIT_BOUND = 0.05
 
-# Largest working set, in bytes, a measure may ask for. Fixed so that no
-# result depends on the host; paper-scale runs (a million 3d trials, 200k
-# rollout samples, 100k walks of 200 steps) stay under a tenth of it.
-MEMORY_BUDGET = 2 << 30
-
 # Most random-walk steps analytic_sparsity may draw, so that no request
 # runs for days: about 16 s on a 2-vCPU x86-64 machine, 27 times the 3d
 # default of 100k walks of 200 steps on each of two axes.
 WALK_STEP_BUDGET = 1 << 30
-
-
-def _check_budget(nbytes: int, work: str) -> None:
-    if nbytes > MEMORY_BUDGET:
-        raise ResourceLimit(
-            f"{work} needs about {nbytes / 2**30:.3g} GiB of arrays, over the "
-            f"{MEMORY_BUDGET >> 30} GiB budget"
-        )
 
 
 def _check_seed(seed: int) -> None:
@@ -230,7 +223,7 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
         raise InvalidParameter("trials must be at least 1")
     _check_seed(seed)
     # two sets of state columns plus about eight per-trial temporaries
-    _check_budget(
+    check_budget(
         trials * (2 * params.state_size + 8) * 8,
         f"constant_action_limit with {trials} {params.variant} trials",
     )
@@ -285,7 +278,7 @@ def analytic_sparsity(
         return 1.0
     # one chunk's int64 draws and int32 walks; the budget also keeps
     # 2 * episode_length far inside int32
-    _check_budget(
+    check_budget(
         min(_WALK_CHUNK, samples) * episode_length * 12,
         f"analytic_sparsity with episode_length {episode_length}",
     )
@@ -365,7 +358,7 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     # the samples and a column's histogram temporaries, about eight words
     # per bin (the counts, their Python-int tuple, the probabilities) and
     # seven per raw word (the uint64 block and its Python ints)
-    _check_budget(
+    check_budget(
         (cfg.sample_count * (n + 4) + cfg.bin_count * 8 + _WORD_BLOCK * 7) * 8,
         f"rollout_entropy with {cfg.sample_count} {params.variant} samples "
         f"and {cfg.bin_count} bins",

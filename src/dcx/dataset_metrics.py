@@ -5,7 +5,6 @@ and boxplot-style class summaries.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,8 +285,8 @@ def summarize_class(values, class_name: str) -> ClassSummary:
 def summarize_by_class(
     per_item_values, labels, class_names: tuple[str, ...]
 ) -> list[ClassSummary]:
-    """Group values by label and summarize each class; empty classes are
-    skipped with a warning."""
+    """Group values by label and summarize each class; classes without
+    members are omitted."""
     values = np.asarray(per_item_values, dtype=float)
     label_arr = np.asarray(labels)
     if len(values) != len(label_arr):
@@ -295,10 +294,8 @@ def summarize_by_class(
     summaries = []
     for index, name in enumerate(class_names):
         members = values[label_arr == index]
-        if members.size == 0:
-            warnings.warn(f"class {name!r} has no members; omitted", stacklevel=2)
-            continue
-        summaries.append(summarize_class(members, name))
+        if members.size:
+            summaries.append(summarize_class(members, name))
     return summaries
 
 
@@ -352,11 +349,13 @@ def image_measures(
     """name is mnist or cifar10; measure is dimensionality, sparsity, gini
     or entropy. MNIST is binarized unless mode is raw (sparsity always
     binarizes it); CIFAR-10 is always raw. split, the part of the dataset
-    loaded, is recorded in the entropy convention."""
+    loaded, is recorded in the entropy convention. Classes with no images
+    are named in one note and have no per-class results."""
     mnist = name == "mnist"
     binarized = mnist and mode != "raw"
     measures: list[MeasureResult] = []
     notes = []
+    summaries = None
     if measure == "dimensionality":
         if binarized:
             dataset = datasets.binarize(dataset)
@@ -380,6 +379,7 @@ def image_measures(
             MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
         )
         if mnist:
+            summaries = summarize_by_class(per_image, dataset.labels, dataset.class_names)
             measures += [
                 MeasureResult(
                     f"zero_sparsity_mean_{summary.class_name}",
@@ -387,7 +387,7 @@ def image_measures(
                     "per-class mean zero-pixel fraction",
                     ANALYTIC,
                 )
-                for summary in summarize_by_class(per_image, dataset.labels, dataset.class_names)
+                for summary in summaries
             ]
     elif measure == "gini":
         channels = ("red", "green", "blue") if dataset.channel_count == 3 else ("gray",)
@@ -423,4 +423,9 @@ def image_measures(
             MeasureResult(f"entropy_median_{s.class_name}", s.median, convention, ANALYTIC)
             for s in summaries
         ]
+    if summaries is not None:
+        present = {s.class_name for s in summaries}
+        missing = [c for c in dataset.class_names if c not in present]
+        if missing:
+            notes.append(f"classes with no images, so no per-class result: {', '.join(missing)}")
     return measures, notes

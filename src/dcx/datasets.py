@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
-from contextlib import contextmanager
+import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,6 +23,7 @@ from .errors import (
     FormatError,
     InvalidParameter,
     TruncatedInput,
+    check_budget,
 )
 
 MNIST_CLASS_NAMES = tuple(str(d) for d in range(10))
@@ -218,63 +221,136 @@ def binarize(dataset: LabeledImageDataset, threshold: int = 0) -> LabeledImageDa
     )
 
 
-def _is_gzip(path: Path) -> bool:
-    with path.open("rb") as handle:
-        return handle.read(2) == b"\x1f\x8b"
+class _Stream:
+    """An open payload whose reads fill numpy arrays. Damaged gzip data
+    raises a DcxError naming the file."""
 
+    def __init__(self, handle, name: str) -> None:
+        self.handle, self.name = handle, name
 
-def _read_bytes(path: Path) -> bytes:
-    data = path.read_bytes()
-    if data[:2] == b"\x1f\x8b":
+    def _readinto(self, view) -> int:
         try:
-            return gzip.decompress(data)
+            return self.handle.readinto(view)
         except EOFError:
-            raise TruncatedInput(f"{path.name}: gzip stream ends early") from None
-    return data
+            raise TruncatedInput(f"{self.name}: gzip stream ends early") from None
+        except (zlib.error, gzip.BadGzipFile) as exc:
+            raise FormatError(f"{self.name}: damaged gzip stream ({exc})") from None
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Read exactly the bytes of the contiguous uint8 array out, 1 MiB per
+        request: gzip decompresses a whole request into a temporary first."""
+        view = memoryview(out.reshape(-1))
+        for start in range(0, len(view), 1 << 20):
+            chunk = view[start : start + (1 << 20)]
+            if self._readinto(chunk) != len(chunk):
+                raise TruncatedInput(f"{self.name}: payload ends early")
+        return out
+
+    def end(self) -> None:
+        if self._readinto(bytearray(1)):
+            raise TruncatedInput(f"{self.name}: bytes left over after the last whole image")
 
 
 @contextmanager
-def _idx_stream(path: Path):
-    """The open IDX file at path (plain or gzipped), positioned after its
-    header, and the dimension sizes that header gives."""
-    opened = gzip.open(path, "rb") if _is_gzip(path) else path.open("rb")
-    with opened as handle:
-        try:
-            head = handle.read(4)
-            head += handle.read(4 * head[3] if len(head) == 4 else 0)
-            yield handle, _idx_sizes(head)
-        except EOFError:
-            raise TruncatedInput(f"{path.name}: gzip stream ends early") from None
+def _payload(path: Path):
+    """Open path once; yield its payload as a _Stream, gunzipped when the
+    file starts with 1f 8b, and the payload's exact length, known before any
+    of it is read: the file size, or a gzip trailer's ISIZE (RFC 1952). That
+    is the last member's length mod 2**32, so callers check the real end."""
+    with path.open("rb") as handle:
+        length = size = os.fstat(handle.fileno()).st_size
+        gzipped = handle.read(2) == b"\x1f\x8b"
+        if gzipped:
+            handle.seek(max(size - 4, 0))
+            length = int.from_bytes(handle.read(4), "little")
+            if length > 1032 * size:  # deflate expands at most 1032-fold
+                raise TruncatedInput(f"{path.name}: gzip trailer states {length} bytes, "
+                                     f"more than {size} compressed bytes can hold")
+        handle.seek(0)
+        yield _Stream(gzip.GzipFile(fileobj=handle) if gzipped else handle, path.name), length
 
 
-def _read_into(handle, out: np.ndarray) -> int:
-    """Fill out from handle; returns the bytes read. Reads 1 MiB at a time,
-    because a gzip stream's readinto decompresses into a temporary copy of
-    the whole request first."""
-    view = memoryview(out).cast("B")
-    filled = 0
-    while filled < len(view):
-        got = handle.readinto(view[filled : filled + (1 << 20)])
-        if not got:
-            break
-        filled += got
-    return filled
+def _find_file(directory: Path, name: str) -> Path:
+    for candidate in (directory / name, directory / f"{name}.gz"):
+        if candidate.is_file():
+            return candidate
+    raise FileNotFoundError(f"{name} not found under {directory} (plain or .gz)")
 
 
-def _find_file(directory: Path, names: tuple[str, ...]) -> Path:
-    for name in names:
-        for candidate in (directory / name, directory / f"{name}.gz"):
-            if candidate.is_file():
-                return candidate
-    raise FileNotFoundError(
-        f"none of {names} found under {directory} (plain or .gz)"
-    )
+def _load(data_dir, split, subdirs, parts, class_names, shape_of, read) -> LabeledImageDataset:
+    """Open each file of split once. parts maps train and test to groups of
+    file names, one group per block of images; shape_of(group) sizes a block
+    before any payload is read and read(group, images, labels) fills it."""
+    if split not in ("train", "test", "all"):
+        raise InvalidParameter("split must be train, test, or all")
+    directory = Path(data_dir)
+    if not directory.is_dir():
+        raise FileNotFoundError(f"{directory} is not a directory")
+    directory = next((directory / s for s in subdirs if (directory / s).is_dir()), directory)
+    paths = [[_find_file(directory, name) for name in group]
+             for part in (("train", "test") if split == "all" else (split,))
+             for group in parts[part]]
+    with ExitStack() as stack:
+        groups = [[stack.enter_context(_payload(path)) for path in group] for group in paths]
+        shapes = [shape_of(group) for group in groups]
+        if len({shape[1:] for shape in shapes}) != 1:
+            raise FormatError("train and test images differ in size")
+        total = sum(shape[0] for shape in shapes)
+        check_budget(total * (math.prod(shapes[0][1:]) + 8), f"loading {total} images")
+        images = np.empty((total, *shapes[0][1:]), dtype=np.uint8)
+        labels = np.empty(total, dtype=np.int64)
+        start = 0
+        for group, (count, *_) in zip(groups, shapes):
+            read(group, images[start : start + count], labels[start : start + count])
+            for stream, _ in group:
+                stream.end()
+            start += count
+    if not total:
+        raise DegenerateInput(f"{directory} holds no images for split {split}")
+    return LabeledImageDataset(images=images, labels=labels, class_names=class_names)
+
+
+def _mnist_shape(group) -> tuple[int, ...]:
+    """The image block's shape from its IDX headers, each of which must
+    promise exactly its stream's length."""
+    sizes = []
+    for stream, length in group:
+        head = stream.fill(np.empty(4, dtype=np.uint8)).tobytes()
+        head += stream.fill(np.empty(4 * head[3], dtype=np.uint8)).tobytes()
+        sizes.append(_idx_sizes(head))
+        if len(head) + math.prod(sizes[-1]) != length:
+            raise TruncatedInput(f"{stream.name}: IDX payload does not hold exactly "
+                                 f"the {math.prod(sizes[-1])} bytes its header promises")
+    if len(sizes[0]) != 3:
+        raise FormatError(f"{group[0][0].name}: expected a 3-dimensional tensor")
+    if sizes[1] != sizes[0][:1]:
+        raise FormatError(f"{group[1][0].name}: label count does not match images")
+    return (*sizes[0], 1)
+
+
+def _read_mnist(group, images: np.ndarray, labels: np.ndarray) -> None:
+    (image_stream, _), (label_stream, _) = group
+    image_stream.fill(images)
+    labels[:] = label_stream.fill(np.empty(len(labels), dtype=np.uint8))
+
+
+def _read_cifar(group, images: np.ndarray, labels: np.ndarray) -> None:
+    """Decode the batch's whole records 1 MiB at a time; the stream's end
+    check refuses a partial record."""
+    step = (1 << 20) // _CIFAR_RECORD
+    records = np.empty(step * _CIFAR_RECORD, dtype=np.uint8)
+    for start in range(0, len(images), step):
+        count = min(step, len(images) - start)
+        block_labels, planes = _cifar_records(group[0][0].fill(records[: count * _CIFAR_RECORD]))
+        images[start : start + count] = planes.transpose(0, 2, 3, 1)
+        labels[start : start + count] = block_labels
 
 
 _MNIST_FILES = {
-    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
+    "train": [("train-images-idx3-ubyte", "train-labels-idx1-ubyte")],
+    "test": [("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")],
 }
+_CIFAR_FILES = {"train": [(f"data_batch_{i}.bin",) for i in range(1, 6)], "test": [("test_batch.bin",)]}
 
 
 def load_mnist(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
@@ -282,92 +358,15 @@ def load_mnist(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
 
     split is train, test, or all (train followed by test).
     """
-    if split not in ("train", "test", "all"):
-        raise InvalidParameter("split must be train, test, or all")
-    directory = Path(data_dir)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"{directory} is not a directory")
-    if (directory / "mnist").is_dir():
-        directory = directory / "mnist"
-    parts = ("train", "test") if split == "all" else (split,)
-    files = [[_find_file(directory, (name,)) for name in _MNIST_FILES[part]] for part in parts]
-    # The image headers size one preallocated array; each image file is then
-    # decoded straight into its slice of it.
-    shapes = []
-    for image_path, _ in files:
-        with _idx_stream(image_path) as (_, sizes):
-            if len(sizes) != 3:
-                raise FormatError(f"{image_path.name}: expected a 3-dimensional tensor")
-        # deflate expands at most 1032-fold, so no file, gzipped or not, holds
-        # more; refusing such a header bounds the allocation by the input
-        if math.prod(sizes) > 1032 * image_path.stat().st_size:
-            raise TruncatedInput(
-                f"{image_path.name}: header promises more bytes than the file holds"
-            )
-        shapes.append(sizes)
-    if len({sizes[1:] for sizes in shapes}) != 1:
-        raise FormatError("train and test images differ in size")
-    total = sum(sizes[0] for sizes in shapes)
-    images = np.empty((total, *shapes[0][1:], 1), dtype=np.uint8)
-    labels = np.empty(total, dtype=np.int64)
-    start = 0
-    for (image_path, label_path), sizes in zip(files, shapes):
-        block = images[start : start + sizes[0]]
-        with _idx_stream(image_path) as (handle, reread):
-            if reread != sizes:
-                raise FormatError(f"{image_path.name} changed while loading")
-            if _read_into(handle, block) != block.nbytes or handle.read(1):
-                raise TruncatedInput(
-                    f"{image_path.name}: IDX payload does not hold exactly the "
-                    f"{block.nbytes} bytes its header promises"
-                )
-        block_labels = parse_idx(_read_bytes(label_path))
-        if block_labels.ndim != 1 or len(block_labels) != sizes[0]:
-            raise FormatError(f"{label_path.name}: label count does not match images")
-        labels[start : start + sizes[0]] = block_labels
-        start += sizes[0]
-    return LabeledImageDataset(images=images, labels=labels, class_names=MNIST_CLASS_NAMES)
-
-
-_CIFAR_TRAIN = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
-_CIFAR_TEST = ("test_batch.bin",)
+    return _load(data_dir, split, ("mnist",), _MNIST_FILES, MNIST_CLASS_NAMES,
+                 _mnist_shape, _read_mnist)
 
 
 def load_cifar10(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
     """Load CIFAR-10 binary batches from data_dir or its usual subdirectory."""
-    if split not in ("train", "test", "all"):
-        raise InvalidParameter("split must be train, test, or all")
-    directory = Path(data_dir)
-    if not directory.is_dir():
-        raise FileNotFoundError(f"{directory} is not a directory")
-    for sub in ("cifar-10-batches-bin", "cifar10"):
-        if (directory / sub).is_dir():
-            directory = directory / sub
-            break
-    names = {
-        "train": _CIFAR_TRAIN,
-        "test": _CIFAR_TEST,
-        "all": _CIFAR_TRAIN + _CIFAR_TEST,
-    }[split]
-    # Each batch is decoded straight into one preallocated array. A plain
-    # batch is sized from the file system; a gzipped one is read up front,
-    # since only its decompressed length gives its size.
-    batches = [_read_bytes(path) if _is_gzip(path) else path
-               for path in (_find_file(directory, (n,)) for n in names)]
-    counts = [(len(b) if isinstance(b, bytes) else b.stat().st_size) // _CIFAR_RECORD
-              for b in batches]
-    images = np.empty((sum(counts), 32, 32, 3), dtype=np.uint8)
-    labels = np.empty(sum(counts), dtype=np.int64)
-    start = 0
-    for name, batch, count in zip(names, batches, counts):
-        data = batch if isinstance(batch, bytes) else _read_bytes(batch)
-        block_labels, planes = _cifar_records(data)
-        if len(block_labels) != count:
-            raise FormatError(f"{name} changed size while loading")
-        images[start : start + count] = planes.transpose(0, 2, 3, 1)
-        labels[start : start + count] = block_labels
-        start += count
-    return LabeledImageDataset(images=images, labels=labels, class_names=CIFAR10_CLASS_NAMES)
+    return _load(data_dir, split, ("cifar-10-batches-bin", "cifar10"), _CIFAR_FILES,
+                 CIFAR10_CLASS_NAMES, lambda g: (g[0][1] // _CIFAR_RECORD, 32, 32, 3),
+                 _read_cifar)
 
 
 def load_iris(path: str | Path | None = None) -> TabularDataset:

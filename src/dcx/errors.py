@@ -1,6 +1,7 @@
-"""Error taxonomy shared across the package, and the one key-and-type
-check that every parser of JSON input (descriptors, breakdowns, reports)
-runs before it builds anything.
+"""Error taxonomy shared across the package, the one key-and-type check
+that every parser of JSON input (descriptors, breakdowns, reports) runs
+before it builds anything, and the one array budget that cart-pole
+measures and dataset loads check before they allocate.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
@@ -43,7 +44,23 @@ class TruncatedInput(DcxError, ValueError):
 
 class ResourceLimit(DcxError, RuntimeError):
     """Refused work that would blow a guarded budget (enumeration cells,
-    cart-pole array bytes)."""
+    array bytes)."""
+
+
+# Largest working set, in bytes, a cart-pole measure or a dataset load may
+# ask for. Fixed so that no result depends on the host; paper-scale work (a
+# million 3d trials, 200k rollout samples, 100k walks of 200 steps, all
+# 70,000 MNIST or 60,000 CIFAR-10 images) stays under a tenth of it.
+MEMORY_BUDGET = 2 << 30
+
+
+def check_budget(nbytes: int, work: str) -> None:
+    """Raise ResourceLimit, naming work, when nbytes exceeds MEMORY_BUDGET."""
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceLimit(
+            f"{work} needs about {nbytes / 2**30:.3g} GiB of arrays, over the "
+            f"{MEMORY_BUDGET >> 30} GiB budget"
+        )
 
 
 def _integer(value) -> bool:

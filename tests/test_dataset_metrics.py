@@ -1,6 +1,8 @@
 """Per-image and per-class dataset measures against hand-worked examples,
 and the batch kernels against the per-image loop they replace."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dcx.dataset_metrics import (
     feature_space_dimensionality,
     image_entropies,
     image_entropy,
+    image_measures,
     image_zero_sparsities,
     image_zero_sparsity,
     median_of_medians,
@@ -170,12 +173,28 @@ class TestClassSummaries:
         assert summaries[0].median == 2.0
         assert summaries[1].median == 20.0
 
-    def test_empty_class_warns_and_is_omitted(self):
+    def test_empty_class_is_omitted_without_a_warning(self):
         values = np.array([1.0, 2.0])
         labels = np.array([0, 0])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             summaries = summarize_by_class(values, labels, ("present", "absent"))
         assert [s.class_name for s in summaries] == ["present"]
+
+    @pytest.mark.parametrize(("name", "measure"), [("mnist", "sparsity"), ("mnist", "entropy"),
+                                                   ("cifar10", "entropy")])
+    def test_report_notes_the_classes_without_images(self, name, measure):
+        channels = 1 if name == "mnist" else 3
+        images = np.arange(4 * 4 * 4 * channels, dtype=np.uint8).reshape(4, 4, 4, channels)
+        classes = ("a", "b", "c", "d")
+        notes_for = {}
+        for labels in ([0, 1, 2, 3], [0, 2, 0, 2]):
+            ds = LabeledImageDataset(images=images, labels=np.array(labels), class_names=classes)
+            measures, notes_for[tuple(labels)] = image_measures(name, ds, measure)
+            per_class = {c for c in classes for m in measures if m.measure_name.endswith(f"_{c}")}
+            assert per_class == {classes[i] for i in labels}
+        assert notes_for[0, 1, 2, 3] == []
+        assert notes_for[0, 2, 0, 2] == ["classes with no images, so no per-class result: b, d"]
 
     def test_median_of_medians(self):
         values = np.array([1.0, 2.0, 3.0, 10.0, 20.0, 30.0, 5.0, 6.0, 7.0])

@@ -1,11 +1,15 @@
 """Binary dataset parsing: IDX tensors, CIFAR batches, and the iris table."""
 
+import builtins
 import gzip
+import io
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dcx.cli import main
 from dcx.datasets import (
     LabeledImageDataset,
     binarize,
@@ -18,6 +22,7 @@ from dcx.datasets import (
     write_idx,
 )
 from dcx.errors import (
+    DcxError,
     DegenerateInput,
     FormatError,
     InvalidParameter,
@@ -288,6 +293,120 @@ class TestLoaders:
         batch.write_bytes(batch.read_bytes()[:-5])
         with pytest.raises(TruncatedInput):
             load_cifar10(synthetic_cifar_dir)
+
+
+def gzip_files(root, gzipped: bool) -> None:
+    """Store every file under root gzipped, or every one plain."""
+    for path in sorted(root.iterdir()):
+        if gzipped and path.suffix != ".gz":
+            path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+            path.unlink()
+        elif not gzipped and path.suffix == ".gz":
+            path.with_suffix("").write_bytes(gzip.decompress(path.read_bytes()))
+            path.unlink()
+
+
+class TestEachFileOpenedOnce:
+    @staticmethod
+    def opens_during(monkeypatch, load) -> Counter:
+        """How often load() opens each file."""
+        counts = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            counts[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        # Path.open and gzip.open reach io.open and builtins.open by name
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", counting_open)
+            patch.setattr(builtins, "open", counting_open)
+            load()
+        return counts
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_mnist(self, synthetic_mnist_dir, gzipped, monkeypatch):
+        root = synthetic_mnist_dir / "mnist"
+        gzip_files(root, gzipped)
+        expected = {str(path): 1 for path in root.iterdir()}
+        assert len(expected) == 4
+        opens = self.opens_during(monkeypatch, lambda: load_mnist(synthetic_mnist_dir, split="all"))
+        assert opens == expected
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_cifar(self, synthetic_cifar_dir, gzipped, monkeypatch):
+        root = synthetic_cifar_dir / "cifar-10-batches-bin"
+        gzip_files(root, gzipped)
+        expected = {str(path): 1 for path in root.iterdir()}
+        assert len(expected) == 6
+        opens = self.opens_during(monkeypatch, lambda: load_cifar10(synthetic_cifar_dir, split="all"))
+        assert opens == expected
+
+
+# Each takes a whole gzip file and damages one part of it (RFC 1952).
+GZIP_DAMAGE = {
+    # block type 11 in the first deflate block header is reserved (RFC 1951)
+    "corrupt_deflate": lambda data: data[:10] + bytes([data[10] | 0b110]) + data[11:],
+    "crc_mismatch": lambda data: data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:],
+    "isize_past_deflate_bound": lambda data: data[:-4] + struct.pack("<I", 2**32 - 1),
+    # one CIFAR record more than the data holds
+    "isize_one_record_long": lambda data: (
+        data[:-4] + struct.pack("<I", struct.unpack("<I", data[-4:])[0] + 3073)
+    ),
+}
+
+
+class TestDamagedGzip:
+    @pytest.mark.parametrize("damage", sorted(GZIP_DAMAGE))
+    @pytest.mark.parametrize(
+        "target",
+        ["mnist/t10k-labels-idx1-ubyte", "mnist/t10k-images-idx3-ubyte",
+         "cifar-10-batches-bin/test_batch.bin"],
+    )
+    def test_is_a_dcx_error_naming_the_file(self, target, damage, request, capsys):
+        cifar = target.startswith("cifar")
+        name, load = ("cifar10", load_cifar10) if cifar else ("mnist", load_mnist)
+        directory = request.getfixturevalue("synthetic_cifar_dir" if cifar else "synthetic_mnist_dir")
+        gzip_files((directory / target).parent, gzipped=True)
+        path = directory / f"{target}.gz"
+        path.write_bytes(GZIP_DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(DcxError, match=path.name):
+            load(directory, split="test")
+        assert main(["dataset", name, "--split", "test", "--data-dir", str(directory)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"dcx: {path.name}: ")
+
+    def test_a_gzip_file_shorter_than_its_trailer(self, synthetic_mnist_dir):
+        (synthetic_mnist_dir / "mnist" / "t10k-labels-idx1-ubyte.gz").write_bytes(b"\x1f\x8b\x08")
+        with pytest.raises(TruncatedInput):
+            load_mnist(synthetic_mnist_dir, split="test")
+
+
+class TestEmptyLoad:
+    def test_cifar_batches_without_records(self, synthetic_cifar_dir):
+        for batch in (synthetic_cifar_dir / "cifar-10-batches-bin").iterdir():
+            batch.write_bytes(b"")
+        with pytest.raises(DegenerateInput):
+            load_cifar10(synthetic_cifar_dir)
+
+    def test_mnist_files_without_images(self, synthetic_mnist_dir):
+        root = synthetic_mnist_dir / "mnist"
+        (root / "t10k-images-idx3-ubyte").write_bytes(write_idx(np.zeros((0, 28, 28))))
+        (root / "t10k-labels-idx1-ubyte.gz").write_bytes(gzip.compress(write_idx(np.zeros(0))))
+        with pytest.raises(DegenerateInput):
+            load_mnist(synthetic_mnist_dir, split="test")
+        assert load_mnist(synthetic_mnist_dir, split="all").image_count == 24
+
+    @pytest.mark.parametrize("measure", ["dimensionality", "sparsity", "gini", "entropy"])
+    def test_cli_exits_1(self, synthetic_cifar_dir, measure, capsys):
+        for batch in (synthetic_cifar_dir / "cifar-10-batches-bin").iterdir():
+            batch.write_bytes(b"")
+        argv = ["dataset", "cifar10", "--measure", measure, "--data-dir", str(synthetic_cifar_dir)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and err.endswith("holds no images for split all\n")
 
 
 class TestDatasetValidation:

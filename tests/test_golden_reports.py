@@ -82,13 +82,13 @@ IMAGE_PINS = {
     ("mnist", "dimensionality", "--split test"):
         "87ccd7e9c3abf7944fb97b112ff7e6be4d8472089c97d8919d83bd5990b6089d",
     ("mnist", "sparsity", ""):
-        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
     ("mnist", "sparsity", "--mode raw"):
-        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
     ("mnist", "sparsity", "--mode binarized"):
-        "c40d1ac48b3ec79aa49fc1cbc77d68c623e874f7704ade92af4770eeecdd5a59",
+        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
     ("mnist", "sparsity", "--split test"):
-        "88544cc3c4ccd99d2b7d01463f627eed266e4c580accb4e3571fcfe82ab1804d",
+        "dfae512029b8d64873300e2dd9cb5fb9ecde6cb54aac13e74b47c962fa02f6d3",
     ("mnist", "gini", ""):
         "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
     ("mnist", "gini", "--mode raw"):
@@ -98,13 +98,13 @@ IMAGE_PINS = {
     ("mnist", "gini", "--split test"):
         "da989a34214b9eb3561456e4aa56eaec3ac1ee3c8177c67a744cf1a7905ec857",
     ("mnist", "entropy", ""):
-        "ce1d8362d2eab747926fa513380b61b5f755d7f84f9391bb4152957a4c8d2620",
+        "410798c51d4ed08ef7cdc3da6a46573d8244e3ddc7134ace2a7622eea891df12",
     ("mnist", "entropy", "--mode raw"):
-        "31b69baf6a45e7dde8deda2b8aca1abcac08cc1cf87d3c8dc9c2bf986b2e4171",
+        "14dcf91dc30985aed7802b1f99b19134fc101ee95b6a8e7fb0b684dfc39855c9",
     ("mnist", "entropy", "--mode binarized"):
-        "ce1d8362d2eab747926fa513380b61b5f755d7f84f9391bb4152957a4c8d2620",
+        "410798c51d4ed08ef7cdc3da6a46573d8244e3ddc7134ace2a7622eea891df12",
     ("mnist", "entropy", "--split test"):
-        "f7a0ee6a2a9e838ab28193dc1f21436aed7e70db74f5a3d5c24234b77075b0c2",
+        "541b16226c42be6c5183bcefabc428efe63915f1cdd7912126cf9af5acc636ff",
     ("cifar10", "dimensionality", ""):
         "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
     ("cifar10", "dimensionality", "--mode raw"):
@@ -130,13 +130,13 @@ IMAGE_PINS = {
     ("cifar10", "gini", "--split test"):
         "4838e97f55bc54dd2f18a8251c097448a31a6e07d672aa63994050b773053d0a",
     ("cifar10", "entropy", ""):
-        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+        "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
     ("cifar10", "entropy", "--mode raw"):
-        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+        "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
     ("cifar10", "entropy", "--mode binarized"):
-        "dda886686d9b0b6062c019dd56b78d5756f174b9868eb7b8b321376bc04eb280",
+        "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
     ("cifar10", "entropy", "--split test"):
-        "b96c48c9259a50ca442562ebd7ea26aaf65959c60b26a171156b929b9eac79ed",
+        "9999f5021656100ea579e9bb28230e51e23f28b6db63120f9f95cb4b7cc437d5",
 }
 
 # sha256 of the stdout of `dcx <command>`

@@ -1,9 +1,11 @@
 """Report serialization, comparison rules, and the command-line surface."""
 
 import ast
+import gzip
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,7 +16,7 @@ import pytest
 
 import dcx
 from dcx.cli import main
-from dcx.errors import FormatError, InvalidParameter
+from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter
 from dcx.games import gtc_factorial
 from dcx.measures import ANALYTIC, MeasureResult, monte_carlo
 from dcx.report import (
@@ -381,6 +383,23 @@ class TestCli:
     def test_cartpole_refuses_oversized_work_before_allocating(self, args):
         # under the cap an attempted allocation would end in a traceback
         result = run_capped_cli("cartpole", *args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ")
+        assert "budget" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_dataset_refuses_a_batch_past_the_budget_before_allocating(self, tmp_path):
+        # incompressible bytes whose gzip trailer states 700,000 records:
+        # within deflate's 1032-fold bound for a file this size, but past the
+        # array budget, so only the budget check stands before the allocation
+        root = tmp_path / "cifar-10-batches-bin"
+        root.mkdir()
+        data = gzip.compress(random.Random(0).randbytes(2_200_000))
+        stated = 700_000 * 3073
+        assert MEMORY_BUDGET < stated < 1032 * len(data)
+        (root / "test_batch.bin.gz").write_bytes(data[:-4] + stated.to_bytes(4, "little"))
+        result = run_capped_cli("dataset", "cifar10", "--split", "test", "--data-dir", str(tmp_path))
         assert result.returncode == 1
         assert result.stderr.startswith("dcx: ")
         assert "budget" in result.stderr
