@@ -2,21 +2,23 @@
 benchmark (2d), a high-gravity copy (2dg), and a simplified 3d version built
 from two independent planar systems.
 
-Supports the empirical measures on top: constant-action limit, Monte Carlo
+Supports the empirical measures on top: constant-action limit, exact
 band-survival sparsity, and random-rollout feature/action entropy. One
 formula, bound to a variant's constants by _planar, holds the dynamics: the
 rollout steps Python floats with math's sine and cosine, the constant-action
 trials step numpy columns with numpy's. The two are not bit-interchangeable:
 a Python float's ** 2 is libm's pow and a numpy array's is x * x, which
 differ in the last bit on about one uniform double in a thousand. So each
-is pinned to its own oracle in the tests. Each measure refuses work whose
-arrays would exceed MEMORY_BUDGET before it allocates.
+is pinned to its own oracle in the tests. Each measure refuses oversized
+work before it starts: past MEMORY_BUDGET for arrays, SPARSITY_WORK_BUDGET
+for the walk count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -34,10 +36,12 @@ VARIANTS = ("2d", "2dg", "3d")
 # initial state components are drawn uniformly from this interval
 INIT_BOUND = 0.05
 
-# Most random-walk steps analytic_sparsity may draw, so that no request
-# runs for days: about 16 s on a 2-vCPU x86-64 machine, 27 times the 3d
-# default of 100k walks of 200 steps on each of two axes.
-WALK_STEP_BUDGET = 1 << 30
+# Most work analytic_sparsity may do, so that no request runs for days, in
+# modelled ns on a 2-vCPU x86-64 machine: per band counted, 400 per step plus,
+# per band cell and step, 30 and 1 more per 64 steps of episode (the counts
+# grow to episode_length bits). 2**34 ns is about 17 s (a loaded host took up
+# to twice the model), 38,000 times the 3d default: 200 steps, bands 9 and 10.
+SPARSITY_WORK_BUDGET = 1 << 34
 
 
 def _check_seed(seed: int) -> None:
@@ -248,64 +252,48 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
     return float(steps.mean())
 
 
-# chunk size for Monte Carlo walks; fixed so results never depend on memory
-_WALK_CHUNK = 16384
+def _surviving_walks(band: int, length: int) -> int:
+    """How many of the 2**length +/-1 walks of length steps stay within
+    [-band, band], counted exactly by dynamic programming over positions."""
+    if band >= length:
+        return 1 << length
+    # walks ending at each position, with an absorbing cell past either edge
+    counts = [0] * (band + 1) + [1] + [0] * (band + 1)
+    for _ in range(length):
+        counts = [0, *map(add, counts, counts[2:]), 0]
+    return sum(counts)
 
 
-def analytic_sparsity(
-    limit: float,
-    episode_length: int = 200,
-    samples: int = 100_000,
-    seed: int = 0,
-    axes: int = 1,
-) -> float:
-    """Monte Carlo fraction of random action walks that stay near balance.
-
-    Each sample is one ±1 random walk per axis, all of episode_length steps;
-    the sample survives when every axis's running sum stays within its band.
-    Fractional limits round stochastically per sample, band = floor(limit + U),
-    which is unbiased, reduces to the plain integer band at integer limits,
-    and keeps survival strictly monotone in the limit under a shared seed.
+def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) -> float:
+    """Probability that random action walks stay near balance: each axis
+    takes one independent +/-1 walk of episode_length steps, and the episode
+    survives when every running sum stays within [-band, band]. With P(b)
+    one walk's survival, a fractional limit L = b + f is interpolated between
+    its neighbouring integer bands, (1 - f) * P(b)**axes + f * P(b + 1)**axes:
+    the expectation when each episode draws its band as floor(L + U), U
+    uniform on [0, 1). The walks are counted exactly, so the value is that
+    number correctly rounded and never decreases as the limit grows.
     """
     if not 0 < limit < math.inf:  # also refuses NaN
         raise InvalidParameter(f"limit must be a positive finite number, got {limit}")
-    if episode_length < 1 or samples < 1:
-        raise InvalidParameter("episode_length and samples must be positive")
+    if episode_length < 1:
+        raise InvalidParameter("episode_length must be positive")
     if axes not in (1, 2):
         raise InvalidParameter("axes must be 1 or 2")
-    _check_seed(seed)
     if limit >= episode_length:
         return 1.0
-    # one chunk's int64 draws and int32 walks; the budget also keeps
-    # 2 * episode_length far inside int32
-    check_budget(
-        min(_WALK_CHUNK, samples) * episode_length * 12,
-        f"analytic_sparsity with episode_length {episode_length}",
-    )
-    if samples * episode_length * axes > WALK_STEP_BUDGET:
+    band = math.floor(limit)
+    # both bands' cells, including the absorbing ones, as for a fractional limit
+    work = episode_length * (800 + (4 * band + 8) * (30 + episode_length // 64))
+    if work > SPARSITY_WORK_BUDGET:
         raise ResourceLimit(
-            f"analytic_sparsity with {samples} samples of {episode_length} steps "
-            f"on {axes} axes draws over the {WALK_STEP_BUDGET}-step budget"
+            f"analytic_sparsity with limit {limit} over {episode_length} steps "
+            f"is over the {SPARSITY_WORK_BUDGET} ns work budget"
         )
-    rng = np.random.default_rng(seed)
-    # after k steps a +/-1 walk sits at 2 * heads - k, heads the 1-draws so far
-    offsets = np.arange(1, episode_length + 1, dtype=np.int32)
-    survived = 0
-    done = 0
-    while done < samples:
-        block = min(_WALK_CHUNK, samples - done)
-        bands = np.floor(limit + rng.random(block)).astype(np.int64)
-        ok = np.ones(block, dtype=bool)
-        for _ in range(axes):
-            draws = rng.integers(0, 2, size=(block, episode_length))
-            walk = np.cumsum(draws, axis=1, dtype=np.int32)
-            walk *= 2
-            walk -= offsets
-            np.abs(walk, out=walk)
-            ok &= walk.max(axis=1) <= bands
-        survived += int(ok.sum())
-        done += block
-    return survived / samples
+    num, den = float(limit - band).as_integer_ratio()  # f = num / den, exactly
+    low = _surviving_walks(band, episode_length) ** axes
+    high = _surviving_walks(band + 1, episode_length) ** axes if num else 0
+    return (low * (den - num) + high * num) / (den << episode_length * axes)
 
 
 @dataclass(frozen=True)
@@ -459,39 +447,35 @@ def limit_measures(
 
 def sparsity_measures(
     params: CartPoleParams, limit: float | None = None, trials: int = 10_000,
-    samples: int | None = None, episode_length: int = 200, seed: int = 0,
+    episode_length: int = 200, seed: int = 0,
 ) -> tuple[list[MeasureResult], list[str]]:
     """Band-survival sparsity; without a limit, the band is measured with
-    constant_action_limit over trials. samples defaults to 100,000."""
-    samples = samples if samples is not None else 100_000
+    constant_action_limit over trials."""
     if limit is not None:
         limit_source, band_provenance = "user-provided action limit", ANALYTIC
     else:
         limit = constant_action_limit(params, trials, seed)
         limit_source = "measured constant-action limit"
         band_provenance = monte_carlo(seed, trials)
-    value = analytic_sparsity(
-        limit, episode_length=episode_length, samples=samples, seed=seed, axes=params.axis_count
-    )
+    value = analytic_sparsity(limit, episode_length=episode_length, axes=params.axis_count)
     return [
         MeasureResult(
             "analytic_sparsity",
             value,
-            "fraction of random +/-1 walks staying inside the action-limit "
-            f"band; one full-length walk per axis; band from {limit_source}; "
-            f"episode_length={episode_length}; fractional limits "
-            "dither the integer band per sample",
-            monte_carlo(seed, samples),
+            "exact probability that random +/-1 walks stay inside the "
+            f"action-limit band; one full-length walk per axis; band from {limit_source}; "
+            f"episode_length={episode_length}; a fractional band is interpolated "
+            "linearly between the two neighbouring integer bands",
+            ANALYTIC,
         ),
         MeasureResult("action_limit_band", limit, limit_source, band_provenance),
     ], []
 
 
 def entropy_measures(
-    params: CartPoleParams, samples: int | None = None, bins: int = 256, seed: int = 0
+    params: CartPoleParams, samples: int = 20_000, bins: int = 256, seed: int = 0
 ) -> tuple[list[MeasureResult], list[str]]:
-    """Random-rollout feature and action entropy; samples defaults to 20,000."""
-    samples = samples if samples is not None else 20_000
+    """Random-rollout feature and action entropy."""
     cfg = RolloutConfig(seed=seed, sample_count=samples, bin_count=bins)
     feature_bits, action_bits = rollout_entropy(params, cfg)
     measures = [

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import descriptors, games
-from .errors import DcxError, FormatError
+from .errors import DcxError, FormatError, InvalidParameter
 # log10_product and normalized_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
 # (perfbench/spans.py) wraps them under these names.
@@ -40,6 +40,10 @@ _3D_REFERENCE = _PUBLISHED + " (reference only; coupled 3d dynamics)"
 _BINNING_REFERENCE = _PUBLISHED + " (reference only; binning conventions unpublished)"
 
 _VARIANT_DESCRIPTOR = {"2d": "cartpole2d", "2dg": "cartpole2d-g", "3d": "cartpole3d"}
+
+# --measure choice -> the cart-pole flags its builder reads
+_CARTPOLE_FLAGS = {"table": (), "limit": ("trials",), "entropy": ("samples", "bins"),
+                   "sparsity": ("trials", "limit", "episode_length")}
 
 _3D_NOTE = (
     "3d dynamics are simplified to two independent planar cart-pole systems; "
@@ -162,20 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="information-breakdown JSON file or bundled name",
     )
 
-    cart = sub.add_parser("cartpole", help="cart-pole simulator measures")
+    # absent flags stay off args, so each default lives in its builder
+    cart = sub.add_parser("cartpole", help="cart-pole simulator measures",
+                          argument_default=argparse.SUPPRESS)
     cart.add_argument("--variant", choices=("2d", "2dg", "3d"), default="2d")
     cart.add_argument(
         "--measure", choices=("table", "limit", "sparsity", "entropy"),
         default="table",
     )
-    cart.add_argument("--trials", type=int, default=10_000)
-    cart.add_argument("--samples", type=int, default=None)
-    cart.add_argument("--bins", type=int, default=256)
-    cart.add_argument(
-        "--limit", type=float, default=None,
-        help="action-limit override for the sparsity band",
-    )
-    cart.add_argument("--episode-length", type=int, default=200)
+    cart.add_argument("--trials", type=int)
+    cart.add_argument("--samples", type=int)
+    cart.add_argument("--bins", type=int)
+    cart.add_argument("--limit", type=float, help="action-limit override for the sparsity band")
+    cart.add_argument("--episode-length", type=int)
 
     data = sub.add_parser("dataset", help="dataset complexity measures")
     data.add_argument("name", choices=("mnist", "cifar10", "iris"))
@@ -243,22 +246,26 @@ def _run_descriptor(args) -> _Fields:
 def _run_cartpole(args) -> _Fields:
     domain = _VARIANT_DESCRIPTOR[args.variant]
     lead = [_3D_NOTE] if args.variant == "3d" else []
+    flags = ("trials", "samples", "bins", "limit", "episode_length")
+    given = {name: getattr(args, name) for name in flags if hasattr(args, name)}
+    unread = ["--" + name.replace("_", "-") for name in given
+              if name not in _CARTPOLE_FLAGS[args.measure]]
+    if unread:
+        raise InvalidParameter(f"cartpole --measure {args.measure} does not read {' '.join(unread)}")
+    if "limit" in given and "trials" in given:
+        raise InvalidParameter("--trials measures the sparsity band, which --limit gives")
     if args.measure == "table":
         measures, notes = descriptors.descriptor_measures(descriptors.bundled_descriptor(domain))
         return domain, None, measures, lead + notes, None
 
     from . import cartpole as cp
 
-    params = cp.params_for_variant(args.variant)
-    if args.measure == "limit":
-        measures, notes = cp.limit_measures(params, args.trials, args.seed)
-    elif args.measure == "sparsity":
-        measures, notes = cp.sparsity_measures(
-            params, args.limit, args.trials, args.samples, args.episode_length, args.seed
-        )
-    else:
-        measures, notes = cp.entropy_measures(params, args.samples, args.bins, args.seed)
-    return domain, args.measure, measures, lead + notes, args.seed
+    build = {"limit": cp.limit_measures, "sparsity": cp.sparsity_measures,
+             "entropy": cp.entropy_measures}[args.measure]
+    measures, notes = build(cp.params_for_variant(args.variant), seed=args.seed, **given)
+    # a given band leaves nothing to draw
+    seed = None if "limit" in given else args.seed
+    return domain, args.measure, measures, lead + notes, seed
 
 
 def _run_dataset(args) -> _Fields:

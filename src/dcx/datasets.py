@@ -317,7 +317,10 @@ def _mnist_shape(group) -> tuple[int, ...]:
     for stream, length in group:
         head = stream.fill(np.empty(4, dtype=np.uint8)).tobytes()
         head += stream.fill(np.empty(4 * head[3], dtype=np.uint8)).tobytes()
-        sizes.append(_idx_sizes(head))
+        try:
+            sizes.append(_idx_sizes(head))
+        except FormatError as exc:
+            raise FormatError(f"{stream.name}: {exc}") from None
         if len(head) + math.prod(sizes[-1]) != length:
             raise TruncatedInput(f"{stream.name}: IDX payload does not hold exactly "
                                  f"the {math.prod(sizes[-1])} bytes its header promises")
@@ -339,9 +342,14 @@ def _read_cifar(group, images: np.ndarray, labels: np.ndarray) -> None:
     check refuses a partial record."""
     step = (1 << 20) // _CIFAR_RECORD
     records = np.empty(step * _CIFAR_RECORD, dtype=np.uint8)
+    stream = group[0][0]
     for start in range(0, len(images), step):
         count = min(step, len(images) - start)
-        block_labels, planes = _cifar_records(group[0][0].fill(records[: count * _CIFAR_RECORD]))
+        data = stream.fill(records[: count * _CIFAR_RECORD])
+        try:
+            block_labels, planes = _cifar_records(data)
+        except FormatError as exc:
+            raise FormatError(f"{stream.name}: {exc}") from None
         images[start : start + count] = planes.transpose(0, 2, 3, 1)
         labels[start : start + count] = block_labels
 

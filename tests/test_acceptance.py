@@ -159,9 +159,9 @@ def test_criterion_06_cartpole_simulation():
         assert limit_2d == approx(9.37, abs=1.0)
         assert limit_2dg == approx(9.22, abs=1.0)
 
-        sparse_2d = analytic_sparsity(limit_2d, samples=100_000, seed=0, axes=1)
-        sparse_2dg = analytic_sparsity(limit_2dg, samples=100_000, seed=0, axes=1)
-        sparse_3d = analytic_sparsity(limit_3d, samples=100_000, seed=0, axes=2)
+        sparse_2d = analytic_sparsity(limit_2d, axes=1)
+        sparse_2dg = analytic_sparsity(limit_2dg, axes=1)
+        sparse_3d = analytic_sparsity(limit_3d, axes=2)
         assert sparse_2d == approx(0.1171, abs=0.02)
         assert sparse_2dg == approx(0.1118, abs=0.02)
         assert sparse_2d > sparse_2dg > sparse_3d

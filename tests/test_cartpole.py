@@ -1,6 +1,9 @@
 """Cart-pole simulator: physics sanity, measured action limits, and the
-random-walk sparsity model checked against exact enumeration. The kernels
-are checked bit for bit against the straightforward loops they replaced."""
+exact random-walk sparsity count checked against enumeration and sampling.
+The simulation kernels are checked bit for bit against the straightforward
+loops they replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +12,11 @@ from dcx import cartpole
 from dcx.cartpole import (
     INIT_BOUND,
     MEMORY_BUDGET,
-    WALK_STEP_BUDGET,
     CartPoleParams,
     RolloutConfig,
     _axis_forces,
     _rollout,
+    _surviving_walks,
     analytic_sparsity,
     constant_action_limit,
     is_failed,
@@ -22,20 +25,6 @@ from dcx.cartpole import (
     step,
 )
 from dcx.errors import InvalidAction, InvalidParameter, ResourceLimit
-
-
-def exact_band_survival(band: int, length: int) -> float:
-    """Probability a ±1 walk of the given length stays within [-band, band],
-    by dynamic programming over position occupancy."""
-    positions = np.arange(-band, band + 1)
-    mass = np.zeros(len(positions))
-    mass[band] = 1.0  # start at the origin
-    for _ in range(length):
-        spread = np.zeros_like(mass)
-        spread[1:] += 0.5 * mass[:-1]
-        spread[:-1] += 0.5 * mass[1:]
-        mass = spread
-    return float(mass.sum())
 
 
 def brute_force_band_survival(band: int, length: int) -> float:
@@ -139,7 +128,9 @@ def oracle_constant_action_limit(p, trials, seed):
 
 
 def oracle_sparsity(limit, episode_length, samples, seed, axes):
-    """Chunked int64 +/-1 walks compared with a float band per sample."""
+    """Monte Carlo survival of int64 +/-1 walks, the band drawn per sample
+    as floor(limit + U): the estimator whose expectation analytic_sparsity
+    computes."""
     rng = np.random.default_rng(seed)
     survived = 0
     done = 0
@@ -268,66 +259,48 @@ class TestAnalyticSparsity:
         assert analytic_sparsity(250.0, episode_length=200) == 1.0
 
     def test_matches_brute_force_enumeration(self):
-        # exact survival over all 2^n walks at an integer limit (no dithering)
-        for band, length in ((3, 12), (4, 16), (5, 20)):
-            exact = brute_force_band_survival(band, length)
-            samples = 40_000
-            mc = analytic_sparsity(
-                float(band), episode_length=length, samples=samples, seed=5
-            )
-            sigma = (exact * (1 - exact) / samples) ** 0.5
-            assert abs(mc - exact) < 3 * sigma
+        for length in range(1, 17):
+            for band in range(length + 2):
+                assert _surviving_walks(band, length) / 2**length == pytest.approx(
+                    brute_force_band_survival(band, length), abs=1e-12
+                ), (band, length)
 
-    def test_brute_force_agrees_with_dynamic_programming(self):
-        for band, length in ((3, 12), (4, 16), (5, 20)):
-            assert brute_force_band_survival(band, length) == pytest.approx(
-                exact_band_survival(band, length), abs=1e-12
-            )
+    @pytest.mark.parametrize("axes", [1, 2])
+    def test_fractional_limit_interpolates_neighboring_bands(self, axes):
+        for limit in (0.5, 3.25, 9.37, 10.6, 199.9):
+            band = math.floor(limit)
+            f = limit - band
+            low = (_surviving_walks(band, 200) / 2**200) ** axes
+            high = (_surviving_walks(band + 1, 200) / 2**200) ** axes
+            assert analytic_sparsity(limit, episode_length=200, axes=axes) == pytest.approx(
+                (1 - f) * low + f * high, rel=1e-14
+            ), limit
 
-    def test_matches_dynamic_programming_at_full_length(self):
-        exact = exact_band_survival(9, 200)
+    def test_integer_limit_is_the_exact_fraction(self):
+        # the value is the exact count over 2**(200 * axes), correctly rounded
+        count = _surviving_walks(9, 200)
+        assert analytic_sparsity(9.0) == count / 2**200
+        assert analytic_sparsity(9.0, axes=2) == count**2 / 2**400
+
+    @pytest.mark.parametrize("length", [7, 200])
+    def test_never_decreases_as_the_limit_grows(self, length):
+        # near certainty, a float DP would wander by an ulp around 1.0
+        limits = np.linspace(0.01, length - 0.01, 133)
+        for axes in (1, 2):
+            values = [analytic_sparsity(x, episode_length=length, axes=axes) for x in limits]
+            assert values == sorted(values), axes
+            assert 0.0 <= values[0] and values[-1] <= 1.0
+
+    @pytest.mark.parametrize(("limit", "axes", "seed"), [(9.37, 1, 0), (10.6, 2, 1)])
+    def test_sampled_walks_agree_at_full_length(self, limit, axes, seed):
+        # the int64 walk loop, a statistical cross-check rather than a bit oracle
+        exact = analytic_sparsity(limit, episode_length=200, axes=axes)
         samples = 100_000
-        mc = analytic_sparsity(9.0, episode_length=200, samples=samples, seed=0)
-        sigma = (exact * (1 - exact) / samples) ** 0.5
-        assert abs(mc - exact) < 3 * sigma
-
-    def test_two_axes_squares_the_survival(self):
-        exact = exact_band_survival(9, 200) ** 2
-        samples = 100_000
-        mc = analytic_sparsity(
-            9.0, episode_length=200, samples=samples, seed=0, axes=2
-        )
-        sigma = (exact * (1 - exact) / samples) ** 0.5
-        assert abs(mc - exact) < 3 * sigma
-
-    def test_monotone_in_limit_under_shared_seed(self):
-        values = [
-            analytic_sparsity(limit, samples=20_000, seed=3)
-            for limit in (6.3, 7.9, 9.4, 11.0, 12.7)
-        ]
-        assert values == sorted(values)
-
-    def test_fractional_limit_between_neighboring_bands(self):
-        lo = analytic_sparsity(9.0, samples=50_000, seed=4)
-        mid = analytic_sparsity(9.5, samples=50_000, seed=4)
-        hi = analytic_sparsity(10.0, samples=50_000, seed=4)
-        assert lo < mid < hi
+        sampled = oracle_sparsity(limit, 200, samples, seed, axes)
+        assert abs(sampled - exact) < 4 * (exact * (1 - exact) / samples) ** 0.5
 
     def test_planar_beats_high_gravity_at_published_limits(self):
-        sparse_2d = analytic_sparsity(9.37, samples=100_000, seed=0)
-        sparse_2dg = analytic_sparsity(9.22, samples=100_000, seed=0)
-        assert sparse_2d > sparse_2dg
-
-    def test_walk_arithmetic_matches_int64_walks(self):
-        cases = (
-            (9.37, 200, 40_000, 0, 1),
-            (10.6, 200, 20_000, 1, 2),
-            (3.0, 12, 17_000, 5, 1),
-            (0.4, 30, 999, 2, 2),
-            (49.5, 50, 3000, 3, 1),
-        )
-        for case in cases:
-            assert analytic_sparsity(*case).hex() == oracle_sparsity(*case).hex(), case
+        assert analytic_sparsity(9.37) > analytic_sparsity(9.22)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -341,17 +314,15 @@ class TestAnalyticSparsity:
         with pytest.raises(InvalidParameter):
             analytic_sparsity(9.0, axes=3)
         with pytest.raises(InvalidParameter):
-            analytic_sparsity(9.0, samples=0)
-        with pytest.raises(InvalidParameter, match="seed"):
-            analytic_sparsity(9.0, samples=10, seed=-1)
+            analytic_sparsity(9.0, episode_length=0)
 
-    def test_refuses_work_past_the_step_budget_before_drawing(self):
-        # a drawing call would run for hours at these sizes, so refusing
-        # promptly shows the check comes first
-        over = WALK_STEP_BUDGET // 200 + 1
-        for samples, axes in ((over, 1), (over // 2 + 1, 2), (10**12, 1)):
+    def test_refuses_work_past_the_budget_before_counting(self):
+        # a counting call would run for hours at these sizes, so refusing
+        # promptly shows the check comes first; the estimate is integer
+        # arithmetic, so an episode length past float range is refused too
+        for limit, length in ((5.0, 10**8), (5000.5, 100_000), (9.0, 10**400)):
             with pytest.raises(ResourceLimit, match="budget"):
-                analytic_sparsity(9.0, episode_length=200, samples=samples, axes=axes)
+                analytic_sparsity(limit, episode_length=length)
 
 
 class TestRolloutEntropy:

@@ -294,6 +294,20 @@ class TestLoaders:
         with pytest.raises(TruncatedInput):
             load_cifar10(synthetic_cifar_dir)
 
+    def test_cifar_bad_label_names_the_batch(self, synthetic_cifar_dir):
+        batch = synthetic_cifar_dir / "cifar-10-batches-bin" / "data_batch_3.bin"
+        data = bytearray(batch.read_bytes())
+        data[3073] = 255  # the second record's label byte
+        batch.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"^data_batch_3\.bin: label byte 255 outside"):
+            load_cifar10(synthetic_cifar_dir)
+
+    def test_mnist_bad_magic_names_the_file(self, synthetic_mnist_dir):
+        path = synthetic_mnist_dir / "mnist" / "train-labels-idx1-ubyte"
+        path.write_bytes(b"\x01" + path.read_bytes()[1:])
+        with pytest.raises(FormatError, match=r"^train-labels-idx1-ubyte: bad IDX magic"):
+            load_mnist(synthetic_mnist_dir)
+
 
 def gzip_files(root, gzipped: bool) -> None:
     """Store every file under root gzipped, or every one plain."""

@@ -344,8 +344,7 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("limit", ["inf", "-inf"])
     def test_cartpole_infinite_limit_refused_in_every_format(self, capsys, fmt, limit):
-        args = ["--format", fmt, "cartpole", "--measure", "sparsity", f"--limit={limit}",
-                "--samples", "10"]
+        args = ["--format", fmt, "cartpole", "--measure", "sparsity", f"--limit={limit}"]
         assert main(args) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -377,7 +376,7 @@ class TestCli:
             ["--measure", "sparsity", "--trials", "1000000000"],
             ["--measure", "entropy", "--samples", "10000000000"],
             ["--measure", "entropy", "--bins", "100000000000"],
-            ["--measure", "sparsity", "--limit", "5", "--samples", "1000000000000"],
+            ["--measure", "sparsity", "--limit", "5000.5", "--episode-length", "100000"],
         ],
     )
     def test_cartpole_refuses_oversized_work_before_allocating(self, args):
@@ -411,7 +410,7 @@ class TestCli:
         [
             ["game", "ttt", "--avg-length", "0"],
             ["cartpole", "--measure", "entropy", "--samples", "0"],
-            ["cartpole", "--measure", "sparsity", "--limit", "3", "--samples", "0"],
+            ["cartpole", "--measure", "sparsity", "--limit", "0"],
             ["cartpole", "--measure", "limit", "--trials", "0"],
             ["cartpole", "--measure", "sparsity", "--trials", "0"],
             ["cartpole", "--measure", "entropy", "--samples", "10", "--bins", "0"],
@@ -425,11 +424,29 @@ class TestCli:
         assert out == ""
         assert err.startswith("dcx: ")
 
-    @pytest.mark.parametrize("measure", ["limit", "sparsity", "entropy"])
-    def test_negative_seed_exits_1_without_traceback(self, measure):
+    @pytest.mark.parametrize(
+        ("args", "named"),
+        [
+            (["--measure", "sparsity", "--samples", "10"], "--samples"),
+            (["--measure", "sparsity", "--limit", "3", "--trials", "10"], "--trials"),
+            (["--measure", "entropy", "--limit", "3"], "--limit"),
+            (["--measure", "table", "--episode-length", "9"], "--episode-length"),
+            (["--measure", "limit", "--trials", "100", "--bins", "5", "--samples", "7",
+              "--limit", "3", "--episode-length", "9"], "--samples --bins --limit --episode-length"),
+        ],
+    )
+    def test_flags_the_measure_does_not_read_exit_1(self, args, named, capsys):
+        assert main(["cartpole", *args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and named in err
+
+    @pytest.mark.parametrize(
+        ("measure", "flag"), [("limit", "--trials"), ("sparsity", "--trials"), ("entropy", "--samples")]
+    )
+    def test_negative_seed_exits_1_without_traceback(self, measure, flag):
         result = run_python(
-            "-m", "dcx.cli", "--seed", "-1", "cartpole", "--measure", measure,
-            "--trials", "10", "--samples", "10",
+            "-m", "dcx.cli", "--seed", "-1", "cartpole", "--measure", measure, flag, "10",
         )
         assert result.returncode == 1
         assert result.stderr.startswith("dcx: ") and "seed" in result.stderr
@@ -438,12 +455,18 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "args",
-        [["game", "ttt", "--no-enumerate"], ["descriptor", "pogo"], ["cartpole", "--measure", "table"]],
+        [
+            ["game", "ttt", "--no-enumerate"],
+            ["descriptor", "pogo"],
+            ["cartpole", "--measure", "table"],
+            ["cartpole", "--measure", "sparsity", "--limit", "9.37"],
+        ],
     )
     def test_closed_forms_accept_any_seed(self, args, capsys):
-        # no value of these reports depends on the seed
-        assert main(["--seed", "-1", *args]) == 0
-        assert main(["--seed", str(2**70), *args]) == 0
+        # no value of these reports depends on the seed, so none records it
+        for seed in (-1, 2**70):
+            assert main(["--format", "json", "--seed", str(seed), *args]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] is None
 
     def test_cartpole_3d_reports_carry_deviation_note(self, capsys):
         for measure in ("table", "limit"):
