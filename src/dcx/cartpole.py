@@ -53,8 +53,8 @@ def _check_seed(seed: int) -> None:
 class CartPoleParams:
     """Physical constants for one cart-pole variant.
 
-    Gravity may be zero so integrator sanity checks can switch it off;
-    everything else must be positive.
+    Every constant must be finite. Gravity may be zero so integrator sanity
+    checks can switch it off; everything else must be positive.
     """
 
     gravity: float = 9.8
@@ -70,8 +70,8 @@ class CartPoleParams:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidParameter(f"variant must be one of {VARIANTS}")
-        if self.gravity < 0:
-            raise InvalidParameter("gravity cannot be negative")
+        if not 0 <= self.gravity < math.inf:
+            raise InvalidParameter("gravity must be finite and not negative")
         for name in (
             "cart_mass",
             "pole_mass",
@@ -81,8 +81,8 @@ class CartPoleParams:
             "position_threshold",
             "angle_threshold",
         ):
-            if getattr(self, name) <= 0:
-                raise InvalidParameter(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidParameter(f"{name} must be positive and finite")
 
     @property
     def action_count(self) -> int:

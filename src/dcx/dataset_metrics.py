@@ -5,7 +5,7 @@ and boxplot-style class summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def median_of_medians(summaries: list[ClassSummary]) -> float:
 
 
 # One function per dataset report: each returns its measures and notes.
-# They call datasets.binarize through the module, where the traced run wraps it.
+# Sparsity calls datasets.binarize through the module, where the traced run wraps it.
 def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureResult], list[str]]:
     """measure is dimensionality, gini (also sparsity) or entropy."""
     if measure == "dimensionality":
@@ -357,8 +357,8 @@ def image_measures(
     notes = []
     summaries = None
     if measure == "dimensionality":
-        if binarized:
-            dataset = datasets.binarize(dataset)
+        if binarized:  # only the count of pixel values changes
+            dataset = replace(dataset, pixel_value_count=2)
         measures.append(
             MeasureResult(
                 "feature_space_dimensionality_log10",

@@ -1,12 +1,16 @@
 """Bit-exact readers for the case-study datasets: IDX tensors (MNIST),
-CIFAR-10 binary batches, and the Iris CSV. Parsers are pure over byte
-buffers; loaders locate files in a local directory and never touch the
+CIFAR-10 binary batches, and the Iris CSV. Each binary format has one
+decoder: parse_idx and parse_cifar10 run the loaders' own header and record
+readers over an in-memory stream, so a parser and its loader accept and
+refuse the same bytes, with the same message bar the loader's file-name
+prefix. Loaders locate files in a local directory and never touch the
 network.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import math
 import os
 import struct
@@ -103,35 +107,19 @@ class TabularDataset:
 
 
 def parse_idx(data: bytes) -> np.ndarray:
-    """Decode an IDX byte tensor.
+    """Decode an IDX byte tensor with the MNIST loader's header reader.
 
     Header: two zero bytes, the unsigned-byte type code 0x08, a dimension
     count, then one big-endian uint32 size per dimension; the payload is
     row-major and must hold exactly the product of the sizes.
     """
-    sizes = _idx_sizes(data)
-    expected = math.prod(sizes)
-    payload = data[4 + 4 * len(sizes) :]
-    if len(payload) != expected:
-        raise TruncatedInput(
-            f"IDX payload holds {len(payload)} bytes, header promises {expected}"
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(sizes)
-
-
-def _idx_sizes(data: bytes) -> tuple[int, ...]:
-    """The dimension sizes from the IDX header at the start of data."""
-    if len(data) < 4:
-        raise TruncatedInput("IDX header needs at least 4 bytes")
-    if data[0] != 0 or data[1] != 0:
-        raise FormatError("bad IDX magic: first two bytes must be zero")
-    if data[2] != _IDX_UBYTE:
-        raise FormatError(f"unsupported IDX type code 0x{data[2]:02x}")
-    ndim = data[3]
-    header_end = 4 + 4 * ndim
-    if len(data) < header_end:
-        raise TruncatedInput("IDX header ends before all dimension sizes")
-    return struct.unpack(f">{ndim}I", data[4:header_end])
+    stream = _Stream(io.BytesIO(data))
+    sizes = _idx_header(stream, len(data))
+    try:
+        tensor = np.empty(sizes, dtype=np.uint8)
+    except ValueError:  # more dimensions than a numpy array can have
+        raise FormatError(f"IDX tensor has {len(sizes)} dimensions, too many for numpy") from None
+    return stream.fill(tensor)
 
 
 def write_idx(tensor: np.ndarray) -> bytes:
@@ -145,28 +133,13 @@ def write_idx(tensor: np.ndarray) -> bytes:
 def parse_cifar10(
     data: bytes, class_names: tuple[str, ...] = CIFAR10_CLASS_NAMES
 ) -> LabeledImageDataset:
-    """Decode CIFAR-10 binary batch records.
+    """Decode CIFAR-10 binary batch records with the loader's record reader.
 
     Each record is a label byte followed by three 1024-byte channel planes
     (red, green, blue), each a row-major 32 x 32 grid.
     """
-    labels, planes = _cifar_records(data)
-    images = planes.transpose(0, 2, 3, 1).copy()
+    images, labels = _decode([[(_Stream(io.BytesIO(data)), len(data))]], _cifar_shape, _read_cifar)
     return LabeledImageDataset(images=images, labels=labels, class_names=class_names)
-
-
-def _cifar_records(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 labels and a records x 3 x 32 x 32 view of the planes."""
-    if len(data) % _CIFAR_RECORD != 0:
-        raise TruncatedInput(
-            f"batch length {len(data)} is not a multiple of {_CIFAR_RECORD}"
-        )
-    records = len(data) // _CIFAR_RECORD
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(records, _CIFAR_RECORD)
-    labels = raw[:, 0].astype(np.int64)
-    if len(labels) and labels.max() > 9:
-        raise FormatError(f"label byte {labels.max()} outside 0..9")
-    return labels, raw[:, 1:].reshape(records, 3, 32, 32)
 
 
 def _iris_class_index(name: str) -> int:
@@ -222,19 +195,22 @@ def binarize(dataset: LabeledImageDataset, threshold: int = 0) -> LabeledImageDa
 
 
 class _Stream:
-    """An open payload whose reads fill numpy arrays. Damaged gzip data
-    raises a DcxError naming the file."""
+    """An open payload whose reads fill numpy arrays. Errors name the file,
+    when there is one; damaged gzip data raises a DcxError too."""
 
-    def __init__(self, handle, name: str) -> None:
+    def __init__(self, handle, name: str = "") -> None:
         self.handle, self.name = handle, name
+
+    def error(self, kind: type, message: str) -> Exception:
+        return kind(f"{self.name}: {message}" if self.name else message)
 
     def _readinto(self, view) -> int:
         try:
             return self.handle.readinto(view)
         except EOFError:
-            raise TruncatedInput(f"{self.name}: gzip stream ends early") from None
+            raise self.error(TruncatedInput, "gzip stream ends early") from None
         except (zlib.error, gzip.BadGzipFile) as exc:
-            raise FormatError(f"{self.name}: damaged gzip stream ({exc})") from None
+            raise self.error(FormatError, f"damaged gzip stream ({exc})") from None
 
     def fill(self, out: np.ndarray) -> np.ndarray:
         """Read exactly the bytes of the contiguous uint8 array out, 1 MiB per
@@ -243,12 +219,12 @@ class _Stream:
         for start in range(0, len(view), 1 << 20):
             chunk = view[start : start + (1 << 20)]
             if self._readinto(chunk) != len(chunk):
-                raise TruncatedInput(f"{self.name}: payload ends early")
+                raise self.error(TruncatedInput, "payload ends early")
         return out
 
     def end(self) -> None:
         if self._readinto(bytearray(1)):
-            raise TruncatedInput(f"{self.name}: bytes left over after the last whole image")
+            raise self.error(TruncatedInput, "bytes left over after the last whole image")
 
 
 @contextmanager
@@ -278,9 +254,8 @@ def _find_file(directory: Path, name: str) -> Path:
 
 
 def _load(data_dir, split, subdirs, parts, class_names, shape_of, read) -> LabeledImageDataset:
-    """Open each file of split once. parts maps train and test to groups of
-    file names, one group per block of images; shape_of(group) sizes a block
-    before any payload is read and read(group, images, labels) fills it."""
+    """Open each file of split once and decode it. parts maps train and test
+    to groups of file names, one group per block of images."""
     if split not in ("train", "test", "all"):
         raise InvalidParameter("split must be train, test, or all")
     directory = Path(data_dir)
@@ -292,42 +267,59 @@ def _load(data_dir, split, subdirs, parts, class_names, shape_of, read) -> Label
              for group in parts[part]]
     with ExitStack() as stack:
         groups = [[stack.enter_context(_payload(path)) for path in group] for group in paths]
-        shapes = [shape_of(group) for group in groups]
-        if len({shape[1:] for shape in shapes}) != 1:
-            raise FormatError("train and test images differ in size")
-        total = sum(shape[0] for shape in shapes)
-        check_budget(total * (math.prod(shapes[0][1:]) + 8), f"loading {total} images")
-        images = np.empty((total, *shapes[0][1:]), dtype=np.uint8)
-        labels = np.empty(total, dtype=np.int64)
-        start = 0
-        for group, (count, *_) in zip(groups, shapes):
-            read(group, images[start : start + count], labels[start : start + count])
-            for stream, _ in group:
-                stream.end()
-            start += count
-    if not total:
+        images, labels = _decode(groups, shape_of, read)
+    if not len(images):
         raise DegenerateInput(f"{directory} holds no images for split {split}")
     return LabeledImageDataset(images=images, labels=labels, class_names=class_names)
 
 
+def _decode(groups, shape_of, read) -> tuple[np.ndarray, np.ndarray]:
+    """The images and labels of groups of (stream, length) pairs, one block
+    of images per group. shape_of(group) sizes a block before any payload
+    is read, read(group, images, labels) fills it, and each stream must
+    then be at its end."""
+    shapes = [shape_of(group) for group in groups]
+    if len({shape[1:] for shape in shapes}) != 1:
+        raise FormatError("train and test images differ in size")
+    total = sum(shape[0] for shape in shapes)
+    check_budget(total * (math.prod(shapes[0][1:]) + 8), f"loading {total} images")
+    images = np.empty((total, *shapes[0][1:]), dtype=np.uint8)
+    labels = np.empty(total, dtype=np.int64)
+    start = 0
+    for group, (count, *_) in zip(groups, shapes):
+        read(group, images[start : start + count], labels[start : start + count])
+        for stream, _ in group:
+            stream.end()
+        start += count
+    return images, labels
+
+
+def _idx_header(stream: _Stream, length: int) -> tuple[int, ...]:
+    """The dimension sizes from the IDX header at the start of stream, whose
+    payload is length bytes; they must promise exactly that length."""
+    if length < 4:
+        raise stream.error(TruncatedInput, "IDX header needs at least 4 bytes")
+    first, second, type_code, ndim = stream.fill(np.empty(4, dtype=np.uint8)).tolist()
+    if first or second:
+        raise stream.error(FormatError, "bad IDX magic: first two bytes must be zero")
+    if type_code != _IDX_UBYTE:
+        raise stream.error(FormatError, f"unsupported IDX type code 0x{type_code:02x}")
+    if length < 4 + 4 * ndim:
+        raise stream.error(TruncatedInput, "IDX header ends before all dimension sizes")
+    sizes = tuple(stream.fill(np.empty(4 * ndim, dtype=np.uint8)).view(">u4").tolist())
+    if 4 + 4 * ndim + math.prod(sizes) != length:
+        raise stream.error(TruncatedInput, f"IDX payload holds {length - 4 - 4 * ndim} "
+                                           f"bytes, header promises {math.prod(sizes)}")
+    return sizes
+
+
 def _mnist_shape(group) -> tuple[int, ...]:
-    """The image block's shape from its IDX headers, each of which must
-    promise exactly its stream's length."""
-    sizes = []
-    for stream, length in group:
-        head = stream.fill(np.empty(4, dtype=np.uint8)).tobytes()
-        head += stream.fill(np.empty(4 * head[3], dtype=np.uint8)).tobytes()
-        try:
-            sizes.append(_idx_sizes(head))
-        except FormatError as exc:
-            raise FormatError(f"{stream.name}: {exc}") from None
-        if len(head) + math.prod(sizes[-1]) != length:
-            raise TruncatedInput(f"{stream.name}: IDX payload does not hold exactly "
-                                 f"the {math.prod(sizes[-1])} bytes its header promises")
+    """The image block's shape from its image and label IDX headers."""
+    sizes = [_idx_header(stream, length) for stream, length in group]
     if len(sizes[0]) != 3:
-        raise FormatError(f"{group[0][0].name}: expected a 3-dimensional tensor")
+        raise group[0][0].error(FormatError, "expected a 3-dimensional tensor")
     if sizes[1] != sizes[0][:1]:
-        raise FormatError(f"{group[1][0].name}: label count does not match images")
+        raise group[1][0].error(FormatError, "label count does not match images")
     return (*sizes[0], 1)
 
 
@@ -337,21 +329,25 @@ def _read_mnist(group, images: np.ndarray, labels: np.ndarray) -> None:
     labels[:] = label_stream.fill(np.empty(len(labels), dtype=np.uint8))
 
 
+def _cifar_shape(group) -> tuple[int, ...]:
+    """The shape of the batch's whole records; _Stream.end refuses a partial
+    one."""
+    return (group[0][1] // _CIFAR_RECORD, 32, 32, 3)
+
+
 def _read_cifar(group, images: np.ndarray, labels: np.ndarray) -> None:
-    """Decode the batch's whole records 1 MiB at a time; the stream's end
-    check refuses a partial record."""
+    """Decode the batch's records 1 MiB at a time: a label byte in 0..9,
+    then the red, green and blue planes, each a row-major 32 x 32 grid."""
     step = (1 << 20) // _CIFAR_RECORD
-    records = np.empty(step * _CIFAR_RECORD, dtype=np.uint8)
+    buffer = np.empty((step, _CIFAR_RECORD), dtype=np.uint8)
     stream = group[0][0]
     for start in range(0, len(images), step):
-        count = min(step, len(images) - start)
-        data = stream.fill(records[: count * _CIFAR_RECORD])
-        try:
-            block_labels, planes = _cifar_records(data)
-        except FormatError as exc:
-            raise FormatError(f"{stream.name}: {exc}") from None
-        images[start : start + count] = planes.transpose(0, 2, 3, 1)
-        labels[start : start + count] = block_labels
+        records = stream.fill(buffer[: min(step, len(images) - start)])
+        if records[:, 0].max() > 9:
+            raise stream.error(FormatError, f"label byte {records[:, 0].max()} outside 0..9")
+        planes = records[:, 1:].reshape(len(records), 3, 32, 32)
+        images[start : start + len(records)] = planes.transpose(0, 2, 3, 1)
+        labels[start : start + len(records)] = records[:, 0]
 
 
 _MNIST_FILES = {
@@ -373,8 +369,7 @@ def load_mnist(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
 def load_cifar10(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:
     """Load CIFAR-10 binary batches from data_dir or its usual subdirectory."""
     return _load(data_dir, split, ("cifar-10-batches-bin", "cifar10"), _CIFAR_FILES,
-                 CIFAR10_CLASS_NAMES, lambda g: (g[0][1] // _CIFAR_RECORD, 32, 32, 3),
-                 _read_cifar)
+                 CIFAR10_CLASS_NAMES, _cifar_shape, _read_cifar)
 
 
 def load_iris(path: str | Path | None = None) -> TabularDataset:

@@ -8,13 +8,12 @@ exact integers, so astronomically large counts never materialize as floats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import DegenerateInput, FormatError, InvalidParameter, check_fields
+from .errors import DegenerateInput, FormatError, InvalidParameter, check_fields, load_json
 from .measures import (
     ANALYTIC,
     MeasureResult,
@@ -158,12 +157,7 @@ def descriptor_from_mapping(obj: dict) -> DomainDescriptor:
 
 def load_descriptor(path: str | Path) -> DomainDescriptor:
     """Parse a descriptor JSON file with strict schema checking."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise FormatError(f"descriptor is not valid JSON: {exc}") from exc
-    return descriptor_from_mapping(obj)
+    return descriptor_from_mapping(load_json(Path(path).read_text(encoding="utf-8"), "descriptor"))
 
 
 def bundled_descriptor(name: str) -> DomainDescriptor:
@@ -275,12 +269,7 @@ def breakdown_from_mapping(obj: dict) -> InformationBreakdown:
 
 
 def load_breakdown(path: str | Path) -> InformationBreakdown:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise FormatError(f"breakdown is not valid JSON: {exc}") from exc
-    return breakdown_from_mapping(obj)
+    return breakdown_from_mapping(load_json(Path(path).read_text(encoding="utf-8"), "breakdown"))
 
 
 def bundled_breakdown(name: str) -> InformationBreakdown:

@@ -1,12 +1,14 @@
-"""Error taxonomy shared across the package, the one key-and-type check
-that every parser of JSON input (descriptors, breakdowns, reports) runs
-before it builds anything, and the one array budget that cart-pole
-measures and dataset loads check before they allocate.
+"""Error taxonomy shared across the package, the one JSON decoder and the
+one key-and-type check that every parser of JSON input (descriptors,
+breakdowns, reports) runs before it builds anything, and the one array
+budget that cart-pole measures and dataset loads check before they
+allocate.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
 """
 
+import json
 import math
 
 
@@ -49,8 +51,8 @@ class ResourceLimit(DcxError, RuntimeError):
 
 # Largest working set, in bytes, a cart-pole measure or a dataset load may
 # ask for. Fixed so that no result depends on the host; paper-scale work (a
-# million 3d trials, 200k rollout samples, 100k walks of 200 steps, all
-# 70,000 MNIST or 60,000 CIFAR-10 images) stays under a tenth of it.
+# million 3d trials, 200k rollout samples, all 70,000 MNIST or 60,000
+# CIFAR-10 images) stays under a tenth of it.
 MEMORY_BUDGET = 2 << 30
 
 
@@ -93,6 +95,17 @@ _FIELD_KINDS = {
     "list": ("a list", lambda v: isinstance(v, list)),
     "any": ("anything", lambda v: True),
 }
+
+
+def load_json(text: str, what: str):
+    """The value text encodes, or FormatError naming what when text is not
+    JSON that Python can decode."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or nesting past
+        # the recursion limit
+        raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def check_fields(obj, where: str, required: dict, optional: dict | None = None) -> None:

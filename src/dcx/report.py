@@ -9,10 +9,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-from .errors import FormatError, InvalidParameter, check_fields
+from .errors import FormatError, InvalidParameter, check_fields, load_json
 from .measures import MeasureResult, Provenance
 
 TOOL_VERSION = "0.1.0"
@@ -47,43 +47,10 @@ class ComplexityReport:
 
     def determinism_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""
-        payload = _report_payload(self)
+        payload = asdict(self)
         payload.pop("timestamp")
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _measure_payload(m: MeasureResult) -> dict:
-    return {
-        "measure_name": m.measure_name,
-        "value": m.value,
-        "convention": m.convention,
-        "provenance": {
-            "kind": m.provenance.kind,
-            "seed": m.provenance.seed,
-            "samples": m.provenance.samples,
-        },
-    }
-
-
-def _report_payload(report: ComplexityReport) -> dict:
-    return {
-        "domain_name": report.domain_name,
-        "measures": [_measure_payload(m) for m in report.measures],
-        "reference_targets": [
-            {
-                "measure_name": t.measure_name,
-                "value": t.value,
-                "tolerance": t.tolerance,
-                "source": t.source,
-            }
-            for t in report.reference_targets
-        ],
-        "tool_version": report.tool_version,
-        "timestamp": report.timestamp,
-        "seed": report.seed,
-        "notes": list(report.notes),
-    }
 
 
 def to_json(report: ComplexityReport) -> str:
@@ -94,7 +61,7 @@ def to_json(report: ComplexityReport) -> str:
             raise FormatError(
                 f"measure {m.measure_name} is {m.value!r}, which JSON cannot hold"
             )
-    payload = _report_payload(report)
+    payload = asdict(report)
     payload["determinism_hash"] = report.determinism_hash()
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -130,10 +97,7 @@ def from_json(text: str) -> ComplexityReport:
     Raises FormatError on any other input. The embedded determinism_hash
     is accepted but not trusted: the parsed report recomputes its own.
     """
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise FormatError(f"report is not valid JSON: {exc}") from exc
+    payload = load_json(text, "report")
     check_fields(payload, "report", _REPORT_FIELDS, {"determinism_hash": "str"})
     try:
         return ComplexityReport(

@@ -208,6 +208,14 @@ class TestPhysics:
             CartPoleParams(cart_mass=0.0)
         with pytest.raises(InvalidParameter):
             CartPoleParams(gravity=-1.0)
+        # nan compares false with everything, and an infinite force or
+        # threshold makes constant_action_limit loop forever
+        fields = ("gravity", "cart_mass", "pole_mass", "pole_half_length", "force_magnitude",
+                  "timestep", "position_threshold", "angle_threshold")
+        for name in fields:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(InvalidParameter, match=name):
+                    CartPoleParams(**{name: value})
 
 
 class TestConstantActionLimit:

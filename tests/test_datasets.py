@@ -30,6 +30,19 @@ from dcx.errors import (
 )
 
 
+def idx_oracle(data: bytes) -> np.ndarray:
+    """A well-formed IDX byte tensor as the payload bytes after its header."""
+    sizes = struct.unpack(f">{data[3]}I", data[4 : 4 + 4 * data[3]])
+    return np.frombuffer(data, dtype=np.uint8, offset=4 + 4 * len(sizes)).reshape(sizes)
+
+
+def cifar_oracle(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Whole CIFAR-10 records as N x 32 x 32 x 3 images and int64 labels."""
+    records = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3073)
+    planes = records[:, 1:].reshape(-1, 3, 32, 32)
+    return planes.transpose(0, 2, 3, 1), records[:, 0].astype(np.int64)
+
+
 class TestIdx:
     def test_round_trip_3d(self):
         rng = np.random.default_rng(0)
@@ -72,6 +85,10 @@ class TestIdx:
         with pytest.raises(TruncatedInput):
             parse_idx(blob)
 
+    def test_rejects_more_dimensions_than_numpy_holds(self):
+        with pytest.raises(FormatError, match="65 dimensions"):
+            parse_idx(bytes([0, 0, 0x08, 65]) + struct.pack(">65I", *[1] * 65) + b"\x00")
+
     def test_rejects_trailing_bytes(self):
         blob = b"\x00\x00\x08\x01" + struct.pack(">I", 2) + b"\x00" * 3
         with pytest.raises(TruncatedInput):
@@ -102,6 +119,52 @@ class TestCifarParsing:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(FormatError):
             parse_cifar10(bytes([11]) + bytes(3072))
+
+
+def _idx(type_code: int, sizes: tuple[int, ...], payload: bytes) -> bytes:
+    return bytes([0, 0, type_code, len(sizes)]) + struct.pack(f">{len(sizes)}I", *sizes) + payload
+
+
+# Malformed inputs each parser must refuse exactly as its loader refuses the
+# same bytes stored as a file: MNIST's training labels, or the CIFAR test batch.
+MALFORMED_IDX = {
+    "gif_file": b"GIF89a" + bytes(20),
+    "short_header": b"\x00\x00\x08",
+    "sizes_cut_short": b"\x00\x00\x08\x01\x00\x00",
+    "float32_type_code": _idx(0x0D, (24,), bytes(96)),
+    "cut_payload": _idx(0x08, (24,), bytes(23)),
+    "trailing_bytes": _idx(0x08, (24,), bytes(25)),
+}
+MALFORMED_CIFAR = {
+    "partial_record": bytes(3073 + 10),
+    "label_255": bytes([255]) + bytes(3072),
+}
+
+
+class TestParsersAgreeWithLoaders:
+    @staticmethod
+    def assert_same_refusal(parse, load, path, data):
+        """parse(data), and load() with data stored at path, raise the same
+        error; the loader's message starts with the file name."""
+        path.write_bytes(data)
+        with pytest.raises(DcxError) as parsed:
+            parse(data)
+        with pytest.raises(DcxError) as loaded:
+            load()
+        assert type(loaded.value) is type(parsed.value)
+        assert str(loaded.value) == f"{path.name}: {parsed.value}"
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_IDX))
+    def test_idx(self, synthetic_mnist_dir, case):
+        path = synthetic_mnist_dir / "mnist" / "train-labels-idx1-ubyte"
+        self.assert_same_refusal(parse_idx, lambda: load_mnist(synthetic_mnist_dir, split="train"),
+                                 path, MALFORMED_IDX[case])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CIFAR))
+    def test_cifar(self, synthetic_cifar_dir, case):
+        path = synthetic_cifar_dir / "cifar-10-batches-bin" / "test_batch.bin"
+        self.assert_same_refusal(parse_cifar10, lambda: load_cifar10(synthetic_cifar_dir, "test"),
+                                 path, MALFORMED_CIFAR[case])
 
 
 class TestIrisParsing:
@@ -192,7 +255,8 @@ class TestLoaders:
 
     @staticmethod
     def concatenated_mnist(root, parts):
-        """What a load is: each part's parsed IDX files, concatenated."""
+        """What a load is: each part's IDX payloads, read as the bytes after
+        the header, concatenated."""
         names = {
             "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
             "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
@@ -202,7 +266,7 @@ class TestLoaders:
             for name, out in zip(names[part], (images, labels)):
                 path = root / name if (root / name).exists() else root / f"{name}.gz"
                 data = path.read_bytes()
-                out.append(parse_idx(gzip.decompress(data) if path.suffix == ".gz" else data))
+                out.append(idx_oracle(gzip.decompress(data) if path.suffix == ".gz" else data))
         return np.concatenate(images)[..., None], np.concatenate(labels).astype(np.int64)
 
     @pytest.mark.parametrize("gzip_images", [False, True])
@@ -266,27 +330,37 @@ class TestLoaders:
         assert both.images.shape == (34, 32, 32, 3)
 
     @staticmethod
-    def parsed_batches(root):
+    def batch_oracles(root):
+        """(images, labels) of each batch, sliced straight from its bytes."""
         names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
-        return [parse_cifar10((root / n).read_bytes()) for n in names]
+        return [cifar_oracle((root / n).read_bytes()) for n in names]
 
-    def test_cifar_loader_equals_the_parsed_batches(self, synthetic_cifar_dir):
-        blocks = self.parsed_batches(synthetic_cifar_dir / "cifar-10-batches-bin")
+    def test_cifar_loader_equals_the_batch_bytes(self, synthetic_cifar_dir):
+        blocks = self.batch_oracles(synthetic_cifar_dir / "cifar-10-batches-bin")
         both = load_cifar10(synthetic_cifar_dir)
-        expected = np.concatenate([b.images for b in blocks])
+        expected = np.concatenate([images for images, _ in blocks])
         assert both.images.dtype == np.uint8 and both.images.flags.c_contiguous
         assert both.images.tobytes() == expected.tobytes()
         assert both.labels.dtype == np.int64
-        assert both.labels.tobytes() == np.concatenate([b.labels for b in blocks]).tobytes()
+        assert both.labels.tobytes() == np.concatenate([labels for _, labels in blocks]).tobytes()
+
+    def test_cifar_parser_equals_the_batch_bytes(self, synthetic_cifar_dir):
+        for batch in sorted((synthetic_cifar_dir / "cifar-10-batches-bin").iterdir()):
+            images, labels = cifar_oracle(batch.read_bytes())
+            parsed = parse_cifar10(batch.read_bytes())
+            assert parsed.images.flags.c_contiguous
+            assert parsed.images.tobytes() == images.tobytes()
+            assert parsed.labels.tobytes() == labels.tobytes()
 
     def test_cifar_gzipped_batch(self, synthetic_cifar_dir):
         root = synthetic_cifar_dir / "cifar-10-batches-bin"
-        blocks = self.parsed_batches(root)
+        blocks = self.batch_oracles(root)
         batch = root / "data_batch_3.bin"
         batch.with_name(batch.name + ".gz").write_bytes(gzip.compress(batch.read_bytes()))
         batch.unlink()
         both = load_cifar10(synthetic_cifar_dir)
-        assert both.images.tobytes() == np.concatenate([b.images for b in blocks]).tobytes()
+        expected = np.concatenate([images for images, _ in blocks])
+        assert both.images.tobytes() == expected.tobytes()
 
     def test_cifar_truncated_batch(self, synthetic_cifar_dir):
         batch = synthetic_cifar_dir / "cifar-10-batches-bin" / "data_batch_2.bin"

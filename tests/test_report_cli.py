@@ -521,6 +521,20 @@ class TestCli:
         assert main(["compare", str(forged), str(forged)]) == 1
         assert capsys.readouterr().err.startswith("dcx: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["descriptor", "{path}"], ["descriptor", "pogo", "--breakdown", "{path}"],
+         ["compare", "{path}", "{path}"]],
+        ids=["descriptor", "breakdown", "report"],
+    )
+    def test_json_nested_past_the_recursion_limit_exits_1(self, tmp_path, argv, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main([arg.format(path=path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and "is not valid JSON: maximum recursion depth" in err
+
     def test_compare_non_numeric_value_exits_1_without_traceback(self, tmp_path):
         good, forged = tmp_path / "good.json", tmp_path / "forged.json"
         assert main(["--format", "json", "--out", str(good), "game", "ttt", "--no-enumerate"]) == 0
