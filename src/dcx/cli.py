@@ -29,6 +29,7 @@ from .report import (
     ComplexityReport,
     ReferenceTarget,
     compare,
+    csv_field,
     from_json,
     to_csv,
     to_json,
@@ -328,8 +329,8 @@ def _run_compare(args, fmt: str) -> str:
         lines = ["measure_name,a_value,b_value,difference,higher"]
         for row in rows:
             lines.append(
-                f"{row['measure_name']},{row['a_value']!r},{row['b_value']!r},"
-                f"{row['difference']!r},{row['higher']}"
+                f"{csv_field(row['measure_name'])},{row['a_value']!r},{row['b_value']!r},"
+                f"{row['difference']!r},{csv_field(row['higher'])}"
             )
         return "\n".join(lines) + "\n"
     lines = [f"comparing {a.domain_name} (a) vs {b.domain_name} (b)"]

@@ -9,11 +9,12 @@ exact integers, so astronomically large counts never materialize as floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import DegenerateInput, FormatError, InvalidParameter, check_fields, load_json
+from .errors import DegenerateInput, InvalidParameter, from_mapping, load_json
 from .measures import (
     ANALYTIC,
     MeasureResult,
@@ -98,8 +99,12 @@ class DomainDescriptor:
             value = getattr(self, field_name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InvalidParameter(f"{field_name} must be a positive integer")
+            if value > sys.float_info.max:
+                raise InvalidParameter(f"{field_name} is past the float range")
         if self.avg_game_length > self.max_game_length:
             raise InvalidParameter("avg_game_length cannot exceed max_game_length")
+        if isinstance(self.initial_state_count, int) and self.initial_state_count < 1:
+            raise InvalidParameter("initial_state_count must be at least 1")
 
     def state_components(self) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.role == "state")
@@ -108,51 +113,9 @@ class DomainDescriptor:
         return tuple(c for c in self.components if c.role == "instance")
 
 
-def _parse_cardinality(raw, where: str) -> int | Power:
-    if isinstance(raw, dict):
-        check_fields(raw, f"{where}: cardinality", {"base": "int", "exp": "int"})
-        return Power(base=raw["base"], exp=raw["exp"])
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise FormatError(f"{where}: cardinality must be an integer or base/exp pair")
-    return raw
-
-
-_COMPONENT_FIELDS = {"name": "str", "cardinality": "any", "role": "str"}
-_COMPONENT_OPTIONAL = {"hierarchy_level": "str?", "estimate": "bool", "note": "str?"}
-_DESCRIPTOR_FIELDS = {
-    "name": "str",
-    "branching_factor": "any",
-    "avg_game_length": "any",
-    "max_game_length": "any",
-    "components": "list",
-}
-_DESCRIPTOR_OPTIONAL = {"initial_state_count": "any", "notes": "strs"}
-
-
-def _parse_component(raw, index: int) -> Component:
-    where = f"components[{index}]"
-    check_fields(raw, where, _COMPONENT_FIELDS, _COMPONENT_OPTIONAL)
-    return Component(**{**raw, "cardinality": _parse_cardinality(raw["cardinality"], where)})
-
-
 def descriptor_from_mapping(obj: dict) -> DomainDescriptor:
     """Build a descriptor from parsed JSON, rejecting unknown keys."""
-    check_fields(obj, "descriptor", _DESCRIPTOR_FIELDS, _DESCRIPTOR_OPTIONAL)
-    components = tuple(
-        _parse_component(raw, i) for i, raw in enumerate(obj["components"])
-    )
-    initial = obj.get("initial_state_count")
-    if initial is not None:
-        initial = _parse_cardinality(initial, "initial_state_count")
-    return DomainDescriptor(
-        name=obj["name"],
-        branching_factor=obj["branching_factor"],
-        avg_game_length=obj["avg_game_length"],
-        max_game_length=obj["max_game_length"],
-        components=components,
-        initial_state_count=initial,
-        notes=tuple(obj.get("notes", [])),
-    )
+    return from_mapping(DomainDescriptor, obj, "descriptor")
 
 
 def load_descriptor(path: str | Path) -> DomainDescriptor:
@@ -260,12 +223,7 @@ class InformationBreakdown:
 
 
 def breakdown_from_mapping(obj: dict) -> InformationBreakdown:
-    check_fields(obj, "breakdown", {"elements": "list"})
-    elements = []
-    for i, raw in enumerate(obj["elements"]):
-        check_fields(raw, f"elements[{i}]", {"name": "str", "count": "any", "units": "any"})
-        elements.append(BreakdownElement(**raw))
-    return InformationBreakdown(elements=tuple(elements))
+    return from_mapping(InformationBreakdown, obj, "breakdown")
 
 
 def load_breakdown(path: str | Path) -> InformationBreakdown:

@@ -1,15 +1,18 @@
-"""Error taxonomy shared across the package, the one JSON decoder and the
-one key-and-type check that every parser of JSON input (descriptors,
-breakdowns, reports) runs before it builds anything, and the one array
-budget that cart-pole measures and dataset loads check before they
-allocate.
+"""Error taxonomy shared across the package, the one JSON reader and the
+one decoder that builds descriptors, breakdowns and reports from it by
+their dataclass annotations, and the one array budget that cart-pole
+measures and dataset loads check before they allocate.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
 """
 
+import dataclasses
+import functools
 import json
 import math
+import types
+import typing
 
 
 class DcxError(Exception):
@@ -78,22 +81,17 @@ def _finite(value) -> bool:
         return False
 
 
-# kind -> (what a field of that kind must be, test). bool never passes as a
-# number although it subclasses int. "any" marks a field that a later parse
-# or constructor checks.
-_FIELD_KINDS = {
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str?": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "strs": (
-        "a list of strings",
-        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-    ),
-    "int": ("an integer", _integer),
-    "int?": ("an integer or null", lambda v: v is None or _integer(v)),
-    "num": ("a finite number", _finite),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "list": ("a list", lambda v: isinstance(v, list)),
-    "any": ("anything", lambda v: True),
+# annotation -> (what a JSON value for it must be, test). tuple stands for
+# tuple[T, ...] and dict for a nested dataclass. bool never passes as a
+# number although it subclasses int.
+_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", _integer),
+    float: ("a finite number", _finite),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    type(None): ("null", lambda v: v is None),
+    tuple: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
 
@@ -108,23 +106,72 @@ def load_json(text: str, what: str):
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def check_fields(obj, where: str, required: dict, optional: dict | None = None) -> None:
-    """Raise FormatError, naming where, unless obj is a JSON object whose
-    keys all appear in required or optional, with every required key
-    present and every present value of the kind its key maps to.
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, resolved annotation, has a default) for each field of cls."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name],
+         f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _kind(tp) -> tuple[str, object]:
+    return _KINDS[dict if dataclasses.is_dataclass(tp) else typing.get_origin(tp) or tp]
+
+
+def _decode(tp, value, where: str, all_required: bool):
+    options = (
+        typing.get_args(tp)
+        if typing.get_origin(tp) in (typing.Union, types.UnionType)
+        else (tp,)
+    )
+    for option in options:
+        if _kind(option)[1](value):
+            break
+    else:
+        kinds = " or ".join(_kind(option)[0] for option in options)
+        raise FormatError(f"{where} must be {kinds}, got {type(value).__name__}")
+    if dataclasses.is_dataclass(option):
+        return from_mapping(option, value, where, all_required=all_required)
+    if typing.get_origin(option) is tuple:
+        item = typing.get_args(option)[0]
+        return tuple(
+            _decode(item, v, f"{where}[{i}]", all_required) for i, v in enumerate(value)
+        )
+    return value
+
+
+def from_mapping(cls, raw, where: str, *, all_required: bool = False, extra=None):
+    """Build dataclass cls from the parsed JSON object raw, decoding each
+    key by its field's annotation: str, int, float (finite), bool, None,
+    tuple[T, ...] from a list, a nested dataclass from an object, or a
+    union of these.
+
+    A key whose field has a default may be left out unless all_required
+    is set. extra maps further keys raw may carry to their annotation;
+    they are checked, then dropped. Any other key, a missing key or a
+    wrong JSON type raises FormatError naming the full path from where;
+    range checks are left to the constructors.
     """
-    optional = optional or {}
-    if not isinstance(obj, dict):
+    if not isinstance(raw, dict):
         raise FormatError(f"{where}: expected an object")
-    unknown = set(obj) - set(required) - set(optional)
+    fields = _fields(cls)
+    extra = extra or {}
+    unknown = set(raw) - {name for name, _, _ in fields} - set(extra)
     if unknown:
         raise FormatError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
+    missing = {
+        name for name, _, has_default in fields if all_required or not has_default
+    } - set(raw)
     if missing:
         raise FormatError(f"{where}: missing keys {sorted(missing)}")
-    for key, kind in (required | optional).items():
-        description, accepts = _FIELD_KINDS[kind]
-        if key in obj and not accepts(obj[key]):
-            raise FormatError(
-                f"{where}: {key} must be {description}, got {type(obj[key]).__name__}"
-            )
+    for key, tp in extra.items():
+        if key in raw:
+            _decode(tp, raw[key], f"{where}.{key}", all_required)
+    return cls(**{
+        name: _decode(tp, raw[name], f"{where}.{name}", all_required)
+        for name, tp, _ in fields
+        if name in raw
+    })

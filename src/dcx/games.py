@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -34,6 +35,7 @@ if TYPE_CHECKING:
 ENUMERATION_CELL_LIMIT = 16
 _O_SHIFT = 16
 _CELL_MASK = (1 << _O_SHIFT) - 1
+_LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,13 @@ class GridGameSpec:
                 raise InvalidParameter(f"{name} must be a positive integer")
         if self.win_length > self.side:
             raise InvalidParameter("win_length cannot exceed the board side")
+        # log10(cells) = dims * log10(side) is judged before side**dims is
+        # formed, with one dimension to spare for rounding; the exact count
+        # then settles the boundary
+        if (
+            self.side > 1 and self.dims > 1 + _LOG10_FLOAT_MAX / math.log10(self.side)
+        ) or self.cells > sys.float_info.max:
+            raise InvalidParameter("the board's cell count is past the float range")
         if self.max_plies > self.cells:
             raise InvalidParameter("max_plies cannot exceed the cell count")
 

@@ -205,6 +205,12 @@ class Power:
             raise InvalidValue("power base must be positive")
         if self.exp < 0:
             raise InvalidValue("power exponent must be non-negative")
+        try:
+            finite = math.isfinite(self.log10())
+        except OverflowError:  # an exponent beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidValue("power exponent puts log10 of the power past the float range")
 
     def log10(self) -> float:
         return self.exp * math.log10(self.base)

@@ -12,8 +12,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-from .errors import FormatError, InvalidParameter, check_fields, load_json
-from .measures import MeasureResult, Provenance
+from .errors import FormatError, InvalidParameter, from_mapping, load_json
+from .measures import MeasureResult
 
 TOOL_VERSION = "0.1.0"
 
@@ -66,70 +66,42 @@ def to_json(report: ComplexityReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-_REPORT_FIELDS = {
-    "domain_name": "str",
-    "measures": "list",
-    "reference_targets": "list",
-    "tool_version": "str",
-    "timestamp": "str",
-    "seed": "int?",
-    "notes": "strs",
-}
-_MEASURE_FIELDS = {"measure_name": "str", "value": "num", "convention": "str", "provenance": "any"}
-_PROVENANCE_FIELDS = {"kind": "str", "seed": "int?", "samples": "int?"}
-_TARGET_FIELDS = {"measure_name": "str", "value": "num", "tolerance": "num", "source": "str"}
-
-
-def _measure(raw, where: str) -> MeasureResult:
-    check_fields(raw, where, _MEASURE_FIELDS)
-    check_fields(raw["provenance"], f"{where}.provenance", _PROVENANCE_FIELDS)
-    return MeasureResult(**{**raw, "provenance": Provenance(**raw["provenance"])})
-
-
-def _target(raw, where: str) -> ReferenceTarget:
-    check_fields(raw, where, _TARGET_FIELDS)
-    return ReferenceTarget(**raw)
-
-
 def from_json(text: str) -> ComplexityReport:
     """Parse a report written by to_json, checking every key and field type.
 
-    Raises FormatError on any other input. The embedded determinism_hash
-    is accepted but not trusted: the parsed report recomputes its own.
+    Every key is required. Raises FormatError on any other input. The
+    embedded determinism_hash is accepted but not trusted: the parsed
+    report recomputes its own.
     """
-    payload = load_json(text, "report")
-    check_fields(payload, "report", _REPORT_FIELDS, {"determinism_hash": "str"})
     try:
-        return ComplexityReport(
-            domain_name=payload["domain_name"],
-            measures=tuple(
-                _measure(m, f"measures[{i}]") for i, m in enumerate(payload["measures"])
-            ),
-            reference_targets=tuple(
-                _target(t, f"reference_targets[{i}]")
-                for i, t in enumerate(payload["reference_targets"])
-            ),
-            tool_version=payload["tool_version"],
-            timestamp=payload["timestamp"],
-            seed=payload["seed"],
-            notes=tuple(payload["notes"]),
+        return from_mapping(
+            ComplexityReport, load_json(text, "report"), "report",
+            all_required=True, extra={"determinism_hash": str},
         )
     except InvalidParameter as exc:
         raise FormatError(f"report has a malformed field: {exc}") from exc
 
 
+def csv_field(text: str, always_quote: bool = False) -> str:
+    """text as one RFC 4180 field: quoted, with each quote doubled, when it
+    holds a comma, a quote, CR or LF (or always_quote is set)."""
+    if always_quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def to_csv(report: ComplexityReport) -> str:
-    """One row per measure; header included, plain decimal points."""
+    """One row per measure; header included, plain decimal points. Names
+    are quoted where RFC 4180 needs it; conventions are always quoted."""
     lines = ["domain_name,measure_name,value,convention,provenance,seed,samples"]
     for m in report.measures:
-        convention = m.convention.replace('"', "'")
         lines.append(
             ",".join(
                 [
-                    report.domain_name,
-                    m.measure_name,
+                    csv_field(report.domain_name),
+                    csv_field(m.measure_name),
                     repr(m.value),
-                    f'"{convention}"',
+                    csv_field(m.convention, always_quote=True),
                     m.provenance.kind,
                     str(m.provenance.seed if m.provenance.seed is not None else ""),
                     str(m.provenance.samples if m.provenance.samples is not None else ""),

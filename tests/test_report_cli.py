@@ -1,6 +1,7 @@
 """Report serialization, comparison rules, and the command-line surface."""
 
 import ast
+import csv
 import gzip
 import json
 import math
@@ -193,6 +194,20 @@ class TestSerialization:
         assert len(lines) == 3
         assert lines[1].startswith("toy,alpha,1.5,")
 
+    def test_csv_fields_survive_commas_quotes_and_newlines(self):
+        names = ("mono,poly\nx", 'say "hi"\r\nend')
+        report = ComplexityReport(
+            domain_name=names[0],
+            measures=tuple(
+                MeasureResult(name, 1.0, 'quoted "convention"', ANALYTIC) for name in names
+            ),
+        )
+        header, *rows = csv.reader(to_csv(report).splitlines(keepends=True))
+        assert len(header) == 7
+        assert [(row[0], row[1], row[3]) for row in rows] == [
+            (names[0], name, 'quoted "convention"') for name in names
+        ]
+
     def test_text_includes_notes_and_reference(self):
         text = to_text(sample_report())
         assert "note: first note" in text
@@ -292,6 +307,38 @@ class TestCli:
         assert "ssc_combinatorial_total" not in names
         assert "ssc_combinatorial_log10" in names and "gtc_factorial_log10" in names
         assert any("ssc_combinatorial_total omitted" in note for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            None,
+            {"components": [{"name": "c", "cardinality": {"base": 2, "exp": 10**400},
+                             "role": "state"}]},
+            {"branching_factor": 10**400},
+            {"avg_game_length": 10**400, "max_game_length": 10**400},
+        ],
+        ids=["board-dims", "power-exp", "branching-factor", "game-lengths"],
+    )
+    def test_counts_past_the_float_range_exit_1_without_traceback(self, tmp_path, edit):
+        if edit is None:
+            args = ["game", "custom", "--side", "2", "--dims", "2000", "--plies", "1",
+                    "--win", "1", "--no-enumerate"]
+        else:
+            mapping = {
+                "name": "huge",
+                "branching_factor": 2,
+                "avg_game_length": 3,
+                "max_game_length": 4,
+                "components": [{"name": "cells", "cardinality": 10, "role": "state"}],
+                **edit,
+            }
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(mapping), encoding="utf-8")
+            args = ["descriptor", str(path)]
+        result = run_capped_cli(*args)
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ") and "float range" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_custom_game_runs(self, capsys):
         code = main(
@@ -561,6 +608,24 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr.startswith("dcx: ")
         assert "Traceback" not in result.stderr
+
+    def test_compare_csv_survives_commas_and_newlines_in_names(self, tmp_path, capsys):
+        names = ("mono,poly\nx", 'say "hi"')
+        paths = []
+        for domain in ("a,1", "b\n2"):
+            report = ComplexityReport(
+                domain_name=domain,
+                measures=tuple(
+                    MeasureResult(name, float(len(paths)), "stated", ANALYTIC)
+                    for name in names
+                ),
+            )
+            paths.append(tmp_path / f"{len(paths)}.json")
+            paths[-1].write_text(to_json(report), encoding="utf-8")
+        assert main(["--format", "csv", "compare", *map(str, paths)]) == 0
+        header, *rows = csv.reader(capsys.readouterr().out.splitlines(keepends=True))
+        assert header == ["measure_name", "a_value", "b_value", "difference", "higher"]
+        assert [(row[0], row[4]) for row in rows] == [(name, "b\n2") for name in sorted(names)]
 
     def test_compare_json_refuses_a_non_finite_difference(self, tmp_path):
         # both reports load, but 1e308 - (-1e308) overflows to inf, which
