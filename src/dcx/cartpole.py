@@ -10,8 +10,9 @@ trials step numpy columns with numpy's. The two are not bit-interchangeable:
 a Python float's ** 2 is libm's pow and a numpy array's is x * x, which
 differ in the last bit on about one uniform double in a thousand. So each
 is pinned to its own oracle in the tests. Each measure refuses oversized
-work before it starts: past MEMORY_BUDGET for arrays, SPARSITY_WORK_BUDGET
-for the walk count.
+work before it starts: past MEMORY_BUDGET for the rollout's arrays, past
+WORK_BUDGET for the walk and trial counts. The trials run in fixed blocks
+with an integer step total, so their memory does not grow with their count.
 """
 
 from __future__ import annotations
@@ -36,12 +37,16 @@ VARIANTS = ("2d", "2dg", "3d")
 # initial state components are drawn uniformly from this interval
 INIT_BOUND = 0.05
 
-# Most work analytic_sparsity may do, so that no request runs for days, in
-# modelled ns on a 2-vCPU x86-64 machine: per band counted, 400 per step plus,
-# per band cell and step, 30 and 1 more per 64 steps of episode (the counts
-# grow to episode_length bits). 2**34 ns is about 17 s (a loaded host took up
-# to twice the model), 38,000 times the 3d default: 200 steps, bands 9 and 10.
-SPARSITY_WORK_BUDGET = 1 << 34
+# Most work analytic_sparsity or constant_action_limit may do, so that no
+# request runs for days, in modelled ns on a 2-vCPU x86-64 machine: per band
+# counted, 400 per step plus, per band cell and step, 30 and 1 more per 64
+# steps of episode (the counts grow to episode_length bits); 750 per trial
+# and axis. 2**34 ns is about 17 s (a loaded host took up to twice the
+# model): 38,000 times the 3d sparsity default, or 22.9M planar trials.
+WORK_BUDGET = 1 << 34
+
+# constant-action trials stepped at a time; fixed, so the limit's memory is too
+_TRIAL_BLOCK = 1 << 15
 
 
 def _check_seed(seed: int) -> None:
@@ -99,13 +104,9 @@ class CartPoleParams:
 
 
 def params_for_variant(variant: str) -> CartPoleParams:
-    if variant == "2d":
-        return CartPoleParams(variant="2d")
     if variant == "2dg":
         return CartPoleParams(gravity=250.0, variant="2dg")
-    if variant == "3d":
-        return CartPoleParams(variant="3d")
-    raise InvalidParameter(f"variant must be one of {VARIANTS}")
+    return CartPoleParams(variant=variant)  # refuses a variant outside VARIANTS
 
 
 def _planar(p: CartPoleParams):
@@ -218,38 +219,35 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
 
     Every trial starts from a uniform [-0.05, 0.05] state and repeats the
     positive x push until the failure predicate fires; the failing step is
-    included in the count. The live trials are kept as one numpy column per
-    state component; trials that fail are dropped after each step, and the
-    step count lands at their original index, so the mean sums the same
-    array in the same order whatever the order of failure.
+    included in the count. Work past WORK_BUDGET is refused before any draw.
+    Trials are drawn and stepped _TRIAL_BLOCK at a time (the same draws as
+    one trials x state_size call), one numpy column per state component,
+    and dropped once failed; their steps add up exactly in a Python int.
     """
     if trials < 1:
         raise InvalidParameter("trials must be at least 1")
     _check_seed(seed)
-    # two sets of state columns plus about eight per-trial temporaries
-    check_budget(
-        trials * (2 * params.state_size + 8) * 8,
-        f"constant_action_limit with {trials} {params.variant} trials",
-    )
+    if trials * params.axis_count * 750 > WORK_BUDGET:
+        raise ResourceLimit(
+            f"constant_action_limit with {trials} {params.variant} trials "
+            f"is over the {WORK_BUDGET} ns work budget"
+        )
     rng = np.random.default_rng(seed)
-    start = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, params.state_size))
-    columns = list(start.T)
-    del start  # the draw is freed once the first step replaces these views
     forces = _axis_forces(1, params, params.force_magnitude)
     update = _planar(params)
-    steps = np.zeros(trials)
-    live = np.arange(trials)
-    count = 0
-    while live.size:
-        count += 1
-        columns = _advance(columns, forces, update, np.sin, np.cos)
-        failed = _columns_failed(columns, params)
-        if failed.any():
-            steps[live[failed]] = count
-            kept = ~failed
-            live = live[kept]
-            columns = [column[kept] for column in columns]
-    return float(steps.mean())
+    total = 0
+    for done in range(0, trials, _TRIAL_BLOCK):
+        rows = min(_TRIAL_BLOCK, trials - done)
+        columns = list(rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, params.state_size)).T)
+        count = 0
+        while columns[0].size:
+            count += 1
+            columns = _advance(columns, forces, update, np.sin, np.cos)
+            failed = _columns_failed(columns, params)
+            if failed.any():
+                total += count * int(np.count_nonzero(failed))
+                columns = [column[~failed] for column in columns]
+    return total / trials
 
 
 def _surviving_walks(band: int, length: int) -> int:
@@ -285,10 +283,10 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     band = math.floor(limit)
     # both bands' cells, including the absorbing ones, as for a fractional limit
     work = episode_length * (800 + (4 * band + 8) * (30 + episode_length // 64))
-    if work > SPARSITY_WORK_BUDGET:
+    if work > WORK_BUDGET:
         raise ResourceLimit(
             f"analytic_sparsity with limit {limit} over {episode_length} steps "
-            f"is over the {SPARSITY_WORK_BUDGET} ns work budget"
+            f"is over the {WORK_BUDGET} ns work budget"
         )
     num, den = float(limit - band).as_integer_ratio()  # f = num / den, exactly
     low = _surviving_walks(band, episode_length) ** axes

@@ -115,8 +115,10 @@ def image_entropies(
     rows = _image_rows(images)
     count, size = rows.shape
     if rows.dtype == np.uint8:
-        # the bin of each of the 256 values, looked up rather than computed per pixel
+        # the bin of each of the 256 values, looked up rather than computed
+        # per pixel; over raw values with 256 bins, each value is its own bin
         table = _entropy_bins(np.arange(256, dtype=np.uint8), bin_count, binarize_first)
+        identity = np.array_equal(table, np.arange(256))
     # p * log2(p) for every p = c / size a histogram of one image can hold
     p = np.arange(size + 1) / size
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,14 +127,22 @@ def image_entropies(
     out = np.empty(count)
     for start in range(0, count, CHUNK_IMAGES):
         chunk = rows[start : start + CHUNK_IMAGES]
-        if rows.dtype == np.uint8:
-            bins = table[chunk]
+        if rows.dtype == np.uint8 and binarize_first:
+            # zeros land in the first bin, every other value in the last
+            nonzero = np.count_nonzero(chunk, axis=1)
+            counts = np.zeros((len(chunk), bin_count), dtype=np.intp)
+            counts[:, 0], counts[:, -1] = size - nonzero, nonzero
         else:
-            bins = _entropy_bins(chunk, bin_count, binarize_first)
-        # offset each image's bins so that one bincount counts every image
-        bins += np.arange(len(chunk))[:, None] * bin_count
-        counts = np.bincount(bins.ravel(), minlength=len(chunk) * bin_count)
-        counts = counts.reshape(len(chunk), bin_count)
+            if rows.dtype != np.uint8:
+                bins = _entropy_bins(chunk, bin_count, binarize_first)
+            elif identity:
+                bins = chunk.astype(np.intp)
+            else:
+                bins = table[chunk]
+            # offset each image's bins so that one bincount counts every image
+            bins += np.arange(len(chunk))[:, None] * bin_count
+            counts = np.bincount(bins.ravel(), minlength=len(chunk) * bin_count)
+            counts = counts.reshape(len(chunk), bin_count)
         sums = _pairwise_row_sums(plogp[counts], counts > 0)
         out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
     return out / np.log2(bin_count)

@@ -177,18 +177,30 @@ def game_space_complexity(
     return total
 
 
+# Size, in bits, past which uniform_sum stops forming b^(max + 1): the cost
+# grows faster than the digits (b = 43 with a million plies took 0.4 s on a
+# 2-vCPU x86-64 machine), while every bundled descriptor stays exact (pogo's
+# 43^2001 is under 11k bits).
+_EXACT_SUM_BITS = 1 << 16
+
+
 def tree_complexity(descriptor: DomainDescriptor, mode: str = "uniform_sum") -> float:
     """Game-tree complexity, exact geometric sum or plain power form.
 
-    uniform_sum: log10 of the exact integer sum of b^i for i = 1..max
-    (games may end at any tick). power: avg_game_length * log10(b).
+    uniform_sum: log10 of the sum of b^i for i = 1..max (games may end at
+    any tick), exact in integers up to _EXACT_SUM_BITS and in logarithms
+    past it. power: avg_game_length * log10(b).
     """
     b = descriptor.branching_factor
     if b < 2:
         raise InvalidParameter("tree complexity needs branching_factor >= 2")
     if mode == "uniform_sum":
-        total = (b ** (descriptor.max_game_length + 1) - b) // (b - 1)
-        return log10_int(total)
+        m = descriptor.max_game_length
+        if (m + 1) * b.bit_length() <= _EXACT_SUM_BITS:
+            return log10_int((b ** (m + 1) - b) // (b - 1))
+        # log10 of b * (b^m - 1) / (b - 1); b^m is past 2^32000 here (b is
+        # below 2^1024), so log10(1 - b^-m) rounds to 0 and is left out
+        return (m + 1) * math.log10(b) - math.log10(b - 1)
     if mode == "power":
         return gtc_power(b, descriptor.avg_game_length)
     raise InvalidParameter(f"unknown tree complexity mode {mode!r}")

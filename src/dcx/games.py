@@ -38,6 +38,11 @@ _CELL_MASK = (1 << _O_SHIFT) - 1
 _LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
+def _count_text(n: int) -> str:
+    """A positive count in full up to 15 digits, else as 10^<log10>."""
+    return str(n) if n < 10**15 else f"10^{log10_int(n):.3f}"
+
+
 @dataclass(frozen=True)
 class GridGameSpec:
     """An N^D board played to at most max_plies with win lines of win_length."""
@@ -297,7 +302,7 @@ def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribut
     if spec.cells > ENUMERATION_CELL_LIMIT:  # refused before numpy loads
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
-            f"got {spec.cells}"
+            f"got {_count_text(spec.cells)}"
         )
     import numpy as np
 
@@ -401,7 +406,7 @@ def grid_measures(
         raw = enumerate_states(spec, symmetry=False)
     except ResourceLimit:
         notes.append(
-            f"enumeration skipped: {spec.cells} cells exceeds the "
+            f"enumeration skipped: {_count_text(spec.cells)} cells exceeds the "
             f"{ENUMERATION_CELL_LIMIT}-cell guard"
         )
         return measures, notes

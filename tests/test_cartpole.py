@@ -4,6 +4,7 @@ The simulation kernels are checked bit for bit against the straightforward
 loops they replaced."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dcx import cartpole
 from dcx.cartpole import (
     INIT_BOUND,
     MEMORY_BUDGET,
+    WORK_BUDGET,
     CartPoleParams,
     RolloutConfig,
     _axis_forces,
@@ -197,6 +199,11 @@ class TestPhysics:
         with pytest.raises(InvalidAction):
             step((0.0, 0.0, 0.0, 0.0), -1, params_for_variant("2d"))
 
+    def test_rejects_an_unknown_variant(self):
+        for variant in ("4d", "", None):
+            with pytest.raises(InvalidParameter, match="variant"):
+                params_for_variant(variant)
+
     def test_failure_predicate(self):
         p = params_for_variant("2d")
         assert is_failed((2.5, 0.0, 0.0, 0.0), p)
@@ -252,14 +259,49 @@ class TestConstantActionLimit:
     @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
     def test_compacted_trials_match_masked_loop(self, variant):
         p = params_for_variant(variant)
-        for trials, seed in ((1, 0), (37, 1), (5000, 2), (20_000, 11)):
+        block = cartpole._TRIAL_BLOCK
+        cases = [(1, 0), (37, 1), (5000, 2), (20_000, 11)]
+        # the last block full, one short, one row long, and a third partial
+        cases += [(block - 1, 3), (block, 4), (block + 1, 5), (2 * block + 37, 6)]
+        for trials, seed in cases:
             got = constant_action_limit(p, trials, seed)
-            assert got.hex() == oracle_constant_action_limit(p, trials, seed).hex()
+            assert got.hex() == oracle_constant_action_limit(p, trials, seed).hex(), trials
 
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_memory_does_not_grow_with_the_trial_count(self, variant):
+        # the trials hold one block's arrays whatever their count, so four
+        # times the trials need no more memory than allocator noise
+        p = params_for_variant(variant)
+        constant_action_limit(p, 1000, 0)  # numpy's first-call allocations
+        peaks = []
+        for trials in (100_000, 400_000):
+            tracemalloc.start()
+            try:
+                constant_action_limit(p, trials, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + (256 << 10), peaks
 
     def test_refuses_a_negative_seed(self):
         with pytest.raises(InvalidParameter, match="seed"):
             constant_action_limit(params_for_variant("2d"), 10, -1)
+
+    def test_refuses_trials_past_the_work_budget_before_drawing(self, monkeypatch):
+        # with numpy out of reach, a refusal shows that the budget check
+        # comes before any draw, and a count that fits gets past it: the
+        # largest counts the earlier 2 GiB array check accepted, and the
+        # largest the 750 ns per trial and axis model accepts
+        monkeypatch.setattr(cartpole, "np", None)
+        for variant, accepted in (("2d", 16_777_216), ("3d", 11_184_810)):
+            p = params_for_variant(variant)
+            fits = WORK_BUDGET // (750 * p.axis_count)
+            for trials in (fits + 1, 10**9, 10**12):
+                with pytest.raises(ResourceLimit, match="work budget"):
+                    constant_action_limit(p, trials, 0)
+            for trials in (accepted, fits):
+                with pytest.raises(AttributeError):
+                    constant_action_limit(p, trials, 0)
 
 
 class TestAnalyticSparsity:

@@ -3,9 +3,12 @@ structural properties of the complexity sums."""
 
 import json
 import math
+import time
+from dataclasses import replace
 
 import pytest
 
+from dcx import descriptors
 from dcx.descriptors import (
     Component,
     DomainDescriptor,
@@ -26,7 +29,7 @@ from dcx.descriptors import (
     tree_complexity,
 )
 from dcx.errors import DegenerateInput, FormatError, InvalidParameter
-from dcx.measures import Power, gtc_power
+from dcx.measures import Power, gtc_power, log10_int
 
 
 def minimal_mapping(**overrides) -> dict:
@@ -235,6 +238,29 @@ class TestStructuralProperties:
             deepest = gtc_power(d.branching_factor, d.max_game_length)
             total = tree_complexity(d, "uniform_sum")
             assert deepest < total <= deepest + math.log10(2)
+
+    @pytest.mark.parametrize("b", [2, 3, 43, 2**1000 + 7])
+    def test_uniform_sum_forms_agree_across_the_exact_threshold(self, b):
+        # the largest max_game_length summed exactly, and the next two
+        last_exact = descriptors._EXACT_SUM_BITS // b.bit_length() - 1
+        for m in (last_exact - 1, last_exact, last_exact + 1, last_exact + 2):
+            d = bundled_descriptor("pogo")
+            d = replace(d, branching_factor=b, avg_game_length=1, max_game_length=m)
+            exact = log10_int((b ** (m + 1) - b) // (b - 1))
+            closed = (m + 1) * math.log10(b) - math.log10(b - 1) + math.log10(1 - b**-m)
+            got = tree_complexity(d, "uniform_sum")
+            assert got == pytest.approx(exact, rel=1e-12), m
+            assert got == pytest.approx(closed, rel=1e-12), m
+
+    @pytest.mark.parametrize("m", [10**8, 10**15])
+    def test_uniform_sum_of_a_long_game_is_prompt(self, m):
+        # forming 43**(10**8 + 1) exactly did not finish in 15 s
+        d = replace(bundled_descriptor("pogo"), avg_game_length=1, max_game_length=m)
+        start = time.perf_counter()
+        got = tree_complexity(d, "uniform_sum")
+        assert time.perf_counter() - start < 1.0
+        # between the deepest level's 43^m and twice it, to a double's resolution
+        assert gtc_power(43, m) <= got <= gtc_power(43, m) + math.log10(2)
 
     def test_no_state_components_is_degenerate(self):
         d = descriptor_from_mapping(

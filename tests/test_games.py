@@ -13,6 +13,7 @@ from dcx.games import (
     PlyDistribution,
     canonical_positions,
     enumerate_states,
+    grid_measures,
     gtc_factorial,
     ply_entropy,
     preset,
@@ -125,6 +126,20 @@ class TestEnumeration:
     def test_refuses_large_boards(self):
         with pytest.raises(ResourceLimit):
             enumerate_states(QUBIC)
+
+    @pytest.mark.parametrize(
+        ("side", "dims", "cells"),
+        [
+            (4, 3, "64"),
+            (10**15 - 1, 1, "999999999999999"),
+            (10**15, 1, "10^15.000"),
+            (2, 1000, "10^301.030"),  # 302 digits
+        ],
+    )
+    def test_skipped_enumeration_note_writes_long_counts_as_powers(self, side, dims, cells):
+        spec = GridGameSpec(side=side, dims=dims, max_plies=1, win_length=1)
+        _, notes = grid_measures(spec)
+        assert notes == [f"enumeration skipped: {cells} cells exceeds the 16-cell guard"]
 
     @pytest.mark.parametrize(
         ("win", "raw", "sym"),
