@@ -4,15 +4,14 @@ from two independent planar systems.
 
 Supports the empirical measures on top: constant-action limit, exact
 band-survival sparsity, and random-rollout feature/action entropy. One
-formula, bound to a variant's constants by _planar, holds the dynamics: the
-rollout steps Python floats with math's sine and cosine, the constant-action
-trials step numpy columns with numpy's. The two are not bit-interchangeable:
-a Python float's ** 2 is libm's pow and a numpy array's is x * x, which
-differ in the last bit on about one uniform double in a thousand. So each
-is pinned to its own oracle in the tests. Each measure refuses oversized
-work before it starts: past MEMORY_BUDGET for the rollout's arrays, past
-WORK_BUDGET for the walk and trial counts. The trials run in fixed blocks
-with an integer step total, so their memory does not grow with their count.
+formula, bound to a variant's constants by _planar, holds the dynamics. Both
+Monte Carlo measures step their episodes together, a fixed block at a time
+and one numpy column per state component, in _lockstep, so their memory
+does not grow with the trial or sample count. Each measure refuses
+oversized work before it starts: past MEMORY_BUDGET for the rollout's
+arrays, past WORK_BUDGET for the walk and trial counts. _lockstep charges
+each step to WORK_BUDGET too, so episodes that never fail end in
+ResourceLimit rather than run on.
 """
 
 from __future__ import annotations
@@ -37,16 +36,24 @@ VARIANTS = ("2d", "2dg", "3d")
 # initial state components are drawn uniformly from this interval
 INIT_BOUND = 0.05
 
-# Most work analytic_sparsity or constant_action_limit may do, so that no
-# request runs for days, in modelled ns on a 2-vCPU x86-64 machine: per band
-# counted, 400 per step plus, per band cell and step, 30 and 1 more per 64
-# steps of episode (the counts grow to episode_length bits); 750 per trial
-# and axis. 2**34 ns is about 17 s (a loaded host took up to twice the
-# model): 38,000 times the 3d sparsity default, or 22.9M planar trials.
+# Most work analytic_sparsity, constant_action_limit or the rollout may do,
+# so that no request runs for days, in modelled ns on a 2-vCPU x86-64
+# machine: per band counted, 400 per step plus, per band cell and step, 30
+# and 1 more per 64 steps of episode (the counts grow to episode_length
+# bits); 750 per trial and axis before the trials start, and _STEP_NS and
+# _ROW_NS per _lockstep step as they run. 2**34 ns is about 17 s (a loaded
+# host took up to twice the model): 38,000 times the 3d sparsity default,
+# or 22.9M planar trials.
 WORK_BUDGET = 1 << 34
 
 # constant-action trials stepped at a time; fixed, so the limit's memory is too
 _TRIAL_BLOCK = 1 << 15
+# rollout episodes stepped at a time; fixed, since the samples depend on it
+_EPISODE_BLOCK = 1 << 10
+# modelled ns of one _lockstep step per axis: the ufunc calls', and 70 per
+# live episode, so the 9.4 steps of a 2d trial come to about 680 of its 750
+_STEP_NS = 30_000
+_ROW_NS = 70
 
 
 def _check_seed(seed: int) -> None:
@@ -117,9 +124,8 @@ def _planar(p: CartPoleParams):
     numpy arrays alike; sin and cos are sin(theta) and cos(theta), computed
     by the caller. The squares stay ** 2: on a Python float that calls
     libm's pow, which can differ from v * v in the last bit, while on a
-    numpy array it is np.square, that is x * x. So scalar and array steps
-    of one state need not agree to the bit; each is checked against its
-    own oracle.
+    numpy array it is np.square, that is x * x. So step's tuples and the
+    measures' columns need not agree to the bit.
     """
     gravity, pole_mass, half_length, dt = p.gravity, p.pole_mass, p.pole_half_length, p.timestep
     total_mass = p.cart_mass + pole_mass
@@ -141,12 +147,13 @@ def _planar(p: CartPoleParams):
     return update
 
 
-def _advance(state, forces: tuple[float, ...], update, sin, cos) -> list:
+def _advance(state, forces, update, sin, cos) -> list:
     """Step every axis block of a flat state under its force.
 
     state holds Python floats (stepped with math.sin/math.cos) or one numpy
-    column per component (stepped with np.sin/np.cos); update is _planar's
-    step; returns a list of the same kind.
+    column per component (stepped with np.sin/np.cos), and forces one float
+    per axis, or for columns one array per axis; update is _planar's step;
+    returns a list of the same kind as state.
     """
     out = []
     for axis, force in enumerate(forces):
@@ -214,15 +221,47 @@ def _columns_failed(columns: list, p: CartPoleParams) -> np.ndarray:
     return failed
 
 
+def _lockstep(p: CartPoleParams, rng, rows: int, push, end, spent: int) -> tuple[int, int]:
+    """Draw rows uniform initial states, one rows x state_size call, and
+    step those episodes together until each has ended.
+
+    The state is one numpy column per component, a row per live episode.
+    Before each step push(columns) returns each axis's force for the live
+    rows; after step t, end(t, failed) returns which of them end there,
+    given those that left the track or dropped the pole. Each step is
+    charged to spent, the modelled ns so far; past WORK_BUDGET it raises
+    ResourceLimit. Returns (the steps of all the episodes, spent).
+    """
+    update = _planar(p)
+    columns = list(rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, p.state_size)).T)
+    steps = t = 0
+    while columns[0].size:
+        spent += p.axis_count * (_STEP_NS + _ROW_NS * columns[0].size)
+        if spent > WORK_BUDGET:
+            raise ResourceLimit(
+                f"{p.variant} episodes ran past the {WORK_BUDGET} ns work budget "
+                f"at step {t}"
+            )
+        columns = _advance(columns, push(columns), update, np.sin, np.cos)
+        t += 1
+        done = end(t, _columns_failed(columns, p))
+        if done.any():
+            steps += t * int(np.count_nonzero(done))
+            keep = ~done
+            columns = [column[keep] for column in columns]
+    return steps, spent
+
+
 def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> float:
     """Mean number of identical pushes a fresh episode survives.
 
     Every trial starts from a uniform [-0.05, 0.05] state and repeats the
     positive x push until the failure predicate fires; the failing step is
-    included in the count. Work past WORK_BUDGET is refused before any draw.
-    Trials are drawn and stepped _TRIAL_BLOCK at a time (the same draws as
-    one trials x state_size call), one numpy column per state component,
-    and dropped once failed; their steps add up exactly in a Python int.
+    included in the count. A count past WORK_BUDGET is refused before any
+    draw, and stepping past it, which only thresholds the push never reaches
+    allow, is refused as it happens. Trials are drawn and stepped
+    _TRIAL_BLOCK at a time by _lockstep (the same draws as one trials x
+    state_size call); their steps add up exactly in a Python int.
     """
     if trials < 1:
         raise InvalidParameter("trials must be at least 1")
@@ -234,19 +273,13 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
         )
     rng = np.random.default_rng(seed)
     forces = _axis_forces(1, params, params.force_magnitude)
-    update = _planar(params)
-    total = 0
+    total = spent = 0
     for done in range(0, trials, _TRIAL_BLOCK):
         rows = min(_TRIAL_BLOCK, trials - done)
-        columns = list(rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, params.state_size)).T)
-        count = 0
-        while columns[0].size:
-            count += 1
-            columns = _advance(columns, forces, update, np.sin, np.cos)
-            failed = _columns_failed(columns, params)
-            if failed.any():
-                total += count * int(np.count_nonzero(failed))
-                columns = [column[~failed] for column in columns]
+        steps, spent = _lockstep(
+            params, rng, rows, lambda columns: forces, lambda t, failed: failed, spent
+        )
+        total += steps
     return total / trials
 
 
@@ -313,95 +346,85 @@ class RolloutConfig:
             raise InvalidParameter("max_steps must be at least 1")
 
 
-# raw PCG64 words the rollout draws at a time; fixed, so its memory is too
-_WORD_BLOCK = 4096
-
-
-def _raw_words(bits):
-    """The bit generator's 64-bit outputs in order, drawn a block at a time."""
-    while True:
-        yield from bits.random_raw(_WORD_BLOCK).tolist()
-
-
 def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (pre-step state, action) samples of random play.
 
-    Actions are drawn one at a time, interleaved with the initial-state
-    draws of each restart, so the sample depends only on the seed. The
-    draws are read from the PCG64 words behind np.random.default_rng(seed)
-    and replay, bit for bit, what rng.integers(action_count) and
-    rng.uniform(-INIT_BOUND, INIT_BOUND, n) would return:
-    - an action takes the low 32 bits of a new word and keeps the high 32
-      for the next action, as PCG64's next_uint32 does; action counts are
-      powers of two, so Lemire's bounded draw never rejects and is the top
-      log2(action_count) bits of the half;
-    - a restart takes n whole words, w -> (w >> 11) * 2**-53 as in
-      next_double, scaled onto the interval, and leaves a kept half in place.
+    Episodes run _EPISODE_BLOCK at a time through _lockstep, all from one
+    PCG64 stream: a block draws its initial states as one block x state_size
+    call, then before each step one action per live episode, in episode
+    order. The samples are the episodes laid end to end in order, block
+    after block, and cut at sample_count; an episode stops being stepped
+    once none of its later samples could fall before the cut. Features come
+    back as the transpose of a state_size x sample_count array, so each
+    feature's column is contiguous, and actions as uint8.
     """
-    n = params.state_size
-    action_count = params.action_count
-    assert action_count & (action_count - 1) == 0, "the replay needs 2**k actions"
+    n, samples = params.state_size, cfg.sample_count
+    # A block records at most block x max_steps samples, and at most
+    # block + 8 x samples: after t steps fewer than samples / t episodes are
+    # still stepped, and 1 + ln(block) < 8.
+    bound = min(_EPISODE_BLOCK * cfg.max_steps, _EPISODE_BLOCK + 8 * samples)
     # the samples and a column's histogram temporaries, about eight words
-    # per bin (the counts, their Python-int tuple, the probabilities) and
-    # seven per raw word (the uint64 block and its Python ints)
+    # per bin (the counts, their Python-int tuple, the probabilities), and
+    # twice the records' n + 2 words, as their buffer doubles when full
     check_budget(
-        (cfg.sample_count * (n + 4) + cfg.bin_count * 8 + _WORD_BLOCK * 7) * 8,
-        f"rollout_entropy with {cfg.sample_count} {params.variant} samples "
+        (samples * (n + 4) + cfg.bin_count * 8 + bound * 2 * (n + 2)) * 8,
+        f"rollout_entropy with {samples} {params.variant} samples "
         f"and {cfg.bin_count} bins",
     )
-    words = _raw_words(np.random.default_rng(cfg.seed).bit_generator)
-    features = np.empty((cfg.sample_count, n))
-    actions = np.empty(cfg.sample_count, dtype=np.int64)
-    feature_out, action_out = memoryview(features.reshape(-1)), memoryview(actions)
-    # per action, (offset of the axis block, force) for every axis
-    pushes = [
-        tuple(zip(range(0, n, 4), _axis_forces(a, params, params.force_magnitude)))
-        for a in range(action_count)
-    ]
-    update = _planar(params)
-    sin, cos = math.sin, math.cos
-    x_limit, theta_limit = params.position_threshold, params.angle_threshold
-    max_steps = cfg.max_steps
-    shift = 32 - (action_count.bit_length() - 1)  # 32 - log2(action_count)
-    mask = action_count - 1
-    # Generator.uniform(low, high) is low + (high - low) * next_double
-    low, width = -INIT_BOUND, INIT_BOUND - -INIT_BOUND
+    rng = np.random.default_rng(cfg.seed)
+    # each feature's samples contiguous, and a spare slot past the cut
+    features = np.empty((n, samples + 1))
+    actions = np.empty(samples + 1, dtype=np.uint8)
+    # a block's records in step order: pre-step state, action, episode
+    records = np.empty((min(bound, 32 * _EPISODE_BLOCK), n + 2))
+    # each axis's force under each action
+    table = np.array([
+        _axis_forces(a, params, params.force_magnitude) for a in range(params.action_count)
+    ]).T
 
-    def fresh() -> list[float]:
-        return [low + width * ((next(words) >> 11) * 2.0**-53) for _ in range(n)]
+    # push and end read and update the block's state, set in the loop below
+    def push(columns):
+        nonlocal records
+        k, live = ends[-1], ids.size
+        ends.append(k + live)
+        if k + live > len(records):
+            more = np.empty((min(len(records), bound - len(records)), n + 2))
+            records = np.concatenate((records, more))
+        drawn = rng.integers(params.action_count, size=live)
+        step_records = records[k : k + live]
+        for j, column in enumerate((*columns, drawn, ids)):
+            step_records[:, j] = column
+        return [row[drawn] for row in table]
 
-    state = fresh()
-    age = 0
-    kept = -1  # the high half of the last action word, or -1 once used
-    k = 0
-    for i in range(cfg.sample_count):
-        if kept < 0:
-            word = next(words)
-            action = (word >> shift) & mask
-            kept = word >> 32
-        else:
-            action = kept >> shift
-            kept = -1
-        action_out[i] = action
-        age += 1
-        failed = age >= max_steps
-        for j, force in pushes[action]:
-            x, x_dot, theta, theta_dot = state[j : j + 4]
-            feature_out[k + j] = x
-            feature_out[k + j + 1] = x_dot
-            feature_out[k + j + 2] = theta
-            feature_out[k + j + 3] = theta_dot
-            # the step lands in the locals, for the failure test, and in state
-            x, x_dot, theta, theta_dot = state[j : j + 4] = update(
-                x, x_dot, theta, theta_dot, sin(theta), cos(theta), force
-            )
-            if abs(x) > x_limit or abs(theta) > theta_limit:
-                failed = True
-        k += n
-        if failed:
-            state = fresh()
-            age = 0
-    return features, actions
+    def end(t, failed):
+        # An episode also ends after max_steps, or once the episodes up to
+        # and including it fill the samples still needed, as none of its
+        # later samples could then fall before the cut.
+        nonlocal ids
+        if t >= cfg.max_steps:
+            failed[:] = True
+        elif lengths.sum() + t * ids.size >= samples - filled:
+            current = lengths.copy()
+            current[ids] = t
+            failed |= np.cumsum(current)[ids] >= samples - filled
+        lengths[ids[failed]] = t
+        ids = ids[~failed]
+        return failed
+
+    filled = spent = 0
+    while filled < samples:
+        # the live episodes, the steps of those ended, where each step's records end
+        ids, lengths, ends = np.arange(_EPISODE_BLOCK), np.zeros(_EPISODE_BLOCK, np.int64), [0]
+        steps, spent = _lockstep(params, rng, _EPISODE_BLOCK, push, end, spent)
+        k = ends[-1]
+        starts = filled + np.cumsum(lengths) - lengths
+        at = starts[records[:k, n + 1].astype(np.int64)]
+        at += np.repeat(np.arange(len(ends) - 1), np.diff(ends))  # the step
+        np.minimum(at, samples, out=at)
+        features[:, at] = records[:k, :n].T
+        actions[at] = records[:k, n]
+        filled = min(samples, filled + steps)
+    return features[:, :samples].T, actions[:samples]
 
 
 def rollout_entropy(
@@ -409,10 +432,11 @@ def rollout_entropy(
 ) -> tuple[float, float]:
     """Entropy of feature and action distributions under random play.
 
-    Collects (pre-step state, action) pairs from uniformly random actions,
-    restarting the episode on failure or after max_steps. Each feature is
-    min-max normalized over the collected sample and histogrammed into
-    bin_count bins; returns (sum of per-feature bits, action bits).
+    Collects the (pre-step state, action) pairs of episodes under uniformly
+    random actions, each ending on failure or after max_steps, laid end to
+    end and cut at sample_count (see _rollout). Each feature is min-max
+    normalized over the collected sample and histogrammed into bin_count
+    bins; returns (sum of per-feature bits, action bits).
     """
     features, actions = _rollout(params, cfg)
     feature_bits = 0.0

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
-from .errors import FormatError, InvalidParameter, from_mapping, load_json
+from .errors import FormatError, InvalidParameter, InvalidValue, from_mapping, load_json
 from .measures import MeasureResult
 
 TOOL_VERSION = "0.1.0"
@@ -45,6 +45,15 @@ class ComplexityReport:
     seed: int | None = None
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        # a measure that came out infinite or NaN is refused here, once, so
+        # no format prints it; JSON could not hold it anyway
+        for m in self.measures:
+            if not math.isfinite(m.value):
+                raise InvalidValue(
+                    f"measure {m.measure_name} came out {m.value!r}, not a finite number"
+                )
+
     def determinism_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""
         payload = asdict(self)
@@ -54,13 +63,8 @@ class ComplexityReport:
 
 
 def to_json(report: ComplexityReport) -> str:
-    """The report as RFC 8259 JSON, which has no NaN or infinity: a
-    non-finite measure value is refused rather than written."""
-    for m in report.measures:
-        if not math.isfinite(m.value):
-            raise FormatError(
-                f"measure {m.measure_name} is {m.value!r}, which JSON cannot hold"
-            )
+    """The report as RFC 8259 JSON, which has no NaN or infinity; a report
+    holds none (ComplexityReport refuses them)."""
     payload = asdict(report)
     payload["determinism_hash"] = report.determinism_hash()
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -1,9 +1,11 @@
 """Cart-pole simulator: physics sanity, measured action limits, and the
 exact random-walk sparsity count checked against enumeration and sampling.
-The simulation kernels are checked bit for bit against the straightforward
-loops they replaced."""
+The simulation kernels are checked bit for bit against straightforward
+masked loops, and the rollout's block layout also against the restarting
+chain it replaced, by distribution."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from dcx import cartpole
 from dcx.cartpole import (
     INIT_BOUND,
     MEMORY_BUDGET,
+    VARIANTS,
     WORK_BUDGET,
     CartPoleParams,
     RolloutConfig,
@@ -27,6 +30,10 @@ from dcx.cartpole import (
     step,
 )
 from dcx.errors import InvalidAction, InvalidParameter, ResourceLimit
+from dcx.measures import histogram, shannon_entropy
+
+# thresholds no episode reaches, so only max_steps or the cut ends one
+ENDLESS = {"position_threshold": 1e300, "angle_threshold": 1e300}
 
 
 def brute_force_band_survival(band: int, length: int) -> float:
@@ -69,7 +76,9 @@ def oracle_step(state, action, p):
 
 
 def oracle_rollout(p, cfg):
-    """The tuple-step rollout loop: (features, actions)."""
+    """The restarting chain the block layout replaced, one tuple step and
+    one Generator call at a time: (features, actions). Its draws are laid
+    out differently, so it is a distributional check, not a bit oracle."""
     rng = np.random.default_rng(cfg.seed)
     n = p.state_size
     features = np.empty((cfg.sample_count, n))
@@ -127,6 +136,57 @@ def oracle_constant_action_limit(p, trials, seed):
         steps[failed_now] = count
         alive &= ~failed_now
     return float(steps.mean())
+
+
+def oracle_block_rollout(p, cfg):
+    """The block layout as a masked loop: (features, actions, most records
+    one block kept). Each block's episodes are rows of one block x
+    state_size array; every step draws one action per live row in row order,
+    steps the live rows and tests every row, and an episode ends on failure,
+    at max_steps, or once the rows up to and including it hold the samples
+    still needed. The records are then sorted by (episode, step) and cut."""
+    rng = np.random.default_rng(cfg.seed)
+    block = cartpole._EPISODE_BLOCK
+    need = cfg.sample_count
+    features, actions = [], []
+    most = 0
+    while need > 0:
+        states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(block, p.state_size))
+        alive = np.ones(block, dtype=bool)
+        lengths = np.zeros(block, dtype=np.int64)
+        rows, steps, seen, drawn = [], [], [], []
+        t = 0
+        while alive.any():
+            live = np.flatnonzero(alive)
+            a = rng.integers(p.action_count, size=live.size)
+            rows.append(live)
+            steps.append(np.full(live.size, t))
+            seen.append(states[live])
+            drawn.append(a)
+            pushes = [_axis_forces(int(action), p, p.force_magnitude) for action in a]
+            forces = [np.array(axis_forces) for axis_forces in zip(*pushes)]
+            states[alive] = oracle_batch_step(states[alive], forces, p)
+            t += 1
+            lengths[alive] = t
+            ended = oracle_batch_failed(states, p) | (t >= cfg.max_steps)
+            ended |= np.cumsum(lengths) >= need
+            alive &= ~ended
+        rows, steps = np.concatenate(rows), np.concatenate(steps)
+        most = max(most, rows.size)
+        order = np.lexsort((steps, rows))[:need]
+        features.append(np.concatenate(seen)[order])
+        actions.append(np.concatenate(drawn)[order])
+        need -= int(lengths.sum())
+    return np.concatenate(features), np.concatenate(actions), most
+
+
+def per_feature_entropy(features, bins):
+    """Each column's min-max binned entropy, as rollout_entropy sums them."""
+    bits = []
+    for column in features.T:
+        lo, hi = float(column.min()), float(column.max())
+        bits.append(shannon_entropy(histogram(column, bins, (lo, hi)).probabilities()))
+    return bits
 
 
 def oracle_sparsity(limit, episode_length, samples, seed, axes):
@@ -303,6 +363,17 @@ class TestConstantActionLimit:
                 with pytest.raises(AttributeError):
                     constant_action_limit(p, trials, 0)
 
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_endless_trials_run_into_the_work_budget(self, variant, monkeypatch):
+        # a trial that never fails passes the count check, and its steps are
+        # charged as it runs: 10**8 modelled ns is a few thousand steps
+        monkeypatch.setattr(cartpole, "WORK_BUDGET", 10**8)
+        p = CartPoleParams(**ENDLESS, variant=variant)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="work budget"):
+            constant_action_limit(p, 1, 0)
+        assert time.perf_counter() - start < 5.0
+
 
 class TestAnalyticSparsity:
     def test_band_wider_than_episode_is_certain(self):
@@ -406,74 +477,103 @@ class TestRolloutEntropy:
         cfg = RolloutConfig(seed=9, sample_count=3_000)
         assert rollout_entropy(p, cfg) == rollout_entropy(p, cfg)
 
-    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
-    def test_scalar_steps_match_tuple_step_loop(self, variant):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_blocks_match_masked_loop(self, variant, monkeypatch):
         p = params_for_variant(variant)
-        # writing cos * cos for cos**2 moves the 2d seed-0 features from
-        # sample 229 on, so these lengths see last-bit differences
-        configs = [RolloutConfig(seed=seed, sample_count=3000) for seed in (0, 1, 2)]
-        configs.append(RolloutConfig(seed=5, sample_count=3000, max_steps=7))
-        for cfg in configs:
-            features, actions = _rollout(p, cfg)
-            want_features, want_actions = oracle_rollout(p, cfg)
-            assert features.tobytes() == want_features.tobytes(), cfg
-            assert actions.tobytes() == want_actions.tobytes(), cfg
+        configs = [
+            RolloutConfig(seed=0, sample_count=3000),  # cut inside the first block
+            RolloutConfig(seed=1, sample_count=30_000),  # past the first block
+            RolloutConfig(seed=5, sample_count=9000, max_steps=7),
+            RolloutConfig(seed=6, sample_count=2500, max_steps=1),  # 1024 a block
+        ]
+        for block in (cartpole._EPISODE_BLOCK, 1, 7):
+            monkeypatch.setattr(cartpole, "_EPISODE_BLOCK", block)
+            for cfg in configs if block > 7 else configs[::2]:
+                features, actions = _rollout(p, cfg)
+                want_features, want_actions, _ = oracle_block_rollout(p, cfg)
+                assert features.tobytes() == want_features.tobytes(), (block, cfg)
+                assert actions.tolist() == want_actions.tolist(), (block, cfg)
 
-
-def restart_indices(features, actions, p):
-    """The samples a restart produced: those that are not one step on
-    from the sample before."""
-    rows = features.tolist()
-    return [
-        i for i in range(1, len(rows))
-        if step(tuple(rows[i - 1]), int(actions[i - 1]), p) != tuple(rows[i])
-    ]
-
-
-class TestRolloutReplay:
-    """_rollout reads its draws from raw PCG64 words; oracle_rollout calls
-    Generator.integers and Generator.uniform. They must agree bit for bit."""
-
-    @staticmethod
-    def assert_matches_oracle(p, cfg):
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_endless_episodes_are_cut_within_the_record_bound(self, variant):
+        # episode 0 alone fills the sample; the others stop being stepped
+        # once their samples cannot land, so a block records at most
+        # block + 8 x samples, as the memory budget assumes, though more
+        # than the 32 x block the record buffer starts with
+        p = CartPoleParams(**ENDLESS, variant=variant)
+        block = cartpole._EPISODE_BLOCK
+        assert 1 + math.log(block) < 8
+        cfg = RolloutConfig(seed=2, sample_count=6000, max_steps=10**9)
         features, actions = _rollout(p, cfg)
-        want_features, want_actions = oracle_rollout(p, cfg)
-        assert features.tobytes() == want_features.tobytes(), cfg
-        assert actions.tobytes() == want_actions.tobytes(), cfg
-        return features, actions
+        want_features, want_actions, most = oracle_block_rollout(p, cfg)
+        assert features.tobytes() == want_features.tobytes()
+        assert actions.tolist() == want_actions.tolist()
+        assert 32 * block < most <= block + 8 * cfg.sample_count
 
-    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
-    def test_restarts_after_odd_and_even_action_counts(self, variant):
-        # a restart after an odd number of actions finds a kept 32-bit half
-        # and must leave it for the next action; after an even number none
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_feature_entropy_agrees_with_the_restarting_chain(self, variant):
+        # i.i.d. episodes laid end to end and cut have the distribution of
+        # one chain that restarts on failure; over ten seeds a side, each
+        # feature's mean entropy agrees within four standard errors
         p = params_for_variant(variant)
-        parities = set()
-        for cfg in (
-            RolloutConfig(seed=3, sample_count=2000),  # failure restarts
-            RolloutConfig(seed=4, sample_count=2000, max_steps=7),
-            RolloutConfig(seed=6, sample_count=500, max_steps=1),
-        ):
-            features, actions = self.assert_matches_oracle(p, cfg)
-            parities |= {i % 2 for i in restart_indices(features, actions, p)}
-        assert parities == {0, 1}
+        seeds = range(10)
+        blocks = np.array([
+            per_feature_entropy(_rollout(p, RolloutConfig(seed=s, sample_count=2000))[0], 32)
+            for s in seeds
+        ])
+        chain = np.array([
+            per_feature_entropy(
+                oracle_rollout(p, RolloutConfig(seed=100 + s, sample_count=2000))[0], 32
+            )
+            for s in seeds
+        ])
+        se = np.sqrt((blocks.var(axis=0, ddof=1) + chain.var(axis=0, ddof=1)) / len(seeds))
+        z = (blocks.mean(axis=0) - chain.mean(axis=0)) / se
+        assert np.all(np.abs(z) < 4), z
 
-    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
-    @pytest.mark.parametrize("block", [1, 3, 8])
-    def test_draws_cross_refills_of_the_word_block(self, variant, block, monkeypatch):
-        # blocks of 1 and 3 words split every restart's n = 4 or 8 words
-        # across refills, blocks of 8 some of them
-        monkeypatch.setattr(cartpole, "_WORD_BLOCK", block)
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_a_short_sample_of_endless_episodes_is_prompt(self, variant):
+        p = CartPoleParams(**ENDLESS, variant=variant)
+        start = time.perf_counter()
+        features, actions = _rollout(p, RolloutConfig(seed=0, sample_count=5, max_steps=10**9))
+        assert time.perf_counter() - start < 1.0
+        assert features.shape == (5, p.state_size) and actions.shape == (5,)
+
+    def test_endless_episodes_run_into_the_work_budget(self, monkeypatch):
+        # 10**8 modelled ns is a few thousand steps; episode 0 alone would
+        # take 20,000
+        monkeypatch.setattr(cartpole, "WORK_BUDGET", 10**8)
+        p = CartPoleParams(**ENDLESS)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="work budget"):
+            _rollout(p, RolloutConfig(seed=0, sample_count=20_000, max_steps=10**9))
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_memory_besides_the_samples_does_not_grow_with_their_count(self, variant):
+        # one block's records whatever the count: ten times the samples need
+        # no more memory beyond the returned arrays than allocator noise
         p = params_for_variant(variant)
-        self.assert_matches_oracle(p, RolloutConfig(seed=block, sample_count=1500))
-        self.assert_matches_oracle(p, RolloutConfig(seed=block, sample_count=300, max_steps=3))
+        _rollout(p, RolloutConfig(seed=0, sample_count=1000))  # numpy's first-call allocations
+        extra = []
+        for samples in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                features, actions = _rollout(p, RolloutConfig(seed=0, sample_count=samples))
+                extra.append(tracemalloc.get_traced_memory()[1] - features.nbytes - actions.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[1] <= extra[0] + (256 << 10), extra
 
     def test_refuses_an_oversized_rollout_before_drawing(self, monkeypatch):
         # with numpy out of reach, a refusal shows that the budget check
         # comes before any draw or allocation, and a config that fits gets
-        # past it; the fixed word block adds a constant to the budget
+        # past it; a block's records, at most block x max_steps of them in
+        # a buffer that doubles, add a constant to the budget
         p = params_for_variant("3d")
-        fixed = 256 * 8 + cartpole._WORD_BLOCK * 7
-        fits = (MEMORY_BUDGET // 8 - fixed) // (p.state_size + 4)
+        n = p.state_size
+        fixed = 256 * 8 + cartpole._EPISODE_BLOCK * 500 * 2 * (n + 2)
+        fits = (MEMORY_BUDGET // 8 - fixed) // (n + 4)
         monkeypatch.setattr(cartpole, "np", None)
         for samples in (fits + 1, 10**12):
             with pytest.raises(ResourceLimit, match="budget"):

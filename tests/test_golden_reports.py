@@ -23,13 +23,13 @@ from dcx.cli import main
 CARTPOLE_PINS = {
     ("2d", "limit"): "e2b6b4ef4c0a7b548494c58569cfc09737c47ccda27c2ca5570444e958a7e002",
     ("2d", "sparsity"): "be008624b9a19dafb5a90c3cf1d9e78096bf3c8bdcfcc11b30989c6f8bc7fd68",
-    ("2d", "entropy"): "42374e5ab88eeace05916e2b9ddcbc885cf94a87e4ebbc3165c0c13b3bed32ad",
+    ("2d", "entropy"): "c4f0ae0028613fb8fa19ff09a371adeab39f5fd6d276e020654f9f624c1b94fe",
     ("2dg", "limit"): "3a2db1e1f37804086ed0d7052c9bf688a1eb3c5639a3c14297d841633c323200",
     ("2dg", "sparsity"): "e893d42f90d2c363a7f25cf555974c79956444b1fceb9672aaab8821d316c0ef",
-    ("2dg", "entropy"): "a29408e66e1731aeb79c892e78171d6790f7edca4fab8a527a792413fee45ff3",
+    ("2dg", "entropy"): "2eba6d725b4baacc82b08e48102e6155ba798fe7443e7cb9d4d705d60c4dc4d0",
     ("3d", "limit"): "4fe6567919997fa48997f25c9dacc19d68a44b2991e9d8903821f3a464774233",
     ("3d", "sparsity"): "c3e5c9a8837651c2e6b02799c273639f2efa04dc31ddf1f5b533d2b955d183ff",
-    ("3d", "entropy"): "eb53b18ab8e7799acaa5c8514254c0388cbb17cb78e5c6aa2e76d904967fc9ca",
+    ("3d", "entropy"): "d6b9ead0b08fcce8c652cb1eadcad28f914e18d1c5fd61ca2a95a8a7621e3be9",
 }
 
 # determinism_hash of `dcx --format json --seed 0 <command>`

@@ -17,7 +17,7 @@ import pytest
 
 import dcx
 from dcx.cli import main
-from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter
+from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter, InvalidValue
 from dcx.games import gtc_factorial
 from dcx.measures import ANALYTIC, MeasureResult, monte_carlo
 from dcx.report import (
@@ -178,10 +178,12 @@ class TestSerialization:
         with pytest.raises(FormatError):
             from_json(json.dumps(payload))
 
-    def test_to_json_refuses_non_finite_values(self):
+    def test_report_refuses_non_finite_values(self):
+        # refused where the report is built, so neither JSON nor text or
+        # CSV ever holds one
         for value in (float("inf"), float("-inf"), float("nan")):
-            with pytest.raises(FormatError, match="alpha"):
-                to_json(sample_report(value=value))
+            with pytest.raises(InvalidValue, match="alpha"):
+                sample_report(value=value)
 
     def test_from_json_rejects_non_json(self):
         with pytest.raises(FormatError):
@@ -373,6 +375,26 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         values = {m["measure_name"]: m["value"] for m in payload["measures"]}
         assert values["state_space_complexity_log10"] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_descriptor_with_an_infinite_measure_is_refused_in_every_format(
+        self, tmp_path, capsys, fmt
+    ):
+        # within the float range, but b**(m + 1) has a log10 past it
+        mapping = {
+            "name": "huge",
+            "branching_factor": 10**300,
+            "avg_game_length": 3,
+            "max_game_length": 10**308,
+            "components": [{"name": "cells", "cardinality": 1000, "role": "state"}],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        assert main(["--format", fmt, "descriptor", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and "tree_complexity_uniform_sum_log10" in err
+        assert "inf, not a finite number" in err
 
     def test_descriptor_unknown_source(self, capsys):
         assert main(["descriptor", "atlantis"]) == 1
