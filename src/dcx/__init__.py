@@ -68,7 +68,6 @@ _EXPORTS = {
         "DcxError",
         "DegenerateInput",
         "FormatError",
-        "InvalidAction",
         "InvalidDistribution",
         "InvalidParameter",
         "InvalidValue",

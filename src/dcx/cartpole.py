@@ -1,17 +1,19 @@
-"""Deterministic cart-pole simulator in three variants: the standard planar
-benchmark (2d), a high-gravity copy (2dg), and a simplified 3d version built
-from two independent planar systems.
+"""Deterministic cart-pole simulator (Barto, Sutton & Anderson, 1983) in
+three variants: the standard planar benchmark (2d), a high-gravity copy
+(2dg), and a simplified 3d version built from two independent planar systems.
 
-Supports the empirical measures on top: constant-action limit, exact
-band-survival sparsity, and random-rollout feature/action entropy. One
-formula, bound to a variant's constants by _planar, holds the dynamics. Both
-Monte Carlo measures step their episodes together, a fixed block at a time
-and one numpy column per state component, in _lockstep, so their memory
-does not grow with the trial or sample count. Each measure refuses
-oversized work before it starts: past MEMORY_BUDGET for the rollout's
-arrays, past WORK_BUDGET for the walk and trial counts. _lockstep charges
-each step to WORK_BUDGET too, so episodes that never fail end in
-ResourceLimit rather than run on.
+The dynamics have one path, over numpy columns: _planar binds a variant's
+constants into one semi-implicit Euler step, _advance applies it to each
+axis under the forces _force_table gives each action, and _columns_failed
+tests for failure. _lockstep steps a fixed block of episodes together with
+them, one column per state component and a row per live episode, and both
+Monte Carlo measures run on it: the constant-action limit and the
+random-rollout feature/action entropy. Their memory therefore does not grow
+with the trial or sample count. Band-survival sparsity is counted exactly.
+Each measure refuses oversized work before it starts: past MEMORY_BUDGET
+for the rollout's arrays, past WORK_BUDGET for the walk and trial counts.
+_lockstep charges each step to WORK_BUDGET too, so episodes that never fail
+end in ResourceLimit rather than run on.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import (
-    MEMORY_BUDGET,  # noqa: F401 (importable from here too)
-    InvalidAction,
-    InvalidParameter,
-    ResourceLimit,
-    check_budget,
-)
+from .errors import InvalidParameter, ResourceLimit, check_budget
 from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
@@ -120,12 +116,8 @@ def _planar(p: CartPoleParams):
     """The planar dynamics with p's constants bound once.
 
     Returns update(x, x_dot, theta, theta_dot, sin, cos, force), one
-    semi-implicit Euler step that works elementwise on Python floats and
-    numpy arrays alike; sin and cos are sin(theta) and cos(theta), computed
-    by the caller. The squares stay ** 2: on a Python float that calls
-    libm's pow, which can differ from v * v in the last bit, while on a
-    numpy array it is np.square, that is x * x. So step's tuples and the
-    measures' columns need not agree to the bit.
+    semi-implicit Euler step over numpy columns of episodes; sin and cos
+    are sin(theta) and cos(theta), computed by the caller.
     """
     gravity, pole_mass, half_length, dt = p.gravity, p.pole_mass, p.pole_half_length, p.timestep
     total_mass = p.cart_mass + pole_mass
@@ -147,70 +139,26 @@ def _planar(p: CartPoleParams):
     return update
 
 
-def _advance(state, forces, update, sin, cos) -> list:
-    """Step every axis block of a flat state under its force.
-
-    state holds Python floats (stepped with math.sin/math.cos) or one numpy
-    column per component (stepped with np.sin/np.cos), and forces one float
-    per axis, or for columns one array per axis; update is _planar's step;
-    returns a list of the same kind as state.
-    """
+def _advance(columns: list, forces, update) -> list:
+    """Step every axis block of the state columns under its force, one
+    float or array per axis; update is _planar's step."""
     out = []
     for axis, force in enumerate(forces):
-        x, x_dot, theta, theta_dot = state[4 * axis : 4 * axis + 4]
-        out += update(x, x_dot, theta, theta_dot, sin(theta), cos(theta), force)
+        x, x_dot, theta, theta_dot = columns[4 * axis : 4 * axis + 4]
+        out += update(x, x_dot, theta, theta_dot, np.sin(theta), np.cos(theta), force)
     return out
 
 
-def _axis_forces(action: int, params: CartPoleParams, magnitude: float):
-    """Force applied to each axis for one discrete action.
+def _force_table(p: CartPoleParams) -> np.ndarray:
+    """Each axis's force under each action: axis_count x action_count.
 
     Planar variants: 0 pushes left, 1 pushes right. 3d: 0/1 push the x axis
     left/right, 2/3 push the y axis left/right; the other axis coasts.
     """
-    if not isinstance(action, (int, np.integer)) or isinstance(action, bool):
-        raise InvalidAction(f"action must be an integer, got {action!r}")
-    if not 0 <= action < params.action_count:
-        raise InvalidAction(
-            f"action {action} outside the {params.variant} action set "
-            f"0..{params.action_count - 1}"
-        )
-    direction = 1.0 if action % 2 else -1.0
-    if params.variant != "3d":
-        return (direction * magnitude,)
-    if action < 2:
-        return (direction * magnitude, 0.0)
-    return (0.0, direction * magnitude)
-
-
-def step(
-    state: tuple[float, ...],
-    action: int,
-    params: CartPoleParams,
-    force_override: float | None = None,
-) -> tuple[float, ...]:
-    """Advance one timestep; returns a new flat state tuple.
-
-    force_override replaces the push magnitude (0.0 gives unforced dynamics)
-    and exists for equilibrium and integrator tests.
-    """
-    if len(state) != params.state_size:
-        raise InvalidParameter(
-            f"{params.variant} state has {params.state_size} components"
-        )
-    magnitude = params.force_magnitude if force_override is None else force_override
-    forces = _axis_forces(action, params, magnitude)
-    return tuple(
-        float(v) for v in _advance(state, forces, _planar(params), math.sin, math.cos)
-    )
-
-
-def is_failed(state: tuple[float, ...], params: CartPoleParams) -> bool:
-    """True when any axis leaves the track or drops the pole."""
-    x_limit, theta_limit = params.position_threshold, params.angle_threshold
-    if abs(state[0]) > x_limit or abs(state[2]) > theta_limit:
-        return True
-    return params.axis_count == 2 and (abs(state[4]) > x_limit or abs(state[6]) > theta_limit)
+    table = np.zeros((p.axis_count, p.action_count))
+    for axis in range(p.axis_count):
+        table[axis, 2 * axis : 2 * axis + 2] = (-p.force_magnitude, p.force_magnitude)
+    return table
 
 
 def _columns_failed(columns: list, p: CartPoleParams) -> np.ndarray:
@@ -242,7 +190,7 @@ def _lockstep(p: CartPoleParams, rng, rows: int, push, end, spent: int) -> tuple
                 f"{p.variant} episodes ran past the {WORK_BUDGET} ns work budget "
                 f"at step {t}"
             )
-        columns = _advance(columns, push(columns), update, np.sin, np.cos)
+        columns = _advance(columns, push(columns), update)
         t += 1
         done = end(t, _columns_failed(columns, p))
         if done.any():
@@ -272,7 +220,7 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
             f"is over the {WORK_BUDGET} ns work budget"
         )
     rng = np.random.default_rng(seed)
-    forces = _axis_forces(1, params, params.force_magnitude)
+    forces = _force_table(params)[:, 1]
     total = spent = 0
     for done in range(0, trials, _TRIAL_BLOCK):
         rows = min(_TRIAL_BLOCK, trials - done)
@@ -377,10 +325,7 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     actions = np.empty(samples + 1, dtype=np.uint8)
     # a block's records in step order: pre-step state, action, episode
     records = np.empty((min(bound, 32 * _EPISODE_BLOCK), n + 2))
-    # each axis's force under each action
-    table = np.array([
-        _axis_forces(a, params, params.force_magnitude) for a in range(params.action_count)
-    ]).T
+    table = _force_table(params)
 
     # push and end read and update the block's state, set in the loop below
     def push(columns):

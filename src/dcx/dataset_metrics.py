@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import datasets
 from .datasets import LabeledImageDataset, TabularDataset
 from .errors import DegenerateInput, InvalidParameter, InvalidValue
 # histogram and shannon_entropy are no longer called here, but stay
@@ -316,7 +315,6 @@ def median_of_medians(summaries: list[ClassSummary]) -> float:
 
 
 # One function per dataset report: each returns its measures and notes.
-# Sparsity calls datasets.binarize through the module, where the traced run wraps it.
 def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureResult], list[str]]:
     """measure is dimensionality, gini (also sparsity) or entropy."""
     if measure == "dimensionality":
@@ -357,10 +355,11 @@ def image_measures(
     split: str = "all",
 ) -> tuple[list[MeasureResult], list[str]]:
     """name is mnist or cifar10; measure is dimensionality, sparsity, gini
-    or entropy. MNIST is binarized unless mode is raw (sparsity always
-    binarizes it); CIFAR-10 is always raw. split, the part of the dataset
-    loaded, is recorded in the entropy convention. Classes with no images
-    are named in one note and have no per-class results."""
+    or entropy. MNIST is binarized unless mode is raw (sparsity's zero
+    fraction is always the binarized one); CIFAR-10 is always raw. split,
+    the part of the dataset loaded, is recorded in the entropy convention.
+    Classes with no images are named in one note and have no per-class
+    results."""
     mnist = name == "mnist"
     binarized = mnist and mode != "raw"
     measures: list[MeasureResult] = []
@@ -379,8 +378,7 @@ def image_measures(
             )
         )
     elif measure == "sparsity":
-        if mnist:
-            dataset = datasets.binarize(dataset)
+        if mnist:  # binarizing at threshold 0 moves no zero, so the raw images serve
             convention = "mean zero-pixel fraction after binarization at threshold 0"
         else:
             convention = "mean zero-valued fraction over raw intensities"

@@ -35,10 +35,6 @@ class InvalidParameter(DcxError, ValueError):
     """A parameter is outside its documented range."""
 
 
-class InvalidAction(DcxError, ValueError):
-    """An action index outside the variant's action set."""
-
-
 class FormatError(DcxError, ValueError):
     """Structurally malformed input: bad magic, bad schema, bad row."""
 

@@ -25,6 +25,9 @@ if TYPE_CHECKING:
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOLERANCE = 1e-9
 
+# values histogram bins at a time
+_HISTOGRAM_CHUNK = 1 << 16
+
 
 def gini(values: Sequence[float]) -> float:
     """Gini index of a non-negative value array.
@@ -127,7 +130,13 @@ def histogram(
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise DegenerateInput("histogram needs at least one value")
-    counts = np.bincount(bin_indices(v, bin_count, lo, hi), minlength=bin_count)
+    # A run at a time, so the temporaries do not grow with the values; a run
+    # is at least bin_count long, as each run's bincount spans every bin.
+    run = max(_HISTOGRAM_CHUNK, bin_count)
+    counts = np.zeros(bin_count, dtype=np.int64)
+    for start in range(0, v.size, run):
+        bins = bin_indices(v[start : start + run], bin_count, lo, hi)
+        counts += np.bincount(bins, minlength=bin_count)
     return Histogram(lo=lo, hi=hi, counts=tuple(int(c) for c in counts))
 
 

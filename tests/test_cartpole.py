@@ -14,22 +14,22 @@ import pytest
 from dcx import cartpole
 from dcx.cartpole import (
     INIT_BOUND,
-    MEMORY_BUDGET,
     VARIANTS,
     WORK_BUDGET,
     CartPoleParams,
     RolloutConfig,
-    _axis_forces,
+    _advance,
+    _columns_failed,
+    _force_table,
+    _planar,
     _rollout,
     _surviving_walks,
     analytic_sparsity,
     constant_action_limit,
-    is_failed,
     params_for_variant,
     rollout_entropy,
-    step,
 )
-from dcx.errors import InvalidAction, InvalidParameter, ResourceLimit
+from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit
 from dcx.measures import histogram, shannon_entropy
 
 # thresholds no episode reaches, so only max_steps or the cut ends one
@@ -67,10 +67,21 @@ def oracle_planar_update(x, x_dot, theta, theta_dot, force, p):
     )
 
 
+def oracle_forces(action, p):
+    """Each axis's force under one action, written out from the action set
+    so that the oracles below also check dcx.cartpole._force_table: planar
+    0 pushes left and 1 right; 3d 0/1 push the x axis left/right and 2/3
+    the y axis, while the other axis coasts."""
+    push = p.force_magnitude if action % 2 else -p.force_magnitude
+    if p.variant != "3d":
+        return (push,)
+    return (push, 0.0) if action < 2 else (0.0, push)
+
+
 def oracle_step(state, action, p):
     """The tuple step with numpy's sine and cosine on scalars."""
     out = []
-    for axis, force in enumerate(_axis_forces(action, p, p.force_magnitude)):
+    for axis, force in enumerate(oracle_forces(action, p)):
         out.extend(oracle_planar_update(*state[4 * axis : 4 * axis + 4], force, p))
     return tuple(float(v) for v in out)
 
@@ -95,7 +106,7 @@ def oracle_rollout(p, cfg):
         actions[i] = action
         state = oracle_step(state, action, p)
         age += 1
-        if age >= cfg.max_steps or is_failed(state, p):
+        if age >= cfg.max_steps or oracle_batch_failed(np.array([state]), p)[0]:
             state = fresh()
             age = 0
     return features, actions
@@ -125,7 +136,7 @@ def oracle_constant_action_limit(p, trials, seed):
     trials x state_size array, writes them back and tests every trial."""
     rng = np.random.default_rng(seed)
     states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, p.state_size))
-    forces = _axis_forces(1, p, p.force_magnitude)
+    forces = oracle_forces(1, p)
     steps = np.zeros(trials)
     alive = np.ones(trials, dtype=bool)
     count = 0
@@ -163,7 +174,7 @@ def oracle_block_rollout(p, cfg):
             steps.append(np.full(live.size, t))
             seen.append(states[live])
             drawn.append(a)
-            pushes = [_axis_forces(int(action), p, p.force_magnitude) for action in a]
+            pushes = [oracle_forces(int(action), p) for action in a]
             forces = [np.array(axis_forces) for axis_forces in zip(*pushes)]
             states[alive] = oracle_batch_step(states[alive], forces, p)
             t += 1
@@ -208,67 +219,138 @@ def oracle_sparsity(limit, episode_length, samples, seed, axes):
     return survived / samples
 
 
+def columns(states):
+    """The kernels' layout of a rows x state_size array: one column per
+    component, a row per episode."""
+    return list(np.asarray(states, dtype=float).T)
+
+
+def advance(cols, p, forces):
+    return _advance(cols, forces, _planar(p))
+
+
+def same(cols, other):
+    return all(a.tobytes() == b.tobytes() for a, b in zip(cols, other, strict=True))
+
+
+# one-row and many-row columns
+ROWS = (1, 257)
+
+
 class TestPhysics:
-    def test_equilibrium_is_fixed_point(self):
-        p = params_for_variant("2d")
-        state = (0.0, 0.0, 0.0, 0.0)
+    """The column kernel the measures run: _advance with _planar's step
+    under _force_table's forces, and _columns_failed."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_force_table_is_the_action_set(self, variant):
+        p = params_for_variant(variant)
+        table = _force_table(p)
+        assert table.shape == (p.axis_count, p.action_count)
+        for action in range(p.action_count):
+            assert table[:, action].tolist() == list(oracle_forces(action, p))
+        assert not np.signbit(table[table == 0]).any()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_equilibrium_is_fixed_point(self, variant, rows):
+        p = params_for_variant(variant)
+        cols = columns(np.zeros((rows, p.state_size)))
         for _ in range(50):
-            state = step(state, 0, p, force_override=0.0)
-        assert state == (0.0, 0.0, 0.0, 0.0)
+            cols = advance(cols, p, np.zeros(p.axis_count))
+        assert all((col == 0.0).all() for col in cols)
 
-    def test_mirror_symmetry_is_exact(self):
-        p = params_for_variant("2d")
-        rng = np.random.default_rng(0)
-        state = tuple(float(v) for v in rng.uniform(-0.05, 0.05, 4))
-        mirrored = tuple(-v for v in state)
-        for _ in range(30):
-            state = step(state, 1, p)
-            mirrored = step(mirrored, 0, p)
-            assert mirrored == tuple(-v for v in state)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_mirror_symmetry_is_exact(self, variant, rows):
+        # pushing each axis right from a state, and left from its mirror
+        # image, keeps the two trajectories exact mirror images
+        p = params_for_variant(variant)
+        table = _force_table(p)
+        states = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, p.state_size))
+        for right in range(1, p.action_count, 2):
+            cols, mirrored = columns(states), columns(-states)
+            for _ in range(30):
+                cols = advance(cols, p, table[:, right])
+                mirrored = advance(mirrored, p, table[:, right - 1])
+                assert same(mirrored, [-col for col in cols]), right
 
-    def test_zero_gravity_holds_tilt(self):
-        p = CartPoleParams(gravity=0.0)
-        for theta in (0.1, -0.1):
-            state = (0.0, 0.0, theta, 0.0)
-            state = step(state, 0, p, force_override=0.0)
-            assert state[2] == theta
-            assert state[3] == 0.0
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_zero_gravity_holds_tilt(self, variant, rows):
+        p = CartPoleParams(gravity=0.0, variant=variant)
+        states = np.zeros((rows, p.state_size))
+        states[:, 2::4] = np.linspace(-0.1, 0.1, rows * p.axis_count).reshape(rows, -1)
+        cols = advance(columns(states), p, np.zeros(p.axis_count))
+        for axis in range(p.axis_count):
+            assert cols[4 * axis + 2].tolist() == states[:, 4 * axis + 2].tolist()
+            assert (cols[4 * axis + 3] == 0.0).all()
 
-    def test_high_gravity_tips_faster(self):
-        normal = params_for_variant("2d")
-        heavy = params_for_variant("2dg")
-        tilt = (0.0, 0.0, 0.05, 0.0)
-        after_normal = step(tilt, 1, normal)
-        after_heavy = step(tilt, 1, heavy)
-        assert after_heavy[3] > after_normal[3]
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_high_gravity_tips_faster(self, rows):
+        normal, heavy = params_for_variant("2d"), params_for_variant("2dg")
+        tilts = np.zeros((rows, 4))
+        tilts[:, 2] = np.linspace(0.05, 0.001, rows)
+        after_normal = advance(columns(tilts), normal, _force_table(normal)[:, 1])
+        after_heavy = advance(columns(tilts), heavy, _force_table(heavy)[:, 1])
+        assert (after_heavy[3] > after_normal[3]).all()
 
-    def test_spatial_variant_runs_two_planes(self):
-        p = params_for_variant("3d")
-        state = tuple(np.linspace(-0.04, 0.04, 8))
-        pushed_x = step(state, 1, p)
-        assert pushed_x[4:] == state[4:] or not np.allclose(pushed_x[4:], state[4:])
-        # pushing along x leaves the y plane evolving force-free
-        free_y = step(state[4:], 0, params_for_variant("2d"), force_override=0.0)
-        assert pushed_x[4:] == free_y
-
-    def test_rejects_out_of_range_actions(self):
-        with pytest.raises(InvalidAction):
-            step((0.0, 0.0, 0.0, 0.0), 2, params_for_variant("2d"))
-        with pytest.raises(InvalidAction):
-            step(tuple([0.0] * 8), 4, params_for_variant("3d"))
-        with pytest.raises(InvalidAction):
-            step((0.0, 0.0, 0.0, 0.0), -1, params_for_variant("2d"))
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_spatial_variant_runs_two_planes(self, rows):
+        # each 3d push moves one axis as the planar push along it would and
+        # leaves the other axis coasting, force-free
+        p, planar = params_for_variant("3d"), params_for_variant("2d")
+        states = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, 8))
+        for action in range(p.action_count):
+            cols = columns(states)
+            for _ in range(20):
+                cols = advance(cols, p, _force_table(p)[:, action])
+            for axis in (0, 1):
+                force = _force_table(planar)[:, action % 2] if axis == action // 2 else [0.0]
+                alone = columns(states[:, 4 * axis : 4 * axis + 4])
+                for _ in range(20):
+                    alone = advance(alone, planar, force)
+                assert same(cols[4 * axis : 4 * axis + 4], alone), (action, axis)
 
     def test_rejects_an_unknown_variant(self):
         for variant in ("4d", "", None):
             with pytest.raises(InvalidParameter, match="variant"):
                 params_for_variant(variant)
 
-    def test_failure_predicate(self):
-        p = params_for_variant("2d")
-        assert is_failed((2.5, 0.0, 0.0, 0.0), p)
-        assert is_failed((0.0, 0.0, 0.3, 0.0), p)
-        assert not is_failed((0.0, 0.0, 0.0, 0.0), p)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_failure_predicate(self, variant):
+        # a row fails once any axis's cart or pole passes its threshold;
+        # velocities and a value at the threshold itself do not fail it
+        p = params_for_variant(variant)
+        cases = [(np.zeros(p.state_size), False)]
+        for axis in range(p.axis_count):
+            for component, value, failed in (
+                (0, 2.5, True), (0, -2.5, True), (2, 0.3, True), (2, -0.3, True),
+                (0, p.position_threshold, False), (2, -p.angle_threshold, False),
+                (1, 1e9, False), (3, -1e9, False),
+            ):
+                state = np.zeros(p.state_size)
+                state[4 * axis + component] = value
+                cases.append((state, failed))
+        states = np.array([state for state, _ in cases])
+        want = [failed for _, failed in cases]
+        assert _columns_failed(columns(states), p).tolist() == want
+        for state, failed in cases:
+            assert _columns_failed(columns([state]), p).tolist() == [failed]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_from_rest_trajectory(self, variant, rows):
+        # episodes from the exact origin under one repeated push
+        p = params_for_variant(variant)
+        for action in range(p.action_count):
+            cols = columns(np.zeros((rows, p.state_size)))
+            count = 0
+            while not _columns_failed(cols, p).any():
+                cols = advance(cols, p, _force_table(p)[:, action])
+                count += 1
+                assert count < 50
+            assert _columns_failed(cols, p).all()
+            assert 8 <= count <= 11, (action, count)
 
     def test_rejects_nonpositive_physical_constants(self):
         with pytest.raises(InvalidParameter):
@@ -293,17 +375,6 @@ class TestConstantActionLimit:
     def test_high_gravity_limit(self):
         p = params_for_variant("2dg")
         assert constant_action_limit(p, 10_000, seed=0) == pytest.approx(9.22, abs=1.0)
-
-    def test_from_rest_trajectory(self):
-        # a single episode from the exact origin under constant pushes
-        p = params_for_variant("2d")
-        state = (0.0, 0.0, 0.0, 0.0)
-        count = 0
-        while not is_failed(state, p):
-            state = step(state, 1, p)
-            count += 1
-            assert count < 50
-        assert 8 <= count <= 11
 
     def test_deterministic_under_seed(self):
         p = params_for_variant("2d")

@@ -21,7 +21,7 @@ from dcx.dataset_metrics import (
     summarize_class,
     tabular_gini,
 )
-from dcx.datasets import LabeledImageDataset, load_cifar10, load_iris, load_mnist
+from dcx.datasets import LabeledImageDataset, binarize, load_cifar10, load_iris, load_mnist
 from dcx.errors import DegenerateInput, InvalidParameter, InvalidValue
 from dcx.measures import gini, histogram, log10_product, shannon_entropy
 
@@ -62,6 +62,18 @@ class TestZeroSparsity:
     def test_rejects_empty(self):
         with pytest.raises(DegenerateInput):
             image_zero_sparsity(np.zeros((0, 0), dtype=np.uint8))
+
+    def test_binarizing_at_threshold_zero_keeps_every_fraction(self):
+        # MNIST sparsity reports the binarized fraction from the raw images
+        rng = np.random.default_rng(3)
+        images = rng.integers(0, 256, (40, 28, 28, 1)).astype(np.uint8)
+        images[rng.random(images.shape) < 0.8] = 0
+        images[0] = 0
+        images[1] = 255
+        ds = LabeledImageDataset(images=images, labels=np.arange(40) % 10,
+                                 class_names=tuple("0123456789"))
+        raw = image_zero_sparsities(ds.images)
+        assert image_zero_sparsities(binarize(ds).images).tobytes() == raw.tobytes()
 
 
 class TestImageEntropy:

@@ -16,6 +16,7 @@ from dcx.measures import (
     Power,
     Provenance,
     attribute_diversity,
+    bin_indices,
     distance_diversity,
     gini,
     gtc_power,
@@ -131,6 +132,14 @@ class TestHistogram:
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidParameter):
             histogram([1.0], 4, (1.0, 1.0))
+
+    @pytest.mark.parametrize("bin_count", [7, 256, (1 << 16) + 5])
+    def test_runs_count_as_one_bincount(self, bin_count):
+        # 2**16 + 3 values span two runs, the last three values long, unless
+        # the bins outnumber a run; out-of-range values clamp in either
+        values = np.random.default_rng(4).uniform(-0.1, 1.1, (1 << 16) + 3)
+        want = np.bincount(bin_indices(values, bin_count, 0.0, 1.0), minlength=bin_count)
+        assert histogram(values, bin_count, (0.0, 1.0)).counts == tuple(want.tolist())
 
 
 class TestDiversity:
