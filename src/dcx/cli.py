@@ -279,14 +279,14 @@ def _run_dataset(args) -> _Fields:
         return name, args.measure, measures, notes, None
     split = args.split or ("train" if name == "mnist" and args.measure == "entropy" else "all")
     directory = args.data_dir or Path(os.environ.get("DCX_DATA_DIR") or "data")
-    load = datasets.load_mnist if name == "mnist" else datasets.load_cifar10
+    stream = datasets.stream_mnist if name == "mnist" else datasets.stream_cifar10
     try:
-        ds = load(directory, split=split)
+        source = stream(directory, split=split)
     except FileNotFoundError as exc:
         raise DcxError(
             f"{name} files not found: {exc}; pass --data-dir or set DCX_DATA_DIR"
         ) from exc
-    measures, notes = dm.image_measures(name, ds, args.measure, args.mode, split)
+    measures, notes = dm.image_measures(name, source, args.measure, args.mode, split)
     return name, args.measure, measures, notes, None
 
 

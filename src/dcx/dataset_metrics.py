@@ -5,11 +5,12 @@ and boxplot-style class summaries.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datasets import LabeledImageDataset, TabularDataset
+from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
 from .errors import DegenerateInput, InvalidParameter, InvalidValue
 # histogram and shannon_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
@@ -26,7 +27,7 @@ from .measures import (  # noqa: F401
 )
 
 
-def feature_space_dimensionality(dataset: LabeledImageDataset) -> float:
+def feature_space_dimensionality(dataset: LabeledImageDataset | ImageStream) -> float:
     """log10 of pixels x channels x classes x pixel values x images."""
     return log10_product(
         [
@@ -40,17 +41,24 @@ def feature_space_dimensionality(dataset: LabeledImageDataset) -> float:
 
 
 # Images per chunk in the batch kernels: keeps their temporaries to a few MB.
-CHUNK_IMAGES = 256
+# A streamed block is one chunk.
+CHUNK_IMAGES = BLOCK_IMAGES
 
 
 def _image_rows(images) -> np.ndarray:
-    """The N x ... array as N rows of pooled values; refuses empty images."""
+    """The N x ... array as N rows of pooled values; refuses empty images.
+
+    Pooling ignores the order of an image's values, so an N x H x W x C
+    view of channel-major storage (a CIFAR-10 block) is pooled in that
+    order, without copying it into pixel-major order first."""
     arr = np.asarray(images)
     if arr.ndim < 1:
         raise InvalidParameter("expected an N x H x W x C array of images")
     per_image = int(np.prod(arr.shape[1:]))
     if per_image == 0 and len(arr):
         raise DegenerateInput("empty image")
+    if arr.ndim == 4 and arr.strides[3] > arr.strides[1]:
+        arr = arr.transpose(0, 3, 1, 2)
     return arr.reshape(len(arr), per_image)
 
 
@@ -350,30 +358,58 @@ def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureRe
     ], []
 
 
+def _per_image(source: LabeledImageDataset | ImageStream, measure: str, binarized: bool):
+    """One pass over source's blocks. Returns, per image, what measure
+    reduces over (the zero fraction for sparsity, the entropy for entropy,
+    the N x C channel Gini values for gini, nothing read for
+    dimensionality), the labels, and the count of all-zero planes."""
+    count = source.image_count
+    values = np.empty((count, source.channel_count) if measure == "gini" else count)
+    labels = np.empty(count, dtype=np.int64)
+    skipped = start = 0
+    with closing(source.blocks()) as blocks:
+        for images, block_labels in blocks:
+            end = start + len(images)
+            if measure == "sparsity":
+                values[start:end] = image_zero_sparsities(images)
+            elif measure == "entropy":
+                values[start:end] = image_entropies(images, binarize_first=binarized)
+            elif measure == "gini":
+                values[start:end], planes = channel_ginis(images)
+                skipped += planes
+            labels[start:end] = block_labels
+            start = end
+    if start != count:
+        raise InvalidParameter("the image stream has already been read")
+    return values, labels, skipped
+
+
 def image_measures(
-    name: str, dataset: LabeledImageDataset, measure: str, mode: str | None = None,
+    name: str, source: LabeledImageDataset | ImageStream, measure: str, mode: str | None = None,
     split: str = "all",
 ) -> tuple[list[MeasureResult], list[str]]:
     """name is mnist or cifar10; measure is dimensionality, sparsity, gini
-    or entropy. MNIST is binarized unless mode is raw (sparsity's zero
-    fraction is always the binarized one); CIFAR-10 is always raw. split,
-    the part of the dataset loaded, is recorded in the entropy convention.
-    Classes with no images are named in one note and have no per-class
-    results."""
+    or entropy. source is a loaded dataset or a stream, read in one pass
+    that keeps one block of images at a time besides the per-image values.
+    MNIST is binarized unless mode is raw (sparsity's zero fraction is
+    always the binarized one); CIFAR-10 is always raw. split, the part of
+    the dataset read, is recorded in the entropy convention. Classes with
+    no images are named in one note and have no per-class results."""
     mnist = name == "mnist"
     binarized = mnist and mode != "raw"
+    per_image, labels, skipped = _per_image(source, measure, binarized)
     measures: list[MeasureResult] = []
     notes = []
     summaries = None
     if measure == "dimensionality":
         if binarized:  # only the count of pixel values changes
-            dataset = replace(dataset, pixel_value_count=2)
+            source = replace(source, pixel_value_count=2)
         measures.append(
             MeasureResult(
                 "feature_space_dimensionality_log10",
-                feature_space_dimensionality(dataset),
+                feature_space_dimensionality(source),
                 "log10 of pixels x channels x classes x pixel values x images; "
-                f"pixel values = {dataset.pixel_value_count}",
+                f"pixel values = {source.pixel_value_count}",
                 ANALYTIC,
             )
         )
@@ -382,12 +418,11 @@ def image_measures(
             convention = "mean zero-pixel fraction after binarization at threshold 0"
         else:
             convention = "mean zero-valued fraction over raw intensities"
-        per_image = image_zero_sparsities(dataset.images)
         measures.append(
             MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
         )
         if mnist:
-            summaries = summarize_by_class(per_image, dataset.labels, dataset.class_names)
+            summaries = summarize_by_class(per_image, labels, source.class_names)
             measures += [
                 MeasureResult(
                     f"zero_sparsity_mean_{summary.class_name}",
@@ -398,12 +433,11 @@ def image_measures(
                 for summary in summaries
             ]
     elif measure == "gini":
-        channels = ("red", "green", "blue") if dataset.channel_count == 3 else ("gray",)
-        values, skipped = channel_ginis(dataset.images)
+        channels = ("red", "green", "blue") if source.channel_count == 3 else ("gray",)
         measures += [
             MeasureResult(
                 f"gini_median_{channel_name}",
-                float(np.nanmedian(values[:, c])),
+                float(np.nanmedian(per_image[:, c])),
                 "median over images of the per-image channel Gini index",
                 ANALYTIC,
             )
@@ -412,8 +446,7 @@ def image_measures(
         if skipped:
             notes.append(f"{skipped} all-zero channel planes skipped")
     else:
-        per_image = image_entropies(dataset.images, binarize_first=binarized)
-        summaries = summarize_by_class(per_image, dataset.labels, dataset.class_names)
+        summaries = summarize_by_class(per_image, labels, source.class_names)
         convention = (
             "normalized per-image intensity entropy, 256 bins over [0, 255], "
             "channels pooled"
@@ -433,7 +466,7 @@ def image_measures(
         ]
     if summaries is not None:
         present = {s.class_name for s in summaries}
-        missing = [c for c in dataset.class_names if c not in present]
+        missing = [c for c in source.class_names if c not in present]
         if missing:
             notes.append(f"classes with no images, so no per-class result: {', '.join(missing)}")
     return measures, notes

@@ -97,28 +97,61 @@ def ssc_upper_bound(spec: GridGameSpec) -> float:
     return spec.cells * math.log10(3.0)
 
 
-def ssc_combinatorial(spec: GridGameSpec) -> tuple[int, float]:
+# Size, in bits, past which ssc_combinatorial and gtc_factorial stop forming
+# exact integers and sum logarithms instead, as descriptors._EXACT_SUM_BITS
+# does for the geometric tree sum. plies * bit_length(cells) bounds the bits
+# of every term. Every board the tests and the benchmark pin stays exact
+# (the 40 x 40 board to 1,600 plies is at 17,600 bits), and every sum past
+# the bound is past the float range too, so only its log10 is reported.
+_EXACT_BITS = 1 << 16
+
+
+def _stone_factors(spec: GridGameSpec):
+    """Per ply, (free cells, the mover's stones after the move): the ply's
+    arrangement count is the last ply's times the first over the second."""
+    x = o = 0
+    for ply in range(1, spec.max_plies + 1):
+        free = spec.cells - x - o
+        if ply % 2:
+            x += 1
+            yield free, x
+        else:
+            o += 1
+            yield free, o
+
+
+def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
     """Stone-count sum over plies 1..max_plies, exact then logged.
 
     Ply i places ceil(i/2) X stones and floor(i/2) O stones; the term
-    counts every such arrangement, so a few positions reached only through
-    illegal play are included. Returns (total, log10(total)).
+    counts every such arrangement, comb(cells, x) * comb(cells - x, o), so
+    a few positions reached only through illegal play are included.
+    Returns (total, log10(total)). Past _EXACT_BITS the total is None and
+    the terms are summed as natural logarithms, relative to the largest.
     """
-    c = spec.cells
-    total = 0
-    for i in range(1, spec.max_plies + 1):
-        x = (i + 1) // 2
-        o = i // 2
-        total += math.comb(c, x) * math.comb(c - x, o)
+    if spec.max_plies * spec.cells.bit_length() > _EXACT_BITS:
+        logs, log_term = [], 0.0
+        for free, stones in _stone_factors(spec):
+            log_term += math.log(free) - math.log(stones)
+            logs.append(log_term)
+        top = max(logs)
+        return None, (top + math.log(math.fsum(math.exp(v - top) for v in logs))) / math.log(10)
+    total, term = 0, 1
+    for free, stones in _stone_factors(spec):
+        term = term * free // stones
+        total += term
     return total, log10_int(total)
 
 
 def gtc_factorial(cells: int, avg_game_length: int) -> float:
-    """log10 of cells! / (cells - avg_game_length)!, kept exact in integers."""
+    """log10 of cells! / (cells - avg_game_length)!, exact in integers up to
+    _EXACT_BITS and a sum of logarithms past it."""
     if cells < 1 or avg_game_length < 1:
         raise InvalidParameter("cells and avg_game_length must be positive")
     if avg_game_length > cells:
         raise InvalidParameter("avg_game_length cannot exceed the cell count")
+    if avg_game_length * cells.bit_length() > _EXACT_BITS:
+        return math.fsum(math.log(cells - j) for j in range(avg_game_length)) / math.log(10)
     return log10_int(math.perm(cells, avg_game_length))
 
 
@@ -376,9 +409,7 @@ def grid_measures(
         ),
     ]
     notes = []
-    try:
-        total_value = float(total)
-    except OverflowError:
+    if total is None or total > sys.float_info.max:
         notes.append(
             "ssc_combinatorial_total omitted: the exact total exceeds the "
             "float range; ssc_combinatorial_log10 carries its magnitude"
@@ -387,7 +418,7 @@ def grid_measures(
         measures.append(
             MeasureResult(
                 "ssc_combinatorial_total",
-                total_value,
+                float(total),
                 "exact integer total of per-ply stone-count arrangements",
                 ANALYTIC,
             )

@@ -13,6 +13,7 @@ from .errors import (
     InvalidDistribution,
     InvalidParameter,
     InvalidValue,
+    check_budget,
 )
 
 if TYPE_CHECKING:
@@ -180,8 +181,14 @@ def distance_diversity(points: Sequence[Sequence[float]], metric: str = "euclide
         pts = pts[:, None]
     if pts.ndim != 2:
         raise InvalidValue("points must be a flat list of coordinate vectors")
-    if pts.shape[0] < 2:
+    count, dims = pts.shape
+    if count < 2:
         raise DegenerateInput("distance diversity needs at least two points")
+    # float64 temporaries: the N x N x D differences and their squares or
+    # absolute values, the N x N distances, and the upper triangle's two
+    # index arrays and values
+    check_budget(8 * (2 * count * count * dims + count * count + 3 * (count * (count - 1) // 2)),
+                 f"pairwise distances of {count} points")
     diff = pts[:, None, :] - pts[None, :, :]
     if metric == "euclidean":
         dists = np.sqrt((diff**2).sum(axis=2))
@@ -189,7 +196,7 @@ def distance_diversity(points: Sequence[Sequence[float]], metric: str = "euclide
         dists = np.abs(diff).sum(axis=2)
     else:
         raise InvalidParameter(f"unknown metric {metric!r}")
-    iu = np.triu_indices(pts.shape[0], k=1)
+    iu = np.triu_indices(count, k=1)
     return float(dists[iu].mean())
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -106,3 +107,47 @@ def synthetic_cifar_dir(tmp_path: Path) -> Path:
         (root / f"data_batch_{i}.bin").write_bytes(batch(6))
     (root / "test_batch.bin").write_bytes(batch(4))
     return tmp_path
+
+
+@pytest.fixture
+def image_dir_factory(tmp_path: Path):
+    """Writes seeded dataset files under a fresh directory and returns it:
+    ("mnist", train_count, test_count) gives IDX files whose images are
+    about 60% zero, the test labels gzipped; ("cifar10", per_batch) gives
+    six batches where about one image in eight has an all-zero plane, the
+    last record of each batch included."""
+    made = itertools.count()
+
+    def make(name: str, *counts: int) -> Path:
+        index = next(made)
+        rng = np.random.default_rng(index)
+        directory = tmp_path / f"{name}-{index}"
+        if name == "mnist":
+            root = directory / "mnist"
+            root.mkdir(parents=True)
+            for prefix, count in zip(("train", "t10k"), counts):
+                images = rng.integers(1, 256, size=(count, 28, 28), dtype=np.uint8)
+                images[rng.random(images.shape) < 0.6] = 0
+                labels = rng.integers(0, 10, size=count, dtype=np.uint8)
+                (root / f"{prefix}-images-idx3-ubyte").write_bytes(write_idx(images))
+                label_file = root / f"{prefix}-labels-idx1-ubyte"
+                if prefix == "t10k":
+                    label_file.with_name(label_file.name + ".gz").write_bytes(
+                        gzip.compress(write_idx(labels)))
+                else:
+                    label_file.write_bytes(write_idx(labels))
+            return directory
+        root = directory / "cifar-10-batches-bin"
+        root.mkdir(parents=True)
+        (per_batch,) = counts
+        for batch in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            records = rng.integers(0, 256, size=(per_batch, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            hit = [*np.flatnonzero(rng.random(per_batch) < 0.125), per_batch - 1]
+            for row in hit if per_batch else []:
+                plane = rng.integers(0, 3)
+                records[row, 1 + plane * 1024 : 1 + (plane + 1) * 1024] = 0
+            (root / batch).write_bytes(records.tobytes())
+        return directory
+
+    return make

@@ -1,13 +1,16 @@
 """Per-image and per-class dataset measures against hand-worked examples,
 and the batch kernels against the per-image loop they replace."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from dcx.cli import main
 from dcx.dataset_metrics import (
     CHUNK_IMAGES,
+    _per_image,
     channel_gini,
     channel_ginis,
     feature_space_dimensionality,
@@ -21,7 +24,16 @@ from dcx.dataset_metrics import (
     summarize_class,
     tabular_gini,
 )
-from dcx.datasets import LabeledImageDataset, binarize, load_cifar10, load_iris, load_mnist
+from dcx.datasets import (
+    BLOCK_IMAGES,
+    LabeledImageDataset,
+    binarize,
+    load_cifar10,
+    load_iris,
+    load_mnist,
+    stream_cifar10,
+    stream_mnist,
+)
 from dcx.errors import DegenerateInput, InvalidParameter, InvalidValue
 from dcx.measures import gini, histogram, log10_product, shannon_entropy
 
@@ -373,3 +385,78 @@ class TestBatchKernelErrors:
         assert image_zero_sparsities(images).shape == (0,)
         values, skipped = channel_ginis(images)
         assert values.shape == (0, 3) and skipped == 0
+
+
+# --- streamed datasets against the whole-array kernels ------------------------
+
+STREAM_COUNTS = [BLOCK_IMAGES - 1, BLOCK_IMAGES, BLOCK_IMAGES + 1, 2 * BLOCK_IMAGES + 37]
+MEASURES = ("dimensionality", "sparsity", "gini", "entropy")
+
+
+def whole_array_values(dataset: LabeledImageDataset, measure: str, binarized: bool):
+    if measure == "sparsity":
+        return image_zero_sparsities(dataset.images), 0
+    if measure == "entropy":
+        return image_entropies(dataset.images, binarize_first=binarized), 0
+    return channel_ginis(dataset.images)
+
+
+def assert_stream_matches_whole_array(name, directory, split, modes=(None,)):
+    stream, load = (stream_mnist, load_mnist) if name == "mnist" else (stream_cifar10, load_cifar10)
+    loaded = load(directory, split)
+    for measure in MEASURES:
+        for mode in modes:
+            binarized = name == "mnist" and mode != "raw"
+            values, labels, skipped = _per_image(stream(directory, split), measure, binarized)
+            assert labels.tobytes() == loaded.labels.tobytes()
+            if measure != "dimensionality":
+                want, want_skipped = whole_array_values(loaded, measure, binarized)
+                assert values.tobytes() == want.tobytes(), (measure, mode)
+                assert skipped == want_skipped
+            streamed = image_measures(name, stream(directory, split), measure, mode, split)
+            whole = image_measures(name, loaded, measure, mode, split)
+            assert streamed[1] == whole[1]
+            assert [(m.measure_name, m.value.hex(), m.convention) for m in streamed[0]] == \
+                [(m.measure_name, m.value.hex(), m.convention) for m in whole[0]]
+
+
+class TestStreamedMeasuresMatchTheWholeArray:
+    @pytest.mark.parametrize("count", STREAM_COUNTS)
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_mnist(self, image_dir_factory, count, split):
+        directory = image_dir_factory("mnist", count, BLOCK_IMAGES + 1)
+        assert_stream_matches_whole_array("mnist", directory, split, modes=(None, "raw"))
+
+    @pytest.mark.parametrize("count", STREAM_COUNTS)
+    @pytest.mark.parametrize("split", ["train", "test", "all"])
+    def test_cifar(self, image_dir_factory, count, split):
+        directory = image_dir_factory("cifar10", count)
+        _, skipped = channel_ginis(load_cifar10(directory, split).images)
+        assert skipped >= {"train": 5, "test": 1, "all": 6}[split]  # one in each last block
+        assert_stream_matches_whole_array("cifar10", directory, split)
+
+    def test_a_stream_is_read_once(self, synthetic_cifar_dir):
+        stream = stream_cifar10(synthetic_cifar_dir)
+        image_measures("cifar10", stream, "sparsity")
+        with pytest.raises(InvalidParameter, match="already been read"):
+            image_measures("cifar10", stream, "sparsity")
+
+
+class TestStreamedMemory:
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_memory_does_not_grow_with_the_image_count(self, image_dir_factory, measure, capsys):
+        # a measure holds one block of images and a few numbers per image,
+        # so four times the images need only their per-image values more
+        peaks = []
+        for count in (2 * BLOCK_IMAGES, 8 * BLOCK_IMAGES):
+            argv = ["dataset", "cifar10", "--measure", measure, "--split", "test",
+                    "--data-dir", str(image_dir_factory("cifar10", count))]
+            assert main(argv) == 0  # numpy's and the kernels' first-call allocations
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= peaks[0] + (64 << 10), peaks

@@ -3,6 +3,7 @@
 import builtins
 import gzip
 import io
+import re
 import struct
 from collections import Counter
 
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from dcx.cli import main
+from dcx.dataset_metrics import image_measures
 from dcx.datasets import (
+    BLOCK_IMAGES,
     LabeledImageDataset,
     binarize,
     load_cifar10,
@@ -19,6 +22,8 @@ from dcx.datasets import (
     parse_cifar10,
     parse_idx,
     parse_iris_csv,
+    stream_cifar10,
+    stream_mnist,
     write_idx,
 )
 from dcx.errors import (
@@ -394,6 +399,112 @@ def gzip_files(root, gzipped: bool) -> None:
             path.unlink()
 
 
+def gzip_with_isize(data: bytes, isize: int) -> bytes:
+    return gzip.compress(data)[:-4] + struct.pack("<I", isize % 2**32)
+
+
+def gzip_with_bad_crc(data: bytes) -> bytes:
+    packed = bytearray(gzip.compress(data))
+    packed[-8] ^= 0xFF
+    return bytes(packed)
+
+
+def gzip_damaged_late(data: bytes) -> bytes:
+    """Stored deflate blocks copy the bytes through, so flipping one three
+    quarters in damages a later block's image, found by the CRC at the end."""
+    packed = bytearray(gzip.compress(data, compresslevel=0))
+    packed[len(packed) * 3 // 4] ^= 0xFF
+    return bytes(packed)
+
+
+# 2 blocks and 37 images, so each fault sits past the first block. The
+# refusals are those of the loaders before they streamed: the same type and
+# message, file name first.
+LATER_BLOCK = 2 * BLOCK_IMAGES + 37
+_CIFAR_DATA = np.random.default_rng(5).integers(0, 256, size=(LATER_BLOCK, 3073), dtype=np.uint8)
+_CIFAR_DATA[:, 0] %= 10
+_BAD_LABEL = _CIFAR_DATA.copy()
+_BAD_LABEL[BLOCK_IMAGES + 5, 0] = 12
+CIFAR_LATER_FAULTS = {
+    "cut_in_the_last_block": ("test_batch.bin", _CIFAR_DATA.tobytes()[:-5], TruncatedInput,
+                              r"^test_batch\.bin: bytes left over after the last whole image$"),
+    "trailing_byte": ("test_batch.bin", _CIFAR_DATA.tobytes() + b"\0", TruncatedInput,
+                      r"^test_batch\.bin: bytes left over after the last whole image$"),
+    "label_in_a_later_block": ("test_batch.bin", _BAD_LABEL.tobytes(), FormatError,
+                               r"^test_batch\.bin: label byte 12 outside 0\.\.9$"),
+    "gzip_trailer_one_record_long": (
+        "test_batch.bin.gz", gzip_with_isize(_CIFAR_DATA.tobytes(), _CIFAR_DATA.size + 3073),
+        FormatError, r"^test_batch\.bin\.gz: damaged gzip stream \(Incorrect length of data produced\)$"),
+    "gzip_crc": ("test_batch.bin.gz", gzip_with_bad_crc(_CIFAR_DATA.tobytes()), FormatError,
+                 r"^test_batch\.bin\.gz: damaged gzip stream \(CRC check failed "),
+    "gzip_damaged_late": ("test_batch.bin.gz", gzip_damaged_late(_CIFAR_DATA.tobytes()), FormatError,
+                          r"^test_batch\.bin\.gz: damaged gzip stream \(CRC check failed "),
+}
+_MNIST_IMAGES = np.random.default_rng(6).integers(0, 256, size=(LATER_BLOCK, 28, 28), dtype=np.uint8)
+_MNIST_LABELS = np.arange(LATER_BLOCK, dtype=np.uint8) % 10
+MNIST_LATER_FAULTS = {
+    "images_trailing_byte": ("t10k-images-idx3-ubyte", write_idx(_MNIST_IMAGES) + b"\0",
+                             TruncatedInput, r"^t10k-images-idx3-ubyte: IDX payload holds 129361 "
+                                             r"bytes, header promises 129360$"),
+    "images_cut": ("t10k-images-idx3-ubyte", write_idx(_MNIST_IMAGES)[:-5], TruncatedInput,
+                   r"^t10k-images-idx3-ubyte: IDX payload holds 129355 bytes, header promises 129360$"),
+    "images_gzip_crc": ("t10k-images-idx3-ubyte.gz", gzip_with_bad_crc(write_idx(_MNIST_IMAGES)),
+                        FormatError, r"^t10k-images-idx3-ubyte\.gz: damaged gzip stream \(CRC check failed "),
+    "images_gzip_damaged_late": (
+        "t10k-images-idx3-ubyte.gz", gzip_damaged_late(write_idx(_MNIST_IMAGES)), FormatError,
+        r"^t10k-images-idx3-ubyte\.gz: damaged gzip stream \(CRC check failed "),
+}
+
+
+class TestRefusalsPastTheFirstBlock:
+    @staticmethod
+    def refusals(name, directory):
+        """The load's error and a streamed measure's, over directory's test split."""
+        load, stream = (load_mnist, stream_mnist) if name == "mnist" else (load_cifar10, stream_cifar10)
+        errors = []
+        for read in (lambda: load(directory, "test"),
+                     lambda: image_measures(name, stream(directory, "test"), "dimensionality")):
+            with pytest.raises(DcxError) as caught:
+                read()
+            errors.append(caught.value)
+        return errors
+
+    @pytest.mark.parametrize("case", sorted(CIFAR_LATER_FAULTS))
+    def test_cifar(self, tmp_path, case):
+        name, data, kind, message = CIFAR_LATER_FAULTS[case]
+        (tmp_path / "cifar-10-batches-bin").mkdir()
+        (tmp_path / "cifar-10-batches-bin" / name).write_bytes(data)
+        for error in self.refusals("cifar10", tmp_path):
+            assert type(error) is kind
+            assert re.match(message, str(error)), str(error)
+
+    @pytest.mark.parametrize("case", sorted(MNIST_LATER_FAULTS))
+    def test_mnist(self, tmp_path, case):
+        name, data, kind, message = MNIST_LATER_FAULTS[case]
+        root = tmp_path / "mnist"
+        root.mkdir()
+        (root / name).write_bytes(data)
+        if not name.startswith("t10k-images-idx3-ubyte"):
+            (root / "t10k-images-idx3-ubyte").write_bytes(write_idx(_MNIST_IMAGES))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(write_idx(_MNIST_LABELS))
+        for error in self.refusals("mnist", tmp_path):
+            assert type(error) is kind
+            assert re.match(message, str(error)), str(error)
+
+    def test_mnist_label_byte_past_nine_names_the_file(self, tmp_path):
+        # as a CIFAR-10 label byte does; the loader used to refuse it only
+        # once the whole array was built, as an InvalidParameter with no file
+        root = tmp_path / "mnist"
+        root.mkdir()
+        labels = _MNIST_LABELS.copy()
+        labels[BLOCK_IMAGES + 5] = 10
+        (root / "t10k-images-idx3-ubyte").write_bytes(write_idx(_MNIST_IMAGES))
+        (root / "t10k-labels-idx1-ubyte").write_bytes(write_idx(labels))
+        for error in self.refusals("mnist", tmp_path):
+            assert type(error) is FormatError
+            assert str(error) == "t10k-labels-idx1-ubyte: label byte 10 outside 0..9"
+
+
 class TestEachFileOpenedOnce:
     @staticmethod
     def opens_during(monkeypatch, load) -> Counter:
@@ -428,6 +539,22 @@ class TestEachFileOpenedOnce:
         expected = {str(path): 1 for path in root.iterdir()}
         assert len(expected) == 6
         opens = self.opens_during(monkeypatch, lambda: load_cifar10(synthetic_cifar_dir, split="all"))
+        assert opens == expected
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    @pytest.mark.parametrize("name", ["mnist", "cifar10"])
+    def test_a_streamed_measure_over_many_blocks(self, image_dir_factory, name, gzipped,
+                                                 monkeypatch):
+        if name == "mnist":
+            directory = image_dir_factory(name, 2 * BLOCK_IMAGES + 37, BLOCK_IMAGES + 1)
+            root, stream = directory / "mnist", stream_mnist
+        else:
+            directory = image_dir_factory(name, BLOCK_IMAGES + 1)
+            root, stream = directory / "cifar-10-batches-bin", stream_cifar10
+        gzip_files(root, gzipped)
+        expected = {str(path): 1 for path in root.iterdir()}
+        opens = self.opens_during(
+            monkeypatch, lambda: image_measures(name, stream(directory, split="all"), "entropy"))
         assert opens == expected
 
 

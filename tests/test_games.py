@@ -3,10 +3,14 @@ and published totals."""
 
 import itertools
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from dcx import games
+from dcx.cli import main
 from dcx.errors import DegenerateInput, InvalidParameter, ResourceLimit
 from dcx.games import (
     GridGameSpec,
@@ -85,6 +89,59 @@ class TestCombinatorialCounts:
     def test_gtc_factorial_rejects_overlong_games(self):
         with pytest.raises(InvalidParameter):
             gtc_factorial(9, 10)
+
+
+def comb_sum_oracle(spec: GridGameSpec) -> int:
+    """The stone-count sum as the product of two binomials per ply."""
+    return sum(
+        math.comb(spec.cells, (i + 1) // 2) * math.comb(spec.cells - (i + 1) // 2, i // 2)
+        for i in range(1, spec.max_plies + 1)
+    )
+
+
+# boards on each side of games._EXACT_BITS: 10,000 cells have 14 bits, so
+# 4,681 plies are the last exact count and 4,682 the first in logarithms
+NEAR_THRESHOLD = [GridGameSpec(side=100, dims=2, max_plies=p, win_length=3) for p in (4681, 4682)]
+
+
+class TestLogSpaceCounts:
+    @pytest.mark.parametrize(("side", "dims", "plies"),
+                             [(1, 1, 1), (2, 2, 4), (3, 2, 9), (4, 2, 16), (4, 3, 64), (40, 2, 1600)])
+    def test_exact_sum_equals_the_binomial_products(self, side, dims, plies):
+        spec = GridGameSpec(side=side, dims=dims, max_plies=plies, win_length=1)
+        assert ssc_combinatorial(spec)[0] == comb_sum_oracle(spec)
+
+    def test_the_threshold_falls_between_the_boards(self):
+        below, above = NEAR_THRESHOLD
+        assert isinstance(ssc_combinatorial(below)[0], int)
+        assert ssc_combinatorial(above)[0] is None
+
+    @pytest.mark.parametrize("spec", NEAR_THRESHOLD, ids=["below", "above"])
+    def test_both_forms_agree_across_the_threshold(self, spec, monkeypatch):
+        forms = []
+        for bits in (0, 1 << 30):  # every count in logarithms, then every count exact
+            monkeypatch.setattr(games, "_EXACT_BITS", bits)
+            forms.append((ssc_combinatorial(spec)[1], gtc_factorial(spec.cells, spec.max_plies)))
+        (ssc_logged, gtc_logged), (ssc_exact, gtc_exact) = forms
+        assert ssc_logged == pytest.approx(ssc_exact, rel=1e-13)
+        assert gtc_logged == pytest.approx(gtc_exact, rel=1e-13)
+
+    def test_sums_past_the_threshold_are_past_the_float_range(self, monkeypatch):
+        # so the report loses no float total by summing them in logarithms
+        monkeypatch.setattr(games, "_EXACT_BITS", 1 << 30)
+        for spec in (NEAR_THRESHOLD[1], GridGameSpec(side=2**20, dims=1, max_plies=3277, win_length=1)):
+            assert spec.max_plies * spec.cells.bit_length() > 1 << 16
+            assert ssc_combinatorial(spec)[0] > sys.float_info.max
+
+    def test_a_large_custom_board_returns_within_a_second(self, capsys):
+        # the exact big-integer sum over 90,000 plies ran for minutes
+        argv = ["--format", "json", "game", "custom", "--side", "300", "--dims", "2",
+                "--plies", "90000", "--win", "3", "--no-enumerate"]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert '"ssc_combinatorial_log10"' in out and "ssc_combinatorial_total omitted" in out
 
 
 class TestWinLines:

@@ -10,6 +10,7 @@ from dcx.errors import (
     InvalidDistribution,
     InvalidParameter,
     InvalidValue,
+    ResourceLimit,
 )
 from dcx.measures import (
     MeasureResult,
@@ -172,6 +173,11 @@ class TestDiversity:
     def test_distance_rejects_unknown_metric(self):
         with pytest.raises(InvalidParameter):
             distance_diversity([(0.0,), (1.0,)], metric="chebyshev")
+
+    def test_distance_refuses_pairwise_arrays_past_the_budget(self):
+        # 20,000 points of 10 coordinates need a 30 GiB difference array
+        with pytest.raises(ResourceLimit, match="pairwise distances of 20000 points"):
+            distance_diversity(np.zeros((20_000, 10)))
 
 
 class TestLogScaleHelpers:

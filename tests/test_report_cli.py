@@ -8,6 +8,7 @@ import math
 import os
 import random
 import resource
+import struct
 import subprocess
 import sys
 import time
@@ -17,7 +18,8 @@ import pytest
 
 import dcx
 from dcx.cli import main
-from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter, InvalidValue
+from dcx.datasets import load_cifar10
+from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter, InvalidValue, ResourceLimit
 from dcx.games import gtc_factorial
 from dcx.measures import ANALYTIC, MeasureResult, monte_carlo
 from dcx.report import (
@@ -458,20 +460,48 @@ class TestCli:
         assert result.stdout == ""
 
     def test_dataset_refuses_a_batch_past_the_budget_before_allocating(self, tmp_path):
-        # incompressible bytes whose gzip trailer states 700,000 records:
-        # within deflate's 1032-fold bound for a file this size, but past the
-        # array budget, so only the budget check stands before the allocation
+        # a streamed measure keeps 16 bytes per 1x1 image: its value and its
+        # label. Incompressible bytes whose gzip trailers state 200 million
+        # such images are within deflate's 1032-fold bound for files this
+        # size, but their per-image values are past the budget, so only the
+        # budget check stands before the allocation
+        root = tmp_path / "mnist"
+        root.mkdir()
+        count = 200_000_000
+        assert MEMORY_BUDGET < 16 * count
+        for name, sizes in (("t10k-images-idx3-ubyte", (count, 1, 1)), ("t10k-labels-idx1-ubyte", (count,))):
+            header = bytes([0, 0, 0x08, len(sizes)]) + struct.pack(f">{len(sizes)}I", *sizes)
+            data = gzip.compress(header + random.Random(0).randbytes(2_200_000))
+            stated = len(header) + count
+            assert stated < 1032 * len(data)
+            (root / f"{name}.gz").write_bytes(data[:-4] + stated.to_bytes(4, "little"))
+        result = run_capped_cli("dataset", "mnist", "--split", "test", "--data-dir", str(tmp_path))
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: streaming 200000000 images ")
+        assert "budget" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    def test_dataset_streams_a_batch_whose_array_is_past_the_budget(self, tmp_path):
+        # incompressible records, each label byte in 0..9, whose gzip
+        # trailer states 700,000 of them: within deflate's 1032-fold bound
+        # for a file this size, and past the array budget. Loading them into
+        # one array is refused before the allocation; a measure streams them,
+        # one block at a time, until the gzip stream disagrees with its trailer
         root = tmp_path / "cifar-10-batches-bin"
         root.mkdir()
-        data = gzip.compress(random.Random(0).randbytes(2_200_000))
+        records = bytearray(random.Random(0).randbytes(2_200_000))
+        records[::3073] = bytes(label % 10 for label in records[::3073])
+        data = gzip.compress(bytes(records))
         stated = 700_000 * 3073
         assert MEMORY_BUDGET < stated < 1032 * len(data)
         (root / "test_batch.bin.gz").write_bytes(data[:-4] + stated.to_bytes(4, "little"))
+        with pytest.raises(ResourceLimit, match="loading 700000 images .* budget"):
+            load_cifar10(tmp_path, split="test")
         result = run_capped_cli("dataset", "cifar10", "--split", "test", "--data-dir", str(tmp_path))
         assert result.returncode == 1
-        assert result.stderr.startswith("dcx: ")
-        assert "budget" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert result.stderr == ("dcx: test_batch.bin.gz: damaged gzip stream "
+                                 "(Incorrect length of data produced)\n")
         assert result.stdout == ""
 
     @pytest.mark.parametrize(
