@@ -31,7 +31,6 @@ _EXPORTS = {
         "image_entropies",
         "image_entropy",
         "image_zero_sparsities",
-        "image_zero_sparsity",
         "median_of_medians",
         "summarize_by_class",
         "tabular_gini",

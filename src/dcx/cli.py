@@ -274,7 +274,11 @@ def _run_dataset(args) -> _Fields:
     from . import datasets
 
     name = args.name
-    if name == "iris":
+    if name == "iris":  # bundled and whole: no files, split or binarizing to choose
+        unread = [flag for flag, value in (("--mode", args.mode), ("--split", args.split),
+                                           ("--data-dir", args.data_dir)) if value is not None]
+        if unread:
+            raise InvalidParameter(f"dataset iris does not read {' '.join(unread)}")
         measures, notes = dm.iris_measures(datasets.load_iris(), args.measure)
         return name, args.measure, measures, notes, None
     split = args.split or ("train" if name == "mnist" and args.measure == "entropy" else "all")

@@ -11,14 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
-from .errors import DegenerateInput, InvalidParameter, InvalidValue
+from .errors import DegenerateInput, InvalidParameter
 # histogram and shannon_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
 # (perfbench/spans.py) wraps them under these names.
 from .measures import (  # noqa: F401
     ANALYTIC,
     MeasureResult,
-    bin_indices,
     gini,
     histogram,
     log10_product,
@@ -40,13 +39,9 @@ def feature_space_dimensionality(dataset: LabeledImageDataset | ImageStream) -> 
     )
 
 
-# Images per chunk in the batch kernels: keeps their temporaries to a few MB.
-# A streamed block is one chunk.
-CHUNK_IMAGES = BLOCK_IMAGES
-
-
 def _image_rows(images) -> np.ndarray:
-    """The N x ... array as N rows of pooled values; refuses empty images.
+    """The N x ... uint8 array as N rows of pooled values; refuses other
+    dtypes and empty images.
 
     Pooling ignores the order of an image's values, so an N x H x W x C
     view of channel-major storage (a CIFAR-10 block) is pooled in that
@@ -54,6 +49,8 @@ def _image_rows(images) -> np.ndarray:
     arr = np.asarray(images)
     if arr.ndim < 1:
         raise InvalidParameter("expected an N x H x W x C array of images")
+    if arr.dtype != np.uint8:
+        raise InvalidParameter(f"expected uint8 images, got dtype {arr.dtype}")
     per_image = int(np.prod(arr.shape[1:]))
     if per_image == 0 and len(arr):
         raise DegenerateInput("empty image")
@@ -66,23 +63,10 @@ def image_zero_sparsities(images) -> np.ndarray:
     """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
     rows = _image_rows(images)
     out = np.empty(len(rows))
-    for start in range(0, len(rows), CHUNK_IMAGES):
-        chunk = rows[start : start + CHUNK_IMAGES]
+    for start in range(0, len(rows), BLOCK_IMAGES):
+        chunk = rows[start : start + BLOCK_IMAGES]
         out[start : start + len(chunk)] = 1.0 - np.count_nonzero(chunk, axis=1) / rows.shape[1]
     return out
-
-
-def image_zero_sparsity(image: np.ndarray) -> float:
-    """Fraction of zero-valued pixels; 1 minus the nonzero fraction."""
-    return float(image_zero_sparsities(np.asarray(image).reshape(1, -1))[0])
-
-
-def _entropy_bins(values: np.ndarray, bin_count: int, binarize_first: bool) -> np.ndarray:
-    """The bin of each value over [0, 255]; binarize_first sends nonzero
-    values to 255 first."""
-    if binarize_first:
-        values = np.where(values > 0, 255, 0)
-    return bin_indices(values, bin_count, 0.0, 255.0)
 
 
 def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -103,76 +87,56 @@ def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return sums
 
 
-def image_entropies(
-    images, bin_count: int = 256, binarize_first: bool = False
-) -> np.ndarray:
+def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     """Per image, the normalized entropy of its pooled intensity histogram.
 
-    images is N x H x W x C (any N x ... array works: each image pools all
-    its values). Each value lands in one of bin_count equal bins over
-    [0, 255], as in measures.histogram; the entropy of the bin frequencies,
-    in bits, is divided by log2(bin_count). Bit-identical to
-    shannon_entropy(histogram(...).probabilities()) / log2(bin_count) per
-    image.
+    images is an N x H x W x C uint8 array (any N x ... uint8 array works:
+    each image pools all its values). Each of the 256 values is its own
+    bin, as in measures.histogram with 256 bins over [0, 255];
+    binarize_first sends nonzero values to 255 first. The entropy of the
+    bin frequencies, in bits, is divided by log2(256). Bit-identical to
+    shannon_entropy(histogram(...).probabilities()) / log2(256) per image.
     """
-    if isinstance(bin_count, bool) or not isinstance(bin_count, (int, np.integer)):
-        raise InvalidParameter("bin_count must be an integer")
-    if bin_count < 2:  # one bin has log2(1) = 0 to normalize by
-        raise InvalidParameter("bin_count must be at least 2")
     rows = _image_rows(images)
     count, size = rows.shape
-    if rows.dtype == np.uint8:
-        # the bin of each of the 256 values, looked up rather than computed
-        # per pixel; over raw values with 256 bins, each value is its own bin
-        table = _entropy_bins(np.arange(256, dtype=np.uint8), bin_count, binarize_first)
-        identity = np.array_equal(table, np.arange(256))
     # p * log2(p) for every p = c / size a histogram of one image can hold
     p = np.arange(size + 1) / size
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = p * np.log2(p)
     plogp[0] = 0.0
     out = np.empty(count)
-    for start in range(0, count, CHUNK_IMAGES):
-        chunk = rows[start : start + CHUNK_IMAGES]
-        if rows.dtype == np.uint8 and binarize_first:
+    for start in range(0, count, BLOCK_IMAGES):
+        chunk = rows[start : start + BLOCK_IMAGES]
+        if binarize_first:
             # zeros land in the first bin, every other value in the last
             nonzero = np.count_nonzero(chunk, axis=1)
-            counts = np.zeros((len(chunk), bin_count), dtype=np.intp)
+            counts = np.zeros((len(chunk), 256), dtype=np.intp)
             counts[:, 0], counts[:, -1] = size - nonzero, nonzero
         else:
-            if rows.dtype != np.uint8:
-                bins = _entropy_bins(chunk, bin_count, binarize_first)
-            elif identity:
-                bins = chunk.astype(np.intp)
-            else:
-                bins = table[chunk]
-            # offset each image's bins so that one bincount counts every image
-            bins += np.arange(len(chunk))[:, None] * bin_count
-            counts = np.bincount(bins.ravel(), minlength=len(chunk) * bin_count)
-            counts = counts.reshape(len(chunk), bin_count)
+            # offset each image's values so that one bincount counts every image
+            bins = chunk.astype(np.intp)
+            bins += np.arange(len(chunk))[:, None] * 256
+            counts = np.bincount(bins.ravel(), minlength=len(chunk) * 256)
+            counts = counts.reshape(len(chunk), 256)
         sums = _pairwise_row_sums(plogp[counts], counts > 0)
         out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
-    return out / np.log2(bin_count)
+    return out / np.log2(256)
 
 
-def image_entropy(
-    image: np.ndarray, bin_count: int = 256, binarize_first: bool = False
-) -> MeasureResult:
-    """Normalized entropy of pixel intensities over [0, 255].
+def image_entropy(image: np.ndarray, binarize_first: bool = False) -> MeasureResult:
+    """Normalized entropy of the intensities of one uint8 image: the
+    one-image case of image_entropies.
 
     Multi-channel images pool every channel value into one histogram.
     binarize_first sends nonzero pixels to 255 first, so mass lands in the
     first and last bins only.
     """
-    value = image_entropies(np.asarray(image).reshape(1, -1), bin_count, binarize_first)[0]
+    value = image_entropies(np.asarray(image).reshape(1, -1), binarize_first)[0]
     mode = "binarized to bins 0 and 255" if binarize_first else "raw intensities"
     return MeasureResult(
         measure_name="image_entropy",
         value=float(value),
-        convention=(
-            f"{mode}; {bin_count} equal bins over [0, 255]; all channels pooled; "
-            f"event_count = {bin_count}"
-        ),
+        convention=f"{mode}; 256 equal bins over [0, 255]; all channels pooled; event_count = 256",
         provenance=ANALYTIC,
     )
 
@@ -180,13 +144,16 @@ def image_entropy(
 def channel_ginis(images) -> tuple[np.ndarray, int]:
     """Per image and channel, the Gini index of the channel plane.
 
-    images is N x H x W x C. Returns the N x C values, NaN where a plane is
-    all zero (its Gini is undefined), and the count of those planes. Each
-    value is bit-identical to measures.gini over the plane.
+    images is an N x H x W x C uint8 array. Returns the N x C values, NaN
+    where a plane is all zero (its Gini is undefined), and the count of
+    those planes. Each value is bit-identical to measures.gini over the
+    plane.
     """
     arr = np.asarray(images)
     if arr.ndim != 4:
         raise InvalidParameter("expected an N x H x W x C array of images")
+    if arr.dtype != np.uint8:
+        raise InvalidParameter(f"expected uint8 images, got dtype {arr.dtype}")
     count, height, width, channels = arr.shape
     n = height * width
     if n == 0 and count * channels:
@@ -195,12 +162,10 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
     weights = (n - ranks + 0.5) / n
     out = np.empty((count, channels))
     all_zero = 0
-    for start in range(0, count, CHUNK_IMAGES):
-        chunk = arr[start : start + CHUNK_IMAGES]
+    for start in range(0, count, BLOCK_IMAGES):
+        chunk = arr[start : start + BLOCK_IMAGES]
         # channel-major copy: one row per (image, channel) plane
         planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2)).reshape(-1, n)
-        if np.any(planes < 0):
-            raise InvalidValue("gini is defined for non-negative values only")
         totals = planes.sum(axis=1, dtype=float)
         zero = totals == 0.0
         all_zero += int(np.count_nonzero(zero))
@@ -216,12 +181,15 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
 
 
 def channel_gini(image: np.ndarray, channel: int) -> float:
-    """Gini index over one channel plane of an H x W x C image."""
+    """Gini index over one channel plane of an H x W x C uint8 image: the
+    one-image, one-channel case of channel_ginis."""
     arr = np.asarray(image)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise InvalidParameter("expected an H x W x C image")
+    if isinstance(channel, bool) or not isinstance(channel, (int, np.integer)):
+        raise InvalidParameter(f"channel must be an integer, got {channel!r}")
     if not 0 <= channel < arr.shape[2]:
         raise InvalidParameter(f"channel {channel} outside 0..{arr.shape[2] - 1}")
     values, all_zero = channel_ginis(arr[None, :, :, channel : channel + 1])

@@ -134,21 +134,12 @@ def histogram(
     # A run at a time, so the temporaries do not grow with the values; a run
     # is at least bin_count long, as each run's bincount spans every bin.
     run = max(_HISTOGRAM_CHUNK, bin_count)
+    width = (hi - lo) / bin_count
     counts = np.zeros(bin_count, dtype=np.int64)
     for start in range(0, v.size, run):
-        bins = bin_indices(v[start : start + run], bin_count, lo, hi)
-        counts += np.bincount(bins, minlength=bin_count)
+        idx = np.floor((v[start : start + run] - lo) / width).astype(np.int64)
+        counts += np.bincount(np.clip(idx, 0, bin_count - 1), minlength=bin_count)
     return Histogram(lo=lo, hi=hi, counts=tuple(int(c) for c in counts))
-
-
-def bin_indices(values, bin_count: int, lo: float, hi: float) -> np.ndarray:
-    """histogram's bin of each value, same shape: the int64 array
-    min(floor((v - lo) / width), bin_count - 1), clamped at 0."""
-    import numpy as np
-
-    width = (hi - lo) / bin_count
-    idx = np.floor((np.asarray(values, dtype=float) - lo) / width).astype(np.int64)
-    return np.clip(idx, 0, bin_count - 1)
 
 
 def variance_diversity(values: Sequence[float]) -> float:

@@ -126,6 +126,20 @@ class TestLogSpaceCounts:
         assert ssc_logged == pytest.approx(ssc_exact, rel=1e-13)
         assert gtc_logged == pytest.approx(gtc_exact, rel=1e-13)
 
+    @pytest.mark.parametrize(("cells", "moves"), [(10**8, 5000), (10**18, 2000), (2**20, 10**5)])
+    def test_factorial_keeps_its_digits_on_boards_of_many_cells(self, cells, moves, monkeypatch):
+        # lgamma(cells + 1) - lgamma(cells - moves + 1) as two floats lost
+        # 1% of the value at 10^18 cells
+        assert moves * cells.bit_length() > games._EXACT_BITS
+        logged = gtc_factorial(cells, moves)
+        monkeypatch.setattr(games, "_EXACT_BITS", 1 << 30)
+        assert logged == pytest.approx(gtc_factorial(cells, moves), rel=1e-13)
+
+    def test_stone_count_sums_past_the_ply_limit_are_refused(self):
+        spec = GridGameSpec(side=10_000, dims=2, max_plies=games.SSC_PLY_LIMIT + 1, win_length=1)
+        with pytest.raises(ResourceLimit, match="plies"):
+            ssc_combinatorial(spec)
+
     def test_sums_past_the_threshold_are_past_the_float_range(self, monkeypatch):
         # so the report loses no float total by summing them in logarithms
         monkeypatch.setattr(games, "_EXACT_BITS", 1 << 30)

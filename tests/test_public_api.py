@@ -1,6 +1,5 @@
-"""The names `dcx` exports: the same 71 as when the package imported every
-module eagerly, each the object its defining module holds, resolved on
-first use."""
+"""The 70 names `dcx` exports, each the object its defining module holds,
+resolved on first use."""
 
 import importlib
 import os
@@ -22,7 +21,7 @@ EXPORTED = {
     "channel_gini", "channel_ginis", "compare", "constant_action_limit", "enumerate_states",
     "environment_space_bound", "feature_space_dimensionality", "from_json",
     "game_space_complexity", "gini", "gtc_factorial", "gtc_power", "histogram",
-    "image_entropies", "image_entropy", "image_zero_sparsities", "image_zero_sparsity",
+    "image_entropies", "image_entropy", "image_zero_sparsities",
     "information_entropy", "load_breakdown", "load_cifar10", "load_descriptor", "load_iris",
     "load_mnist", "log10_product", "median_of_medians", "normalized_entropy",
     "params_for_variant", "parse_cifar10", "parse_idx", "parse_iris_csv",
@@ -46,7 +45,7 @@ def run_python(code: str) -> subprocess.CompletedProcess:
 
 
 def test_all_lists_the_exported_names_once():
-    assert len(dcx.__all__) == len(EXPORTED) == 71
+    assert len(dcx.__all__) == len(EXPORTED) == 70
     assert set(dcx.__all__) == EXPORTED
     assert EXPORTED <= set(dir(dcx))
 
@@ -87,7 +86,7 @@ def test_star_import_in_a_fresh_interpreter():
     )
     result = run_python(code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "71 []"
+    assert result.stdout.strip() == "70 []"
 
 
 def test_names_resolve_lazily_in_a_fresh_interpreter():

@@ -577,6 +577,31 @@ class TestCli:
             payload = json.loads(capsys.readouterr().out)
             assert any("two independent planar" in n for n in payload["notes"])
 
+    @pytest.mark.parametrize(
+        ("lengths", "code"),
+        [(["--plies", "50000000"], 1), (["--plies", "5", "--avg-length", "50000000"], 0)],
+    )
+    def test_closed_forms_of_a_huge_board_end_within_seconds(self, lengths, code):
+        # a 10^8-cell board: the stone-count sum refuses 5 x 10^7 plies before
+        # its loop, and the falling factorial of 5 x 10^7 moves is one formula
+        start = time.perf_counter()
+        result = run_python("-m", "dcx.cli", "game", "custom", "--side", "10000", "--dims", "2",
+                            "--win", "1", "--no-enumerate", *lengths)
+        assert time.perf_counter() - start < 5.0
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert (result.stdout == "") == (code == 1)
+
+    def test_dataset_iris_refuses_the_flags_it_does_not_read(self, capsys):
+        argv = ["dataset", "iris", "--measure", "entropy", "--mode", "binarized",
+                "--split", "test", "--data-dir", "/nonexistent"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and "--mode --split --data-dir" in err
+        assert main(["dataset", "iris", "--split", "all"]) == 1
+        assert capsys.readouterr().err == "dcx: dataset iris does not read --split\n"
+
     def test_dataset_iris_gini(self, capsys):
         assert main(["--format", "json", "dataset", "iris", "--measure", "gini"]) == 0
         payload = json.loads(capsys.readouterr().out)
