@@ -4,10 +4,16 @@ assembles them into one ComplexityReport, annotated with the published
 targets from the reference table, and emits it as text, JSON, or CSV.
 Exit code 0 on success, 1 on measure errors, 2 on usage errors.
 
-The cart-pole simulator and the dataset modules, and with them numpy, are
-imported in the branch that computes with them, so the closed-form
-subcommands (games, descriptors, cart-pole tables, compare) start without
-numpy.
+Each domain module is imported by the runner that computes with it:
+`game` loads `games`, `descriptor` and `cartpole --measure table` load
+`descriptors`, the other cart-pole measures `cartpole`, and `dataset` the
+two dataset modules. `compare`, `--help` and usage errors load none of
+them. numpy comes only with a value that needs it: the cart-pole
+simulator, the datasets, game enumeration and the descriptor entropies.
+
+dcx calls no BLAS routine, so `main` starts numpy with one OpenBLAS
+thread instead of a pool whose idle worker spins for CPU time. An
+`OPENBLAS_NUM_THREADS` already in the environment is kept.
 """
 
 from __future__ import annotations
@@ -18,8 +24,8 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import descriptors, games
 from .errors import DcxError, FormatError, InvalidParameter
 # log10_product and normalized_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
@@ -35,6 +41,9 @@ from .report import (
     to_json,
     to_text,
 )
+
+if TYPE_CHECKING:
+    from . import descriptors
 
 _PUBLISHED = "published case study"
 _3D_REFERENCE = _PUBLISHED + " (reference only; coupled 3d dynamics)"
@@ -199,6 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_game(args) -> _Fields:
+    from . import games
+
     if args.preset != "custom":
         spec, name = games.preset(args.preset), args.preset
     else:
@@ -214,6 +225,8 @@ def _run_game(args) -> _Fields:
 
 
 def _resolve_descriptor(source: str) -> descriptors.DomainDescriptor:
+    from . import descriptors
+
     path = Path(source)
     if path.is_file():
         return descriptors.load_descriptor(path)
@@ -227,6 +240,8 @@ def _resolve_descriptor(source: str) -> descriptors.DomainDescriptor:
 
 
 def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
+    from . import descriptors
+
     path = Path(source)
     if path.is_file():
         return descriptors.load_breakdown(path)
@@ -238,6 +253,8 @@ def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
 
 
 def _run_descriptor(args) -> _Fields:
+    from . import descriptors
+
     d = _resolve_descriptor(args.source)
     breakdown = _resolve_breakdown(args.breakdown) if args.breakdown else None
     measures, notes = descriptors.descriptor_measures(d, breakdown)
@@ -256,6 +273,8 @@ def _run_cartpole(args) -> _Fields:
     if "limit" in given and "trials" in given:
         raise InvalidParameter("--trials measures the sparsity band, which --limit gives")
     if args.measure == "table":
+        from . import descriptors
+
         measures, notes = descriptors.descriptor_measures(descriptors.bundled_descriptor(domain))
         return domain, None, measures, lead + notes, None
 
@@ -355,6 +374,8 @@ def _emit(report: ComplexityReport, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    # before anything imports numpy, which reads it when OpenBLAS loads
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -219,6 +219,8 @@ def parse_iris_csv(text: str) -> TabularDataset:
             row = [float(v) for v in fields[:4]]
         except ValueError:
             raise FormatError(f"line {line_no}: non-numeric measurement") from None
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"line {line_no}: measurement is not a finite number")
         features.append(row)
         labels.append(_iris_class_index(fields[4]))
     if not features:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -140,7 +141,7 @@ def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
             f"got {_count_text(spec.max_plies)}"
         )
     if spec.max_plies * spec.cells.bit_length() > _EXACT_BITS:
-        logs, log_term = [], 0.0
+        logs, log_term = array("d"), 0.0
         for free, stones in _stone_factors(spec):
             log_term += math.log(free) - math.log(stones)
             logs.append(log_term)

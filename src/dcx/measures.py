@@ -31,7 +31,7 @@ _HISTOGRAM_CHUNK = 1 << 16
 
 
 def gini(values: Sequence[float]) -> float:
-    """Gini index of a non-negative value array.
+    """Gini index of an array of finite, non-negative values.
 
     Sorts ascending and weights each normalized value by (N - k + 1/2) / N.
     Returns 0 for a perfectly even array and approaches 1 - 1/N when a
@@ -42,9 +42,15 @@ def gini(values: Sequence[float]) -> float:
     c = np.asarray(values, dtype=float).ravel()
     if c.size == 0:
         raise DegenerateInput("gini needs at least one value")
+    if not np.isfinite(c).all():
+        raise InvalidValue("gini is defined for finite values only")
     if np.any(c < 0):
         raise InvalidValue("gini is defined for non-negative values only")
-    total = float(c.sum())
+    with np.errstate(over="ignore"):
+        total = float(c.sum())
+    if math.isinf(total):  # the index is scale-free, so sum a scaled copy
+        c = c / c.max()
+        total = float(c.sum())
     if total == 0.0:
         raise DegenerateInput("gini is undefined for an all-zero array")
     c = np.sort(c)

@@ -2,15 +2,16 @@
 conventions, provenance, seed, and optional published reference values,
 as JSON, CSV, or plain text. Reports round-trip losslessly through JSON
 and carry a determinism hash that ignores the timestamp.
+
+hashlib and datetime are imported by the functions that hash and stamp a
+report, so `dcx --help`, usage errors and a failed read load neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
 
 from .errors import FormatError, InvalidParameter, InvalidValue, from_mapping, load_json
 from .measures import MeasureResult
@@ -32,6 +33,8 @@ class ReferenceTarget:
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
@@ -56,6 +59,8 @@ class ComplexityReport:
 
     def determinism_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""
+        import hashlib
+
         payload = asdict(self)
         payload.pop("timestamp")
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

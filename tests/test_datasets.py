@@ -196,6 +196,12 @@ class TestIrisParsing:
         with pytest.raises(FormatError):
             parse_iris_csv("5.1,3.5,1.4,0.2,Iris-azalea\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_rejects_non_finite_measurement(self, bad):
+        text = f"5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,{bad},0.2,Iris-setosa\n"
+        with pytest.raises(FormatError, match="^line 2: measurement is not a finite number$"):
+            parse_iris_csv(text)
+
     def test_rejects_empty_table(self):
         with pytest.raises(DegenerateInput):
             parse_iris_csv("\n\n")

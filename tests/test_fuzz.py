@@ -1,22 +1,33 @@
-"""Damaged binary inputs end in a result or a DcxError, within a time bound.
+"""Damaged dataset inputs end in a result or a DcxError, within a time bound.
 
 Hypothesis cuts, pads and overwrites bytes of valid IDX tensors and CIFAR-10
 batches, and feeds them to the in-memory parsers and, through files, to the
-streamed readers. The profile is derandomized, so every run tries the same
+streamed readers. It also overwrites fields of valid iris rows and measures
+what parses. The profile is derandomized, so every run tries the same
 inputs.
 """
 
 import gzip
+import math
 import tempfile
 import time
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dcx.dataset_metrics import image_measures
-from dcx.datasets import BLOCK_IMAGES, parse_cifar10, parse_idx, stream_cifar10, stream_mnist, write_idx
+from dcx.dataset_metrics import image_measures, iris_measures
+from dcx.datasets import (
+    BLOCK_IMAGES,
+    parse_cifar10,
+    parse_idx,
+    parse_iris_csv,
+    stream_cifar10,
+    stream_mnist,
+    write_idx,
+)
 from dcx.errors import DcxError
 
 settings.register_profile(
@@ -108,3 +119,36 @@ def test_streamed_cifar10(batch, measure):
         Path(directory, "test_batch.bin").write_bytes(batch)
         returns_or_refuses(
             lambda: image_measures("cifar10", stream_cifar10(directory, "test"), measure, split="test"))
+
+
+# two rows of each class from the bundled table
+IRIS_ROWS = resources.files("dcx").joinpath("data/iris.csv").read_text().splitlines()[::25]
+IRIS_FIELDS = ["0", "-1", "1e308", "1e400", "nan", "inf", "-inf", "", "tall",
+               "Iris-setosa", "versicolor", "Iris-virginica"]
+
+
+@st.composite
+def iris_text(draw) -> str:
+    """IRIS_ROWS with one to four fields overwritten with IRIS_FIELDS or any
+    text, maybe cut short; or text with no structure at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=64))
+    rows = [row.split(",") for row in IRIS_ROWS]
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.one_of(st.sampled_from(IRIS_FIELDS), st.text(max_size=8)))
+    text = "\n".join(",".join(row) for row in rows)
+    return text[: draw(st.one_of(st.just(len(text)), st.integers(0, len(text))))]
+
+
+@FUZZ
+@given(iris_text())
+def test_parse_iris_csv(text):
+    def measured():
+        dataset = parse_iris_csv(text)
+        for measure in ("dimensionality", "gini", "entropy"):
+            values = [m.value for m in iris_measures(dataset, measure)[0]]
+            assert all(map(math.isfinite, values)), values
+
+    returns_or_refuses(measured)

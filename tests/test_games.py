@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ class TestLogSpaceCounts:
         spec = GridGameSpec(side=10_000, dims=2, max_plies=games.SSC_PLY_LIMIT + 1, win_length=1)
         with pytest.raises(ResourceLimit, match="plies"):
             ssc_combinatorial(spec)
+
+    def test_the_logged_sum_holds_one_double_per_ply(self):
+        # a list of one Python float per ply peaked at 30.9 MB at the limit
+        at_limit = GridGameSpec(side=10_000, dims=2, max_plies=games.SSC_PLY_LIMIT, win_length=1)
+        assert ssc_combinatorial(at_limit) == (None, 2733139.2377379076)
+        # traced on a tenth of the plies, as tracing slows the loop fivefold
+        spec = GridGameSpec(side=10_000, dims=2, max_plies=100_000, win_length=1)
+        tracemalloc.start()
+        try:
+            ssc_combinatorial(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * spec.max_plies
 
     def test_sums_past_the_threshold_are_past_the_float_range(self, monkeypatch):
         # so the report loses no float total by summing them in logarithms

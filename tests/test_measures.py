@@ -46,6 +46,17 @@ class TestGini:
         with pytest.raises(InvalidValue):
             gini([1.0, -0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # NaN came back as the index, and inf raised numpy's RuntimeWarning
+        with pytest.raises(InvalidValue, match="finite"):
+            gini([bad, 2.0, 3.0, 4.0])
+
+    def test_values_whose_sum_overflows_keep_their_index(self):
+        # the index is scale-free; the overflowing sum gave 1.0 here
+        assert gini([1e308] * 3) == 0.0
+        assert gini([1.7e308, 1.7e308, 0.0]) == pytest.approx(gini([1.0, 1.0, 0.0]), rel=1e-15)
+
     def test_rejects_all_zero(self):
         with pytest.raises(DegenerateInput):
             gini([0.0, 0.0, 0.0])

@@ -734,29 +734,34 @@ class TestCli:
         assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
-        ("argv", "exit_code", "loads_numpy"),
+        ("argv", "exit_code", "loads"),
         [
-            ((), 0, False),
-            (("--help",), 0, False),
-            *[(("--format", "json", "descriptor", name), 0, False)
+            ((), 0, set()),
+            (("--help",), 0, set()),
+            *[(("--format", "json", "descriptor", name), 0, {"dcx.descriptors"})
               for name in ("cartpole2d", "cartpole2d-g", "cartpole3d", "pogo")],
-            *[(("--format", "csv", "cartpole", "--variant", v, "--measure", "table"), 0, False)
+            *[(("--format", "csv", "cartpole", "--variant", v, "--measure", "table"), 0,
+               {"dcx.descriptors"})
               for v in ("2d", "2dg", "3d")],
-            (("--format", "json", "game", "ttt", "--no-enumerate"), 0, False),
-            (("--format", "json", "game", "qubic"), 0, False),
-            (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, False),
-            (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, False),
-            (("descriptor", "nosuch"), 1, False),
-            (("cartpole", "--variant", "4d"), 2, False),
-            (("--format", "json", "dataset", "iris"), 0, True),
-            (("--format", "json", "descriptor", "monopoly"), 0, True),
+            (("--format", "json", "game", "ttt", "--no-enumerate"), 0, {"dcx.games"}),
+            (("--format", "json", "game", "qubic"), 0, {"dcx.games"}),
+            (("--format", "json", "game", "ttt"), 0, {"dcx.games", "numpy"}),
+            (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, set()),
+            (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, set()),
+            (("descriptor", "nosuch"), 1, {"dcx.descriptors"}),
+            (("cartpole", "--variant", "4d"), 2, set()),
+            (("game", "checkers"), 2, set()),
+            (("--format", "json", "dataset", "iris"), 0, {"numpy"}),
+            (("--format", "json", "descriptor", "monopoly"), 0, {"dcx.descriptors", "numpy"}),
         ],
-        ids=lambda v: (" ".join(v) or "import") if isinstance(v, tuple) else None,
+        ids=lambda v: ((" ".join(v) or "import") if isinstance(v, tuple)
+                       else "+".join(sorted(v)) or "none" if isinstance(v, set) else None),
     )
-    def test_numpy_loads_only_where_a_value_needs_it(self, tmp_path, argv, exit_code, loads_numpy):
+    def test_numpy_loads_only_where_a_value_needs_it(self, tmp_path, argv, exit_code, loads):
         # closed forms (games, descriptor arithmetic, cart-pole tables,
         # compare, errors) never touch a numpy value, so they must not pay
-        # for its import; an empty argv means a bare `import dcx.cli`
+        # for its import, and each subcommand loads only its own domain
+        # module; an empty argv means a bare `import dcx.cli`
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
@@ -765,18 +770,40 @@ class TestCli:
         probe = (
             "import sys\n"
             "import dcx\n"
-            "before = 'numpy' in sys.modules\n"
+            "watched = ('numpy', 'dcx.games', 'dcx.descriptors')\n"
+            "before = [m for m in watched if m in sys.modules]\n"
             "from dcx.cli import main\n"
             "try:\n"
             "    code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "after = 'numpy' in sys.modules\n"
+            "after = sorted(m for m in watched if m in sys.modules)\n"
             "print(f'probe: {code} {before} {after}', file=sys.stderr)\n"
         )
         result = run_python("-c", probe, *argv)
         assert "Traceback" not in result.stderr, result.stderr
-        assert result.stderr.splitlines()[-1] == f"probe: {exit_code} False {loads_numpy}"
+        assert result.stderr.splitlines()[-1] == f"probe: {exit_code} [] {sorted(loads)}"
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+    @pytest.mark.parametrize(("setting", "threads"), [(None, 1), ("2", 2)])
+    def test_numpy_starts_without_a_blas_worker(self, monkeypatch, setting, threads):
+        # dcx calls no BLAS routine, so OpenBLAS's worker thread, which
+        # spins at start-up, is not started; a setting already made is kept
+        if threads > len(os.sched_getaffinity(0)):
+            pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+        if setting is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", setting)
+        probe = (
+            "import os, sys\n"
+            "from dcx.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('probe:', code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
+            "      file=sys.stderr)\n"
+        )
+        result = run_python("-c", probe, "--format", "json", "dataset", "iris")
+        assert result.stderr.splitlines()[-1] == f"probe: 0 True {threads}", result.stderr
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
         dest = tmp_path / "missing" / "report.json"
