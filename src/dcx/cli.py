@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -230,7 +231,8 @@ def _resolve_descriptor(source: str) -> descriptors.DomainDescriptor:
     path = Path(source)
     if path.is_file():
         return descriptors.load_descriptor(path)
-    stem = path.name.removesuffix(".json")
+    # a path must exist; only a bare name is looked up among the bundled files
+    stem = source.removesuffix(".json") if path.name == source else None
     if stem in descriptors.BUNDLED_DESCRIPTORS:
         return descriptors.bundled_descriptor(stem)
     raise DcxError(
@@ -245,11 +247,11 @@ def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
     path = Path(source)
     if path.is_file():
         return descriptors.load_breakdown(path)
-    stem = path.name.removesuffix(".json").removesuffix("_breakdown")
-    try:
-        return descriptors.bundled_breakdown(stem)
-    except DcxError:
-        raise DcxError(f"{source!r} is not a breakdown file or bundled name") from None
+    stem = source.removesuffix(".json").removesuffix("_breakdown")
+    if path.name == source:  # as for descriptors, only a bare name is bundled
+        with suppress(DcxError):
+            return descriptors.bundled_breakdown(stem)
+    raise DcxError(f"{source!r} is not a breakdown file or bundled name")
 
 
 def _run_descriptor(args) -> _Fields:

@@ -108,17 +108,17 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     for start in range(0, count, BLOCK_IMAGES):
         chunk = rows[start : start + BLOCK_IMAGES]
         if binarize_first:
-            # zeros land in the first bin, every other value in the last
+            # zeros fill the first bin, the rest the last: a pairwise sum of
+            # two terms is one addition, and an empty bin adds plogp[0] = 0.0
             nonzero = np.count_nonzero(chunk, axis=1)
-            counts = np.zeros((len(chunk), 256), dtype=np.intp)
-            counts[:, 0], counts[:, -1] = size - nonzero, nonzero
+            sums = plogp[size - nonzero] + plogp[nonzero]
         else:
             # offset each image's values so that one bincount counts every image
             bins = chunk.astype(np.intp)
             bins += np.arange(len(chunk))[:, None] * 256
             counts = np.bincount(bins.ravel(), minlength=len(chunk) * 256)
             counts = counts.reshape(len(chunk), 256)
-        sums = _pairwise_row_sums(plogp[counts], counts > 0)
+            sums = _pairwise_row_sums(plogp[counts], counts > 0)
         out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
     return out / np.log2(256)
 

@@ -19,6 +19,7 @@ import gzip
 import io
 import math
 import os
+import re
 import struct
 import zlib
 from contextlib import ExitStack, contextmanager
@@ -180,16 +181,14 @@ def write_idx(tensor: np.ndarray) -> bytes:
     return header + arr.tobytes()
 
 
-def parse_cifar10(
-    data: bytes, class_names: tuple[str, ...] = CIFAR10_CLASS_NAMES
-) -> LabeledImageDataset:
+def parse_cifar10(data: bytes) -> LabeledImageDataset:
     """Decode CIFAR-10 binary batch records with the loader's record reader.
 
     Each record is a label byte followed by three 1024-byte channel planes
     (red, green, blue), each a row-major 32 x 32 grid.
     """
     group = [(_Stream(io.BytesIO(data)), len(data))]
-    return _collect(_streamed(_decode([group], _cifar_shape, _read_cifar), class_names))
+    return _collect(_streamed(_decode([group], _cifar_shape, _read_cifar), CIFAR10_CLASS_NAMES))
 
 
 def _iris_class_index(name: str) -> int:
@@ -204,6 +203,11 @@ def _iris_class_index(name: str) -> int:
         raise FormatError(f"unknown iris class {name!r}") from None
 
 
+# ASCII digits, at most one point and an optional exponent; nan, inf and
+# infinity pass, so that the finite check names them
+_CSV_NUMBER = re.compile(r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|nan|inf(inity)?)", re.I | re.A)
+
+
 def parse_iris_csv(text: str) -> TabularDataset:
     """Parse comma-separated iris rows: four measurements then a class name."""
     features = []
@@ -215,10 +219,10 @@ def parse_iris_csv(text: str) -> TabularDataset:
         fields = line.split(",")
         if len(fields) != 5:
             raise FormatError(f"line {line_no}: expected 5 fields, got {len(fields)}")
-        try:
-            row = [float(v) for v in fields[:4]]
-        except ValueError:
-            raise FormatError(f"line {line_no}: non-numeric measurement") from None
+        # float alone would also take digit-group underscores and non-ASCII digits
+        if not all(_CSV_NUMBER.fullmatch(v.strip()) for v in fields[:4]):
+            raise FormatError(f"line {line_no}: non-numeric measurement")
+        row = [float(v) for v in fields[:4]]
         if not all(map(math.isfinite, row)):
             raise FormatError(f"line {line_no}: measurement is not a finite number")
         features.append(row)
@@ -233,11 +237,11 @@ def parse_iris_csv(text: str) -> TabularDataset:
     )
 
 
-def binarize(dataset: LabeledImageDataset, threshold: int = 0) -> LabeledImageDataset:
-    """Map each pixel to 1 when above threshold, else 0."""
+def binarize(dataset: LabeledImageDataset) -> LabeledImageDataset:
+    """Map each pixel to 1 when nonzero, else 0: binarization at threshold 0."""
     if dataset.channel_count != 1:
         raise InvalidParameter("binarize expects a single-channel dataset")
-    images = (dataset.images > threshold).astype(np.uint8)
+    images = (dataset.images > 0).astype(np.uint8)
     return LabeledImageDataset(
         images=images,
         labels=dataset.labels,

@@ -4,6 +4,11 @@ Covers the closed-form state-space bounds, the factorial game-tree count,
 exhaustive breadth-first enumeration of legal positions with optional
 symmetry reduction, and the entropy of the per-ply state distribution.
 
+Board geometry comes from one index grid, _grid(spec): the row-major cell
+index at each coordinate. The cells of every win line along a direction
+are k slices of the grid, and a symmetry map is the grid transposed and
+flipped, then flattened.
+
 Enumeration works on bitboards: a position is one uint32 holding the X
 cell mask in bits 0-15 and the O mask in bits 16-31, which is why boards
 are capped at 16 cells. Each ply is a numpy array of such positions; win
@@ -11,8 +16,8 @@ lines are cell masks, and a symmetry map is applied through byte lookup
 tables. The canonical representative of a symmetry class is its minimum
 packed image, not its minimum cell tuple, so the representatives differ
 from a tuple-based enumeration while the class counts are the same.
-Only the enumeration imports numpy; the closed forms are plain integer
-and math arithmetic.
+Only the geometry and the enumeration import numpy; the closed forms are
+plain integer and math arithmetic.
 """
 
 from __future__ import annotations
@@ -177,19 +182,15 @@ def _ln_falling_factorial(n: int, k: int) -> float:
     return k * math.log(n + 1) + (m - 0.5) * math.log1p(k / m) - k + (1 / (n + 1) - 1 / m) / 12
 
 
-def _coords(index: int, spec: GridGameSpec) -> tuple[int, ...]:
-    out = []
-    for _ in range(spec.dims):
-        index, r = divmod(index, spec.side)
-        out.append(r)
-    return tuple(reversed(out))
+@lru_cache(maxsize=None)
+def _grid(spec: GridGameSpec) -> np.ndarray:
+    """The board's geometry: grid[c_0, ..., c_{D-1}] is the cell index at
+    those coordinates, in row-major order."""
+    import numpy as np
 
-
-def _index(coords: tuple[int, ...], spec: GridGameSpec) -> int:
-    index = 0
-    for c in coords:
-        index = index * spec.side + c
-    return index
+    grid = np.arange(spec.cells).reshape((spec.side,) * spec.dims)
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=None)
@@ -197,30 +198,26 @@ def win_lines(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     """All straight segments of win_length cells, as sorted index tuples.
 
     Directions are vectors in {-1,0,1}^D whose first nonzero component is
-    positive, so each geometric line is generated once.
+    positive, so each geometric line is generated once, and the cell index
+    rises along each of them, so every segment comes out sorted.
     """
     if spec.side == 1:  # the single cell is the only line, in any dimension
         return ((0,),)
-    directions = [
-        d
-        for d in itertools.product((-1, 0, 1), repeat=spec.dims)
-        if any(d) and next(v for v in d if v) > 0
-    ]
-    lines = set()
-    k = spec.win_length
-    for start in range(spec.cells):
-        origin = _coords(start, spec)
-        for d in directions:
-            end = [origin[a] + (k - 1) * d[a] for a in range(spec.dims)]
-            if any(not 0 <= e < spec.side for e in end):
-                continue
-            cells = tuple(
-                sorted(
-                    _index(tuple(origin[a] + j * d[a] for a in range(spec.dims)), spec)
-                    for j in range(k)
-                )
-            )
-            lines.add(cells)
+    grid, k = _grid(spec), spec.win_length
+    lines = set()  # only win_length 1 gives one segment in several directions
+    for d in itertools.product((-1, 0, 1), repeat=spec.dims):
+        if not any(d) or next(v for v in d if v) < 0:
+            continue
+        # per axis, the first origin and the number of origins whose last
+        # cell, k - 1 steps along d, is still on the board; the j-th cells
+        # of all the segments are then one slice of the grid
+        first = [(k - 1) * (v < 0) for v in d]
+        count = [spec.side - (k - 1) * abs(v) for v in d]
+        nth = (
+            grid[tuple(slice(f + j * v, f + j * v + n) for f, v, n in zip(first, d, count))]
+            for j in range(k)
+        )
+        lines.update(zip(*(cells.ravel().tolist() for cells in nth)))
     return tuple(sorted(lines))
 
 
@@ -234,20 +231,14 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     """
     if spec.side == 1:
         return ((0,),)
-    maps = []
-    axes = range(spec.dims)
-    for perm in itertools.permutations(axes):
-        for flips in itertools.product((False, True), repeat=spec.dims):
-            m = []
-            for i in range(spec.cells):
-                coords = _coords(i, spec)
-                src = tuple(
-                    spec.side - 1 - coords[perm[a]] if flips[a] else coords[perm[a]]
-                    for a in axes
-                )
-                m.append(_index(src, spec))
-            maps.append(tuple(m))
-    return tuple(maps)
+    import numpy as np
+
+    grid, axes = _grid(spec), range(spec.dims)
+    return tuple(
+        tuple(np.flip(grid.transpose(perm), [a for a in axes if flips[a]]).ravel().tolist())
+        for perm in itertools.permutations(axes)
+        for flips in itertools.product((False, True), repeat=spec.dims)
+    )
 
 
 @lru_cache(maxsize=None)

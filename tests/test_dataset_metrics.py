@@ -302,9 +302,12 @@ class TestBatchKernelsMatchPerImageLoop:
         assert_kernels_match_oracle(load_cifar10(synthetic_cifar_dir).images)
 
     def test_constant_images_fill_one_bin(self):
-        images = np.stack([np.full((6, 5, 3), v, dtype=np.uint8) for v in (1, 40, 255)])
+        # binarized, the all-zero image fills only the first bin and the
+        # others only the last
+        images = np.stack([np.full((6, 5, 3), v, dtype=np.uint8) for v in (0, 1, 40, 255)])
         assert_kernels_match_oracle(images)
-        assert image_entropies(images).tolist() == [0.0, 0.0, 0.0]
+        assert image_entropies(images).tolist() == [0.0] * 4
+        assert image_entropies(images, binarize_first=True).tolist() == [0.0] * 4
 
     def test_image_holding_every_value(self):
         image = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)

@@ -196,11 +196,25 @@ class TestIrisParsing:
         with pytest.raises(FormatError):
             parse_iris_csv("5.1,3.5,1.4,0.2,Iris-azalea\n")
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "-Infinity"])
     def test_rejects_non_finite_measurement(self, bad):
         text = f"5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,{bad},0.2,Iris-setosa\n"
         with pytest.raises(FormatError, match="^line 2: measurement is not a finite number$"):
             parse_iris_csv(text)
+
+    @pytest.mark.parametrize(
+        "bad", ["5_1", "\u0665.1", "\u0131nf"], ids=["underscore", "arabic-indic-digit", "dotless-i"]
+    )
+    def test_rejects_measurement_outside_the_csv_number_grammar(self, bad):
+        # float() reads the first two as 51.0 and 5.1; a case-blind match
+        # outside ASCII would take the third for inf, which float() refuses
+        text = f"5.1,3.5,1.4,0.2,Iris-setosa\n{bad},3.0,1.4,0.2,Iris-setosa\n"
+        with pytest.raises(FormatError, match="^line 2: non-numeric measurement$"):
+            parse_iris_csv(text)
+
+    def test_reads_every_form_of_the_csv_number_grammar(self):
+        ds = parse_iris_csv(" +5 ,.5,5.,-5e-1,Iris-setosa\n")
+        assert ds.features.tolist() == [[5.0, 0.5, 5.0, -0.5]]
 
     def test_rejects_empty_table(self):
         with pytest.raises(DegenerateInput):
@@ -227,14 +241,6 @@ class TestBinarize:
         out = binarize(ds)
         assert out.pixel_value_count == 2
         assert out.images.ravel().tolist() == [0, 1, 1, 1]
-
-    def test_custom_threshold(self):
-        images = np.array([[[[0], [128]], [[129], [255]]]], dtype=np.uint8)
-        ds = LabeledImageDataset(
-            images=images, labels=np.array([0]), class_names=("a", "b")
-        )
-        out = binarize(ds, threshold=128)
-        assert out.images.ravel().tolist() == [0, 0, 1, 1]
 
     def test_refuses_multichannel(self):
         images = np.zeros((1, 2, 2, 3), dtype=np.uint8)

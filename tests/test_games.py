@@ -186,6 +186,48 @@ class TestWinLines:
                 assert len(line) == spec.win_length
                 assert len(set(line)) == spec.win_length
 
+    @pytest.mark.parametrize(("side", "dims"), [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2),
+                                                 (4, 3), (5, 2), (5, 3)])
+    def test_counts_match_the_closed_form(self, side, dims):
+        # per axis a direction component of 0 leaves side origins and each
+        # of -1 and +1 leaves side - win + 1, over all 3^dims - 1 nonzero
+        # directions, halved for the two orientations of each line; with
+        # win == side that is ((side + 2)^dims - side^dims) / 2: 8 for ttt,
+        # 10 for 4 x 4 win 4, 76 for Qubic
+        for win in range(2, side + 1):
+            lines = win_lines(GridGameSpec(side=side, dims=dims, max_plies=1, win_length=win))
+            assert len(lines) == ((3 * side - 2 * win + 2) ** dims - side**dims) // 2
+            assert lines == tuple(sorted(lines))
+            assert all(list(line) == sorted(line) for line in lines)
+        assert len(win_lines(GridGameSpec(side, dims, 1, 1))) == side**dims
+
+
+# boards whose group holds 2 (1-D), 8 (2-D), 48 (3-D) and 384 (4-D) maps
+GROUP_BOARDS = [GridGameSpec(6, 1, 1, 3), TTT, GridGameSpec(4, 2, 1, 3), QUBIC,
+                GridGameSpec(5, 3, 1, 4), GridGameSpec(2, 4, 1, 2)]
+
+
+class TestSymmetryGroup:
+    """Group properties that hold whatever order the maps come in."""
+
+    @pytest.mark.parametrize(
+        "spec", GROUP_BOARDS, ids=[f"{s.side}^{s.dims}-w{s.win_length}" for s in GROUP_BOARDS]
+    )
+    def test_is_the_axis_permutation_and_reflection_group(self, spec):
+        maps = symmetry_maps(spec)
+        group = set(maps)
+        assert len(maps) == len(group) == math.factorial(spec.dims) * 2**spec.dims
+        assert tuple(range(spec.cells)) in group
+        assert all(sorted(m) == list(range(spec.cells)) for m in maps)
+        # applying a then b reads board[a[b[i]]]
+        assert all(tuple(a[i] for i in b) in group for a in maps for b in maps)
+        lines = {frozenset(line) for line in win_lines(spec)}
+        for m in maps:
+            assert {frozenset(m[c] for c in line) for line in lines} == lines
+
+    def test_a_one_cell_board_has_only_the_identity(self):
+        assert symmetry_maps(GridGameSpec(side=1, dims=12, max_plies=1, win_length=1)) == ((0,),)
+
 
 class TestEnumeration:
     def test_ttt_raw_census(self):

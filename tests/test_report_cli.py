@@ -402,6 +402,32 @@ class TestCli:
         assert main(["descriptor", "atlantis"]) == 1
         assert "atlantis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["descriptor", "{missing}/pogo.json"], ["descriptor", "{missing}/pogo"],
+         ["descriptor", "pogo", "--breakdown", "{missing}/pogo_breakdown.json"],
+         ["descriptor", "pogo", "--breakdown", "{missing}/pogo"]],
+        ids=["descriptor-file", "descriptor-stem", "breakdown-file", "breakdown-stem"],
+    )
+    def test_a_missing_path_is_refused_not_read_as_a_bundled_name(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no_such_dir"
+        assert main([a.format(missing=missing) for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"dcx: '{missing}/pogo")
+
+    @pytest.mark.parametrize(
+        ("descriptor", "breakdown"),
+        [("pogo.json", "pogo"), ("pogo", "pogo.json"), ("pogo", "pogo_breakdown"),
+         ("pogo", "pogo_breakdown.json")],
+    )
+    def test_bare_names_read_the_bundled_files(self, capsys, descriptor, breakdown):
+        hashes = []
+        for argv in (["pogo", "--breakdown", "pogo"], [descriptor, "--breakdown", breakdown]):
+            assert main(["--format", "json", "--seed", "0", "descriptor", *argv]) == 0
+            hashes.append(json.loads(capsys.readouterr().out)["determinism_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_cartpole_limit_seeded(self, capsys):
         code = main(
             ["--format", "json", "--seed", "0", "cartpole", "--variant", "2d",
