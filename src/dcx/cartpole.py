@@ -2,14 +2,16 @@
 three variants: the standard planar benchmark (2d), a high-gravity copy
 (2dg), and a simplified 3d version built from two independent planar systems.
 
-The dynamics have one path, over numpy columns: _planar binds a variant's
-constants into one semi-implicit Euler step, _advance applies it to each
-axis under the forces _force_table gives each action, and _columns_failed
-tests for failure. _lockstep steps a fixed block of episodes together with
-them, one column per state component and a row per live episode, and both
-Monte Carlo measures run on it: the constant-action limit and the
-random-rollout feature/action entropy. Their memory therefore does not grow
-with the trial or sample count. Band-survival sparsity is counted exactly.
+The dynamics have one path: _planar binds a variant's constants into one
+in-place semi-implicit Euler step of every episode and axis, which also
+tests the new state for failure, under the forces _force_table gives each
+action. _lockstep steps a block of episodes from the initial states its
+caller drew, in a _workspace the measure allocates once, and drops the
+episodes that end; both Monte Carlo measures run on it: the constant-action
+limit and the random-rollout feature/action entropy. Their memory
+therefore does not grow with the trial or sample count, and their steps
+reuse the workspace's buffers rather than allocate their own.
+Band-survival sparsity is counted exactly.
 Each measure refuses oversized work before it starts: past MEMORY_BUDGET
 for the rollout's arrays, past WORK_BUDGET for the walk and trial counts.
 _lockstep charges each step to WORK_BUDGET too, so episodes that never fail
@@ -112,41 +114,84 @@ def params_for_variant(variant: str) -> CartPoleParams:
     return CartPoleParams(variant=variant)  # refuses a variant outside VARIANTS
 
 
+def _workspace(p: CartPoleParams, rows: int) -> tuple:
+    """Buffers for stepping up to rows episodes of p's variant, allocated
+    once and reused for every block: two state buffers of 4 x axes x rows
+    floats, 5 x axes x rows floats of scratch for _planar's step, and
+    (2 x axes + 1) x rows booleans for its failure test."""
+    n = p.axis_count * rows
+    return np.empty((2, 4 * n)), np.empty(5 * n), np.empty((2 * p.axis_count + 1) * rows, bool)
+
+
 def _planar(p: CartPoleParams):
     """The planar dynamics with p's constants bound once.
 
-    Returns update(x, x_dot, theta, theta_dot, sin, cos, force), one
-    semi-implicit Euler step over numpy columns of episodes; sin and cos
-    are sin(theta) and cos(theta), computed by the caller.
+    Returns step(state, out, force, scratch, flags), one semi-implicit Euler
+    step of every live episode and axis. state holds them component-major
+    and flat: x, theta, x_dot and theta_dot, in that order, each one run of
+    axes x live values in which one axis's live episodes follow another's.
+    step writes the next state to out, a buffer of state's size, with
+    positional-out ufuncs; force is each axis's force, an axes x 1 or
+    axes x live array; scratch and flags are a _workspace's. The float
+    operations are those of the expressions in the comments, in their
+    order, so each value is what those give on numpy columns; a square is
+    x * x, as a numpy array's ** 2 is. step returns, as a view into flags,
+    which live episodes the new state has off the track or with the pole
+    dropped.
     """
-    gravity, pole_mass, half_length, dt = p.gravity, p.pole_mass, p.pole_half_length, p.timestep
-    total_mass = p.cart_mass + pole_mass
-    pole_ml = pole_mass * half_length
+    # as 0-d arrays, which numpy takes faster than Python floats of equal value
+    gravity, pole_mass, half_length, dt, total_mass, pole_ml, four_thirds = map(np.array, (
+        p.gravity, p.pole_mass, p.pole_half_length, p.timestep, p.cart_mass + p.pole_mass,
+        p.pole_mass * p.pole_half_length, 4.0 / 3.0,
+    ))
+    axes = p.axis_count
+    thresholds = np.array([[p.position_threshold], [p.angle_threshold]])
 
-    def update(x, x_dot, theta, theta_dot, sin, cos, force):
-        temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
-        theta_acc = (gravity * sin - cos * temp) / (
-            half_length * (4.0 / 3.0 - pole_mass * cos**2 / total_mass)
-        )
-        x_acc = temp - pole_ml * theta_acc * cos / total_mass
-        return (
-            x + dt * x_dot,
-            x_dot + dt * x_acc,
-            theta + dt * theta_dot,
-            theta_dot + dt * theta_acc,
-        )
+    def step(state, out, force, scratch, flags):
+        n = state.size // 4
+        theta, theta_dot = state[n : 2 * n], state[3 * n :]
+        sin, cos, temp, x_acc, theta_acc = scratch[: 5 * n].reshape(5, n)
+        np.sin(theta, sin)
+        np.cos(theta, cos)
+        # temp = (force + pole_ml * theta_dot**2 * sin) / total_mass
+        np.square(theta_dot, temp)
+        np.multiply(temp, pole_ml, temp)
+        np.multiply(temp, sin, temp)
+        by_axis = temp.reshape(axes, -1)
+        np.add(force, by_axis, by_axis)
+        np.divide(temp, total_mass, temp)
+        # theta_acc = (gravity * sin - cos * temp)
+        #     / (half_length * (4 / 3 - pole_mass * cos**2 / total_mass))
+        np.multiply(sin, gravity, theta_acc)
+        np.multiply(cos, temp, x_acc)
+        np.subtract(theta_acc, x_acc, theta_acc)
+        np.square(cos, x_acc)
+        np.multiply(x_acc, pole_mass, x_acc)
+        np.divide(x_acc, total_mass, x_acc)
+        np.subtract(four_thirds, x_acc, x_acc)
+        np.multiply(x_acc, half_length, x_acc)
+        np.divide(theta_acc, x_acc, theta_acc)
+        # x_acc = temp - pole_ml * theta_acc * cos / total_mass
+        np.multiply(theta_acc, pole_ml, x_acc)
+        np.multiply(x_acc, cos, x_acc)
+        np.divide(x_acc, total_mass, x_acc)
+        np.subtract(temp, x_acc, x_acc)
+        # (x, theta) + dt * (x_dot, theta_dot), (x_dot, theta_dot) + dt * (x_acc, theta_acc)
+        positions, velocities = out[: 2 * n], out[2 * n :]
+        np.multiply(state[2 * n :], dt, positions)
+        np.add(positions, state[: 2 * n], positions)
+        np.multiply(scratch[3 * n : 5 * n], dt, velocities)
+        np.add(velocities, state[2 * n :], velocities)
+        # failed: |x| or |theta| past its threshold on any axis
+        magnitudes = scratch[: 2 * n]
+        np.abs(positions, magnitudes)
+        past = flags[: 2 * n]
+        np.greater(magnitudes.reshape(2, n), thresholds, past.reshape(2, n))
+        live = n // axes
+        failed = flags[2 * n : 2 * n + live]
+        return np.logical_or.reduce(past.reshape(2 * axes, live), 0, None, failed)
 
-    return update
-
-
-def _advance(columns: list, forces, update) -> list:
-    """Step every axis block of the state columns under its force, one
-    float or array per axis; update is _planar's step."""
-    out = []
-    for axis, force in enumerate(forces):
-        x, x_dot, theta, theta_dot = columns[4 * axis : 4 * axis + 4]
-        out += update(x, x_dot, theta, theta_dot, np.sin(theta), np.cos(theta), force)
-    return out
+    return step
 
 
 def _force_table(p: CartPoleParams) -> np.ndarray:
@@ -161,42 +206,50 @@ def _force_table(p: CartPoleParams) -> np.ndarray:
     return table
 
 
-def _columns_failed(columns: list, p: CartPoleParams) -> np.ndarray:
-    failed = np.zeros(len(columns[0]), dtype=bool)
-    for axis in range(p.axis_count):
-        failed |= np.abs(columns[4 * axis]) > p.position_threshold
-        failed |= np.abs(columns[4 * axis + 2]) > p.angle_threshold
-    return failed
+def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int) -> tuple[int, int]:
+    """Step the episodes that start at states, a rows x state_size array,
+    together in workspace (a _workspace for at least rows) until each has
+    ended.
 
-
-def _lockstep(p: CartPoleParams, rng, rows: int, push, end, spent: int) -> tuple[int, int]:
-    """Draw rows uniform initial states, one rows x state_size call, and
-    step those episodes together until each has ended.
-
-    The state is one numpy column per component, a row per live episode.
-    Before each step push(columns) returns each axis's force for the live
-    rows; after step t, end(t, failed) returns which of them end there,
-    given those that left the track or dropped the pole. Each step is
-    charged to spent, the modelled ns so far; past WORK_BUDGET it raises
-    ResourceLimit. Returns (the steps of all the episodes, spent).
+    Before each step push(state) returns each axis's force for the live
+    episodes, given their state in _planar's layout; after step t,
+    end(t, failed) returns which of them end there, given those that left
+    the track or dropped the pole, and _lockstep may overwrite what it
+    returns. Each step is charged to spent, the modelled ns so far; past
+    WORK_BUDGET it raises ResourceLimit. Returns (the steps of all the
+    episodes, spent).
     """
-    update = _planar(p)
-    columns = list(rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, p.state_size)).T)
+    buffers, scratch, flags = workspace
+    step = _planar(p)
+    axes, live = p.axis_count, len(states)
+    state, out = buffers[:, : 4 * axes * live]
+    # each row's x, x_dot, theta, theta_dot per axis into the x, theta,
+    # x_dot and theta_dot runs
+    state.reshape(2, 2, axes, live)[...] = states.reshape(live, axes, 2, 2).T
     steps = t = 0
-    while columns[0].size:
-        spent += p.axis_count * (_STEP_NS + _ROW_NS * columns[0].size)
+    while live:
+        spent += axes * (_STEP_NS + _ROW_NS * live)
         if spent > WORK_BUDGET:
             raise ResourceLimit(
                 f"{p.variant} episodes ran past the {WORK_BUDGET} ns work budget "
                 f"at step {t}"
             )
-        columns = _advance(columns, push(columns), update)
         t += 1
-        done = end(t, _columns_failed(columns, p))
-        if done.any():
-            steps += t * int(np.count_nonzero(done))
-            keep = ~done
-            columns = [column[keep] for column in columns]
+        done = end(t, step(state, out, push(state), scratch, flags))
+        state, out = out, state
+        ended = int(np.count_nonzero(done))
+        if ended:
+            steps += t * ended
+            kept = live - ended
+            # the episodes that go on, in order, into the other buffer; take's
+            # clip mode writes straight to out, where compress and take's
+            # default mode first copy it
+            kept_rows = np.logical_not(done, done).nonzero()[0]
+            state.reshape(4 * axes, live).take(
+                kept_rows, 1, out[: 4 * axes * kept].reshape(4 * axes, kept), "clip"
+            )
+            live = kept
+            state, out = out[: 4 * axes * live], state[: 4 * axes * live]
     return steps, spent
 
 
@@ -207,9 +260,9 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
     positive x push until the failure predicate fires; the failing step is
     included in the count. A count past WORK_BUDGET is refused before any
     draw, and stepping past it, which only thresholds the push never reaches
-    allow, is refused as it happens. Trials are drawn and stepped
-    _TRIAL_BLOCK at a time by _lockstep (the same draws as one trials x
-    state_size call); their steps add up exactly in a Python int.
+    allow, is refused as it happens. Trials are drawn _TRIAL_BLOCK at a time
+    (the same draws as one trials x state_size call) and stepped by
+    _lockstep in one workspace; their steps add up exactly in a Python int.
     """
     if trials < 1:
         raise InvalidParameter("trials must be at least 1")
@@ -220,12 +273,15 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
             f"is over the {WORK_BUDGET} ns work budget"
         )
     rng = np.random.default_rng(seed)
-    forces = _force_table(params)[:, 1]
+    workspace = _workspace(params, min(trials, _TRIAL_BLOCK))
+    forces = _force_table(params)[:, 1:2]
     total = spent = 0
     for done in range(0, trials, _TRIAL_BLOCK):
         rows = min(_TRIAL_BLOCK, trials - done)
+        # drawn in the call, so that a block's draws are freed before the next's
         steps, spent = _lockstep(
-            params, rng, rows, lambda columns: forces, lambda t, failed: failed, spent
+            params, rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, params.state_size)),
+            workspace, lambda state: forces, lambda t, failed: failed, spent,
         )
         total += steps
     return total / trials
@@ -323,23 +379,30 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     # each feature's samples contiguous, and a spare slot past the cut
     features = np.empty((n, samples + 1))
     actions = np.empty(samples + 1, dtype=np.uint8)
-    # a block's records in step order: pre-step state, action, episode
-    records = np.empty((min(bound, 32 * _EPISODE_BLOCK), n + 2))
+    # a block's records in step order, a row per field: each pre-step state
+    # component, the action and the episode
+    records = np.empty((n + 2, min(bound, 32 * _EPISODE_BLOCK)))
     table = _force_table(params)
+    axes = params.axis_count
+    workspace = _workspace(params, _EPISODE_BLOCK)
 
     # push and end read and update the block's state, set in the loop below
-    def push(columns):
+    def push(state):
         nonlocal records
         k, live = ends[-1], ids.size
         ends.append(k + live)
-        if k + live > len(records):
-            more = np.empty((min(len(records), bound - len(records)), n + 2))
-            records = np.concatenate((records, more))
+        if k + live > records.shape[1]:
+            more = np.empty((n + 2, min(records.shape[1], bound - records.shape[1])))
+            records = np.concatenate((records, more), axis=1)
         drawn = rng.integers(params.action_count, size=live)
-        step_records = records[k : k + live]
-        for j, column in enumerate((*columns, drawn, ids)):
-            step_records[:, j] = column
-        return [row[drawn] for row in table]
+        step_records = records[:, k : k + live]
+        # the state in state_size order, from _planar's x, theta, x_dot, theta_dot
+        step_records[:n].reshape(axes, 2, 2, live)[...] = (
+            state.reshape(2, 2, axes, live).transpose(2, 1, 0, 3)
+        )
+        step_records[n] = drawn
+        step_records[n + 1] = ids
+        return table[:, drawn]
 
     def end(t, failed):
         # An episode also ends after max_steps, or once the episodes up to
@@ -360,14 +423,15 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     while filled < samples:
         # the live episodes, the steps of those ended, where each step's records end
         ids, lengths, ends = np.arange(_EPISODE_BLOCK), np.zeros(_EPISODE_BLOCK, np.int64), [0]
-        steps, spent = _lockstep(params, rng, _EPISODE_BLOCK, push, end, spent)
+        states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(_EPISODE_BLOCK, n))
+        steps, spent = _lockstep(params, states, workspace, push, end, spent)
         k = ends[-1]
         starts = filled + np.cumsum(lengths) - lengths
-        at = starts[records[:k, n + 1].astype(np.int64)]
+        at = starts[records[n + 1, :k].astype(np.int64)]
         at += np.repeat(np.arange(len(ends) - 1), np.diff(ends))  # the step
         np.minimum(at, samples, out=at)
-        features[:, at] = records[:k, :n].T
-        actions[at] = records[:k, n]
+        features[:, at] = records[:n, :k]
+        actions[at] = records[n, :k]
         filled = min(samples, filled + steps)
     return features[:, :samples].T, actions[:samples]
 

@@ -5,8 +5,13 @@ masked loops, and the rollout's block layout also against the restarting
 chain it replaced, by distribution."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +23,12 @@ from dcx.cartpole import (
     WORK_BUDGET,
     CartPoleParams,
     RolloutConfig,
-    _advance,
-    _columns_failed,
     _force_table,
+    _lockstep,
     _planar,
     _rollout,
     _surviving_walks,
+    _workspace,
     analytic_sparsity,
     constant_action_limit,
     params_for_variant,
@@ -131,22 +136,30 @@ def oracle_batch_failed(states, p):
     return failed
 
 
-def oracle_constant_action_limit(p, trials, seed):
+def oracle_limit_steps(p, states):
     """The masked loop: every step gathers the live rows of one
-    trials x state_size array, writes them back and tests every trial."""
-    rng = np.random.default_rng(seed)
-    states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, p.state_size))
+    trials x state_size array, writes them back and tests every trial.
+    Returns (each trial's failing step, the live trials before each step)."""
+    states = states.copy()
     forces = oracle_forces(1, p)
-    steps = np.zeros(trials)
-    alive = np.ones(trials, dtype=bool)
+    steps = np.zeros(len(states))
+    alive = np.ones(len(states), dtype=bool)
+    live = []
     count = 0
     while alive.any():
+        live.append(int(alive.sum()))
         count += 1
         states[alive] = oracle_batch_step(states[alive], forces, p)
         failed_now = alive & oracle_batch_failed(states, p)
         steps[failed_now] = count
         alive &= ~failed_now
-    return float(steps.mean())
+    return steps, live
+
+
+def oracle_constant_action_limit(p, trials, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, p.state_size))
+    return float(oracle_limit_steps(p, states)[0].mean())
 
 
 def oracle_block_rollout(p, cfg):
@@ -219,27 +232,59 @@ def oracle_sparsity(limit, episode_length, samples, seed, axes):
     return survived / samples
 
 
-def columns(states):
-    """The kernels' layout of a rows x state_size array: one column per
-    component, a row per episode."""
-    return list(np.asarray(states, dtype=float).T)
+def pack(states, p):
+    """_planar's layout of a rows x state_size array, written out: x, theta,
+    x_dot, theta_dot, each one run in which axis 0's rows come first."""
+    states = np.asarray(states, dtype=float)
+    return np.concatenate([
+        states[:, 4 * axis + component]
+        for component in (0, 2, 1, 3)
+        for axis in range(p.axis_count)
+    ])
 
 
-def advance(cols, p, forces):
-    return _advance(cols, forces, _planar(p))
+def unpack(flat, p):
+    """The rows x state_size array that pack(states, p) laid out as flat."""
+    rows = flat.size // p.state_size
+    states = np.empty((rows, p.state_size))
+    runs = iter(flat.reshape(-1, rows))
+    for component in (0, 2, 1, 3):
+        for axis in range(p.axis_count):
+            states[:, 4 * axis + component] = next(runs)
+    return states
 
 
-def same(cols, other):
-    return all(a.tobytes() == b.tobytes() for a, b in zip(cols, other, strict=True))
+def kernel_step(states, p, forces):
+    """One step of _planar's kernel in a fresh NaN-filled _workspace, so that
+    a value it failed to write shows: (the next states, which failed).
+    forces is each axis's force, one value or one per row."""
+    rows = len(states)
+    buffers, scratch, flags = _workspace(p, rows)
+    buffers.fill(np.nan)
+    scratch.fill(np.nan)
+    state, out = buffers
+    state[:] = pack(states, p)
+    failed = _planar(p)(state, out, np.reshape(forces, (p.axis_count, -1)), scratch, flags)
+    return unpack(out, p), failed.copy()
 
 
-# one-row and many-row columns
+def advance(states, p, forces):
+    after, failed = kernel_step(states, p, forces)
+    assert failed.tolist() == oracle_batch_failed(after, p).tolist()
+    return after
+
+
+def same(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+# one-row and many-row blocks
 ROWS = (1, 257)
 
 
 class TestPhysics:
-    """The column kernel the measures run: _advance with _planar's step
-    under _force_table's forces, and _columns_failed."""
+    """The kernel the measures run: _planar's in-place step with its failure
+    test, under _force_table's forces, and _lockstep's repacking."""
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_force_table_is_the_action_set(self, variant):
@@ -252,12 +297,32 @@ class TestPhysics:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("rows", ROWS)
+    def test_step_matches_the_expressions(self, variant, rows):
+        # bit for bit the planar expressions, from states inside and outside
+        # the thresholds, under each action, under a drawn action per row and
+        # under a force of its own for each axis of each row; fast poles, so
+        # no term's last bit is lost in the force's
+        p = params_for_variant(variant)
+        rng = np.random.default_rng(rows)
+        states = rng.uniform(-1.0, 1.0, (rows, p.state_size)) * np.tile([3, 50, 3, 50], p.axis_count)
+        table = _force_table(p)
+        forces = [table[:, [action]] for action in range(p.action_count)]
+        forces.append(table[:, rng.integers(p.action_count, size=rows)])
+        forces.append(rng.uniform(-20.0, 20.0, (p.axis_count, rows)))
+        for force in forces:
+            after, failed = kernel_step(states, p, force)
+            want = oracle_batch_step(states, list(force), p)
+            assert same(after, want)
+            assert failed.tolist() == oracle_batch_failed(want, p).tolist()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rows", ROWS)
     def test_equilibrium_is_fixed_point(self, variant, rows):
         p = params_for_variant(variant)
-        cols = columns(np.zeros((rows, p.state_size)))
+        states = np.zeros((rows, p.state_size))
         for _ in range(50):
-            cols = advance(cols, p, np.zeros(p.axis_count))
-        assert all((col == 0.0).all() for col in cols)
+            states = advance(states, p, np.zeros(p.axis_count))
+        assert (states == 0.0).all()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("rows", ROWS)
@@ -266,13 +331,13 @@ class TestPhysics:
         # image, keeps the two trajectories exact mirror images
         p = params_for_variant(variant)
         table = _force_table(p)
-        states = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, p.state_size))
+        start = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, p.state_size))
         for right in range(1, p.action_count, 2):
-            cols, mirrored = columns(states), columns(-states)
+            states, mirrored = start, -start
             for _ in range(30):
-                cols = advance(cols, p, table[:, right])
+                states = advance(states, p, table[:, right])
                 mirrored = advance(mirrored, p, table[:, right - 1])
-                assert same(mirrored, [-col for col in cols]), right
+                assert same(mirrored, -states), right
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("rows", ROWS)
@@ -280,36 +345,35 @@ class TestPhysics:
         p = CartPoleParams(gravity=0.0, variant=variant)
         states = np.zeros((rows, p.state_size))
         states[:, 2::4] = np.linspace(-0.1, 0.1, rows * p.axis_count).reshape(rows, -1)
-        cols = advance(columns(states), p, np.zeros(p.axis_count))
-        for axis in range(p.axis_count):
-            assert cols[4 * axis + 2].tolist() == states[:, 4 * axis + 2].tolist()
-            assert (cols[4 * axis + 3] == 0.0).all()
+        after = advance(states, p, np.zeros(p.axis_count))
+        assert after[:, 2::4].tolist() == states[:, 2::4].tolist()
+        assert (after[:, 3::4] == 0.0).all()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_high_gravity_tips_faster(self, rows):
         normal, heavy = params_for_variant("2d"), params_for_variant("2dg")
         tilts = np.zeros((rows, 4))
         tilts[:, 2] = np.linspace(0.05, 0.001, rows)
-        after_normal = advance(columns(tilts), normal, _force_table(normal)[:, 1])
-        after_heavy = advance(columns(tilts), heavy, _force_table(heavy)[:, 1])
-        assert (after_heavy[3] > after_normal[3]).all()
+        after_normal = advance(tilts, normal, _force_table(normal)[:, 1])
+        after_heavy = advance(tilts, heavy, _force_table(heavy)[:, 1])
+        assert (after_heavy[:, 3] > after_normal[:, 3]).all()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_spatial_variant_runs_two_planes(self, rows):
         # each 3d push moves one axis as the planar push along it would and
         # leaves the other axis coasting, force-free
         p, planar = params_for_variant("3d"), params_for_variant("2d")
-        states = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, 8))
+        start = np.random.default_rng(rows).uniform(-INIT_BOUND, INIT_BOUND, (rows, 8))
         for action in range(p.action_count):
-            cols = columns(states)
+            states = start
             for _ in range(20):
-                cols = advance(cols, p, _force_table(p)[:, action])
+                states = advance(states, p, _force_table(p)[:, action])
             for axis in (0, 1):
                 force = _force_table(planar)[:, action % 2] if axis == action // 2 else [0.0]
-                alone = columns(states[:, 4 * axis : 4 * axis + 4])
+                alone = start[:, 4 * axis : 4 * axis + 4]
                 for _ in range(20):
                     alone = advance(alone, planar, force)
-                assert same(cols[4 * axis : 4 * axis + 4], alone), (action, axis)
+                assert same(states[:, 4 * axis : 4 * axis + 4], alone), (action, axis)
 
     def test_rejects_an_unknown_variant(self):
         for variant in ("4d", "", None):
@@ -319,8 +383,10 @@ class TestPhysics:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_failure_predicate(self, variant):
         # a row fails once any axis's cart or pole passes its threshold;
-        # velocities and a value at the threshold itself do not fail it
-        p = params_for_variant(variant)
+        # velocities and a value at the threshold itself do not fail it. The
+        # step tests the state it makes, so a 1e-300 s step leaves positions
+        # and angles where they are, those at a threshold exactly.
+        p = replace(params_for_variant(variant), timestep=1e-300)
         cases = [(np.zeros(p.state_size), False)]
         for axis in range(p.axis_count):
             for component, value, failed in (
@@ -333,9 +399,11 @@ class TestPhysics:
                 cases.append((state, failed))
         states = np.array([state for state, _ in cases])
         want = [failed for _, failed in cases]
-        assert _columns_failed(columns(states), p).tolist() == want
+        after, failed = kernel_step(states, p, np.zeros(p.axis_count))
+        assert np.abs(after[:, 0::2] - states[:, 0::2]).max() < 1e-280
+        assert failed.tolist() == want
         for state, failed in cases:
-            assert _columns_failed(columns([state]), p).tolist() == [failed]
+            assert kernel_step([state], p, np.zeros(p.axis_count))[1].tolist() == [failed]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("rows", ROWS)
@@ -343,14 +411,68 @@ class TestPhysics:
         # episodes from the exact origin under one repeated push
         p = params_for_variant(variant)
         for action in range(p.action_count):
-            cols = columns(np.zeros((rows, p.state_size)))
+            states = np.zeros((rows, p.state_size))
             count = 0
-            while not _columns_failed(cols, p).any():
-                cols = advance(cols, p, _force_table(p)[:, action])
+            failed = np.zeros(rows, dtype=bool)
+            while not failed.any():
+                states, failed = kernel_step(states, p, _force_table(p)[:, action])
                 count += 1
                 assert count < 50
-            assert _columns_failed(cols, p).all()
+            assert failed.all()
             assert 8 <= count <= 11, (action, count)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_steps_after_a_repack(self, variant):
+        # _lockstep moves the episodes that go on into its other buffer; the
+        # state push sees after that, and the step taken from it, are those
+        # episodes' own, under per-row forces
+        p = params_for_variant(variant)
+        rng = np.random.default_rng(3)
+        states = rng.uniform(-INIT_BOUND, INIT_BOUND, (257, p.state_size))
+        table = _force_table(p)
+        seen, pushed = [], []
+
+        def push(state):
+            seen.append(unpack(state, p))
+            pushed.append(table[:, rng.integers(p.action_count, size=len(seen[-1]))])
+            return pushed[-1]
+
+        def end(t, failed):
+            assert not failed.any()  # nothing fails within three steps of rest
+            if t == 1:
+                return np.arange(failed.size) % 3 == 0  # every third episode ends
+            return np.full(failed.size, t == 3)
+
+        workspace = _workspace(p, 300)
+        steps, _ = _lockstep(p, states, workspace, push, end, 0)
+        assert steps == 86 * 1 + 171 * 3
+        want = states
+        for t, got in enumerate(seen):
+            assert same(got, want), t
+            want = oracle_batch_step(want, list(pushed[t]), p)
+            if t == 0:
+                want = want[np.arange(len(want)) % 3 != 0]
+        assert len(seen) == 3
+
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_work_charge_counts_each_step_and_live_episode(self, variant):
+        # spent grows by axes x (_STEP_NS + _ROW_NS x live) per step, with
+        # live the masked loop's count before the step, so the refusals the
+        # README counts do not drift; two partial blocks share one workspace
+        p = params_for_variant(variant)
+        rng = np.random.default_rng(5)
+        workspace = _workspace(p, 3000)
+        forces = _force_table(p)[:, 1:2]
+        spent = want = 0
+        for rows in (3000, 1234):
+            states = rng.uniform(-INIT_BOUND, INIT_BOUND, (rows, p.state_size))
+            steps, spent = _lockstep(
+                p, states, workspace, lambda state: forces, lambda t, failed: failed, spent
+            )
+            failing_steps, live = oracle_limit_steps(p, states)
+            want += sum(p.axis_count * (cartpole._STEP_NS + cartpole._ROW_NS * n) for n in live)
+            assert steps == failing_steps.sum()
+            assert spent == want
 
     def test_rejects_nonpositive_physical_constants(self):
         with pytest.raises(InvalidParameter):
@@ -417,6 +539,30 @@ class TestConstantActionLimit:
     def test_refuses_a_negative_seed(self):
         with pytest.raises(InvalidParameter, match="seed"):
             constant_action_limit(params_for_variant("2d"), 10, -1)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt is Linux's minor fault count")
+    def test_trials_step_without_page_faulting(self):
+        # In a fresh interpreter, so that no earlier test's heap hides them:
+        # arrays allocated and freed at every step went back to the OS and
+        # faulted in again, 14,033 minor faults for these 400,000 trials;
+        # stepping in one reused workspace takes about 1,450, most of them
+        # the workspace's first touch.
+        code = (
+            "import resource\n"
+            "from dcx.cartpole import constant_action_limit, params_for_variant\n"
+            "p = params_for_variant('2dg')\n"
+            "constant_action_limit(p, 1000, 0)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "constant_action_limit(p, 400_000, 0)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(cartpole.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 4000
 
     def test_refuses_trials_past_the_work_budget_before_drawing(self, monkeypatch):
         # with numpy out of reach, a refusal shows that the budget check
