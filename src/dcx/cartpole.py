@@ -26,7 +26,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceLimit, check_budget
+from .errors import InvalidParameter, ResourceLimit, check_budget, check_count, count_text
 from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
@@ -54,9 +54,12 @@ _STEP_NS = 30_000
 _ROW_NS = 70
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise InvalidParameter(f"seed must be non-negative, got {seed}")
+def _check_work(ns: int, work: str, *args) -> None:
+    """Raise ResourceLimit when ns, work's modelled cost, is past WORK_BUDGET;
+    only then is work formatted with args, each int as count_text."""
+    if ns > WORK_BUDGET:
+        work = work.format(*(count_text(a) if isinstance(a, int) else a for a in args))
+        raise ResourceLimit(f"{work} is over the {WORK_BUDGET} ns work budget")
 
 
 @dataclass(frozen=True)
@@ -229,11 +232,7 @@ def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int) -> tu
     steps = t = 0
     while live:
         spent += axes * (_STEP_NS + _ROW_NS * live)
-        if spent > WORK_BUDGET:
-            raise ResourceLimit(
-                f"{p.variant} episodes ran past the {WORK_BUDGET} ns work budget "
-                f"at step {t}"
-            )
+        _check_work(spent, "stepping {} episodes past step {}", p.variant, t)
         t += 1
         done = end(t, step(state, out, push(state), scratch, flags))
         state, out = out, state
@@ -264,14 +263,10 @@ def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> flo
     (the same draws as one trials x state_size call) and stepped by
     _lockstep in one workspace; their steps add up exactly in a Python int.
     """
-    if trials < 1:
-        raise InvalidParameter("trials must be at least 1")
-    _check_seed(seed)
-    if trials * params.axis_count * 750 > WORK_BUDGET:
-        raise ResourceLimit(
-            f"constant_action_limit with {trials} {params.variant} trials "
-            f"is over the {WORK_BUDGET} ns work budget"
-        )
+    trials = check_count(trials, "trials")
+    check_count(seed, "seed", 0)
+    _check_work(trials * params.axis_count * 750,
+                "constant_action_limit with {} {} trials", trials, params.variant)
     rng = np.random.default_rng(seed)
     workspace = _workspace(params, min(trials, _TRIAL_BLOCK))
     forces = _force_table(params)[:, 1:2]
@@ -311,20 +306,16 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     """
     if not 0 < limit < math.inf:  # also refuses NaN
         raise InvalidParameter(f"limit must be a positive finite number, got {limit}")
-    if episode_length < 1:
-        raise InvalidParameter("episode_length must be positive")
-    if axes not in (1, 2):
+    episode_length = check_count(episode_length, "episode_length")
+    axes = check_count(axes, "axes")
+    if axes > 2:
         raise InvalidParameter("axes must be 1 or 2")
     if limit >= episode_length:
         return 1.0
     band = math.floor(limit)
     # both bands' cells, including the absorbing ones, as for a fractional limit
-    work = episode_length * (800 + (4 * band + 8) * (30 + episode_length // 64))
-    if work > WORK_BUDGET:
-        raise ResourceLimit(
-            f"analytic_sparsity with limit {limit} over {episode_length} steps "
-            f"is over the {WORK_BUDGET} ns work budget"
-        )
+    _check_work(episode_length * (800 + (4 * band + 8) * (30 + episode_length // 64)),
+                "analytic_sparsity with limit {} over {} steps", limit, episode_length)
     num, den = float(limit - band).as_integer_ratio()  # f = num / den, exactly
     low = _surviving_walks(band, episode_length) ** axes
     high = _surviving_walks(band + 1, episode_length) ** axes if num else 0
@@ -341,13 +332,8 @@ class RolloutConfig:
     max_steps: int = 500
 
     def __post_init__(self) -> None:
-        _check_seed(self.seed)
-        if self.sample_count < 1:
-            raise InvalidParameter("sample_count must be at least 1")
-        if self.bin_count < 1:
-            raise InvalidParameter("bin_count must be at least 1")
-        if self.max_steps < 1:
-            raise InvalidParameter("max_steps must be at least 1")
+        for name, least in (("seed", 0), ("sample_count", 1), ("bin_count", 1), ("max_steps", 1)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 
 
 def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -372,8 +358,8 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     # twice the records' n + 2 words, as their buffer doubles when full
     check_budget(
         (samples * (n + 4) + cfg.bin_count * 8 + bound * 2 * (n + 2)) * 8,
-        f"rollout_entropy with {samples} {params.variant} samples "
-        f"and {cfg.bin_count} bins",
+        f"rollout_entropy with {count_text(samples)} {params.variant} samples "
+        f"and {count_text(cfg.bin_count)} bins",
     )
     rng = np.random.default_rng(cfg.seed)
     # each feature's samples contiguous, and a spare slot past the cut

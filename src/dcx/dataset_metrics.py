@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
-from .errors import DegenerateInput, InvalidParameter
+from .errors import DegenerateInput, InvalidParameter, check_count, count_text
 # histogram and shannon_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
 # (perfbench/spans.py) wraps them under these names.
@@ -188,10 +188,8 @@ def channel_gini(image: np.ndarray, channel: int) -> float:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise InvalidParameter("expected an H x W x C image")
-    if isinstance(channel, bool) or not isinstance(channel, (int, np.integer)):
-        raise InvalidParameter(f"channel must be an integer, got {channel!r}")
-    if not 0 <= channel < arr.shape[2]:
-        raise InvalidParameter(f"channel {channel} outside 0..{arr.shape[2] - 1}")
+    if check_count(channel, "channel", 0) >= arr.shape[2]:
+        raise InvalidParameter(f"channel {count_text(channel)} outside 0..{arr.shape[2] - 1}")
     values, all_zero = channel_ginis(arr[None, :, :, channel : channel + 1])
     if all_zero:
         raise DegenerateInput("gini is undefined for an all-zero array")

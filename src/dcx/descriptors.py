@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import DegenerateInput, InvalidParameter, from_mapping, load_json
+from .errors import DegenerateInput, InvalidParameter, check_count, from_mapping, load_json
 from .measures import (
     ANALYTIC,
     MeasureResult,
@@ -71,12 +71,8 @@ class Component:
             raise InvalidParameter(
                 f"hierarchy_level must be one of {HIERARCHY_LEVELS}"
             )
-        if isinstance(self.cardinality, Power):
-            return
-        if isinstance(self.cardinality, bool) or not isinstance(self.cardinality, int):
-            raise InvalidParameter("cardinality must be an integer or a Power")
-        if self.cardinality < 1:
-            raise InvalidParameter("cardinality must be at least 1")
+        if not isinstance(self.cardinality, Power):  # stored as the Python int
+            object.__setattr__(self, "cardinality", check_count(self.cardinality, "cardinality"))
 
     def log10(self) -> float:
         return _cardinality_log10(self.cardinality)
@@ -96,15 +92,15 @@ class DomainDescriptor:
 
     def __post_init__(self) -> None:
         for field_name in ("branching_factor", "avg_game_length", "max_game_length"):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidParameter(f"{field_name} must be a positive integer")
+            value = check_count(getattr(self, field_name), field_name)
+            object.__setattr__(self, field_name, value)
             if value > sys.float_info.max:
                 raise InvalidParameter(f"{field_name} is past the float range")
         if self.avg_game_length > self.max_game_length:
             raise InvalidParameter("avg_game_length cannot exceed max_game_length")
-        if isinstance(self.initial_state_count, int) and self.initial_state_count < 1:
-            raise InvalidParameter("initial_state_count must be at least 1")
+        count = self.initial_state_count
+        if count is not None and not isinstance(count, Power):
+            object.__setattr__(self, "initial_state_count", check_count(count, "initial_state_count"))
 
     def state_components(self) -> tuple[Component, ...]:
         return tuple(c for c in self.components if c.role == "state")
@@ -217,9 +213,7 @@ class BreakdownElement:
 
     def __post_init__(self) -> None:
         for field_name in ("count", "units"):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidParameter(f"{field_name} must be a positive integer")
+            object.__setattr__(self, field_name, check_count(getattr(self, field_name), field_name))
 
     @property
     def weight(self) -> int:
@@ -373,16 +367,11 @@ def path_sparsity_bound(
     (the final step completes the task) over branching choices each. Returns
     (successful_paths, total_paths_log10, sparsity_log10).
     """
-    a, b = required_moves
-    for label, value in (("required move counts", a), ("required move counts", b)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise InvalidParameter(f"{label} must be non-negative integers")
+    a, b = (check_count(moves, "each required move count", 0) for moves in required_moves)
     if a + b < 1:
         raise InvalidParameter("at least one required move is needed")
-    if isinstance(extra_actions, bool) or not isinstance(extra_actions, int) or extra_actions < 0:
-        raise InvalidParameter("extra_actions must be a non-negative integer")
-    if not isinstance(branching, int) or branching < 2:
-        raise InvalidParameter("branching must be an integer >= 2")
+    extra_actions = check_count(extra_actions, "extra_actions", 0)
+    branching = check_count(branching, "branching", 2)
     successful = math.comb(a + b, a)
     length = a + b + 1 + extra_actions
     total_log10 = length * math.log10(branching)

@@ -1,7 +1,7 @@
-"""Error taxonomy shared across the package, the one JSON reader and the
-one decoder that builds descriptors, breakdowns and reports from it by
-their dataclass annotations, and the one array budget that cart-pole
-measures and dataset loads check before they allocate.
+"""Error taxonomy shared across the package, and what every module checks
+alike: count arguments (check_count), sizes in refusals (count_text), the
+one array budget, the one JSON reader, and the one decoder that builds
+descriptors, breakdowns and reports by their dataclass annotations.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
@@ -55,17 +55,31 @@ class ResourceLimit(DcxError, RuntimeError):
 MEMORY_BUDGET = 2 << 30
 
 
+def count_text(n: int) -> str:
+    """A positive count in full up to 15 digits, else as 10^<log10>."""
+    return str(n) if n < 10**15 else f"10^{math.log10(n):.3f}"
+
+
 def check_budget(nbytes: int, work: str) -> None:
     """Raise ResourceLimit, naming work, when nbytes exceeds MEMORY_BUDGET."""
     if nbytes > MEMORY_BUDGET:
+        gib = f"{nbytes / 2**30:.3g}" if nbytes < 2**1024 else count_text(nbytes >> 30)
         raise ResourceLimit(
-            f"{work} needs about {nbytes / 2**30:.3g} GiB of arrays, over the "
-            f"{MEMORY_BUDGET >> 30} GiB budget"
+            f"{work} needs about {gib} GiB of arrays, over the {MEMORY_BUDGET >> 30} GiB budget"
         )
 
 
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _integer(v) -> bool:
+    # a Python or numpy integer; numpy's bool_, like float, has no __index__
+    return hasattr(type(v), "__index__") and not isinstance(v, bool)
+
+
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """value as a Python int, whose arithmetic cannot wrap; InvalidParameter
+    unless it is an integer (not a bool) of at least minimum."""
+    if not (_integer(value) and value >= minimum):
+        raise InvalidParameter(f"{name} must be an integer of at least {minimum}")
+    return int(value)
 
 
 def _finite(value) -> bool:

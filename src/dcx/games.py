@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateInput, InvalidParameter, ResourceLimit
+from .errors import DegenerateInput, InvalidParameter, ResourceLimit, check_count, count_text
 from .measures import ANALYTIC, ENUMERATED, MeasureResult, log10_int, normalized_entropy
 
 if TYPE_CHECKING:
@@ -44,11 +44,6 @@ _CELL_MASK = (1 << _O_SHIFT) - 1
 _LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
-def _count_text(n: int) -> str:
-    """A positive count in full up to 15 digits, else as 10^<log10>."""
-    return str(n) if n < 10**15 else f"10^{log10_int(n):.3f}"
-
-
 @dataclass(frozen=True)
 class GridGameSpec:
     """An N^D board played to at most max_plies with win lines of win_length."""
@@ -60,9 +55,7 @@ class GridGameSpec:
 
     def __post_init__(self) -> None:
         for name in ("side", "dims", "max_plies", "win_length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidParameter(f"{name} must be a positive integer")
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if self.win_length > self.side:
             raise InvalidParameter("win_length cannot exceed the board side")
         # log10(cells) = dims * log10(side) is judged before side**dims is
@@ -143,7 +136,7 @@ def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
     if spec.max_plies > SSC_PLY_LIMIT:
         raise ResourceLimit(
             f"the stone-count sum supports at most {SSC_PLY_LIMIT} plies, "
-            f"got {_count_text(spec.max_plies)}"
+            f"got {count_text(spec.max_plies)}"
         )
     if spec.max_plies * spec.cells.bit_length() > _EXACT_BITS:
         logs, log_term = array("d"), 0.0
@@ -162,8 +155,8 @@ def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
 def gtc_factorial(cells: int, avg_game_length: int) -> float:
     """log10 of cells! / (cells - avg_game_length)!, exact in integers up to
     _EXACT_BITS and in the O(1) log-gamma form past it."""
-    if cells < 1 or avg_game_length < 1:
-        raise InvalidParameter("cells and avg_game_length must be positive")
+    cells = check_count(cells, "cells")
+    avg_game_length = check_count(avg_game_length, "avg_game_length")
     if avg_game_length > cells:
         raise InvalidParameter("avg_game_length cannot exceed the cell count")
     if avg_game_length * cells.bit_length() > _EXACT_BITS:
@@ -348,7 +341,7 @@ def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribut
     if spec.cells > ENUMERATION_CELL_LIMIT:  # refused before numpy loads
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
-            f"got {_count_text(spec.cells)}"
+            f"got {count_text(spec.cells)}"
         )
     import numpy as np
 
@@ -450,7 +443,7 @@ def grid_measures(
         raw = enumerate_states(spec, symmetry=False)
     except ResourceLimit:
         notes.append(
-            f"enumeration skipped: {_count_text(spec.cells)} cells exceeds the "
+            f"enumeration skipped: {count_text(spec.cells)} cells exceeds the "
             f"{ENUMERATION_CELL_LIMIT}-cell guard"
         )
         return measures, notes

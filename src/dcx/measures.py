@@ -14,6 +14,7 @@ from .errors import (
     InvalidParameter,
     InvalidValue,
     check_budget,
+    check_count,
 )
 
 if TYPE_CHECKING:
@@ -88,12 +89,7 @@ def normalized_entropy(probabilities: Sequence[float], event_count: int) -> floa
     Equals 1 only for the uniform distribution over event_count events, so
     the caller must state how many events the normalization assumes.
     """
-    import numpy as np
-
-    if isinstance(event_count, bool) or not isinstance(event_count, (int, np.integer)):
-        raise InvalidParameter("event_count must be an integer")
-    if event_count < 2:
-        raise InvalidParameter("event_count must be at least 2")
+    event_count = check_count(event_count, "event_count", 2)
     return shannon_entropy(probabilities) / math.log2(event_count)
 
 
@@ -129,8 +125,7 @@ def histogram(
     """
     import numpy as np
 
-    if bin_count < 1:
-        raise InvalidParameter("bin_count must be at least 1")
+    bin_count = check_count(bin_count, "bin_count")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not hi > lo:
         raise InvalidParameter("value range must satisfy hi > lo")

@@ -50,12 +50,15 @@ class ComplexityReport:
 
     def __post_init__(self) -> None:
         # a measure that came out infinite or NaN is refused here, once, so
-        # no format prints it; JSON could not hold it anyway
+        # no format prints it; JSON could not hold it anyway. Each name
+        # appears once, so compare reads one value per name.
         for m in self.measures:
             if not math.isfinite(m.value):
                 raise InvalidValue(
                     f"measure {m.measure_name} came out {m.value!r}, not a finite number"
                 )
+        if len({m.measure_name for m in self.measures}) < len(self.measures):
+            raise InvalidParameter("a measure name appears more than once")
 
     def determinism_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""

@@ -2,7 +2,8 @@
 exact random-walk sparsity count checked against enumeration and sampling.
 The simulation kernels are checked bit for bit against straightforward
 masked loops, and the rollout's block layout also against the restarting
-chain it replaced, by distribution."""
+chain it replaced, by distribution. The last tests check count arguments
+across the package, most of which are the cart-pole measures'."""
 
 import math
 import os
@@ -34,8 +35,18 @@ from dcx.cartpole import (
     params_for_variant,
     rollout_entropy,
 )
+from dcx.dataset_metrics import channel_gini
+from dcx.descriptors import (
+    BreakdownElement,
+    Component,
+    DomainDescriptor,
+    bundled_descriptor,
+    path_sparsity_bound,
+    tree_complexity,
+)
 from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit
-from dcx.measures import histogram, shannon_entropy
+from dcx.games import TIC_TAC_TOE, GridGameSpec, gtc_factorial
+from dcx.measures import histogram, normalized_entropy, shannon_entropy
 
 # thresholds no episode reaches, so only max_steps or the cut ends one
 ENDLESS = {"position_threshold": 1e300, "angle_threshold": 1e300}
@@ -797,3 +808,87 @@ class TestRolloutEntropy:
                 _rollout(p, RolloutConfig(seed=0, sample_count=samples, bin_count=256))
         with pytest.raises(AttributeError):
             _rollout(p, RolloutConfig(seed=0, sample_count=fits, bin_count=256))
+
+
+_P2 = params_for_variant("2d")
+_IMAGE = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+
+
+def _call_id(call) -> str:
+    func, *args = call
+    shown = ("p" if a is _P2 else "image" if a is _IMAGE else repr(a) for a in args)
+    return f"{func.__name__}({', '.join(shown)})"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (constant_action_limit, _P2, 10.5, 0),
+        (constant_action_limit, _P2, 10, 1.5),
+        (constant_action_limit, _P2, True, 0),
+        (constant_action_limit, _P2, np.True_, 0),
+        (analytic_sparsity, 3.0, 200.5),
+        (analytic_sparsity, 3.0, True),
+        (analytic_sparsity, 3.0, 200, 1.0),
+        (RolloutConfig, 0, 2.5),
+        (RolloutConfig, np.True_),
+        (RolloutConfig, 0, 100, 256, True),
+        (gtc_factorial, 9.5, 3),
+        (gtc_factorial, 9, True),
+        (histogram, [1.0, 2.0], True, (0, 3)),
+        (histogram, [1.0, 2.0], np.float64(4), (0, 3)),
+        (normalized_entropy, [0.5, 0.5], np.True_),
+        (channel_gini, _IMAGE, True),
+        (channel_gini, _IMAGE, np.True_),
+        (GridGameSpec, 3, 2, 9, np.True_),
+        (Component, "x", True, "state"),
+        (DomainDescriptor, "d", 2, 3, 4, (), True),
+        (DomainDescriptor, "d", 2, 3.0, 4, ()),
+        (BreakdownElement, "x", 2, np.True_),
+        (path_sparsity_bound, (1, True), 0, 2),
+        (path_sparsity_bound, (1, 1), 0, np.float64(3)),
+    ],
+    ids=_call_id,
+)
+def test_counts_that_are_not_integers_are_refused(call):
+    # floats and bools, numpy's included, end in InvalidParameter rather
+    # than a TypeError or a quiet run
+    func, *args = call
+    with pytest.raises(InvalidParameter, match="must be an integer of at least"):
+        func(*args)
+
+
+def test_numpy_integer_counts_give_the_python_int_results():
+    # accepted as before where they were, and everywhere stored and
+    # computed as the Python int, so no count wraps at 64 bits
+    i = np.int64
+    assert channel_gini(_IMAGE, i(1)) == channel_gini(_IMAGE, 1)
+    assert normalized_entropy([0.25, 0.75], i(2)) == normalized_entropy([0.25, 0.75], 2)
+    spec = GridGameSpec(side=i(3), dims=i(2), max_plies=i(9), win_length=i(3))
+    assert spec == TIC_TAC_TOE and type(spec.cells) is int
+    assert gtc_factorial(i(9), i(9)) == gtc_factorial(9, 9)
+    pogo = bundled_descriptor("pogo")
+    wide = replace(pogo, branching_factor=i(pogo.branching_factor), max_game_length=i(2000))
+    assert tree_complexity(wide) == tree_complexity(replace(pogo, max_game_length=2000))
+    assert Component("x", i(5), "state").log10() == Component("x", 5, "state").log10()
+    assert analytic_sparsity(3.5, i(200), i(2)) == analytic_sparsity(3.5, 200, 2)
+    assert RolloutConfig(seed=i(1), sample_count=i(100)) == RolloutConfig(seed=1, sample_count=100)
+    assert constant_action_limit(_P2, i(50), i(3)) == constant_action_limit(_P2, 50, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (constant_action_limit, _P2, 10**5000, 0),
+        (analytic_sparsity, 3.0, 10**5000),
+        (_rollout, _P2, RolloutConfig(seed=0, sample_count=10**5000)),
+        (_rollout, _P2, RolloutConfig(seed=0, bin_count=10**400)),
+    ],
+    ids=["limit trials", "sparsity episode_length", "rollout sample_count", "rollout bin_count"],
+)
+def test_refusals_state_counts_past_the_digit_limit(call):
+    # str() refuses ints past 4,300 digits and a GiB figure this size is
+    # past the float range, so the messages give them as 10^x
+    func, *args = call
+    with pytest.raises(ResourceLimit, match=r"10\^\d+\.\d{3} .*budget"):
+        func(*args)

@@ -1,16 +1,22 @@
-"""Damaged dataset inputs end in a result or a DcxError, within a time bound.
+"""Damaged dataset inputs and odd flag values end in a result or a
+DcxError, within a time bound.
 
 Hypothesis cuts, pads and overwrites bytes of valid IDX tensors and CIFAR-10
 batches, and feeds them to the in-memory parsers and, through files, to the
 streamed readers. It also overwrites fields of valid iris rows and measures
-what parses. The profile is derandomized, so every run tries the same
+what parses, and runs the command line with integer, float and text flags at
+their edges. The profile is derandomized, so every run tries the same
 inputs.
 """
 
 import gzip
+import io
 import math
+import os
 import tempfile
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +24,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dcx.cli import main
 from dcx.dataset_metrics import image_measures, iris_measures
 from dcx.datasets import (
     BLOCK_IMAGES,
@@ -152,3 +159,71 @@ def test_parse_iris_csv(text):
             assert all(map(math.isfinite, values)), values
 
     returns_or_refuses(measured)
+
+
+# Each integer flag is tried at these: zero, +/-1, just past the 32- and
+# 64-bit integers, and a value past the float range.
+FLAG_INTS = ["0", "1", "-1", str(2**31), str(2**63), str(10**400)]
+# Per command, each integer flag with a value that finishes fast. No board
+# here reaches the 4x4 enumeration, and no count passes the default trials.
+FLAG_COMMANDS = [
+    (["game", "custom"],
+     {"--side": "3", "--dims": "2", "--plies": "9", "--win": "3", "--avg-length": "5"}),
+    (["cartpole", "--measure", "limit"], {"--trials": "100"}),
+    (["cartpole", "--measure", "entropy"], {"--samples": "1000", "--bins": "16"}),
+    (["cartpole", "--measure", "sparsity"], {"--trials": "100", "--episode-length": "50"}),
+    (["cartpole", "--measure", "sparsity", "--variant", "3d"],
+     {"--limit": "5", "--episode-length": "50"}),
+]
+FLAG_TEXTS = ["", "données", "ポゴ", "\udcff"]  # the last as argv holds an undecodable byte
+TEXT_COMMANDS = [
+    ["descriptor", "{}"], ["descriptor", "pogo", "--breakdown", "{}"],
+    ["dataset", "mnist", "--data-dir", "{}"], ["dataset", "cifar10", "--data-dir", "{}"],
+]
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """A command with each integer flag and --seed at its fast value or at
+    one of FLAG_INTS, --limit also at nan or an infinity; or a command
+    that reads a path or a name given as FLAG_TEXTS."""
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(st.sampled_from(FLAG_TEXTS))
+        return [arg.format(text) for arg in draw(st.sampled_from(TEXT_COMMANDS))]
+    command, flags = draw(st.sampled_from(FLAG_COMMANDS))
+    argv = ["--seed", draw(st.sampled_from(["0", *FLAG_INTS])), *command]
+    for flag, fast in flags.items():
+        odd = ["nan", "inf", "-inf"] if flag == "--limit" else FLAG_INTS
+        argv += [flag, draw(st.sampled_from([fast, *odd]))]
+    return argv
+
+
+@settings(FUZZ, max_examples=300)
+@given(cli_argv())
+def test_cli_flags(argv):
+    # exit 0, or exit 1 with one "dcx: " line, or argparse's usage error
+    # (exit 2), within the time bound and with no warning printed
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cwd = os.getcwd()
+        os.chdir(directory)  # an empty --data-dir reads the working directory
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert time.perf_counter() - start < TIME_BOUND, argv
+    assert not caught, [str(w.message) for w in caught]
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("dcx: "), lines
+        assert out.getvalue() == ""
+    else:
+        assert code == 2 and lines[-1].startswith("dcx") and ": error: " in lines[-1], lines

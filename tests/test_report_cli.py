@@ -180,6 +180,16 @@ class TestSerialization:
         with pytest.raises(FormatError):
             from_json(json.dumps(payload))
 
+    def test_report_refuses_a_repeated_measure_name(self):
+        # compare reads one value per name, so a report holds each once
+        report = sample_report()
+        with pytest.raises(InvalidParameter, match="more than once"):
+            ComplexityReport("toy", report.measures + report.measures[:1])
+        payload = json.loads(to_json(report))
+        payload["measures"].append({**payload["measures"][0], "value": 999.0})
+        with pytest.raises(FormatError, match="more than once"):
+            from_json(json.dumps(payload))
+
     def test_report_refuses_non_finite_values(self):
         # refused where the report is built, so neither JSON nor text or
         # CSV ever holds one
@@ -485,6 +495,17 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flag", ["--bins", "--samples"])
+    def test_cartpole_sizes_past_the_float_range_exit_1_without_traceback(self, flag):
+        # the arrays' size in GiB is past the float range too, so the
+        # refusal states it, like the count, as 10^x
+        result = run_capped_cli("cartpole", "--measure", "entropy", flag, str(10**400))
+        assert result.returncode == 1
+        assert result.stderr.startswith("dcx: ") and "10^400.000" in result.stderr
+        assert "budget" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
     def test_dataset_refuses_a_batch_past_the_budget_before_allocating(self, tmp_path):
         # a streamed measure keeps 16 bytes per 1x1 image: its value and its
         # label. Incompressible bytes whose gzip trailers state 200 million
@@ -670,6 +691,20 @@ class TestCli:
         forged.write_text('{"measures": 5}', encoding="utf-8")
         assert main(["compare", str(forged), str(forged)]) == 1
         assert capsys.readouterr().err.startswith("dcx: ")
+
+    def test_compare_refuses_a_report_that_repeats_a_measure(self, tmp_path, capsys):
+        # a forged second ssc_upper_bound_log10 would otherwise win silently
+        good, forged = tmp_path / "good.json", tmp_path / "forged.json"
+        assert main(["--format", "json", "--out", str(good), "game", "ttt", "--no-enumerate"]) == 0
+        payload = json.loads(good.read_text(encoding="utf-8"))
+        first = payload["measures"][0]
+        assert first["measure_name"] == "ssc_upper_bound_log10"
+        payload["measures"].append({**first, "value": 999.0})
+        forged.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["compare", str(forged), str(good)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("dcx: ") and "more than once" in err
 
     @pytest.mark.parametrize(
         "argv",
