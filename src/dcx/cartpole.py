@@ -21,6 +21,7 @@ end in ResourceLimit rather than run on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import add
 
@@ -304,8 +305,10 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     uniform on [0, 1). The walks are counted exactly, so the value is that
     number correctly rounded and never decreases as the limit grows.
     """
-    if not 0 < limit < math.inf:  # also refuses NaN
-        raise InvalidParameter(f"limit must be a positive finite number, got {limit}")
+    # a bool is no limit; NaN fails the comparison; the message leaves the
+    # value out, as str() refuses an integer past 4,300 digits
+    if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not 0 < limit < math.inf:
+        raise InvalidParameter("limit must be a positive finite number")
     episode_length = check_count(episode_length, "episode_length")
     axes = check_count(axes, "axes")
     if axes > 2:

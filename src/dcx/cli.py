@@ -8,8 +8,9 @@ Each domain module is imported by the runner that computes with it:
 `game` loads `games`, `descriptor` and `cartpole --measure table` load
 `descriptors`, the other cart-pole measures `cartpole`, and `dataset` the
 two dataset modules. `compare`, `--help` and usage errors load none of
-them. numpy comes only with a value that needs it: the cart-pole
-simulator, the datasets, game enumeration and the descriptor entropies.
+them. numpy comes only with a value that needs it: game enumeration, the
+cart-pole simulator and the image datasets. The descriptor entropies and
+the iris table are summed in plain Python, in numpy's order.
 
 dcx calls no BLAS routine, so `main` starts numpy with one OpenBLAS
 thread instead of a pool whose idle worker spins for CPU time. An

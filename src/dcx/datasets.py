@@ -26,9 +26,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import (
     DegenerateInput,
@@ -36,7 +34,14 @@ from .errors import (
     InvalidParameter,
     TruncatedInput,
     check_budget,
+    check_count,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the image readers, so the iris table loads
+# without it.
 
 MNIST_CLASS_NAMES = tuple(str(d) for d in range(10))
 CIFAR10_CLASS_NAMES = (
@@ -137,24 +142,32 @@ class ImageStream(_ImageCounts):
 
 @dataclass(frozen=True, eq=False)
 class TabularDataset:
-    """Numeric feature rows with one class label each."""
+    """Numeric feature rows with one class label each, stored as a tuple of
+    float tuples and a tuple of class indices; any sequences of numbers,
+    numpy arrays too, are converted."""
 
-    features: np.ndarray
-    labels: np.ndarray
+    features: tuple[tuple[float, ...], ...]
+    labels: tuple[int, ...]
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.features.ndim != 2:
-            raise InvalidParameter("features must be an N x F array")
-        if self.features.shape[1] != len(self.feature_names):
+        features = tuple(tuple(float(v) for v in row) for row in self.features)
+        if not features:
+            raise DegenerateInput("a table needs at least one row")
+        if any(len(row) != len(self.feature_names) for row in features):
             raise InvalidParameter("one name per feature column required")
-        if len(self.labels) != len(self.features):
+        labels = tuple(check_count(label, "label", 0) for label in self.labels)
+        if len(labels) != len(features):
             raise InvalidParameter("one label per row required")
+        if any(label >= len(self.class_names) for label in labels):
+            raise InvalidParameter("label index outside class_names")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def row_count(self) -> int:
-        return self.features.shape[0]
+        return len(self.features)
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -164,6 +177,8 @@ def parse_idx(data: bytes) -> np.ndarray:
     count, then one big-endian uint32 size per dimension; the payload is
     row-major and must hold exactly the product of the sizes.
     """
+    import numpy as np
+
     stream = _Stream(io.BytesIO(data))
     sizes = _idx_header(stream, len(data))
     try:
@@ -175,6 +190,8 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 def write_idx(tensor: np.ndarray) -> bytes:
     """Inverse of parse_idx; round-trips byte-identically."""
+    import numpy as np
+
     arr = np.ascontiguousarray(tensor, dtype=np.uint8)
     header = bytes([0, 0, _IDX_UBYTE, arr.ndim])
     header += struct.pack(f">{arr.ndim}I", *arr.shape)
@@ -227,11 +244,9 @@ def parse_iris_csv(text: str) -> TabularDataset:
             raise FormatError(f"line {line_no}: measurement is not a finite number")
         features.append(row)
         labels.append(_iris_class_index(fields[4]))
-    if not features:
-        raise DegenerateInput("iris input holds no rows")
     return TabularDataset(
-        features=np.asarray(features, dtype=float),
-        labels=np.asarray(labels, dtype=np.int64),
+        features=features,
+        labels=labels,
         feature_names=IRIS_FEATURE_NAMES,
         class_names=IRIS_CLASS_NAMES,
     )
@@ -241,7 +256,7 @@ def binarize(dataset: LabeledImageDataset) -> LabeledImageDataset:
     """Map each pixel to 1 when nonzero, else 0: binarization at threshold 0."""
     if dataset.channel_count != 1:
         raise InvalidParameter("binarize expects a single-channel dataset")
-    images = (dataset.images > 0).astype(np.uint8)
+    images = (dataset.images > 0).astype("uint8")
     return LabeledImageDataset(
         images=images,
         labels=dataset.labels,
@@ -340,6 +355,8 @@ def _streamed(decoder, class_names: tuple[str, ...]) -> ImageStream:
 
 def _collect(stream: ImageStream) -> LabeledImageDataset:
     """The stream's blocks gathered into one image array and one label array."""
+    import numpy as np
+
     count = stream.image_count
     check_budget(count * (math.prod(stream.shape[1:]) + 8), f"loading {count} images")
     images = np.empty(stream.shape, dtype=np.uint8)
@@ -378,6 +395,8 @@ def _decode(groups, shape_of, read):
 def _idx_header(stream: _Stream, length: int) -> tuple[int, ...]:
     """The dimension sizes from the IDX header at the start of stream, whose
     payload is length bytes; they must promise exactly that length."""
+    import numpy as np
+
     if length < 4:
         raise stream.error(TruncatedInput, "IDX header needs at least 4 bytes")
     first, second, type_code, ndim = stream.fill(np.empty(4, dtype=np.uint8)).tolist()
@@ -411,6 +430,8 @@ def _check_labels(stream: _Stream, labels: np.ndarray) -> None:
 
 def _read_mnist(group, shape):
     """Blocks of the image and label files' payloads, read side by side."""
+    import numpy as np
+
     (image_stream, _), (label_stream, _) = group
     images = np.empty((min(BLOCK_IMAGES, shape[0]), *shape[1:]), dtype=np.uint8)
     labels = np.empty(len(images), dtype=np.uint8)
@@ -432,6 +453,8 @@ def _read_cifar(group, shape):
     green and blue planes, each a row-major 32 x 32 grid. A block's images
     are an N x 32 x 32 x 3 view of its records, whose strides keep that
     channel-major storage order."""
+    import numpy as np
+
     stream = group[0][0]
     records = np.empty((min(BLOCK_IMAGES, shape[0]), _CIFAR_RECORD), dtype=np.uint8)
     for start in range(0, shape[0], BLOCK_IMAGES):

@@ -21,14 +21,60 @@ if TYPE_CHECKING:
     import numpy as np
 
 # numpy is imported inside the functions that compute with it, so the
-# closed forms below (log10_product, log10_int, gtc_power, Power) and the
-# result types load without it.
+# closed forms below (log10_product, log10_int, gtc_power, Power), gini, the
+# entropies and the result types load without it.
 
 # Probability vectors must sum to 1 within this tolerance.
 PROB_TOLERANCE = 1e-9
 
 # values histogram bins at a time
 _HISTOGRAM_CHUNK = 1 << 16
+
+
+def _floats(values, error: type) -> list[float]:
+    """values as a flat list of Python floats; an array of any shape is
+    read in row-major order. error is raised for anything else."""
+    if hasattr(values, "ravel"):  # an array, so numpy is loaded already
+        values = values.ravel().tolist()
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error("expected an array or a flat sequence of numbers") from exc
+
+
+def _pairwise(x: list[float], lo: int, n: int) -> float:
+    if n < 8:
+        total = -0.0
+        for v in x[lo : lo + n]:
+            total += v
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        r = []
+        for j in range(lo, lo + 8):
+            acc = x[j]
+            for v in x[j + 8 : end : 8]:
+                acc += v
+            r.append(acc)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in x[end : lo + n]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
+def pairwise_sum(x: list[float]) -> float:
+    """Sum of a list of floats in the order of numpy's float64 add.reduce,
+    so that it equals numpy's sum of the same terms bit for bit: fewer than
+    8 terms are added left to right from -0.0; up to 128 go to 8 strided
+    accumulators, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    leftover terms in order; longer lists split at n/2 rounded down to a
+    multiple of 8. The reduction starts from 0.0, so an empty sum is 0.0 and
+    a sum of -0.0 terms is 0.0. Pairwise summation's error grows with
+    log n, not n (Higham, SIAM J. Sci. Comput. 14, 1993)."""
+    return 0.0 + _pairwise(x, 0, len(x))
 
 
 def gini(values: Sequence[float]) -> float:
@@ -38,49 +84,42 @@ def gini(values: Sequence[float]) -> float:
     Returns 0 for a perfectly even array and approaches 1 - 1/N when a
     single element holds all the mass.
     """
-    import numpy as np
-
-    c = np.asarray(values, dtype=float).ravel()
-    if c.size == 0:
+    c = _floats(values, InvalidValue)
+    if not c:
         raise DegenerateInput("gini needs at least one value")
-    if not np.isfinite(c).all():
+    if not all(map(math.isfinite, c)):
         raise InvalidValue("gini is defined for finite values only")
-    if np.any(c < 0):
+    if any(v < 0 for v in c):
         raise InvalidValue("gini is defined for non-negative values only")
-    with np.errstate(over="ignore"):
-        total = float(c.sum())
+    total = pairwise_sum(c)  # in the given order, as numpy summed it
     if math.isinf(total):  # the index is scale-free, so sum a scaled copy
-        c = c / c.max()
-        total = float(c.sum())
+        top = max(c)
+        c = [v / top for v in c]
+        total = pairwise_sum(c)
     if total == 0.0:
         raise DegenerateInput("gini is undefined for an all-zero array")
-    c = np.sort(c)
-    n = c.size
-    ranks = np.arange(1, n + 1)
-    return float(1.0 - 2.0 * np.sum((c / total) * ((n - ranks + 0.5) / n)))
+    n = len(c)
+    return 1.0 - 2.0 * pairwise_sum(
+        [(v / total) * ((n - k + 0.5) / n) for k, v in enumerate(sorted(c), start=1)]
+    )
 
 
-def _check_distribution(p: np.ndarray) -> None:
-    import numpy as np
-
-    if p.size == 0:
+def _check_distribution(p: list[float]) -> None:
+    if not p:
         raise InvalidDistribution("empty probability vector")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise InvalidDistribution("probabilities must lie in [0, 1]")
-    total = float(p.sum())
+    if not all(0.0 <= x <= 1.0 for x in p):  # also refuses NaN
+        raise InvalidDistribution("probabilities must be finite and lie in [0, 1]")
+    total = pairwise_sum(p)
     if abs(total - 1.0) > PROB_TOLERANCE:
         raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
 
 
 def shannon_entropy(probabilities: Sequence[float]) -> float:
     """Shannon entropy in bits; 0 * log2(0) is taken as 0."""
-    import numpy as np
-
-    p = np.asarray(probabilities, dtype=float).ravel()
+    p = _floats(probabilities, InvalidDistribution)
     _check_distribution(p)
-    nz = p[p > 0.0]
     # 0.0 - s, not -s: a point mass gives 0.0, not -0.0; all else is -s
-    return float(0.0 - (nz * np.log2(nz)).sum())
+    return 0.0 - pairwise_sum([x * math.log2(x) for x in p if x > 0.0])
 
 
 def normalized_entropy(probabilities: Sequence[float], event_count: int) -> float:
@@ -263,6 +302,10 @@ class Provenance:
             raise InvalidParameter(f"unknown provenance kind {self.kind!r}")
         if self.kind == "monte_carlo" and (self.seed is None or self.samples is None):
             raise InvalidParameter("monte_carlo provenance records seed and samples")
+        # stored as Python ints, so that a numpy integer reaches no report
+        for name, least in (("seed", 0), ("samples", 1)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 
 
 ANALYTIC = Provenance("analytic")

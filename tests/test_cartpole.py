@@ -32,6 +32,7 @@ from dcx.cartpole import (
     _workspace,
     analytic_sparsity,
     constant_action_limit,
+    limit_measures,
     params_for_variant,
     rollout_entropy,
 )
@@ -47,6 +48,7 @@ from dcx.descriptors import (
 from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit
 from dcx.games import TIC_TAC_TOE, GridGameSpec, gtc_factorial
 from dcx.measures import histogram, normalized_entropy, shannon_entropy
+from dcx.report import ComplexityReport, to_json
 
 # thresholds no episode reaches, so only max_steps or the cut ends one
 ENDLESS = {"position_threshold": 1e300, "angle_threshold": 1e300}
@@ -665,6 +667,14 @@ class TestAnalyticSparsity:
         with pytest.raises(InvalidParameter):
             analytic_sparsity(9.0, episode_length=0)
 
+    @pytest.mark.parametrize("limit", [True, np.True_, -10**5000, "9", None],
+                             ids=["True", "numpy True", "-10^5000", "str", "None"])
+    def test_rejects_a_limit_that_is_no_positive_real_number(self, limit):
+        # True ran as limit 1.0, and the message for -10**5000 raised
+        # ValueError, as str() refuses an integer past 4,300 digits
+        with pytest.raises(InvalidParameter, match="^limit must be a positive finite number$"):
+            analytic_sparsity(limit, 200)
+
     def test_refuses_work_past_the_budget_before_counting(self):
         # a counting call would run for hours at these sizes, so refusing
         # promptly shows the check comes first; the estimate is integer
@@ -874,6 +884,16 @@ def test_numpy_integer_counts_give_the_python_int_results():
     assert analytic_sparsity(3.5, i(200), i(2)) == analytic_sparsity(3.5, 200, 2)
     assert RolloutConfig(seed=i(1), sample_count=i(100)) == RolloutConfig(seed=1, sample_count=100)
     assert constant_action_limit(_P2, i(50), i(3)) == constant_action_limit(_P2, 50, 3)
+
+
+def test_numpy_integer_seed_and_trials_give_the_python_int_report():
+    # a numpy seed and count reached the provenance as given, and to_json
+    # raised TypeError: Object of type int64 is not JSON serializable
+    def report(trials, seed) -> str:
+        measures, _ = limit_measures(_P2, trials, seed)
+        return to_json(ComplexityReport("x", tuple(measures), timestamp="fixed"))
+
+    assert report(np.int64(100), np.int64(0)) == report(100, 0)
 
 
 @pytest.mark.parametrize(

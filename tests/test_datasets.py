@@ -214,7 +214,7 @@ class TestIrisParsing:
 
     def test_reads_every_form_of_the_csv_number_grammar(self):
         ds = parse_iris_csv(" +5 ,.5,5.,-5e-1,Iris-setosa\n")
-        assert ds.features.tolist() == [[5.0, 0.5, 5.0, -0.5]]
+        assert ds.features == ((5.0, 0.5, 5.0, -0.5),)
 
     def test_rejects_empty_table(self):
         with pytest.raises(DegenerateInput):
@@ -223,7 +223,7 @@ class TestIrisParsing:
     def test_bundled_table(self):
         ds = load_iris()
         assert ds.row_count == 150
-        assert [int((ds.labels == i).sum()) for i in range(3)] == [50, 50, 50]
+        assert [ds.labels.count(i) for i in range(3)] == [50, 50, 50]
         assert ds.feature_names == (
             "sepal_length",
             "sepal_width",

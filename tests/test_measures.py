@@ -1,4 +1,5 @@
-"""Core measure functions against hand-computed values."""
+"""Core measure functions against hand-computed values, and the plain-Python
+sums, Gini and entropy against numpy oracles, bit for bit."""
 
 import math
 
@@ -24,9 +25,63 @@ from dcx.measures import (
     log10_int,
     log10_product,
     normalized_entropy,
+    pairwise_sum,
     shannon_entropy,
     variance_diversity,
 )
+
+
+def oracle_gini(values) -> float:
+    """The numpy Gini that measures.gini replaced, kept as its oracle."""
+    c = np.asarray(values, dtype=float).ravel()
+    with np.errstate(over="ignore"):
+        total = float(c.sum())
+    if math.isinf(total):
+        c = c / c.max()
+        total = float(c.sum())
+    c = np.sort(c)
+    n = c.size
+    ranks = np.arange(1, n + 1)
+    return float(1.0 - 2.0 * np.sum((c / total) * ((n - ranks + 0.5) / n)))
+
+
+def bits(x: float) -> str:
+    """x exactly, as hex; unlike ==, it tells -0.0 from 0.0."""
+    return float(x).hex()
+
+
+def mixed_vector(rng, n: int) -> list[float]:
+    """n values of both signs and of magnitudes from 1e-8 to 1e8."""
+    return (rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)).tolist()
+
+
+# pairwise_sum's block edges: the 8-term loop, the 128-term block and the
+# first splits of a longer sum
+BLOCK_EDGES = (7, 8, 9, 127, 128, 129, 255, 256, 257)
+
+
+class TestPairwiseSum:
+    def test_matches_numpy_add_reduce_at_every_length_to_1100(self):
+        rng = np.random.default_rng(23)
+        for n in range(1101):
+            x = mixed_vector(rng, n)
+            assert bits(pairwise_sum(x)) == bits(np.add.reduce(np.array(x, dtype=float))), n
+
+    @pytest.mark.parametrize("n", [*BLOCK_EDGES, 2047, 2048, 2049, 4096, 10_000])
+    def test_matches_numpy_add_reduce_at_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = mixed_vector(rng, n)
+            assert bits(pairwise_sum(x)) == bits(np.add.reduce(np.array(x, dtype=float)))
+
+    @pytest.mark.parametrize(
+        "x", [[], [-0.0], [-0.0] * 9, [-0.0] * 200, [0.0, -0.0], [1e308, 1e308], [5.0]],
+        ids=repr,
+    )
+    def test_matches_numpy_on_signed_zeros_and_overflow(self, x):
+        with np.errstate(over="ignore"):
+            want = np.add.reduce(np.array(x, dtype=float))
+        assert bits(pairwise_sum(x)) == bits(want)
 
 
 class TestGini:
@@ -64,6 +119,37 @@ class TestGini:
     def test_rejects_empty(self):
         with pytest.raises(DegenerateInput):
             gini([])
+
+    def test_matches_the_numpy_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        lengths = [*range(1, 300), *BLOCK_EDGES, 1024, 1025, 5000]
+        for i, n in enumerate(lengths):
+            kind = i % 4
+            if kind == 0:
+                v = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
+            elif kind == 1:
+                v = rng.lognormal(0.0, 1.0, n)
+            elif kind == 2:  # ties and zeros
+                v = rng.integers(0, 4, n).astype(float)
+            else:
+                v = rng.integers(0, 256, n).astype(float)
+            if not v.any():
+                continue
+            assert bits(gini(v)) == bits(oracle_gini(v)), n
+            assert bits(gini(v.tolist())) == bits(oracle_gini(v)), n
+
+    def test_matches_the_numpy_oracle_when_the_sum_overflows(self):
+        for v in ([1e308] * 3, [1.7e308, 1.7e308, 0.0], [1e308, 5e307, 1.0] * 50):
+            assert bits(gini(v)) == bits(oracle_gini(v))
+
+    def test_reads_an_array_of_any_shape_in_row_major_order(self):
+        image = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+        assert gini(image) == gini(image.ravel().tolist())
+
+    @pytest.mark.parametrize("bad", [5.0, ["x", 1.0], [[1.0, 2.0]], [10**400]], ids=repr)
+    def test_rejects_what_is_not_a_flat_sequence_of_numbers(self, bad):
+        with pytest.raises(InvalidValue):
+            gini(bad)
 
 
 class TestEntropy:
@@ -109,6 +195,30 @@ class TestEntropy:
     def test_rejects_negative_probability(self):
         with pytest.raises(InvalidDistribution):
             shannon_entropy([1.2, -0.2])
+
+    @pytest.mark.parametrize(
+        "probs", [[math.nan, 1.0], [1.0, math.nan], [0.5, 0.5, math.nan], [math.inf, 0.0]],
+        ids=repr,
+    )
+    def test_rejects_non_finite_probabilities(self, probs):
+        # NaN passed the [0, 1] checks: [nan, 1.0] gave 0.0 bits
+        with pytest.raises(InvalidDistribution, match="finite"):
+            shannon_entropy(probs)
+        with pytest.raises(InvalidDistribution, match="finite"):
+            normalized_entropy(probs, len(probs))
+
+    def test_matches_numpys_sum_of_the_same_terms(self):
+        # the terms take log2 from math, so numpy only sums them here: its
+        # own log2 may differ in the last bit
+        rng = np.random.default_rng(11)
+        for n in [*range(1, 300), *BLOCK_EDGES, 1024, 4096]:
+            counts = rng.integers(0, 1000, n) * (rng.random(n) < 0.8)
+            if not counts.any():
+                continue
+            p = counts / counts.sum()
+            terms = np.array([x * math.log2(x) for x in p.tolist() if x > 0.0])
+            assert bits(shannon_entropy(p)) == bits(0.0 - np.add.reduce(terms)), n
+            assert bits(shannon_entropy(p.tolist())) == bits(0.0 - np.add.reduce(terms)), n
 
     def test_normalized_needs_integer_event_count(self):
         with pytest.raises(InvalidParameter):

@@ -812,17 +812,20 @@ class TestCli:
             (("descriptor", "nosuch"), 1, {"dcx.descriptors"}),
             (("cartpole", "--variant", "4d"), 2, set()),
             (("game", "checkers"), 2, set()),
-            (("--format", "json", "dataset", "iris"), 0, {"numpy"}),
-            (("--format", "json", "descriptor", "monopoly"), 0, {"dcx.descriptors", "numpy"}),
+            *[(("--format", "json", "dataset", "iris", "--measure", m), 0, set())
+              for m in ("dimensionality", "sparsity", "gini", "entropy")],
+            (("--format", "json", "descriptor", "monopoly"), 0, {"dcx.descriptors"}),
+            (("descriptor", "pogo", "--breakdown", "pogo"), 0, {"dcx.descriptors"}),
         ],
         ids=lambda v: ((" ".join(v) or "import") if isinstance(v, tuple)
                        else "+".join(sorted(v)) or "none" if isinstance(v, set) else None),
     )
     def test_numpy_loads_only_where_a_value_needs_it(self, tmp_path, argv, exit_code, loads):
         # closed forms (games, descriptor arithmetic, cart-pole tables,
-        # compare, errors) never touch a numpy value, so they must not pay
-        # for its import, and each subcommand loads only its own domain
-        # module; an empty argv means a bare `import dcx.cli`
+        # compare, errors), the descriptor entropies and the iris table
+        # never touch a numpy value, so they must not pay for its import,
+        # and each subcommand loads only its own domain module; an empty
+        # argv means a bare `import dcx.cli`
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
@@ -863,7 +866,8 @@ class TestCli:
             "print('probe:', code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
             "      file=sys.stderr)\n"
         )
-        result = run_python("-c", probe, "--format", "json", "dataset", "iris")
+        # game ttt enumerates, so it loads numpy
+        result = run_python("-c", probe, "--format", "json", "game", "ttt")
         assert result.stderr.splitlines()[-1] == f"probe: 0 True {threads}", result.stderr
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
