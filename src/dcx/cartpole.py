@@ -22,12 +22,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from operator import add
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceLimit, check_budget, check_count, count_text
+from .errors import (
+    InvalidParameter,
+    Record,
+    ResourceLimit,
+    check_budget,
+    check_count,
+    count_text,
+)
 from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
 
 VARIANTS = ("2d", "2dg", "3d")
@@ -63,8 +69,7 @@ def _check_work(ns: int, work: str, *args) -> None:
         raise ResourceLimit(f"{work} is over the {WORK_BUDGET} ns work budget")
 
 
-@dataclass(frozen=True)
-class CartPoleParams:
+class CartPoleParams(Record):
     """Physical constants for one cart-pole variant.
 
     Every constant must be finite. Gravity may be zero so integrator sanity
@@ -325,8 +330,7 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     return (low * (den - num) + high * num) / (den << episode_length * axes)
 
 
-@dataclass(frozen=True)
-class RolloutConfig:
+class RolloutConfig(Record):
     """Sampling plan for random-rollout entropy."""
 
     seed: int

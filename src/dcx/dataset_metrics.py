@@ -6,11 +6,10 @@ and boxplot-style class summaries.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
-from .errors import DegenerateInput, InvalidParameter, check_count, count_text
+from .errors import DegenerateInput, InvalidParameter, Record, check_count, count_text, replace
 # histogram and shannon_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
 # (perfbench/spans.py) wraps them under these names.
@@ -255,8 +254,7 @@ def _midpoint_quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]
     return float(np.median(lower)), median, float(np.median(upper))
 
 
-@dataclass(frozen=True)
-class ClassSummary:
+class ClassSummary(Record):
     """Boxplot-style five-number summary for one class."""
 
     class_name: str

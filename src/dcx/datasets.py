@@ -23,7 +23,6 @@ import re
 import struct
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -32,6 +31,7 @@ from .errors import (
     DegenerateInput,
     FormatError,
     InvalidParameter,
+    Record,
     TruncatedInput,
     check_budget,
     check_count,
@@ -93,8 +93,7 @@ class _ImageCounts:
         return len(self.class_names)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledImageDataset(_ImageCounts):
+class LabeledImageDataset(_ImageCounts, Record, eq=False):
     """Images as an N x H x W x C uint8 array plus integer labels."""
 
     images: np.ndarray
@@ -119,8 +118,7 @@ class LabeledImageDataset(_ImageCounts):
         yield self.images, self.labels
 
 
-@dataclass(frozen=True, eq=False)
-class ImageStream(_ImageCounts):
+class ImageStream(_ImageCounts, Record, eq=False):
     """A dataset's images, read from its files one block at a time.
 
     shape is the whole N x H x W x C array's, as the file headers state it
@@ -140,8 +138,7 @@ class ImageStream(_ImageCounts):
         return self.reader
 
 
-@dataclass(frozen=True, eq=False)
-class TabularDataset:
+class TabularDataset(Record, eq=False):
     """Numeric feature rows with one class label each, stored as a tuple of
     float tuples and a tuple of class indices; any sequences of numbers,
     numpy arrays too, are converted."""

@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import DegenerateInput, InvalidParameter, check_count, from_mapping, load_json
+from .errors import (
+    DegenerateInput,
+    InvalidParameter,
+    Record,
+    check_count,
+    from_mapping,
+    load_json,
+    replace,
+)
 from .measures import (
     ANALYTIC,
     MeasureResult,
@@ -46,8 +53,7 @@ def _cardinality_log10(cardinality: int | Power) -> float:
     return log10_int(cardinality)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """One countable factor of a domain.
 
     role "state" components multiply into the state space; role "instance"
@@ -78,8 +84,7 @@ class Component:
         return _cardinality_log10(self.cardinality)
 
 
-@dataclass(frozen=True)
-class DomainDescriptor:
+class DomainDescriptor(Record):
     """A named domain plus its countable components and tree parameters."""
 
     name: str
@@ -202,8 +207,7 @@ def tree_complexity(descriptor: DomainDescriptor, mode: str = "uniform_sum") -> 
     raise InvalidParameter(f"unknown tree complexity mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class BreakdownElement:
+class BreakdownElement(Record):
     """One element of a world state: how many entities, and the units of
     information needed to pin each one down."""
 
@@ -220,8 +224,7 @@ class BreakdownElement:
         return self.count * self.units
 
 
-@dataclass(frozen=True)
-class InformationBreakdown:
+class InformationBreakdown(Record):
     elements: tuple[BreakdownElement, ...]
 
     def weights(self) -> tuple[int, ...]:

@@ -1,13 +1,13 @@
 """Error taxonomy shared across the package, and what every module checks
 alike: count arguments (check_count), sizes in refusals (count_text), the
-one array budget, the one JSON reader, and the one decoder that builds
-descriptors, breakdowns and reports by their dataclass annotations.
+one array budget, the one JSON reader, the frozen Record base of every
+value type, and the one decoder that builds descriptors, breakdowns and
+reports by their Record annotations.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
 """
 
-import dataclasses
 import functools
 import json
 import math
@@ -69,7 +69,7 @@ def check_budget(nbytes: int, work: str) -> None:
         )
 
 
-def _integer(v) -> bool:
+def is_integer(v) -> bool:
     # a Python or numpy integer; numpy's bool_, like float, has no __index__
     return hasattr(type(v), "__index__") and not isinstance(v, bool)
 
@@ -77,13 +77,13 @@ def _integer(v) -> bool:
 def check_count(value, name: str, minimum: int = 1) -> int:
     """value as a Python int, whose arithmetic cannot wrap; InvalidParameter
     unless it is an integer (not a bool) of at least minimum."""
-    if not (_integer(value) and value >= minimum):
+    if not (is_integer(value) and value >= minimum):
         raise InvalidParameter(f"{name} must be an integer of at least {minimum}")
     return int(value)
 
 
 def _finite(value) -> bool:
-    if not (_integer(value) or isinstance(value, float)):
+    if not (is_integer(value) or isinstance(value, float)):
         return False
     try:
         return math.isfinite(value)
@@ -92,11 +92,11 @@ def _finite(value) -> bool:
 
 
 # annotation -> (what a JSON value for it must be, test). tuple stands for
-# tuple[T, ...] and dict for a nested dataclass. bool never passes as a
+# tuple[T, ...] and dict for a nested Record. bool never passes as a
 # number although it subclasses int.
 _KINDS = {
     str: ("a string", lambda v: isinstance(v, str)),
-    int: ("an integer", _integer),
+    int: ("an integer", is_integer),
     float: ("a finite number", _finite),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     type(None): ("null", lambda v: v is None),
@@ -116,19 +116,97 @@ def load_json(text: str, what: str):
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
+class Factory:
+    """A field default made afresh for each object: `stamp: str = Factory(now)`."""
+
+    def __init__(self, make):
+        self.make = make
+
+
+class Record:
+    """Base of the package's frozen value types, built without generated code.
+
+    A subclass's fields are its annotated names, in order; a class
+    attribute gives a field's default. The constructor takes fields by
+    position or keyword, then runs __post_init__, which may normalize a
+    field with object.__setattr__; nothing else can assign or delete one.
+    == and hash go by the fields, unless the subclass is declared with
+    eq=False, which keeps identity.
+    """
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        values = dict(zip(cls._fields, args))
+        bad = (len(args) > len(cls._fields) or values.keys() & kwargs.keys()
+               or kwargs.keys() - set(cls._fields))
+        values.update(kwargs)
+        if bad or any(name not in values for name in cls._fields if name not in cls._defaults):
+            raise TypeError(f"{cls.__name__} takes each of {cls._fields} once, "
+                            "and those without a default are required")
+        for name, default in cls._defaults.items():
+            if name not in values:
+                values[name] = default.make() if isinstance(default, Factory) else default
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record with changes applied; its __post_init__ checks them."""
+    return type(record)(**dict(zip(record._fields, record._values()), **changes))
+
+
+def asdict(value):
+    """value with every record in it, through tuples and lists, as a dict
+    of its fields."""
+    if isinstance(value, Record):
+        return {name: asdict(value.__dict__[name]) for name in value._fields}
+    if isinstance(value, (tuple, list)):
+        return type(value)(asdict(v) for v in value)
+    return value
+
+
+def _is_record(tp) -> bool:
+    # type(), not isinstance(): Python 3.10 counts tuple[int, ...] a type
+    return type(tp) is type and issubclass(tp, Record)
+
+
 @functools.cache
 def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
     """(name, resolved annotation, has a default) for each field of cls."""
     hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name],
-         f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
-    )
+    return tuple((name, hints[name], name in cls._defaults) for name in cls._fields)
 
 
 def _kind(tp) -> tuple[str, object]:
-    return _KINDS[dict if dataclasses.is_dataclass(tp) else typing.get_origin(tp) or tp]
+    return _KINDS[dict if _is_record(tp) else typing.get_origin(tp) or tp]
 
 
 def _decode(tp, value, where: str, all_required: bool):
@@ -143,7 +221,7 @@ def _decode(tp, value, where: str, all_required: bool):
     else:
         kinds = " or ".join(_kind(option)[0] for option in options)
         raise FormatError(f"{where} must be {kinds}, got {type(value).__name__}")
-    if dataclasses.is_dataclass(option):
+    if _is_record(option):
         return from_mapping(option, value, where, all_required=all_required)
     if typing.get_origin(option) is tuple:
         item = typing.get_args(option)[0]
@@ -154,10 +232,10 @@ def _decode(tp, value, where: str, all_required: bool):
 
 
 def from_mapping(cls, raw, where: str, *, all_required: bool = False, extra=None):
-    """Build dataclass cls from the parsed JSON object raw, decoding each
-    key by its field's annotation: str, int, float (finite), bool, None,
-    tuple[T, ...] from a list, a nested dataclass from an object, or a
-    union of these.
+    """Build Record cls from the parsed JSON object raw, decoding each key
+    by its field's annotation: str, int, float (finite), bool, None,
+    tuple[T, ...] from a list, a nested Record from an object, or a union
+    of these.
 
     A key whose field has a default may be left out unless all_required
     is set. extra maps further keys raw may carry to their annotation;

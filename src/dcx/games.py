@@ -26,11 +26,17 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateInput, InvalidParameter, ResourceLimit, check_count, count_text
+from .errors import (
+    DegenerateInput,
+    InvalidParameter,
+    Record,
+    ResourceLimit,
+    check_count,
+    count_text,
+)
 from .measures import ANALYTIC, ENUMERATED, MeasureResult, log10_int, normalized_entropy
 
 if TYPE_CHECKING:
@@ -44,8 +50,7 @@ _CELL_MASK = (1 << _O_SHIFT) - 1
 _LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class GridGameSpec:
+class GridGameSpec(Record):
     """An N^D board played to at most max_plies with win lines of win_length."""
 
     side: int
@@ -316,8 +321,7 @@ def _completes_line(masks: np.ndarray, lines: np.ndarray) -> np.ndarray:
     return won
 
 
-@dataclass(frozen=True)
-class PlyDistribution:
+class PlyDistribution(Record):
     """Unique reachable positions per ply, starting at the empty board."""
 
     counts_per_ply: tuple[int, ...]

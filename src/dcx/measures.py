@@ -5,7 +5,6 @@ diversity statistics, and log10-space products for counts too large to form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -13,8 +12,10 @@ from .errors import (
     InvalidDistribution,
     InvalidParameter,
     InvalidValue,
+    Record,
     check_budget,
     check_count,
+    is_integer,
 )
 
 if TYPE_CHECKING:
@@ -132,8 +133,7 @@ def normalized_entropy(probabilities: Sequence[float], event_count: int) -> floa
     return shannon_entropy(probabilities) / math.log2(event_count)
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     """Equal-width bin counts over an inclusive [lo, hi] range."""
 
     lo: float
@@ -240,8 +240,7 @@ def gtc_power(branching_factor: float, depth: float) -> float:
     return depth * math.log10(branching_factor)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(Record):
     """A factor kept as base ** exp so huge products never materialize."""
 
     base: int
@@ -289,8 +288,7 @@ def log10_int(n: int) -> float:
     return math.log10(n >> shift) + shift * math.log10(2.0)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Record):
     """How a value was obtained: closed form, exhaustive count, or sampling."""
 
     kind: str
@@ -316,8 +314,7 @@ def monte_carlo(seed: int, samples: int) -> Provenance:
     return Provenance("monte_carlo", seed=seed, samples=samples)
 
 
-@dataclass(frozen=True)
-class MeasureResult:
+class MeasureResult(Record):
     """A named measure value plus the convention and provenance behind it."""
 
     measure_name: str
@@ -330,3 +327,16 @@ class MeasureResult:
             raise InvalidParameter("measure_name must be non-empty")
         if not self.convention:
             raise InvalidParameter("every result must record its convention")
+        # stored as a Python float, which JSON can hold. numbers is imported
+        # only for a value that is neither a float nor an integer, such as a
+        # numpy float32; bool is refused, as the report decoder refuses it
+        value = self.value
+        if not (isinstance(value, float) or is_integer(value)):
+            import numbers
+
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InvalidParameter(f"measure {self.measure_name} value must be a number")
+        try:
+            object.__setattr__(self, "value", float(value))
+        except OverflowError:  # an integer beyond the float range
+            raise InvalidValue(f"measure {self.measure_name} is past the float range") from None

@@ -3,24 +3,33 @@ conventions, provenance, seed, and optional published reference values,
 as JSON, CSV, or plain text. Reports round-trip losslessly through JSON
 and carry a determinism hash that ignores the timestamp.
 
-hashlib and datetime are imported by the functions that hash and stamp a
-report, so `dcx --help`, usage errors and a failed read load neither.
+hashlib is imported by the function that hashes a report, so `dcx --help`,
+usage errors and a failed read do not load it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import time
 
-from .errors import FormatError, InvalidParameter, InvalidValue, from_mapping, load_json
+from .errors import (
+    Factory,
+    FormatError,
+    InvalidParameter,
+    InvalidValue,
+    Record,
+    asdict,
+    from_mapping,
+    is_integer,
+    load_json,
+)
 from .measures import MeasureResult
 
 TOOL_VERSION = "0.1.0"
 
 
-@dataclass(frozen=True)
-class ReferenceTarget:
+class ReferenceTarget(Record):
     """A published value a measure is expected to land near.
 
     Annotation only: targets never feed back into computed values.
@@ -33,18 +42,17 @@ class ReferenceTarget:
 
 
 def _utc_now() -> str:
-    from datetime import datetime, timezone
+    # datetime.now(timezone.utc).isoformat(timespec="seconds"), without
+    # importing datetime
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
-
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(Record):
     domain_name: str
     measures: tuple[MeasureResult, ...]
     reference_targets: tuple[ReferenceTarget, ...] = ()
     tool_version: str = TOOL_VERSION
-    timestamp: str = field(default_factory=_utc_now)
+    timestamp: str = Factory(_utc_now)
     seed: int | None = None
     notes: tuple[str, ...] = ()
 
@@ -59,6 +67,11 @@ class ComplexityReport:
                 )
         if len({m.measure_name for m in self.measures}) < len(self.measures):
             raise InvalidParameter("a measure name appears more than once")
+        # stored as a Python int, which JSON can hold; a seed may be negative
+        if self.seed is not None:
+            if not is_integer(self.seed):
+                raise InvalidParameter("seed must be an integer")
+            object.__setattr__(self, "seed", int(self.seed))
 
     def determinism_hash(self) -> str:
         """SHA-256 over everything except the timestamp."""

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from dcx.descriptors import (
     path_sparsity_bound,
     tree_complexity,
 )
-from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit
+from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit, replace
 from dcx.games import TIC_TAC_TOE, GridGameSpec, gtc_factorial
 from dcx.measures import histogram, normalized_entropy, shannon_entropy
 from dcx.report import ComplexityReport, to_json

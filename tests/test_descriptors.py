@@ -4,7 +4,6 @@ structural properties of the complexity sums."""
 import json
 import math
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,7 +27,7 @@ from dcx.descriptors import (
     strategy_entropy,
     tree_complexity,
 )
-from dcx.errors import DegenerateInput, FormatError, InvalidParameter
+from dcx.errors import DegenerateInput, FormatError, InvalidParameter, replace
 from dcx.measures import Power, gtc_power, log10_int
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import resource
 import struct
 import subprocess
@@ -83,7 +84,7 @@ def test_cli_builds_no_measures():
         elif isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
             assert not names & {"ANALYTIC", "ENUMERATED", "monte_carlo"}, node.module
-            assert not (node.module == "dataclasses" and "replace" in names)
+            assert not (node.module in ("dataclasses", "errors") and "replace" in names)
         elif isinstance(node, ast.Import):
             assert "dataclasses" not in {alias.name for alias in node.names}
 
@@ -196,6 +197,50 @@ class TestSerialization:
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(InvalidValue, match="alpha"):
                 sample_report(value=value)
+
+    @pytest.mark.parametrize(
+        ("value", "seed"),
+        [("float32", None), (None, "int64"), ("float32", "int64"), ("float64", "uint8"),
+         ("int16", None)],
+    )
+    def test_numpy_numbers_serialize_as_python_numbers(self, value, seed):
+        np = pytest.importorskip("numpy")
+
+        def report(value, seed):
+            measure = MeasureResult("alpha", value, "stated", ANALYTIC)
+            return ComplexityReport("toy", (measure,), timestamp="fixed", seed=seed)
+
+        python_value = 0.5 if value is None or "float" in value else 2.0
+        numpy_value = python_value if value is None else getattr(np, value)(python_value)
+        numpy_seed = 3 if seed is None else getattr(np, seed)(3)
+        built = report(numpy_value, numpy_seed)
+        assert type(built.measures[0].value) is float and type(built.seed) is int
+        assert to_json(built) == to_json(report(python_value, 3))
+
+    @pytest.mark.parametrize("value", [True, "0.5", None, 1j, [0.5]])
+    def test_measure_value_must_be_a_number(self, value):
+        with pytest.raises(InvalidParameter, match="alpha value must be a number"):
+            MeasureResult("alpha", value, "stated", ANALYTIC)
+
+    def test_measure_value_past_the_float_range_is_refused(self):
+        with pytest.raises(InvalidValue, match="alpha is past the float range"):
+            MeasureResult("alpha", 10**400, "stated", ANALYTIC)
+
+    def test_report_seed_is_an_integer_and_may_be_negative(self):
+        measures = sample_report().measures
+        assert ComplexityReport("toy", measures, seed=-7).seed == -7
+        for seed in (True, 1.5, "3"):
+            with pytest.raises(InvalidParameter, match="seed must be an integer"):
+                ComplexityReport("toy", measures, seed=seed)
+
+    def test_timestamp_is_the_utc_time_in_seconds(self):
+        from datetime import datetime, timedelta, timezone
+
+        stamp = sample_report().timestamp
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+        parsed = datetime.fromisoformat(stamp)
+        assert parsed.utcoffset() == timedelta(0)
+        assert abs(datetime.now(timezone.utc) - parsed) < timedelta(minutes=1)
 
     def test_from_json_rejects_non_json(self):
         with pytest.raises(FormatError):
@@ -825,16 +870,21 @@ class TestCli:
         # compare, errors), the descriptor entropies and the iris table
         # never touch a numpy value, so they must not pay for its import,
         # and each subcommand loads only its own domain module; an empty
-        # argv means a bare `import dcx.cli`
+        # argv means a bare `import dcx.cli`. No run loads dataclasses, and
+        # inspect loads only with numpy, which imports it
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
             assert main(["--format", "json", "--out", str(path), "game", name, *extra]) == 0
         argv = [arg.format(**reports) for arg in argv]
+        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses")
+        if sys.version_info < (3, 12):  # from 3.12, importlib.resources imports inspect
+            watched += ("inspect",)
+            loads = loads | ({"inspect"} if "numpy" in loads else set())
         probe = (
             "import sys\n"
             "import dcx\n"
-            "watched = ('numpy', 'dcx.games', 'dcx.descriptors')\n"
+            f"watched = {watched!r}\n"
             "before = [m for m in watched if m in sys.modules]\n"
             "from dcx.cli import main\n"
             "try:\n"
