@@ -89,19 +89,21 @@ class CartPoleParams(Record):
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidParameter(f"variant must be one of {VARIANTS}")
-        if not 0 <= self.gravity < math.inf:
-            raise InvalidParameter("gravity must be finite and not negative")
-        for name in (
-            "cart_mass",
-            "pole_mass",
-            "pole_half_length",
-            "force_magnitude",
-            "timestep",
-            "position_threshold",
-            "angle_threshold",
-        ):
-            if not 0 < getattr(self, name) < math.inf:
+        # each constant is stored as a Python float; as for a limit, a bool,
+        # a non-number and a value past the float range are refused
+        for name in ("gravity", "cart_mass", "pole_mass", "pole_half_length", "force_magnitude",
+                     "timestep", "position_threshold", "angle_threshold"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            try:
+                value = float(value) if real else math.nan
+            except OverflowError:  # an integer past the float range
+                value = math.inf
+            if name == "gravity" and not 0 <= value < math.inf:
+                raise InvalidParameter("gravity must be finite and not negative")
+            if name != "gravity" and not 0 < value < math.inf:
                 raise InvalidParameter(f"{name} must be positive and finite")
+            object.__setattr__(self, name, value)
 
     @property
     def action_count(self) -> int:

@@ -24,9 +24,7 @@ import json
 import math
 import os
 import sys
-from contextlib import suppress
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DcxError, FormatError, InvalidParameter
 # log10_product and normalized_entropy are no longer called here, but stay
@@ -43,9 +41,6 @@ from .report import (
     to_json,
     to_text,
 )
-
-if TYPE_CHECKING:
-    from . import descriptors
 
 _PUBLISHED = "published case study"
 _3D_REFERENCE = _PUBLISHED + " (reference only; coupled 3d dynamics)"
@@ -226,40 +221,27 @@ def _run_game(args) -> _Fields:
     return name, None, measures, notes, None
 
 
-def _resolve_descriptor(source: str) -> descriptors.DomainDescriptor:
+def _resolve(source: str, kind: str):
+    # a descriptor or breakdown (kind) from an existing file, else from a bare
+    # name among the bundled ones: a path must exist
     from . import descriptors
 
     path = Path(source)
     if path.is_file():
-        return descriptors.load_descriptor(path)
-    # a path must exist; only a bare name is looked up among the bundled files
-    stem = source.removesuffix(".json") if path.name == source else None
-    if stem in descriptors.BUNDLED_DESCRIPTORS:
-        return descriptors.bundled_descriptor(stem)
-    raise DcxError(
-        f"{source!r} is neither a descriptor file nor a bundled name "
-        f"{descriptors.BUNDLED_DESCRIPTORS}"
-    )
-
-
-def _resolve_breakdown(source: str) -> descriptors.InformationBreakdown:
-    from . import descriptors
-
-    path = Path(source)
-    if path.is_file():
-        return descriptors.load_breakdown(path)
-    stem = source.removesuffix(".json").removesuffix("_breakdown")
-    if path.name == source:  # as for descriptors, only a bare name is bundled
-        with suppress(DcxError):
-            return descriptors.bundled_breakdown(stem)
-    raise DcxError(f"{source!r} is not a breakdown file or bundled name")
+        return getattr(descriptors, f"load_{kind}")(path)
+    names = getattr(descriptors, f"BUNDLED_{kind.upper()}S")
+    stem = source.removesuffix(".json")
+    stem = stem.removesuffix("_breakdown") if kind == "breakdown" else stem
+    if path.name == source and stem in names:
+        return getattr(descriptors, f"bundled_{kind}")(stem)
+    raise DcxError(f"{source!r} is neither a {kind} file nor a bundled name {names}")
 
 
 def _run_descriptor(args) -> _Fields:
     from . import descriptors
 
-    d = _resolve_descriptor(args.source)
-    breakdown = _resolve_breakdown(args.breakdown) if args.breakdown else None
+    d = _resolve(args.source, "descriptor")
+    breakdown = _resolve(args.breakdown, "breakdown") if args.breakdown else None
     measures, notes = descriptors.descriptor_measures(d, breakdown)
     return d.name, None, measures, notes, None
 

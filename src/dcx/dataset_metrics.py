@@ -225,8 +225,8 @@ def _resolve(name_or_index, names: tuple[str, ...], kind: str) -> int:
             return names.index(name_or_index)
         except ValueError:
             raise InvalidParameter(f"unknown {kind} {name_or_index!r}") from None
-    index = int(name_or_index)
-    if not 0 <= index < len(names):
+    index = check_count(name_or_index, kind, 0)
+    if index >= len(names):
         raise InvalidParameter(f"{kind} index {index} outside 0..{len(names) - 1}")
     return index
 

@@ -23,7 +23,6 @@ import re
 import struct
 import zlib
 from contextlib import ExitStack, contextmanager
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -33,6 +32,7 @@ from .errors import (
     InvalidParameter,
     Record,
     TruncatedInput,
+    bundled_text,
     check_budget,
     check_count,
 )
@@ -495,7 +495,5 @@ def load_cifar10(data_dir: str | Path, split: str = "all") -> LabeledImageDatase
 
 def load_iris(path: str | Path | None = None) -> TabularDataset:
     """Load the iris table; without a path, the bundled copy is used."""
-    if path is not None:
-        return parse_iris_csv(Path(path).read_text(encoding="utf-8"))
-    ref = resources.files("dcx").joinpath("data/iris.csv")
-    return parse_iris_csv(ref.read_text(encoding="utf-8"))
+    text = bundled_text("iris.csv") if path is None else Path(path).read_text(encoding="utf-8")
+    return parse_iris_csv(text)

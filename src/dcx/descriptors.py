@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
     DegenerateInput,
     InvalidParameter,
     Record,
+    bundled_text,
     check_count,
     from_mapping,
     load_json,
@@ -45,6 +45,7 @@ HIERARCHY_LEVELS = (
 ROLES = ("state", "instance")
 
 BUNDLED_DESCRIPTORS = ("cartpole2d", "cartpole2d-g", "cartpole3d", "monopoly", "pogo")
+BUNDLED_BREAKDOWNS = ("pogo",)
 
 
 def _cardinality_log10(cardinality: int | Power) -> float:
@@ -124,15 +125,17 @@ def load_descriptor(path: str | Path) -> DomainDescriptor:
     return descriptor_from_mapping(load_json(Path(path).read_text(encoding="utf-8"), "descriptor"))
 
 
+def _bundled_json(name: str, names: tuple[str, ...], kind: str, filename: str):
+    """Parsed data/<filename>; InvalidParameter unless name is one of names."""
+    if name not in names:
+        raise InvalidParameter(f"unknown bundled {kind} {name!r}; choose from {names}")
+    return load_json(bundled_text(filename), kind)
+
+
 def bundled_descriptor(name: str) -> DomainDescriptor:
     """Load one of the descriptors shipped with the package."""
-    if name not in BUNDLED_DESCRIPTORS:
-        raise InvalidParameter(
-            f"unknown bundled descriptor {name!r}; choose from {BUNDLED_DESCRIPTORS}"
-        )
-    ref = resources.files("dcx").joinpath(f"data/{name}.json")
-    with resources.as_file(ref) as path:
-        return load_descriptor(path)
+    return descriptor_from_mapping(
+        _bundled_json(name, BUNDLED_DESCRIPTORS, "descriptor", f"{name}.json"))
 
 
 def state_space_complexity(descriptor: DomainDescriptor) -> float:
@@ -240,11 +243,9 @@ def load_breakdown(path: str | Path) -> InformationBreakdown:
 
 
 def bundled_breakdown(name: str) -> InformationBreakdown:
-    ref = resources.files("dcx").joinpath(f"data/{name}_breakdown.json")
-    if not ref.is_file():
-        raise InvalidParameter(f"no bundled breakdown named {name!r}")
-    with resources.as_file(ref) as path:
-        return load_breakdown(path)
+    """Load one of the information breakdowns shipped with the package."""
+    return breakdown_from_mapping(
+        _bundled_json(name, BUNDLED_BREAKDOWNS, "breakdown", f"{name}_breakdown.json"))
 
 
 def information_entropy(breakdown: InformationBreakdown) -> MeasureResult:

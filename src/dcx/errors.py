@@ -1,8 +1,8 @@
 """Error taxonomy shared across the package, and what every module checks
 alike: count arguments (check_count), sizes in refusals (count_text), the
-one array budget, the one JSON reader, the frozen Record base of every
-value type, and the one decoder that builds descriptors, breakdowns and
-reports by their Record annotations.
+one array budget, the one JSON reader and bundled-file reader, the frozen
+Record base of every value type, and the one decoder that builds
+descriptors, breakdowns and reports by their Record annotations.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
@@ -11,6 +11,7 @@ library errors to one exit code and callers can catch one base class.
 import functools
 import json
 import math
+import os
 import types
 import typing
 
@@ -82,7 +83,8 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def _finite(value) -> bool:
+def is_finite_number(value) -> bool:
+    """An integer (not a bool) or float, finite as a float: what JSON holds."""
     if not (is_integer(value) or isinstance(value, float)):
         return False
     try:
@@ -97,7 +99,7 @@ def _finite(value) -> bool:
 _KINDS = {
     str: ("a string", lambda v: isinstance(v, str)),
     int: ("an integer", is_integer),
-    float: ("a finite number", _finite),
+    float: ("a finite number", is_finite_number),
     bool: ("true or false", lambda v: isinstance(v, bool)),
     type(None): ("null", lambda v: v is None),
     tuple: ("a list", lambda v: isinstance(v, list)),
@@ -114,6 +116,13 @@ def load_json(text: str, what: str):
         # JSONDecodeError, an integer past the digit limit, or nesting past
         # the recursion limit
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def bundled_text(name: str) -> str:
+    """The text of the package's data/<name>, read by this module's loader, so
+    a plain directory and a zipped install read alike."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __loader__.get_data(path).decode("utf-8")
 
 
 class Factory:

@@ -21,6 +21,7 @@ from .errors import (
     Record,
     asdict,
     from_mapping,
+    is_finite_number,
     is_integer,
     load_json,
 )
@@ -39,6 +40,12 @@ class ReferenceTarget(Record):
     value: float
     tolerance: float
     source: str
+
+    def __post_init__(self) -> None:
+        # checked, not converted: an integer target stays one, as do the hashes
+        for name in ("value", "tolerance"):
+            if not is_finite_number(getattr(self, name)):
+                raise InvalidParameter(f"target {self.measure_name} {name} must be a finite number")
 
 
 def _utc_now() -> str:
@@ -85,7 +92,7 @@ class ComplexityReport(Record):
 
 def to_json(report: ComplexityReport) -> str:
     """The report as RFC 8259 JSON, which has no NaN or infinity; a report
-    holds none (ComplexityReport refuses them)."""
+    holds none, as its measures and reference targets refuse them."""
     payload = asdict(report)
     payload["determinism_hash"] = report.determinism_hash()
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -500,6 +500,26 @@ class TestPhysics:
                 with pytest.raises(InvalidParameter, match=name):
                     CartPoleParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "value", ["9.8", None, True, False, pytest.param(10**400, id="1e400"),
+                  pytest.param(-(10**400), id="-1e400"), 1j],
+    )
+    @pytest.mark.parametrize("name", ["gravity", "cart_mass", "angle_threshold"])
+    def test_rejects_constants_that_are_not_finite_real_numbers(self, name, value):
+        # as analytic_sparsity refuses them for a limit: a string no longer
+        # ends in a bare TypeError, True no longer runs as 1.0, and 10**400
+        # no longer reaches constant_action_limit's OverflowError
+        with pytest.raises(InvalidParameter, match=f"^{name} must be"):
+            CartPoleParams(**{name: value})
+
+    def test_constants_are_stored_as_python_floats(self):
+        p = CartPoleParams(gravity=10, cart_mass=np.float64(2.0), pole_mass=np.float32(0.5),
+                           force_magnitude=np.int64(12))
+        assert (p.gravity, p.cart_mass, p.pole_mass, p.force_magnitude) == (10.0, 2.0, 0.5, 12.0)
+        assert {type(getattr(p, name)) for name in p._fields[:-1]} == {float}
+        assert p == CartPoleParams(gravity=10.0, cart_mass=2.0, pole_mass=0.5,
+                                   force_magnitude=12.0)
+
 
 class TestConstantActionLimit:
     def test_planar_limit_matches_published_window(self):

@@ -167,6 +167,22 @@ class TestTabularGini:
         with pytest.raises(InvalidParameter):
             tabular_gini(ds, "setosa", "stem_length")
 
+    @pytest.mark.parametrize(
+        ("class_ref", "feature_ref", "match"),
+        [(0.7, 0, "^class must be an integer"), (True, 0, "^class must be an integer"),
+         (-1, 0, "^class must be an integer"), (3, 0, "^class index 3 outside 0..2$"),
+         (0, 1.0, "^feature must be an integer"), (0, False, "^feature must be an integer"),
+         (0, 4, "^feature index 4 outside 0..3$")],
+    )
+    def test_rejects_indices_that_are_not_in_range_integers(self, class_ref, feature_ref, match):
+        # 0.7 once read as class 0 and True as class 1
+        with pytest.raises(InvalidParameter, match=match):
+            tabular_gini(load_iris(), class_ref, feature_ref)
+
+    def test_numpy_integer_indices_are_read(self):
+        ds = load_iris()
+        assert tabular_gini(ds, np.int64(0), np.uint8(3)) == tabular_gini(ds, 0, 3)
+
 
 class TestClassSummaries:
     def test_midpoint_quartiles_odd(self):

@@ -3,6 +3,7 @@ structural properties of the complexity sums."""
 
 import json
 import math
+import re
 import time
 
 import pytest
@@ -360,6 +361,18 @@ class TestSchemaStrictness:
     def test_bundled_unknown_name(self):
         with pytest.raises(InvalidParameter):
             bundled_descriptor("chess")
+
+    @pytest.mark.parametrize(
+        ("load", "name"),
+        [(bundled_breakdown, "../data/pogo"), (bundled_descriptor, "../pogo"),
+         (bundled_descriptor, "data/../pogo"), (bundled_breakdown, "monopoly"),
+         (bundled_descriptor, "pogo_breakdown")],
+    )
+    def test_bundled_loaders_read_only_their_own_names(self, load, name):
+        # a name outside the tuple is refused before any file is opened, so
+        # none can walk out of the package's data directory
+        with pytest.raises(InvalidParameter, match=f"^unknown bundled .*{re.escape(repr(name))}"):
+            load(name)
 
     def test_load_descriptor_from_file(self, tmp_path):
         path = tmp_path / "toy.json"

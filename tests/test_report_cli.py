@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,14 @@ import pytest
 import dcx
 from dcx.cli import main
 from dcx.datasets import load_cifar10
-from dcx.errors import MEMORY_BUDGET, FormatError, InvalidParameter, InvalidValue, ResourceLimit
+from dcx.errors import (
+    MEMORY_BUDGET,
+    FormatError,
+    InvalidParameter,
+    InvalidValue,
+    ResourceLimit,
+    replace,
+)
 from dcx.games import gtc_factorial
 from dcx.measures import ANALYTIC, MeasureResult, monte_carlo
 from dcx.report import (
@@ -43,6 +51,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+# the runs that read bundled files: a descriptor and breakdown, a cart-pole
+# descriptor table and the iris table
+BUNDLED_RUNS = (
+    ("descriptor", "pogo", "--breakdown", "pogo"),
+    ("cartpole", "--measure", "table"),
+    ("dataset", "iris", "--measure", "gini"),
+)
+
+
 def run_capped_cli(*args: str) -> subprocess.CompletedProcess:
     """`python -m dcx.cli` with the child's address space capped at 1 GiB,
     so an oversized allocation fails in the child with a MemoryError
@@ -57,6 +74,11 @@ def run_capped_cli(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "dcx.cli", *args],
         capture_output=True, text=True, timeout=60, env=env, preexec_fn=cap,
     )
+
+
+def report_hash(argv, capsys) -> str:
+    assert main(["--format", "json", "--seed", "0", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["determinism_hash"]
 
 
 def sample_report(domain="toy", value=1.5, convention="stated") -> ComplexityReport:
@@ -117,6 +139,27 @@ class TestSerialization:
             sample_report(value=1.5).determinism_hash()
             != sample_report(value=1.6).determinism_hash()
         )
+
+    @pytest.mark.parametrize("field", ["value", "tolerance"])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, True, "1.4", None, pytest.param(10**400, id="1e400")]
+    )
+    def test_reference_targets_hold_only_numbers_json_can(self, field, bad):
+        # to_json would write NaN or Infinity, which from_json then refuses
+        with pytest.raises(InvalidParameter, match=f"^target alpha {field} must be a finite number$"):
+            ReferenceTarget(**{"measure_name": "alpha", "value": 1.4, "tolerance": 0.2,
+                               "source": "worked example", field: bad})
+
+    def test_integer_reference_targets_stay_integers(self):
+        # the published counts are ints; stored as floats they would move
+        # every hash of a report that carries them
+        target = ReferenceTarget("legal_positions_total", 5478, 0, "published")
+        assert type(target.value) is int and type(target.tolerance) is int
+        report = replace(sample_report(), reference_targets=(target,))
+        recovered = from_json(to_json(report))
+        assert recovered == report
+        assert recovered.determinism_hash() == report.determinism_hash()
+        assert '"value": 5478' in to_json(report)
 
     def test_json_embeds_matching_hash(self):
         report = sample_report()
@@ -456,6 +499,20 @@ class TestCli:
     def test_descriptor_unknown_source(self, capsys):
         assert main(["descriptor", "atlantis"]) == 1
         assert "atlantis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [(["pogo_breakdown"], "'pogo_breakdown' is neither a descriptor file nor a bundled name "
+          "('cartpole2d', 'cartpole2d-g', 'cartpole3d', 'monopoly', 'pogo')"),
+         (["pogo", "--breakdown", "monopoly"],
+          "'monopoly' is neither a breakdown file nor a bundled name ('pogo',)"),
+         (["pogo", "--breakdown", "../data/pogo"],
+          "'../data/pogo' is neither a breakdown file nor a bundled name ('pogo',)")],
+    )
+    def test_one_rule_refuses_what_names_no_bundled_file(self, capsys, argv, message):
+        # "_breakdown" is dropped from a breakdown's name only
+        assert main(["descriptor", *argv]) == 1
+        assert capsys.readouterr() == ("", f"dcx: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -877,10 +934,8 @@ class TestCli:
             extra = ("--no-enumerate",) if name == "ttt" else ()
             assert main(["--format", "json", "--out", str(path), "game", name, *extra]) == 0
         argv = [arg.format(**reports) for arg in argv]
-        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses")
-        if sys.version_info < (3, 12):  # from 3.12, importlib.resources imports inspect
-            watched += ("inspect",)
-            loads = loads | ({"inspect"} if "numpy" in loads else set())
+        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses", "inspect")
+        loads = loads | ({"inspect"} if "numpy" in loads else set())
         probe = (
             "import sys\n"
             "import dcx\n"
@@ -897,6 +952,54 @@ class TestCli:
         result = run_python("-c", probe, *argv)
         assert "Traceback" not in result.stderr, result.stderr
         assert result.stderr.splitlines()[-1] == f"probe: {exit_code} [] {sorted(loads)}"
+
+    def test_bundled_files_load_without_resource_machinery(self):
+        # -S skips site, which on some hosts imports importlib.resources
+        # itself; the package's own loader reads its data files, so neither
+        # that nor what it pulls in (inspect from 3.12, tempfile, zipfile)
+        # is imported to read them
+        probe = (
+            "import os, sys\n"
+            "from dcx import datasets, descriptors\n"
+            "from dcx.cli import main\n"
+            "for name in descriptors.BUNDLED_DESCRIPTORS:\n"
+            "    descriptors.bundled_descriptor(name)\n"
+            "descriptors.bundled_breakdown('pogo')\n"
+            "datasets.load_iris()\n"
+            f"for argv in {BUNDLED_RUNS!r}:\n"
+            "    assert main(['--out', os.devnull, *argv]) == 0, argv\n"
+            "heavy = ('importlib.resources', 'inspect', 'tempfile', 'zipfile')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        result = run_python("-S", "-c", probe)
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+
+    def test_a_zipped_package_reads_its_bundled_files(self, tmp_path, capsys):
+        package = Path(dcx.__file__).resolve().parent
+        archive = tmp_path / "dcx.zip"
+        with zipfile.ZipFile(archive, "w") as zipped:
+            for path in sorted(package.rglob("*")):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zipped.write(path, path.relative_to(package.parent))
+        probe = (
+            "import io, json, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "import dcx\n"
+            "from dcx.cli import main\n"
+            "print(dcx.__file__)\n"
+            f"for argv in {BUNDLED_RUNS!r}:\n"
+            "    with redirect_stdout(io.StringIO()) as out:\n"
+            "        assert main(['--format', 'json', '--seed', '0', *argv]) == 0, argv\n"
+            "    print(json.loads(out.getvalue())['determinism_hash'])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(archive)},
+        )
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[0] == str(archive / "dcx" / "__init__.py")
+        assert lines[1:] == [report_hash(argv, capsys) for argv in BUNDLED_RUNS]
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
     @pytest.mark.parametrize(("setting", "threads"), [(None, 1), ("2", 2)])
