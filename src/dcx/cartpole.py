@@ -6,22 +6,24 @@ The dynamics have one path: _planar binds a variant's constants into one
 in-place semi-implicit Euler step of every episode and axis, which also
 tests the new state for failure, under the forces _force_table gives each
 action. _lockstep steps a block of episodes from the initial states its
-caller drew, in a _workspace the measure allocates once, and drops the
-episodes that end; both Monte Carlo measures run on it: the constant-action
-limit and the random-rollout feature/action entropy. Their memory
-therefore does not grow with the trial or sample count, and their steps
-reuse the workspace's buffers rather than allocate their own.
+caller chose, in a _workspace the measure allocates once, and drops the
+episodes that end. Two measures run on it: the constant-action limit, a
+deterministic quadrature over a grid of start states, and the
+random-rollout feature/action entropy, the one Monte Carlo measure. Their
+memory therefore does not grow with the state or sample count, and their
+steps reuse the workspace's buffers rather than allocate their own.
 Band-survival sparsity is counted exactly.
 Each measure refuses oversized work before it starts: past MEMORY_BUDGET
-for the rollout's arrays, past WORK_BUDGET for the walk and trial counts.
-_lockstep charges each step to WORK_BUDGET too, so episodes that never fail
-end in ResourceLimit rather than run on.
+for the rollout's arrays, past WORK_BUDGET for the band and the limit's
+cap on start states. _lockstep charges each step to WORK_BUDGET too, so
+episodes that never fail end in ResourceLimit rather than run on.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from operator import add
 
 import numpy as np
@@ -33,8 +35,17 @@ from .errors import (
     check_budget,
     check_count,
     count_text,
+    replace,
 )
-from .measures import ANALYTIC, MeasureResult, histogram, monte_carlo, shannon_entropy
+from .measures import (
+    ANALYTIC,
+    MeasureResult,
+    Provenance,
+    histogram,
+    monte_carlo,
+    quadrature,
+    shannon_entropy,
+)
 
 VARIANTS = ("2d", "2dg", "3d")
 
@@ -45,20 +56,33 @@ INIT_BOUND = 0.05
 # so that no request runs for days, in modelled ns on a 2-vCPU x86-64
 # machine: per band counted, 400 per step plus, per band cell and step, 30
 # and 1 more per 64 steps of episode (the counts grow to episode_length
-# bits); 750 per trial and axis before the trials start, and _STEP_NS and
-# _ROW_NS per _lockstep step as they run. 2**34 ns is about 17 s (a loaded
-# host took up to twice the model): 38,000 times the 3d sparsity default,
-# or 22.9M planar trials.
+# bits); 750 per start state and axis of the limit's cap before it starts,
+# and _STEP_NS and _ROW_NS per _lockstep step, and _CLIP_NS per clipped
+# start state and step, as they run. 2**34 ns is about 17 s (a loaded host
+# took up to twice the model): 38,000 times the 3d sparsity default, or a
+# cap of 22.9M planar start states.
 WORK_BUDGET = 1 << 34
 
-# constant-action trials stepped at a time; fixed, so the limit's memory is too
+# constant_action_limit's quadrature ends once two successive grid levels
+# agree within this; its first level has _FIRST_LEVEL points per axis
+LIMIT_TOLERANCE = 1e-4
+_FIRST_LEVEL = 16
+# the limit's grid states stepped at a time; fixed, so its memory is too
 _TRIAL_BLOCK = 1 << 15
+# rounding allowed for in the limit's affine x rule, in metres
+_X_MARGIN = 1e-9
+# the uniform (x_0, x_dot_0) box the rule clips, as a polygon
+_BOX = [(-INIT_BOUND, -INIT_BOUND), (INIT_BOUND, -INIT_BOUND), (INIT_BOUND, INIT_BOUND),
+        (-INIT_BOUND, INIT_BOUND)]
 # rollout episodes stepped at a time; fixed, since the samples depend on it
 _EPISODE_BLOCK = 1 << 10
 # modelled ns of one _lockstep step per axis: the ufunc calls', and 70 per
-# live episode, so the 9.4 steps of a 2d trial come to about 680 of its 750
+# live episode, so the 9.4 steps of a 2d episode come to about 680 of the
+# 750 per start state
 _STEP_NS = 30_000
 _ROW_NS = 70
+# modelled ns of the limit's x rule per clipped start state and step
+_CLIP_NS = 10_000
 
 
 def _check_work(ns: int, work: str, *args) -> None:
@@ -260,34 +284,153 @@ def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int) -> tu
     return steps, spent
 
 
-def constant_action_limit(params: CartPoleParams, trials: int, seed: int) -> float:
+def _clip(polygon: list, a: float, b: float, c: float) -> list:
+    """The part of a convex polygon, a list of (u, v) vertices in order,
+    where a * u + b * v <= c (one Sutherland-Hodgman pass)."""
+    out = []
+    u0, v0 = polygon[-1]
+    d0 = a * u0 + b * v0 - c
+    for u1, v1 in polygon:
+        d1 = a * u1 + b * v1 - c
+        if (d0 <= 0) != (d1 <= 0):
+            s = d0 / (d0 - d1)
+            out.append((u0 + s * (u1 - u0), v0 + s * (v1 - v0)))
+        if d1 <= 0:
+            out.append((u1, v1))
+        u0, v0, d0 = u1, v1, d1
+    return out
+
+
+def _area(polygon: list) -> float:
+    """The shoelace area of a polygon's vertex list."""
+    edges = zip(polygon, polygon[1:] + polygon[:1])
+    return abs(sum(u0 * v1 - u1 * v0 for (u0, v0), (u1, v1) in edges)) / 2
+
+
+def _axis_survival(params: CartPoleParams, force: float, n: int, horizon: float,
+                   workspace, starts, spent: int) -> tuple[list, int]:
+    """One axis of constant_action_limit's level n: (S, spent), where S[k]
+    sums, over the n x n midpoint grid of (theta_0, theta_dot_0), the
+    probability over the uniform (x_0, x_dot_0) box that the axis is still
+    up before step k + 1 under a constant force.
+
+    Each grid state starts at x = x_dot = 0 and is stepped by _lockstep in
+    blocks of starts' rows until its pole falls or for horizon steps. The cart's acceleration does not read x or x_dot, so
+    from another start x_t = x_0 + t * dt * x_dot_0 + D_t, where D_t is
+    the grid state's own x. Where |D_t| + INIT_BOUND * (1 + t * dt) stays
+    below the position threshold less _X_MARGIN, no start in the box
+    leaves the track by step t; else the (x_0, x_dot_0) that stay are a
+    convex polygon, clipped by each such step's strip, and its area is
+    their share. A state ends once its polygon is empty.
+    """
+    # the failure test sees the pole only; the track edge is the polygon's
+    stepped = replace(params, variant="2d", position_threshold=sys.float_info.max)
+    threshold, dt = params.position_threshold - _X_MARGIN, params.timestep
+    forces = np.array([[force]])
+    nodes = -INIT_BOUND + (np.arange(n) + 0.5) * (2 * INIT_BOUND / n)
+    box = 4 * INIT_BOUND * INIT_BOUND
+    survival: list = []
+    rows = min(_TRIAL_BLOCK, n * n)
+    for first in range(0, n, rows // n):
+        block = starts[:rows].reshape(rows // n, n, 4)
+        block[:, :, 2] = nodes[first : first + rows // n, None]
+        block[:, :, 3] = nodes
+        # per step, the live states and the share the clipped ones lost;
+        # a clipped state's [polygon, share] by its row in the live block
+        lives, lost, clipped = [], [], {}
+        clip_ns = 0
+
+        def push(state):
+            nonlocal clip_ns
+            live = state.size // 4
+            t = len(lives)
+            lives.append(live)
+            x = state[:live]
+            slack = threshold - INIT_BOUND * (1 + t * dt)
+            if t and max(float(x.max()), -float(x.min())) >= slack:
+                for row in np.flatnonzero(np.abs(x) >= slack).tolist():
+                    entry = clipped.setdefault(row, [_BOX, 1.0])
+                    d = float(x[row])
+                    polygon = _clip(entry[0], 1.0, t * dt, threshold - d)
+                    polygon = _clip(polygon, -1.0, -t * dt, threshold + d) if polygon else polygon
+                    entry[:] = polygon, _area(polygon) / box if polygon else 0.0
+            if clipped:
+                clip_ns += _CLIP_NS * len(clipped)
+                _check_work(spent + clip_ns, "clipping {} x starts past step {}", params.variant, t)
+            lost.append(sum(1.0 - share for _, share in clipped.values()))
+            return forces
+
+        def end(t, failed):
+            if t >= horizon:
+                failed[:] = True
+            elif clipped:
+                for row, (_, share) in clipped.items():
+                    failed[row] |= share == 0.0
+                # each row that goes on moves up past the rows ended before it
+                gone = np.cumsum(failed)
+                moved = {row - int(gone[row]): entry for row, entry in clipped.items()
+                         if not failed[row]}
+                clipped.clear()
+                clipped.update(moved)
+            return failed
+
+        _, spent = _lockstep(stepped, starts[:rows], workspace, push, end, spent)
+        spent += clip_ns
+        for k, (live, share) in enumerate(zip(lives, lost)):
+            # an int while no state is clipped, so that the sums stay exact
+            live = live - share if share else live
+            if k < len(survival):
+                survival[k] += live
+            else:
+                survival.append(live)
+    return survival, spent
+
+
+def constant_action_limit(
+    params: CartPoleParams, trials: int, *, levels: list | None = None
+) -> float:
     """Mean number of identical pushes a fresh episode survives.
 
-    Every trial starts from a uniform [-0.05, 0.05] state and repeats the
+    Every episode starts from a uniform [-0.05, 0.05] state and repeats the
     positive x push until the failure predicate fires; the failing step is
-    included in the count. A count past WORK_BUDGET is refused before any
-    draw, and stepping past it, which only thresholds the push never reaches
-    allow, is refused as it happens. Trials are drawn _TRIAL_BLOCK at a time
-    (the same draws as one trials x state_size call) and stepped by
-    _lockstep in one workspace; their steps add up exactly in a Python int.
+    included in the count. Under that push the pole's motion reads only its
+    own (theta, theta_dot), so the mean is an integral over those two (see
+    _axis_survival for x), taken by midpoint grids of n x n start states:
+    n = 16 first, then doubled until two successive levels agree within
+    LIMIT_TOLERANCE or the next level would take the start states stepped
+    past trials. The 16 x 16 level always runs. For 3d the axes are
+    independent, so E[T] = sum over k of P(T_push >= k) * P(T_coast >= k);
+    the coasting axis steps the same grid, only as far as the pushed axis's
+    longest episode at that level, and a start state counts once for both.
+    A cap past WORK_BUDGET is refused before any step, and stepping past
+    it, which only thresholds the push never reaches allow, is refused as
+    it happens. levels, when given, receives each level's (n, value, start
+    states stepped so far).
     """
     trials = check_count(trials, "trials")
-    check_count(seed, "seed", 0)
     _check_work(trials * params.axis_count * 750,
-                "constant_action_limit with {} {} trials", trials, params.variant)
-    rng = np.random.default_rng(seed)
-    workspace = _workspace(params, min(trials, _TRIAL_BLOCK))
-    forces = _force_table(params)[:, 1:2]
-    total = spent = 0
-    for done in range(0, trials, _TRIAL_BLOCK):
-        rows = min(_TRIAL_BLOCK, trials - done)
-        # drawn in the call, so that a block's draws are freed before the next's
-        steps, spent = _lockstep(
-            params, rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, params.state_size)),
-            workspace, lambda state: forces, lambda t, failed: failed, spent,
-        )
-        total += steps
-    return total / trials
+                "constant_action_limit with {} {} start states", trials, params.variant)
+    # every level runs only while its n * n start states fit in trials
+    rows = min(max(trials, _FIRST_LEVEL**2), _TRIAL_BLOCK)
+    workspace = _workspace(replace(params, variant="2d"), rows)
+    starts = np.zeros((rows, 4))  # x and x_dot stay 0
+    force = params.force_magnitude
+    done, spent, n, previous = 0, 0, _FIRST_LEVEL, None
+    while True:
+        pushed, spent = _axis_survival(params, force, n, math.inf, workspace, starts, spent)
+        survivals = [pushed]
+        if params.variant == "3d":
+            coast, spent = _axis_survival(params, 0.0, n, len(pushed), workspace, starts, spent)
+            survivals.append(coast)
+        # exact while no state was clipped: a sum of ints over n**2 per axis
+        value = sum(map(math.prod, zip(*survivals))) / n ** (2 * len(survivals))
+        done += n * n
+        if levels is not None:
+            levels.append((n, value, done))
+        converged = previous is not None and abs(value - previous) <= LIMIT_TOLERANCE
+        if converged or done + (2 * n) ** 2 > trials:
+            return value
+        previous, n = value, 2 * n
 
 
 def _surviving_walks(band: int, length: int) -> int:
@@ -348,14 +491,19 @@ class RolloutConfig(Record):
 def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (pre-step state, action) samples of random play.
 
-    Episodes run _EPISODE_BLOCK at a time through _lockstep, all from one
-    PCG64 stream: a block draws its initial states as one block x state_size
-    call, then before each step one action per live episode, in episode
-    order. The samples are the episodes laid end to end in order, block
-    after block, and cut at sample_count; an episode stops being stepped
-    once none of its later samples could fall before the cut. Features come
-    back as the transpose of a state_size x sample_count array, so each
-    feature's column is contiguous, and actions as uint8.
+    Episodes run in blocks through _lockstep, all from one PCG64 stream: a
+    block draws its initial states as one block x state_size call, then
+    before each step one action per live episode, in episode order, as
+    floor(u * action_count) of a uniform double u, which is exactly uniform
+    over 2 or 4 actions. The first block holds _EPISODE_BLOCK episodes, or
+    sample_count if fewer; each later one as many as the samples still
+    needed take at the mean episode length so far, up to _EPISODE_BLOCK,
+    so that the last block steps few episodes past the cut. The samples
+    are the episodes laid end to end in order, block after block, and cut
+    at sample_count; an episode stops being stepped once none of its later
+    samples could fall before the cut. Features come back as the transpose
+    of a state_size x sample_count array, so each feature's column is
+    contiguous, and actions as uint8.
     """
     n, samples = params.state_size, cfg.sample_count
     # A block records at most block x max_steps samples, and at most
@@ -389,7 +537,7 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
         if k + live > records.shape[1]:
             more = np.empty((n + 2, min(records.shape[1], bound - records.shape[1])))
             records = np.concatenate((records, more), axis=1)
-        drawn = rng.integers(params.action_count, size=live)
+        drawn = (rng.random(live) * params.action_count).astype(np.intp)
         step_records = records[:, k : k + live]
         # the state in state_size order, from _planar's x, theta, x_dot, theta_dot
         step_records[:n].reshape(axes, 2, 2, live)[...] = (
@@ -414,11 +562,12 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
         ids = ids[~failed]
         return failed
 
-    filled = spent = 0
+    filled = spent = episodes = stepped = 0
+    rows = min(_EPISODE_BLOCK, samples)  # each episode gives at least one sample
     while filled < samples:
         # the live episodes, the steps of those ended, where each step's records end
-        ids, lengths, ends = np.arange(_EPISODE_BLOCK), np.zeros(_EPISODE_BLOCK, np.int64), [0]
-        states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(_EPISODE_BLOCK, n))
+        ids, lengths, ends = np.arange(rows), np.zeros(rows, np.int64), [0]
+        states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, n))
         steps, spent = _lockstep(params, states, workspace, push, end, spent)
         k = ends[-1]
         starts = filled + np.cumsum(lengths) - lengths
@@ -428,6 +577,10 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
         features[:, at] = records[:n, :k]
         actions[at] = records[n, :k]
         filled = min(samples, filled + steps)
+        # a block short of the cut ended every episode by itself, so its
+        # steps per episode are the mean length
+        episodes, stepped = episodes + rows, stepped + steps
+        rows = min(_EPISODE_BLOCK, -(-(samples - filled) * episodes // stepped))
     return features[:, :samples].T, actions[:samples]
 
 
@@ -440,7 +593,9 @@ def rollout_entropy(
     random actions, each ending on failure or after max_steps, laid end to
     end and cut at sample_count (see _rollout). Each feature is min-max
     normalized over the collected sample and histogrammed into bin_count
-    bins; returns (sum of per-feature bits, action bits).
+    bins; returns (sum of per-feature bits, action bits). Only the occupied
+    bins reach shannon_entropy, which drops empty ones from its sum anyway,
+    so a large bin_count costs no per-bin Python work beyond the histogram.
     """
     features, actions = _rollout(params, cfg)
     feature_bits = 0.0
@@ -449,40 +604,56 @@ def rollout_entropy(
         lo, hi = float(column.min()), float(column.max())
         if hi == lo:
             continue
-        hist = histogram(column, cfg.bin_count, (lo, hi))
-        feature_bits += shannon_entropy(hist.probabilities())
+        counts = np.array(histogram(column, cfg.bin_count, (lo, hi)).counts)
+        occupied = counts[counts > 0]
+        feature_bits += shannon_entropy(occupied / occupied.sum())
     counts = np.bincount(actions, minlength=params.action_count)
     action_bits = shannon_entropy(counts / counts.sum())
     return feature_bits, float(action_bits)
 
 
 # One function per cart-pole report: each returns its measures and notes.
+_LIMIT_CONVENTION = (
+    "mean repeated identical pushes until failure; uniform [-0.05, 0.05] inits; "
+    "the failing step is counted; midpoint-grid quadrature over the pole's start "
+    f"(theta, theta_dot), {_FIRST_LEVEL}^2 points first, doubled until two levels agree "
+    f"within {LIMIT_TOLERANCE:g} or the next would pass the trials cap; the cart's x "
+    "by the exact polygon area of the (x, x_dot) starts that stay on the track"
+)
+
+
+def _measured_limit(params: CartPoleParams, trials: int) -> tuple[float, Provenance, str]:
+    """constant_action_limit over trials, its provenance and a note that
+    names its levels."""
+    levels: list = []
+    value = constant_action_limit(params, trials, levels=levels)
+    n, _, states = levels[-1]
+    note = f"limit quadrature levels {_FIRST_LEVEL}^2 to {n}^2, {states} start states"
+    if len(levels) > 1:
+        note += f"; the last two levels differ by {abs(value - levels[-2][1]):.2g}"
+    return value, quadrature(states), note
+
+
 def limit_measures(
-    params: CartPoleParams, trials: int = 10_000, seed: int = 0
+    params: CartPoleParams, trials: int = 10_000
 ) -> tuple[list[MeasureResult], list[str]]:
-    return [
-        MeasureResult(
-            "constant_action_limit",
-            constant_action_limit(params, trials, seed),
-            "mean repeated identical pushes until failure; uniform "
-            "[-0.05, 0.05] inits; the failing step is counted",
-            monte_carlo(seed, trials),
-        )
-    ], []
+    value, provenance, note = _measured_limit(params, trials)
+    return [MeasureResult("constant_action_limit", value, _LIMIT_CONVENTION, provenance)], [note]
 
 
 def sparsity_measures(
     params: CartPoleParams, limit: float | None = None, trials: int = 10_000,
-    episode_length: int = 200, seed: int = 0,
+    episode_length: int = 200,
 ) -> tuple[list[MeasureResult], list[str]]:
     """Band-survival sparsity; without a limit, the band is measured with
-    constant_action_limit over trials."""
+    constant_action_limit capped at trials start states."""
+    notes = []
     if limit is not None:
         limit_source, band_provenance = "user-provided action limit", ANALYTIC
     else:
-        limit = constant_action_limit(params, trials, seed)
-        limit_source = "measured constant-action limit"
-        band_provenance = monte_carlo(seed, trials)
+        limit, band_provenance, note = _measured_limit(params, trials)
+        limit_source = "constant-action limit by quadrature"
+        notes.append(note)
     value = analytic_sparsity(limit, episode_length=episode_length, axes=params.axis_count)
     return [
         MeasureResult(
@@ -495,7 +666,7 @@ def sparsity_measures(
             ANALYTIC,
         ),
         MeasureResult("action_limit_band", limit, limit_source, band_provenance),
-    ], []
+    ], notes
 
 
 def entropy_measures(

@@ -181,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--measure", choices=("table", "limit", "sparsity", "entropy"),
         default="table",
     )
-    cart.add_argument("--trials", type=int)
+    cart.add_argument(
+        "--trials", type=int,
+        help="cap on the start states the constant-action limit's quadrature steps "
+             "(default 10000)",
+    )
     cart.add_argument("--samples", type=int)
     cart.add_argument("--bins", type=int)
     cart.add_argument("--limit", type=float, help="action-limit override for the sparsity band")
@@ -265,12 +269,13 @@ def _run_cartpole(args) -> _Fields:
 
     from . import cartpole as cp
 
-    build = {"limit": cp.limit_measures, "sparsity": cp.sparsity_measures,
-             "entropy": cp.entropy_measures}[args.measure]
-    measures, notes = build(cp.params_for_variant(args.variant), seed=args.seed, **given)
-    # a given band leaves nothing to draw
-    seed = None if "limit" in given else args.seed
-    return domain, args.measure, measures, lead + notes, seed
+    params = cp.params_for_variant(args.variant)
+    if args.measure == "entropy":  # the one sampled cart-pole measure
+        measures, notes = cp.entropy_measures(params, seed=args.seed, **given)
+        return domain, args.measure, measures, lead + notes, args.seed
+    build = cp.limit_measures if args.measure == "limit" else cp.sparsity_measures
+    measures, notes = build(params, **given)
+    return domain, args.measure, measures, lead + notes, None
 
 
 def _run_dataset(args) -> _Fields:

@@ -5,6 +5,7 @@ and boxplot-style class summaries.
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from typing import TYPE_CHECKING
 
@@ -20,6 +21,7 @@ from .measures import (  # noqa: F401
     histogram,
     log10_product,
     normalized_entropy,
+    pairwise_sum,
     shannon_entropy,
 )
 
@@ -91,7 +93,8 @@ def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
     packed = np.take_along_axis(terms, order, axis=1)
     lengths = keep.sum(axis=1)
     sums = np.zeros(len(terms))
-    for k in np.unique(lengths):
+    # the distinct counts, ascending; np.unique would import numpy.ma
+    for k in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == k)
         sums[rows] = packed[rows, :k].sum(axis=1)
     return sums
@@ -242,16 +245,34 @@ def tabular_gini(dataset: TabularDataset, class_ref, feature_ref) -> float:
     return gini(values)
 
 
-def _midpoint_quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
-    """Median and Tukey hinges: the median joins both halves when N is odd."""
+def _sorted_median(sorted_values) -> float:
+    """The median of values sorted ascending, NaN last, bit for bit as
+    np.median gives it, which would import numpy.ma: the mean of the one or
+    two middle values, summed as numpy sums them; NaN if any value is NaN
+    or there are none."""
+    n = len(sorted_values)
+    if not n or math.isnan(sorted_values[-1]):
+        return math.nan
+    middles = [float(v) for v in sorted_values[(n - 1) // 2 : n // 2 + 1]]
+    return pairwise_sum(middles) / len(middles)
+
+
+def _nan_median(values) -> float:
+    """np.nanmedian of a 1-d float array: the median of its values that are
+    not NaN, or NaN if none is."""
     import numpy as np
 
+    ordered = np.sort(values)
+    return _sorted_median(ordered[: len(ordered) - int(np.count_nonzero(np.isnan(ordered)))])
+
+
+def _midpoint_quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
+    """Median and Tukey hinges: the median joins both halves when N is odd."""
     n = len(sorted_values)
-    median = float(np.median(sorted_values))
     half = n // 2
     lower = sorted_values[: half + (n % 2)]
     upper = sorted_values[half:]
-    return float(np.median(lower)), median, float(np.median(upper))
+    return _sorted_median(lower), _sorted_median(sorted_values), _sorted_median(upper)
 
 
 class ClassSummary(Record):
@@ -316,7 +337,7 @@ def median_of_medians(summaries: list[ClassSummary]) -> float:
 
     if not summaries:
         raise DegenerateInput("no class summaries to aggregate")
-    return float(np.median([s.median for s in summaries]))
+    return _sorted_median(np.sort([s.median for s in summaries]))
 
 
 # One function per dataset report: each returns its measures and notes.
@@ -438,7 +459,7 @@ def image_measures(
         measures += [
             MeasureResult(
                 f"gini_median_{channel_name}",
-                float(np.nanmedian(per_image[:, c])),
+                _nan_median(per_image[:, c]),
                 "median over images of the per-image channel Gini index",
                 ANALYTIC,
             )

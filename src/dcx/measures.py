@@ -289,17 +289,21 @@ def log10_int(n: int) -> float:
 
 
 class Provenance(Record):
-    """How a value was obtained: closed form, exhaustive count, or sampling."""
+    """How a value was obtained: closed form, exhaustive count, sampling
+    (with its seed and sample count), or deterministic quadrature (with the
+    points it evaluated as samples)."""
 
     kind: str
     seed: int | None = None
     samples: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("analytic", "enumerated", "monte_carlo"):
+        if self.kind not in ("analytic", "enumerated", "monte_carlo", "quadrature"):
             raise InvalidParameter(f"unknown provenance kind {self.kind!r}")
         if self.kind == "monte_carlo" and (self.seed is None or self.samples is None):
             raise InvalidParameter("monte_carlo provenance records seed and samples")
+        if self.kind == "quadrature" and (self.seed is not None or self.samples is None):
+            raise InvalidParameter("quadrature provenance records samples and no seed")
         # stored as Python ints, so that a numpy integer reaches no report
         for name, least in (("seed", 0), ("samples", 1)):
             if getattr(self, name) is not None:
@@ -312,6 +316,10 @@ ENUMERATED = Provenance("enumerated")
 
 def monte_carlo(seed: int, samples: int) -> Provenance:
     return Provenance("monte_carlo", seed=seed, samples=samples)
+
+
+def quadrature(samples: int) -> Provenance:
+    return Provenance("quadrature", samples=samples)
 
 
 class MeasureResult(Record):

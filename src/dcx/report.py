@@ -30,6 +30,14 @@ from .measures import MeasureResult
 TOOL_VERSION = "0.1.0"
 
 
+def _is_real(value) -> bool:
+    # numbers is imported only here, for a value that is neither a Python
+    # float nor an integer; bool is no number here
+    import numbers
+
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class ReferenceTarget(Record):
     """A published value a measure is expected to land near.
 
@@ -42,10 +50,20 @@ class ReferenceTarget(Record):
     source: str
 
     def __post_init__(self) -> None:
-        # checked, not converted: an integer target stays one, as do the hashes
+        # stored as a Python int for an integer, so that the hashes keep it
+        # one, and as a Python float for any other real number, such as a
+        # numpy float32; either way JSON can hold it
         for name in ("value", "tolerance"):
-            if not is_finite_number(getattr(self, name)):
+            value = getattr(self, name)
+            if is_integer(value):
+                value = int(value)
+            elif isinstance(value, float) or _is_real(value):
+                value = float(value)
+            if not is_finite_number(value):
                 raise InvalidParameter(f"target {self.measure_name} {name} must be a finite number")
+            object.__setattr__(self, name, value)
+        if self.tolerance < 0:
+            raise InvalidParameter(f"target {self.measure_name} tolerance must not be negative")
 
 
 def _utc_now() -> str:

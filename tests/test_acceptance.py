@@ -153,9 +153,9 @@ def test_criterion_06_cartpole_simulation():
         heavy = params_for_variant("2dg")
         spatial = params_for_variant("3d")
 
-        limit_2d = constant_action_limit(planar, 10_000, seed=0)
-        limit_2dg = constant_action_limit(heavy, 10_000, seed=0)
-        limit_3d = constant_action_limit(spatial, 10_000, seed=0)
+        limit_2d = constant_action_limit(planar, 10_000)
+        limit_2dg = constant_action_limit(heavy, 10_000)
+        limit_3d = constant_action_limit(spatial, 10_000)
         assert limit_2d == approx(9.37, abs=1.0)
         assert limit_2dg == approx(9.22, abs=1.0)
 

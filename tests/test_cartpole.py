@@ -1,9 +1,11 @@
 """Cart-pole simulator: physics sanity, measured action limits, and the
 exact random-walk sparsity count checked against enumeration and sampling.
 The simulation kernels are checked bit for bit against straightforward
-masked loops, and the rollout's block layout also against the restarting
-chain it replaced, by distribution. The last tests check count arguments
-across the package, most of which are the cart-pole measures'."""
+masked loops: the limit's quadrature against the masked loop over its grid,
+and also against that loop's Monte Carlo mean by distribution; the
+rollout's block layout also against the restarting chain it replaced, by
+distribution. The last tests check count arguments across the package,
+most of which are the cart-pole measures'."""
 
 import math
 import os
@@ -168,24 +170,22 @@ def oracle_limit_steps(p, states):
     return steps, live
 
 
-def oracle_constant_action_limit(p, trials, seed):
-    rng = np.random.default_rng(seed)
-    states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(trials, p.state_size))
-    return float(oracle_limit_steps(p, states)[0].mean())
-
-
 def oracle_block_rollout(p, cfg):
     """The block layout as a masked loop: (features, actions, most records
-    one block kept). Each block's episodes are rows of one block x
-    state_size array; every step draws one action per live row in row order,
-    steps the live rows and tests every row, and an episode ends on failure,
-    at max_steps, or once the rows up to and including it hold the samples
-    still needed. The records are then sorted by (episode, step) and cut."""
+    one block kept). Each block's episodes are
+    rows of one block x state_size array: the first block has
+    _EPISODE_BLOCK rows or sample_count if fewer, each later one the
+    samples still needed over the mean episode length so far, rounded up
+    and at most _EPISODE_BLOCK. Every step draws one action per live row in
+    row order, floor(u * action_count) of a uniform u, steps the live rows
+    and tests every row, and an episode ends on failure, at max_steps, or
+    once the rows up to and including it hold the samples still needed.
+    The records are then sorted by (episode, step) and cut."""
     rng = np.random.default_rng(cfg.seed)
-    block = cartpole._EPISODE_BLOCK
     need = cfg.sample_count
+    block = min(cartpole._EPISODE_BLOCK, need)
     features, actions = [], []
-    most = 0
+    most = episodes = steps_so_far = 0
     while need > 0:
         states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(block, p.state_size))
         alive = np.ones(block, dtype=bool)
@@ -194,7 +194,7 @@ def oracle_block_rollout(p, cfg):
         t = 0
         while alive.any():
             live = np.flatnonzero(alive)
-            a = rng.integers(p.action_count, size=live.size)
+            a = np.floor(rng.random(live.size) * p.action_count).astype(np.int64)
             rows.append(live)
             steps.append(np.full(live.size, t))
             seen.append(states[live])
@@ -213,6 +213,9 @@ def oracle_block_rollout(p, cfg):
         features.append(np.concatenate(seen)[order])
         actions.append(np.concatenate(drawn)[order])
         need -= int(lengths.sum())
+        episodes += block
+        steps_so_far += int(lengths.sum())
+        block = min(cartpole._EPISODE_BLOCK, -(-need * episodes // steps_so_far))
     return np.concatenate(features), np.concatenate(actions), most
 
 
@@ -521,71 +524,190 @@ class TestPhysics:
                                    force_magnitude=12.0)
 
 
+def grid_states(p, n):
+    """The start states of constant_action_limit's level n: x = x_dot = 0
+    and (theta, theta_dot) on the n x n midpoint grid over the start box,
+    for every axis; for 3d, every pair of an x-axis and a y-axis point."""
+    nodes = -INIT_BOUND + (np.arange(n) + 0.5) * (2 * INIT_BOUND / n)
+    theta, theta_dot = (g.ravel() for g in np.meshgrid(nodes, nodes, indexing="ij"))
+    planar = np.zeros((n * n, 4))
+    planar[:, 2], planar[:, 3] = theta, theta_dot
+    if p.axis_count == 1:
+        return planar
+    return np.hstack([np.repeat(planar, n * n, axis=0), np.tile(planar, (n * n, 1))])
+
+
+def oracle_monte_carlo(p, trials, seed, chunk=1 << 17):
+    """The masked loop from uniform starts: (mean failing step, its
+    standard error), drawn chunk trials at a time from one stream."""
+    rng = np.random.default_rng(seed)
+    total = squares = 0.0
+    for done in range(0, trials, chunk):
+        rows = min(chunk, trials - done)
+        states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, p.state_size))
+        steps = oracle_limit_steps(p, states)[0]
+        total += steps.sum()
+        squares += (steps * steps).sum()
+    mean = total / trials
+    return mean, math.sqrt((squares / trials - mean * mean) / trials)
+
+
+def levels_of(p, trials):
+    levels = []
+    value = constant_action_limit(p, trials, levels=levels)
+    assert value == levels[-1][1]
+    return levels
+
+
+# caller-set params under which the cart often reaches the track edge
+# before the pole falls, so the x rule clips many grid states
+EDGE_PARAMS = {
+    "2d": {"position_threshold": 0.12},
+    "2dg": {"position_threshold": 0.5},
+    "3d": {"position_threshold": 0.1, "force_magnitude": 3.0},
+}
+
+
 class TestConstantActionLimit:
     def test_planar_limit_matches_published_window(self):
         p = params_for_variant("2d")
-        assert constant_action_limit(p, 10_000, seed=0) == pytest.approx(9.37, abs=1.0)
+        assert constant_action_limit(p, 10_000) == pytest.approx(9.37, abs=1.0)
 
     def test_high_gravity_limit(self):
         p = params_for_variant("2dg")
-        assert constant_action_limit(p, 10_000, seed=0) == pytest.approx(9.22, abs=1.0)
+        assert constant_action_limit(p, 10_000) == pytest.approx(9.22, abs=1.0)
 
-    def test_deterministic_under_seed(self):
-        p = params_for_variant("2d")
-        a = constant_action_limit(p, 2000, seed=42)
-        b = constant_action_limit(p, 2000, seed=42)
-        assert a == b
+    def test_deterministic(self):
+        p = params_for_variant("2dg")
+        assert constant_action_limit(p, 100_000) == constant_action_limit(p, 100_000)
 
-    def test_seed_changes_sample(self):
-        p = params_for_variant("2d")
-        values = {constant_action_limit(p, 500, seed=s) for s in range(6)}
-        assert len(values) > 1
-
-    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
-    def test_compacted_trials_match_masked_loop(self, variant):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_within_four_standard_errors_of_monte_carlo(self, variant):
+        # the masked loop over a million uniform starts; at the default cap
+        # and at the benchmark's, the quadrature lies within 4 SE of it
         p = params_for_variant(variant)
-        block = cartpole._TRIAL_BLOCK
-        cases = [(1, 0), (37, 1), (5000, 2), (20_000, 11)]
-        # the last block full, one short, one row long, and a third partial
-        cases += [(block - 1, 3), (block, 4), (block + 1, 5), (2 * block + 37, 6)]
-        for trials, seed in cases:
-            got = constant_action_limit(p, trials, seed)
-            assert got.hex() == oracle_constant_action_limit(p, trials, seed).hex(), trials
+        mean, se = oracle_monte_carlo(p, 1_000_000, 7)
+        for trials in (10_000, 1_000_000):
+            assert abs(constant_action_limit(p, trials) - mean) < 4 * se, trials
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_x_rule_within_four_standard_errors_of_monte_carlo(self, variant):
+        # near the track edge the (x, x_dot) share that stays is a polygon
+        # area; the x rule moves these limits by more than 10 SE of the
+        # sampled mean, and the quadrature still lands within 4 SE of it
+        p = replace(params_for_variant(variant), **EDGE_PARAMS[variant])
+        mean, se = oracle_monte_carlo(p, 250_000, 11)
+        pole_only = constant_action_limit(replace(p, position_threshold=1e300), 100_000)
+        assert abs(pole_only - mean) > 10 * se
+        assert abs(constant_action_limit(p, 100_000) - mean) < 4 * se
+
+    @pytest.mark.parametrize("variant", ["2d", "3d"])
+    def test_failing_step_ignores_the_cart_at_default_params(self, variant):
+        # the pushed pole falls before the cart nears the edge, so zeroing
+        # every axis's x and x_dot changes no failing step
+        p = params_for_variant(variant)
+        states = np.random.default_rng(4).uniform(-INIT_BOUND, INIT_BOUND, (50_000, p.state_size))
+        centred = states.copy()
+        centred[:, 0::4] = centred[:, 1::4] = 0.0
+        assert (oracle_limit_steps(p, states)[0] == oracle_limit_steps(p, centred)[0]).all()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("block", [None, 64])
+    def test_levels_are_the_masked_loop_over_the_grid(self, variant, block, monkeypatch):
+        # at the default params no grid state nears the track edge, so each
+        # level is the masked loop's mean failing step over its grid, bit
+        # for bit, whether a level is one block or many; for 3d the grid is
+        # every pair of the two axes' points, which the product form sums
+        if block is not None:
+            monkeypatch.setattr(cartpole, "_TRIAL_BLOCK", block)
+        p = params_for_variant(variant)
+        sizes = (16,) if variant == "3d" else (16, 32, 64)
+        levels = levels_of(p, 5376 if variant != "3d" else 256)
+        assert [n for n, _, _ in levels] == list(sizes)
+        for n, value, _ in levels:
+            steps = oracle_limit_steps(p, grid_states(p, n))[0]
+            assert value.hex() == float(steps.mean()).hex(), n
+
+    def test_spatial_product_form_where_the_coasting_pole_falls_first(self):
+        # under high gravity the coasting pole can fall before the pushed
+        # one; the product of the two axes' survival still gives the masked
+        # loop over every pair of grid points exactly
+        p = replace(params_for_variant("3d"), gravity=250.0)
+        (n, value, _), = levels_of(p, 256)
+        steps = oracle_limit_steps(p, grid_states(p, n))[0]
+        planar = constant_action_limit(replace(p, variant="2d"), 256)
+        assert value.hex() == float(steps.mean()).hex()
+        assert value < planar
+
+    @pytest.mark.parametrize("trials", [10_000, 1_000_000])
+    def test_spatial_limit_equals_planar_at_default_params(self, trials):
+        # the coasting pole outlasts every pushed episode from the start box
+        assert constant_action_limit(params_for_variant("3d"), trials) == \
+            constant_action_limit(params_for_variant("2d"), trials)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_states_stepped_never_pass_the_cap(self, variant):
+        # the 16 x 16 level always runs; after it, a level runs only if its
+        # states fit under the cap, and the levels stop at the first two
+        # that agree within LIMIT_TOLERANCE
+        p = params_for_variant(variant)
+        for trials in (1, 255, 256, 1279, 1280, 5375, 5376, 21_759, 21_760, 100_000, 10**6):
+            levels = levels_of(p, trials)
+            assert levels[0][0] == 16 and levels[0][2] == 256
+            assert max(256, trials) >= levels[-1][2]
+            for (n, _, done), (m, _, after) in zip(levels, levels[1:]):
+                assert m == 2 * n and after == done + m * m
+            for (_, a, _), (_, b, _) in zip(levels, levels[1:-1]):
+                assert abs(a - b) > cartpole.LIMIT_TOLERANCE
+            last_n, last, done = levels[-1]
+            converged = len(levels) > 1 and abs(last - levels[-2][1]) <= cartpole.LIMIT_TOLERANCE
+            assert converged or done + 4 * last_n**2 > trials, (trials, levels)
+
+    def test_planar_levels_converge_by_512(self):
+        levels = levels_of(params_for_variant("2d"), 10**6)
+        assert levels[-1][0] == 512
+        assert abs(levels[-1][1] - levels[-2][1]) <= cartpole.LIMIT_TOLERANCE
+
+    def test_clip_and_area(self):
+        square = cartpole._BOX
+        assert cartpole._area(square) == pytest.approx(4 * INIT_BOUND**2, rel=1e-15)
+        half = cartpole._clip(square, 1.0, 1.0, 0.0)  # u + v <= 0
+        assert cartpole._area(half) == pytest.approx(2 * INIT_BOUND**2, rel=1e-15)
+        corner = cartpole._clip(square, 1.0, 0.0, -INIT_BOUND / 2)  # u <= -0.025
+        assert cartpole._area(corner) == pytest.approx(INIT_BOUND**2, rel=1e-15)
+        assert cartpole._clip(square, 1.0, 0.0, -1.0) == []
+        assert cartpole._clip(square, 1.0, 0.0, 1.0) == square
 
     @pytest.mark.parametrize("variant", ["2d", "3d"])
     def test_memory_does_not_grow_with_the_trial_count(self, variant):
-        # the trials hold one block's arrays whatever their count, so four
-        # times the trials need no more memory than allocator noise
+        # the grid holds one block's arrays whatever its size, so four times
+        # the states need no more memory than allocator noise
         p = params_for_variant(variant)
-        constant_action_limit(p, 1000, 0)  # numpy's first-call allocations
+        constant_action_limit(p, 1000)  # numpy's first-call allocations
         peaks = []
         for trials in (100_000, 400_000):
             tracemalloc.start()
             try:
-                constant_action_limit(p, trials, 0)
+                constant_action_limit(p, trials)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + (256 << 10), peaks
 
-    def test_refuses_a_negative_seed(self):
-        with pytest.raises(InvalidParameter, match="seed"):
-            constant_action_limit(params_for_variant("2d"), 10, -1)
-
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_minflt is Linux's minor fault count")
     def test_trials_step_without_page_faulting(self):
         # In a fresh interpreter, so that no earlier test's heap hides them:
         # arrays allocated and freed at every step went back to the OS and
-        # faulted in again, 14,033 minor faults for these 400,000 trials;
-        # stepping in one reused workspace takes about 1,450, most of them
-        # the workspace's first touch.
+        # faulted in again, 14,033 minor faults for 400,000 Monte Carlo
+        # trials; the grid's 349,440 states, stepped in one reused
+        # workspace, take about 1,450.
         code = (
             "import resource\n"
             "from dcx.cartpole import constant_action_limit, params_for_variant\n"
             "p = params_for_variant('2dg')\n"
-            "constant_action_limit(p, 1000, 0)\n"
+            "constant_action_limit(p, 1000)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "constant_action_limit(p, 400_000, 0)\n"
+            "constant_action_limit(p, 400_000)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         src = str(Path(cartpole.__file__).resolve().parents[1])
@@ -607,10 +729,10 @@ class TestConstantActionLimit:
             fits = WORK_BUDGET // (750 * p.axis_count)
             for trials in (fits + 1, 10**9, 10**12):
                 with pytest.raises(ResourceLimit, match="work budget"):
-                    constant_action_limit(p, trials, 0)
+                    constant_action_limit(p, trials)
             for trials in (accepted, fits):
                 with pytest.raises(AttributeError):
-                    constant_action_limit(p, trials, 0)
+                    constant_action_limit(p, trials)
 
     @pytest.mark.parametrize("variant", ["2d", "3d"])
     def test_endless_trials_run_into_the_work_budget(self, variant, monkeypatch):
@@ -620,7 +742,17 @@ class TestConstantActionLimit:
         p = CartPoleParams(**ENDLESS, variant=variant)
         start = time.perf_counter()
         with pytest.raises(ResourceLimit, match="work budget"):
-            constant_action_limit(p, 1, 0)
+            constant_action_limit(p, 1)
+        assert time.perf_counter() - start < 5.0
+
+    def test_clipping_is_charged_to_the_work_budget(self, monkeypatch):
+        # a cart that hovers at the track edge while its pole never falls
+        # keeps its polygon clipped at every step; that work is charged too
+        monkeypatch.setattr(cartpole, "WORK_BUDGET", 10**8)
+        p = CartPoleParams(angle_threshold=1e300, position_threshold=0.05, force_magnitude=1e-9)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="^clipping 2d x starts past step .* work budget"):
+            constant_action_limit(p, 1)
         assert time.perf_counter() - start < 5.0
 
 
@@ -729,6 +861,19 @@ class TestRolloutEntropy:
         with pytest.raises(InvalidParameter, match="seed"):
             RolloutConfig(seed=-1)
 
+    @pytest.mark.parametrize("bins", [256, 65536])
+    def test_occupied_bins_give_the_full_histograms_entropy(self, bins):
+        # only the occupied bins reach shannon_entropy, which drops the
+        # empty ones from its sum anyway: the same bits to the last one
+        p = params_for_variant("3d")
+        cfg = RolloutConfig(seed=4, sample_count=20_000, bin_count=bins)
+        features, _ = _rollout(p, cfg)
+        want = 0.0
+        for column in features.T:
+            hist = histogram(column, bins, (float(column.min()), float(column.max())))
+            want += shannon_entropy(hist.probabilities())
+        assert rollout_entropy(p, cfg)[0].hex() == want.hex()
+
     def test_deterministic_under_seed(self):
         p = params_for_variant("2d")
         cfg = RolloutConfig(seed=9, sample_count=3_000)
@@ -750,6 +895,39 @@ class TestRolloutEntropy:
                 want_features, want_actions, _ = oracle_block_rollout(p, cfg)
                 assert features.tobytes() == want_features.tobytes(), (block, cfg)
                 assert actions.tolist() == want_actions.tolist(), (block, cfg)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_later_blocks_step_few_episodes_past_the_cut(self, variant, monkeypatch):
+        # every full block steps 1,024 episodes; a later block steps as many
+        # as the samples still needed take at the mean length so far. At
+        # 60,000 samples and seed 51, 2d took 21,322 steps in a last block
+        # of 1,024 episodes for the 15,219 it needed
+        stepped = []
+        lockstep = cartpole._lockstep
+
+        def counted(p, states, *args):
+            steps, spent = lockstep(p, states, *args)
+            stepped.append((len(states), steps))
+            return steps, spent
+
+        monkeypatch.setattr(cartpole, "_lockstep", counted)
+        p = params_for_variant(variant)
+        for seed in range(51, 56):
+            stepped.clear()
+            _rollout(p, RolloutConfig(seed=seed, sample_count=60_000))
+            assert len(stepped) > 1 and stepped[0][0] == cartpole._EPISODE_BLOCK
+            mean = stepped[0][1] / stepped[0][0]
+            assert sum(steps for _, steps in stepped) - 60_000 < 50 * mean, stepped
+
+    def test_actions_are_the_floor_of_uniform_draws(self):
+        # one double per live episode and step, times the action count and
+        # floored: exactly uniform over 2 or 4 actions
+        p = params_for_variant("3d")
+        cfg = RolloutConfig(seed=3, sample_count=700, max_steps=1)
+        _, actions = _rollout(p, cfg)
+        rng = np.random.default_rng(3)
+        rng.uniform(size=(700, p.state_size))  # the block's initial states
+        assert actions.tolist() == np.floor(rng.random(700) * 4).astype(int).tolist()
 
     @pytest.mark.parametrize("variant", ["2d", "3d"])
     def test_endless_episodes_are_cut_within_the_record_bound(self, variant):
@@ -852,10 +1030,9 @@ def _call_id(call) -> str:
 @pytest.mark.parametrize(
     "call",
     [
-        (constant_action_limit, _P2, 10.5, 0),
-        (constant_action_limit, _P2, 10, 1.5),
-        (constant_action_limit, _P2, True, 0),
-        (constant_action_limit, _P2, np.True_, 0),
+        (constant_action_limit, _P2, 10.5),
+        (constant_action_limit, _P2, True),
+        (constant_action_limit, _P2, np.True_),
         (analytic_sparsity, 3.0, 200.5),
         (analytic_sparsity, 3.0, True),
         (analytic_sparsity, 3.0, 200, 1.0),
@@ -902,23 +1079,23 @@ def test_numpy_integer_counts_give_the_python_int_results():
     assert Component("x", i(5), "state").log10() == Component("x", 5, "state").log10()
     assert analytic_sparsity(3.5, i(200), i(2)) == analytic_sparsity(3.5, 200, 2)
     assert RolloutConfig(seed=i(1), sample_count=i(100)) == RolloutConfig(seed=1, sample_count=100)
-    assert constant_action_limit(_P2, i(50), i(3)) == constant_action_limit(_P2, 50, 3)
+    assert constant_action_limit(_P2, i(50)) == constant_action_limit(_P2, 50)
 
 
-def test_numpy_integer_seed_and_trials_give_the_python_int_report():
-    # a numpy seed and count reached the provenance as given, and to_json
-    # raised TypeError: Object of type int64 is not JSON serializable
-    def report(trials, seed) -> str:
-        measures, _ = limit_measures(_P2, trials, seed)
+def test_numpy_integer_trials_give_the_python_int_report():
+    # a numpy count reached the provenance as given, and to_json raised
+    # TypeError: Object of type int64 is not JSON serializable
+    def report(trials) -> str:
+        measures, _ = limit_measures(_P2, trials)
         return to_json(ComplexityReport("x", tuple(measures), timestamp="fixed"))
 
-    assert report(np.int64(100), np.int64(0)) == report(100, 0)
+    assert report(np.int64(100)) == report(100)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        (constant_action_limit, _P2, 10**5000, 0),
+        (constant_action_limit, _P2, 10**5000),
         (analytic_sparsity, 3.0, 10**5000),
         (_rollout, _P2, RolloutConfig(seed=0, sample_count=10**5000)),
         (_rollout, _P2, RolloutConfig(seed=0, bin_count=10**400)),

@@ -1,6 +1,7 @@
 """Per-image and per-class dataset measures against hand-worked examples,
 and the batch kernels against the per-image loop they replace."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -9,7 +10,10 @@ import pytest
 
 from dcx.cli import main
 from dcx.dataset_metrics import (
+    _midpoint_quartiles,
+    _nan_median,
     _per_image,
+    _sorted_median,
     channel_gini,
     channel_ginis,
     feature_space_dimensionality,
@@ -241,6 +245,31 @@ class TestClassSummaries:
         labels = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         summaries = summarize_by_class(values, labels, ("a", "b", "c"))
         assert median_of_medians(summaries) == 6.0
+
+    def test_sorted_medians_are_numpys_bit_for_bit(self):
+        # the medians skip np.median and np.nanmedian, which import numpy.ma;
+        # over arrays with NaNs, signed zeros, infinities and ties they give
+        # numpy's values bit for bit, NaN where numpy's is NaN
+        rng = np.random.default_rng(8)
+        pool = np.array([-0.0, 0.0, 1.5, -2.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+
+        def same(got, want):
+            return (math.isnan(got) and math.isnan(want)) or \
+                np.float64(got).tobytes() == np.float64(want).tobytes()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's empty and overflow warnings
+            for i in range(3000):
+                n = int(rng.integers(0, 30))
+                values = rng.normal(size=n) if i % 2 else rng.choice(pool, size=n)
+                ordered = np.sort(values)
+                assert same(_sorted_median(ordered), np.median(ordered)), values
+                assert same(_nan_median(values), np.nanmedian(values)), values
+                if n and not np.isnan(values).any():
+                    half = n // 2
+                    want = (np.median(ordered[: half + n % 2]), np.median(ordered),
+                            np.median(ordered[half:]))
+                    assert all(map(same, _midpoint_quartiles(ordered), want)), values
 
 
 class TestIrisGrid:

@@ -21,15 +21,15 @@ import dcx
 from dcx.cli import main
 
 CARTPOLE_PINS = {
-    ("2d", "limit"): "e2b6b4ef4c0a7b548494c58569cfc09737c47ccda27c2ca5570444e958a7e002",
-    ("2d", "sparsity"): "be008624b9a19dafb5a90c3cf1d9e78096bf3c8bdcfcc11b30989c6f8bc7fd68",
-    ("2d", "entropy"): "c4f0ae0028613fb8fa19ff09a371adeab39f5fd6d276e020654f9f624c1b94fe",
-    ("2dg", "limit"): "3a2db1e1f37804086ed0d7052c9bf688a1eb3c5639a3c14297d841633c323200",
-    ("2dg", "sparsity"): "e893d42f90d2c363a7f25cf555974c79956444b1fceb9672aaab8821d316c0ef",
-    ("2dg", "entropy"): "2eba6d725b4baacc82b08e48102e6155ba798fe7443e7cb9d4d705d60c4dc4d0",
-    ("3d", "limit"): "4fe6567919997fa48997f25c9dacc19d68a44b2991e9d8903821f3a464774233",
-    ("3d", "sparsity"): "c3e5c9a8837651c2e6b02799c273639f2efa04dc31ddf1f5b533d2b955d183ff",
-    ("3d", "entropy"): "d6b9ead0b08fcce8c652cb1eadcad28f914e18d1c5fd61ca2a95a8a7621e3be9",
+    ("2d", "limit"): "617acbe20bb097e9a75ac3c0c9e19e37ac811fb94736a97858086008959070c6",
+    ("2d", "sparsity"): "ef8b1ca49d38cfdfe26a96bb938649d40e62d1a2ddc09ed8ca3d7c59fbb835d0",
+    ("2d", "entropy"): "da6363e48a9c556106e0e192b2c0ec1593c4664a6c71cabd616a5170a5701be7",
+    ("2dg", "limit"): "a66ff227045113f336225cf70602342b7d62b7baddf1fc903635202d13f8516a",
+    ("2dg", "sparsity"): "16ad71343afb3cf018b804c4dc75f3cbc4c2d1ba0688679600fc971576fab4c7",
+    ("2dg", "entropy"): "e86599ba54c9fe19a89ff42f9f3faadc377a1dbc01feaef7231f2cdfee669581",
+    ("3d", "limit"): "1ac30f412ca5ceee3358a29fa880d01ad0febfee19f8c88e7f2dd95e17f7edc3",
+    ("3d", "sparsity"): "ef79c22c5d1086324633096511b602260dbdfa86a9b65c37bf33cb2a0a2eb108",
+    ("3d", "entropy"): "63c613f78da62e3d11863402a46d89d730d914f7b6a048d7f2ea1636969db6ad",
 }
 
 # determinism_hash of `dcx --format json --seed 0 <command>`

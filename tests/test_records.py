@@ -3,13 +3,14 @@ equality, repr, replace and asdict."""
 
 import json
 
+import numpy as np
 import pytest
 
 from dcx.datasets import ImageStream, LabeledImageDataset, TabularDataset, load_iris
 from dcx.descriptors import bundled_descriptor
 from dcx.errors import Factory, FormatError, InvalidParameter, Record, asdict, replace
 from dcx.games import GridGameSpec
-from dcx.measures import ANALYTIC, MeasureResult, Power, Provenance
+from dcx.measures import ANALYTIC, MeasureResult, Power, Provenance, quadrature
 from dcx.report import ComplexityReport, ReferenceTarget, from_json, to_json
 
 
@@ -21,6 +22,16 @@ def test_fields_are_the_annotations_in_order():
 def test_fields_bind_by_position_or_keyword_with_defaults():
     assert Provenance("monte_carlo", 1, samples=10) == Provenance("monte_carlo", seed=1, samples=10)
     assert Provenance("analytic").seed is None
+
+
+def test_quadrature_provenance_records_its_points_and_no_seed():
+    # a quadrature draws nothing, so a seed would claim a dependence that
+    # is not there; its samples are the points it evaluated
+    assert quadrature(np.int64(5376)) == Provenance("quadrature", samples=5376)
+    assert type(quadrature(np.int64(5376)).samples) is int
+    for kwargs in ({}, {"seed": 0, "samples": 10}, {"samples": 0}):
+        with pytest.raises(InvalidParameter):
+            Provenance("quadrature", **kwargs)
 
 
 @pytest.mark.parametrize(

@@ -105,7 +105,7 @@ def test_cli_builds_no_measures():
             assert getattr(func, "id", getattr(func, "attr", None)) != "MeasureResult"
         elif isinstance(node, ast.ImportFrom):
             names = {alias.name for alias in node.names}
-            assert not names & {"ANALYTIC", "ENUMERATED", "monte_carlo"}, node.module
+            assert not names & {"ANALYTIC", "ENUMERATED", "monte_carlo", "quadrature"}, node.module
             assert not (node.module in ("dataclasses", "errors") and "replace" in names)
         elif isinstance(node, ast.Import):
             assert "dataclasses" not in {alias.name for alias in node.names}
@@ -160,6 +160,30 @@ class TestSerialization:
         assert recovered == report
         assert recovered.determinism_hash() == report.determinism_hash()
         assert '"value": 5478' in to_json(report)
+
+    @pytest.mark.parametrize(
+        ("given", "stored"),
+        [("int64", 5), ("float32", 0.5), ("float64", 1.25)],
+    )
+    def test_numpy_reference_targets_are_stored_as_python_numbers(self, given, stored):
+        # an int64 target reached to_json as given, which raised TypeError,
+        # and a float32 one was refused though MeasureResult takes it
+        np = pytest.importorskip("numpy")
+        number = getattr(np, given)(stored)
+        target = ReferenceTarget("alpha", number, number, "worked example")
+        assert type(target.value) is type(stored) and target.value == stored
+        assert type(target.tolerance) is type(stored)
+        report = replace(sample_report(), reference_targets=(target,))
+        assert from_json(to_json(report)) == report
+
+    def test_negative_tolerance_is_refused(self):
+        # a window of -1 names no window; the report decoder refuses it too
+        with pytest.raises(InvalidParameter, match="^target alpha tolerance must not be negative$"):
+            ReferenceTarget("alpha", 1.0, -1, "worked example")
+        payload = json.loads(to_json(sample_report()))
+        payload["reference_targets"][0]["tolerance"] = -0.5
+        with pytest.raises(FormatError, match="negative"):
+            from_json(json.dumps(payload))
 
     def test_json_embeds_matching_hash(self):
         report = sample_report()
@@ -550,6 +574,21 @@ class TestCli:
         values = {m["measure_name"]: m["value"] for m in payload["measures"]}
         assert values["constant_action_limit"] == pytest.approx(9.37, abs=1.0)
 
+    @pytest.mark.parametrize("variant", ["2d", "2dg", "3d"])
+    def test_cartpole_limit_and_band_record_their_quadrature(self, capsys, variant):
+        # the limit is a quadrature over at most --trials start states: no
+        # seed, the states it stepped as samples, and a note naming its
+        # levels; a sparsity report's band carries the same
+        for measure, name in (("limit", "constant_action_limit"), ("sparsity", "action_limit_band")):
+            assert main(["--format", "json", "--seed", "5", "cartpole", "--variant", variant,
+                         "--measure", measure, "--trials", "2000"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            measures = {m["measure_name"]: m for m in payload["measures"]}
+            assert payload["seed"] is None
+            assert measures[name]["provenance"] == {"kind": "quadrature", "seed": None, "samples": 1280}
+            assert "limit quadrature levels 16^2 to 32^2, 1280 start states" in payload["notes"][-1]
+            assert "quadrature" in measures[name]["convention"]
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("limit", ["inf", "-inf"])
     def test_cartpole_infinite_limit_refused_in_every_format(self, capsys, fmt, limit):
@@ -690,7 +729,7 @@ class TestCli:
         assert err.startswith("dcx: ") and named in err
 
     @pytest.mark.parametrize(
-        ("measure", "flag"), [("limit", "--trials"), ("sparsity", "--trials"), ("entropy", "--samples")]
+        ("measure", "flag"), [("entropy", "--samples")]
     )
     def test_negative_seed_exits_1_without_traceback(self, measure, flag):
         result = run_python(
@@ -708,10 +747,13 @@ class TestCli:
             ["descriptor", "pogo"],
             ["cartpole", "--measure", "table"],
             ["cartpole", "--measure", "sparsity", "--limit", "9.37"],
+            ["cartpole", "--measure", "limit", "--trials", "300"],
+            ["cartpole", "--measure", "sparsity", "--trials", "300"],
         ],
     )
     def test_closed_forms_accept_any_seed(self, args, capsys):
-        # no value of these reports depends on the seed, so none records it
+        # no value of these reports depends on the seed, so none records it;
+        # the limit and its band are quadratures, which draw nothing
         for seed in (-1, 2**70):
             assert main(["--format", "json", "--seed", str(seed), *args]) == 0
             assert json.loads(capsys.readouterr().out)["seed"] is None
@@ -973,6 +1015,24 @@ class TestCli:
         )
         result = run_python("-S", "-c", probe)
         assert (result.returncode, result.stderr, result.stdout) == (0, "", "[]\n")
+
+    @pytest.mark.parametrize(
+        ("name", "measure"),
+        [("mnist", "sparsity"), ("mnist", "entropy"), ("cifar10", "gini"), ("cifar10", "entropy")],
+    )
+    def test_image_summaries_leave_numpy_ma_unloaded(self, name, measure, request):
+        # np.median and np.nanmedian import numpy.ma, 17-20 ms of such a
+        # run's imports; the class summaries and Gini medians sort instead
+        directory = request.getfixturevalue(f"synthetic_{name.removesuffix('10')}_dir")
+        probe = (
+            "import sys\n"
+            "from dcx.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        result = run_python("-c", probe, "--out", os.devnull, "dataset", name,
+                            "--measure", measure, "--data-dir", str(directory))
+        assert (result.stdout, result.stderr) == ("0 True False\n", "")
 
     def test_a_zipped_package_reads_its_bundled_files(self, tmp_path, capsys):
         package = Path(dcx.__file__).resolve().parent

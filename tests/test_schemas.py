@@ -37,7 +37,7 @@ from dcx.report import ComplexityReport, from_json, to_json  # noqa: E402
 SCHEMAS = Path(__file__).resolve().parent / "schemas"
 
 # closed-form report commands from the golden corpus (2d and 2dg cart-pole
-# tables repeat their descriptor reports)
+# tables repeat their descriptor reports), and a small constant-action limit
 REPORT_COMMANDS = (
     "game ttt",
     "game ttt --no-enumerate",
@@ -46,6 +46,8 @@ REPORT_COMMANDS = (
     *(f"descriptor {name}" for name in BUNDLED_DESCRIPTORS),
     "descriptor pogo --breakdown pogo",
     "cartpole --variant 3d --measure table",
+    # a quadrature's provenance, and reference targets with a tolerance
+    "cartpole --variant 2d --measure limit --trials 300",
 )
 
 # one value of each JSON type, with an empty string, a zero and an integer

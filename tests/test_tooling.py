@@ -1,5 +1,6 @@
 """What tools outside the package read from it: the build's version
-attribute, and the functions the traced benchmark run wraps."""
+attribute, and the functions the traced benchmark run wraps and the
+arguments its counters read."""
 
 import importlib
 import os
@@ -59,3 +60,23 @@ def test_every_traced_target_resolves_after_a_bare_import():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[] []"
+
+
+@pytest.mark.parametrize(
+    ("argv", "cap"),
+    [
+        (["--measure", "limit", "--trials", "1234"], 1234),
+        (["--variant", "3d", "--measure", "sparsity", "--trials", "300"], 300),
+        (["--variant", "2dg", "--measure", "sparsity"], 10_000),
+    ],
+)
+def test_limit_trials_counter_reads_the_cap(monkeypatch, argv, cap):
+    # the traced benchmark counts cartpole.limit_trials from the second
+    # argument of constant_action_limit, which is the cap on the start
+    # states its quadrature steps, whatever number it steps below it
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    with spans.instrument(tracer, dcx):
+        assert dcx.cli.main(["--out", os.devnull, "cartpole", *argv]) == 0
+    assert tracer.counters["cartpole.limit_trials"] == cap
