@@ -241,36 +241,43 @@ def _force_table(p: CartPoleParams) -> np.ndarray:
     return table
 
 
-def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int) -> tuple[int, int]:
+def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int,
+              horizon: float = math.inf) -> tuple[list, int]:
     """Step the episodes that start at states, a rows x state_size array,
     together in workspace (a _workspace for at least rows) until each has
-    ended.
+    ended, at step horizon at the latest.
 
-    Before each step push(state) returns each axis's force for the live
-    episodes, given their state in _planar's layout; after step t,
-    end(t, failed) returns which of them end there, given those that left
-    the track or dropped the pole, and _lockstep may overwrite what it
-    returns. Each step is charged to spent, the modelled ns so far; past
-    WORK_BUDGET it raises ResourceLimit. Returns (the steps of all the
-    episodes, spent).
+    ids holds the live episodes' rows of states, in order; _lockstep never
+    writes to it. Before each step push(state, ids) returns each axis's
+    force for the live episodes, given their state in _planar's layout;
+    after step t, end(t, failed, ids) returns which of them end there,
+    given those that left the track or dropped the pole, or all of them at
+    step horizon, and _lockstep may overwrite what it returns. Each step is
+    charged to spent, the modelled ns so far; past WORK_BUDGET it raises
+    ResourceLimit. Returns (the live episodes at each step, spent), so the
+    episodes' steps come to the sum of the first.
     """
     buffers, scratch, flags = workspace
     step = _planar(p)
     axes, live = p.axis_count, len(states)
+    ids = np.arange(live)
     state, out = buffers[:, : 4 * axes * live]
     # each row's x, x_dot, theta, theta_dot per axis into the x, theta,
     # x_dot and theta_dot runs
     state.reshape(2, 2, axes, live)[...] = states.reshape(live, axes, 2, 2).T
-    steps = t = 0
+    lives = []
     while live:
         spent += axes * (_STEP_NS + _ROW_NS * live)
-        _check_work(spent, "stepping {} episodes past step {}", p.variant, t)
-        t += 1
-        done = end(t, step(state, out, push(state), scratch, flags))
+        _check_work(spent, "stepping {} episodes past step {}", p.variant, len(lives))
+        lives.append(live)
+        t = len(lives)
+        failed = step(state, out, push(state, ids), scratch, flags)
+        if t >= horizon:
+            failed[:] = True
+        done = end(t, failed, ids)
         state, out = out, state
         ended = int(np.count_nonzero(done))
         if ended:
-            steps += t * ended
             kept = live - ended
             # the episodes that go on, in order, into the other buffer; take's
             # clip mode writes straight to out, where compress and take's
@@ -279,9 +286,9 @@ def _lockstep(p: CartPoleParams, states, workspace, push, end, spent: int) -> tu
             state.reshape(4 * axes, live).take(
                 kept_rows, 1, out[: 4 * axes * kept].reshape(4 * axes, kept), "clip"
             )
-            live = kept
+            ids, live = ids[kept_rows], kept
             state, out = out[: 4 * axes * live], state[: 4 * axes * live]
-    return steps, spent
+    return lives, spent
 
 
 def _clip(polygon: list, a: float, b: float, c: float) -> list:
@@ -335,21 +342,19 @@ def _axis_survival(params: CartPoleParams, force: float, n: int, horizon: float,
         block = starts[:rows].reshape(rows // n, n, 4)
         block[:, :, 2] = nodes[first : first + rows // n, None]
         block[:, :, 3] = nodes
-        # per step, the live states and the share the clipped ones lost;
-        # a clipped state's [polygon, share] by its row in the live block
-        lives, lost, clipped = [], [], {}
+        # per step, the share the clipped states lost; a clipped state's
+        # [polygon, share] by its episode id, in the order it was clipped
+        lost, clipped = [], {}
         clip_ns = 0
 
-        def push(state):
+        def push(state, ids):
             nonlocal clip_ns
-            live = state.size // 4
-            t = len(lives)
-            lives.append(live)
-            x = state[:live]
+            t = len(lost)
+            x = state[: ids.size]
             slack = threshold - INIT_BOUND * (1 + t * dt)
             if t and max(float(x.max()), -float(x.min())) >= slack:
                 for row in np.flatnonzero(np.abs(x) >= slack).tolist():
-                    entry = clipped.setdefault(row, [_BOX, 1.0])
+                    entry = clipped.setdefault(int(ids[row]), [_BOX, 1.0])
                     d = float(x[row])
                     polygon = _clip(entry[0], 1.0, t * dt, threshold - d)
                     polygon = _clip(polygon, -1.0, -t * dt, threshold + d) if polygon else polygon
@@ -360,21 +365,16 @@ def _axis_survival(params: CartPoleParams, force: float, n: int, horizon: float,
             lost.append(sum(1.0 - share for _, share in clipped.values()))
             return forces
 
-        def end(t, failed):
-            if t >= horizon:
-                failed[:] = True
-            elif clipped:
-                for row, (_, share) in clipped.items():
-                    failed[row] |= share == 0.0
-                # each row that goes on moves up past the rows ended before it
-                gone = np.cumsum(failed)
-                moved = {row - int(gone[row]): entry for row, entry in clipped.items()
-                         if not failed[row]}
-                clipped.clear()
-                clipped.update(moved)
+        def end(t, failed, ids):
+            # a state ends once its polygon is empty, and leaves clipped as it ends
+            keys = list(clipped)
+            for key, row in zip(keys, ids.searchsorted(keys).tolist()):
+                failed[row] |= clipped[key][1] == 0.0
+                if failed[row]:
+                    del clipped[key]
             return failed
 
-        _, spent = _lockstep(stepped, starts[:rows], workspace, push, end, spent)
+        lives, spent = _lockstep(stepped, starts[:rows], workspace, push, end, spent, horizon)
         spent += clip_ns
         for k, (live, share) in enumerate(zip(lives, lost)):
             # an int while no state is clipped, so that the sums stay exact
@@ -512,7 +512,8 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     bound = min(_EPISODE_BLOCK * cfg.max_steps, _EPISODE_BLOCK + 8 * samples)
     # the samples and a column's histogram temporaries, about eight words
     # per bin (the counts, their Python-int tuple, the probabilities), and
-    # twice the records' n + 2 words, as their buffer doubles when full
+    # twice the records' n + 2 words: a block's per-step records, and them
+    # joined once
     check_budget(
         (samples * (n + 4) + cfg.bin_count * 8 + bound * 2 * (n + 2)) * 8,
         f"rollout_entropy with {count_text(samples)} {params.variant} samples "
@@ -522,60 +523,44 @@ def _rollout(params: CartPoleParams, cfg: RolloutConfig) -> tuple[np.ndarray, np
     # each feature's samples contiguous, and a spare slot past the cut
     features = np.empty((n, samples + 1))
     actions = np.empty(samples + 1, dtype=np.uint8)
-    # a block's records in step order, a row per field: each pre-step state
-    # component, the action and the episode
-    records = np.empty((n + 2, min(bound, 32 * _EPISODE_BLOCK)))
     table = _force_table(params)
     axes = params.axis_count
     workspace = _workspace(params, _EPISODE_BLOCK)
 
     # push and end read and update the block's state, set in the loop below
-    def push(state):
-        nonlocal records
-        k, live = ends[-1], ids.size
-        ends.append(k + live)
-        if k + live > records.shape[1]:
-            more = np.empty((n + 2, min(records.shape[1], bound - records.shape[1])))
-            records = np.concatenate((records, more), axis=1)
-        drawn = (rng.random(live) * params.action_count).astype(np.intp)
-        step_records = records[:, k : k + live]
+    def push(state, ids):
+        drawn = (rng.random(ids.size) * params.action_count).astype(np.intp)
         # the state in state_size order, from _planar's x, theta, x_dot, theta_dot
-        step_records[:n].reshape(axes, 2, 2, live)[...] = (
-            state.reshape(2, 2, axes, live).transpose(2, 1, 0, 3)
-        )
-        step_records[n] = drawn
-        step_records[n + 1] = ids
+        seen.append(state.reshape(2, 2, axes, ids.size).transpose(2, 1, 0, 3).copy())
+        taken.append(drawn)
+        who.append(ids)
         return table[:, drawn]
 
-    def end(t, failed):
-        # An episode also ends after max_steps, or once the episodes up to
-        # and including it fill the samples still needed, as none of its
-        # later samples could then fall before the cut.
-        nonlocal ids
-        if t >= cfg.max_steps:
-            failed[:] = True
-        elif lengths.sum() + t * ids.size >= samples - filled:
+    def end(t, failed, ids):
+        # An episode also ends once the episodes up to and including it fill
+        # the samples still needed, as none of its later samples could then
+        # fall before the cut.
+        if lengths.sum() + t * ids.size >= samples - filled:
             current = lengths.copy()
             current[ids] = t
             failed |= np.cumsum(current)[ids] >= samples - filled
         lengths[ids[failed]] = t
-        ids = ids[~failed]
         return failed
 
     filled = spent = episodes = stepped = 0
     rows = min(_EPISODE_BLOCK, samples)  # each episode gives at least one sample
     while filled < samples:
-        # the live episodes, the steps of those ended, where each step's records end
-        ids, lengths, ends = np.arange(rows), np.zeros(rows, np.int64), [0]
+        # the steps of the ended episodes, and each step's records
+        lengths, seen, taken, who = np.zeros(rows, np.int64), [], [], []
         states = rng.uniform(-INIT_BOUND, INIT_BOUND, size=(rows, n))
-        steps, spent = _lockstep(params, states, workspace, push, end, spent)
-        k = ends[-1]
+        lives, spent = _lockstep(params, states, workspace, push, end, spent, cfg.max_steps)
+        steps = sum(lives)
         starts = filled + np.cumsum(lengths) - lengths
-        at = starts[records[n + 1, :k].astype(np.int64)]
-        at += np.repeat(np.arange(len(ends) - 1), np.diff(ends))  # the step
+        at = starts[np.concatenate(who)]
+        at += np.repeat(np.arange(len(lives)), lives)  # the step
         np.minimum(at, samples, out=at)
-        features[:, at] = records[:n, :k]
-        actions[at] = records[n, :k]
+        features[:, at] = np.concatenate(seen, axis=-1).reshape(n, -1)
+        actions[at] = np.concatenate(taken)
         filled = min(samples, filled + steps)
         # a block short of the cut ended every episode by itself, so its
         # steps per episode are the mean length

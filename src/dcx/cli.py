@@ -211,10 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_game(args) -> _Fields:
     from . import games
 
-    if args.preset != "custom":
+    board = ("side", "dims", "plies", "win")
+    if args.preset != "custom":  # a preset fixes the board, so reads no board flag
+        unread = ["--" + n for n in board if getattr(args, n) is not None]
+        if unread:
+            raise InvalidParameter(f"game {args.preset} does not read {' '.join(unread)}")
         spec, name = games.preset(args.preset), args.preset
     else:
-        missing = [n for n in ("side", "dims", "plies", "win") if getattr(args, n) is None]
+        missing = [n for n in board if getattr(args, n) is None]
         if missing:
             raise DcxError(f"custom games need --side --dims --plies --win (missing {missing})")
         spec = games.GridGameSpec(

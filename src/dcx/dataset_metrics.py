@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
@@ -100,6 +101,19 @@ def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return sums
 
 
+@lru_cache(maxsize=2)
+def _plogp(size: int) -> np.ndarray:
+    """p * log2(p) for each p = c / size, c = 0 to size, that a histogram of
+    one image of size values can hold, 0.0 at c = 0. Each term is
+    shannon_entropy's, taken with math.log2, whose last bit numpy's log2
+    does not always give. Read-only, as every call with one size shares it."""
+    import numpy as np
+
+    table = np.array([0.0] + [c / size * math.log2(c / size) for c in range(1, size + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     """Per image, the normalized entropy of its pooled intensity histogram.
 
@@ -108,22 +122,15 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     bin, as in measures.histogram with 256 bins over [0, 255];
     binarize_first sends nonzero values to 255 first. The entropy of the
     bin frequencies, in bits, is divided by log2(256). Per image, the
-    pairwise sum of the same p * numpy.log2(p) terms as numpy sums them.
-    That is shannon_entropy(histogram(...).probabilities()) / log2(256) bit
-    for bit except where numpy's log2 and math.log2, which shannon_entropy
-    takes, differ in the last bit: at 2 of the 784 nonzero frequencies of
-    a 28 x 28 image (411/784 and 744/784) and 3 of the 3,072 of a
-    32 x 32 x 3 one (numpy 2.4, x86-64 with AVX-512).
+    pairwise sum of the same p * log2(p) terms as numpy sums them, so the
+    value is shannon_entropy(histogram(...).probabilities()) / log2(256)
+    bit for bit.
     """
     import numpy as np
 
     rows = _image_rows(images)
     count, size = rows.shape
-    # p * log2(p) for every p = c / size a histogram of one image can hold
-    p = np.arange(size + 1) / size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = p * np.log2(p)
-    plogp[0] = 0.0
+    plogp = _plogp(size)
     out = np.empty(count)
     for start in range(0, count, BLOCK_IMAGES):
         chunk = rows[start : start + BLOCK_IMAGES]

@@ -20,7 +20,6 @@ import io
 import math
 import os
 import re
-import struct
 import zlib
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -183,16 +182,6 @@ def parse_idx(data: bytes) -> np.ndarray:
     except ValueError:  # more dimensions than a numpy array can have
         raise FormatError(f"IDX tensor has {len(sizes)} dimensions, too many for numpy") from None
     return stream.fill(tensor)
-
-
-def write_idx(tensor: np.ndarray) -> bytes:
-    """Inverse of parse_idx; round-trips byte-identically."""
-    import numpy as np
-
-    arr = np.ascontiguousarray(tensor, dtype=np.uint8)
-    header = bytes([0, 0, _IDX_UBYTE, arr.ndim])
-    header += struct.pack(f">{arr.ndim}I", *arr.shape)
-    return header + arr.tobytes()
 
 
 def parse_cifar10(data: bytes) -> LabeledImageDataset:

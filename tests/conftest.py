@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dcx.datasets import load_cifar10, load_mnist, write_idx
+from dcx.datasets import load_cifar10, load_mnist
+from idx_writer import write_idx
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -440,27 +440,33 @@ class TestPhysics:
     def test_steps_after_a_repack(self, variant):
         # _lockstep moves the episodes that go on into its other buffer; the
         # state push sees after that, and the step taken from it, are those
-        # episodes' own, under per-row forces
+        # episodes' own, under per-row forces, and the ids push and end see
+        # are their rows of states. At the horizon every live episode fails.
         p = params_for_variant(variant)
         rng = np.random.default_rng(3)
         states = rng.uniform(-INIT_BOUND, INIT_BOUND, (257, p.state_size))
         table = _force_table(p)
-        seen, pushed = [], []
+        seen, pushed, pushed_ids, ended_ids = [], [], [], []
 
-        def push(state):
+        def push(state, ids):
             seen.append(unpack(state, p))
             pushed.append(table[:, rng.integers(p.action_count, size=len(seen[-1]))])
+            pushed_ids.append(ids.tolist())
             return pushed[-1]
 
-        def end(t, failed):
-            assert not failed.any()  # nothing fails within three steps of rest
+        def end(t, failed, ids):
+            # nothing fails within three steps of rest, but the horizon is 3
+            assert failed.all() if t == 3 else not failed.any()
+            ended_ids.append(ids.tolist())
             if t == 1:
                 return np.arange(failed.size) % 3 == 0  # every third episode ends
-            return np.full(failed.size, t == 3)
+            return failed
 
         workspace = _workspace(p, 300)
-        steps, _ = _lockstep(p, states, workspace, push, end, 0)
-        assert steps == 86 * 1 + 171 * 3
+        lives, _ = _lockstep(p, states, workspace, push, end, 0, horizon=3)
+        assert lives == [257, 171, 171]
+        kept = [row for row in range(257) if row % 3]
+        assert pushed_ids == ended_ids == [list(range(257)), kept, kept]
         want = states
         for t, got in enumerate(seen):
             assert same(got, want), t
@@ -481,12 +487,14 @@ class TestPhysics:
         spent = want = 0
         for rows in (3000, 1234):
             states = rng.uniform(-INIT_BOUND, INIT_BOUND, (rows, p.state_size))
-            steps, spent = _lockstep(
-                p, states, workspace, lambda state: forces, lambda t, failed: failed, spent
+            lives, spent = _lockstep(
+                p, states, workspace, lambda state, ids: forces, lambda t, failed, ids: failed,
+                spent,
             )
             failing_steps, live = oracle_limit_steps(p, states)
             want += sum(p.axis_count * (cartpole._STEP_NS + cartpole._ROW_NS * n) for n in live)
-            assert steps == failing_steps.sum()
+            assert lives == live
+            assert sum(lives) == failing_steps.sum()
             assert spent == want
 
     def test_rejects_nonpositive_physical_constants(self):
@@ -906,9 +914,9 @@ class TestRolloutEntropy:
         lockstep = cartpole._lockstep
 
         def counted(p, states, *args):
-            steps, spent = lockstep(p, states, *args)
-            stepped.append((len(states), steps))
-            return steps, spent
+            lives, spent = lockstep(p, states, *args)
+            stepped.append((len(states), sum(lives)))
+            return lives, spent
 
         monkeypatch.setattr(cartpole, "_lockstep", counted)
         p = params_for_variant(variant)
@@ -933,8 +941,8 @@ class TestRolloutEntropy:
     def test_endless_episodes_are_cut_within_the_record_bound(self, variant):
         # episode 0 alone fills the sample; the others stop being stepped
         # once their samples cannot land, so a block records at most
-        # block + 8 x samples, as the memory budget assumes, though more
-        # than the 32 x block the record buffer starts with
+        # block + 8 x samples, as the memory budget assumes, and here more
+        # than 32 x block
         p = CartPoleParams(**ENDLESS, variant=variant)
         block = cartpole._EPISODE_BLOCK
         assert 1 + math.log(block) < 8
@@ -1003,8 +1011,8 @@ class TestRolloutEntropy:
     def test_refuses_an_oversized_rollout_before_drawing(self, monkeypatch):
         # with numpy out of reach, a refusal shows that the budget check
         # comes before any draw or allocation, and a config that fits gets
-        # past it; a block's records, at most block x max_steps of them in
-        # a buffer that doubles, add a constant to the budget
+        # past it; a block's records, at most block x max_steps of them,
+        # held per step and then joined, add a constant to the budget
         p = params_for_variant("3d")
         n = p.state_size
         fixed = 256 * 8 + cartpole._EPISODE_BLOCK * 500 * 2 * (n + 2)

@@ -354,6 +354,24 @@ class TestBatchKernelsMatchPerImageLoop:
         assert image_entropies(images).tolist() == [0.0] * 4
         assert image_entropies(images, binarize_first=True).tolist() == [0.0] * 4
 
+    @pytest.mark.parametrize("shape, counts", [((28, 28, 1), (411, 744)),
+                                               ((32, 32, 3), (2973, 3004))])
+    def test_counts_where_numpy_and_math_log2_differ(self, shape, counts):
+        # numpy's log2 and math.log2, which shannon_entropy takes, differ in
+        # the last bit at these counts of 784 and 3,072 values (numpy 2.4,
+        # x86-64). Each count is the zeros of two images, one otherwise 255
+        # and one otherwise drawn, so the raw and the binarized sums take its
+        # term. With seed 13 a numpy-log2 table misses every count raw, and
+        # every count but 3,004 binarized, whose pair with 68 rounds it away.
+        rng = np.random.default_rng(13)
+        size = math.prod(shape)
+        images = np.full((2 * len(counts), size), 255, np.uint8)
+        images[1::2] = rng.integers(1, 256, size=(len(counts), size))
+        for i, count in enumerate(counts):
+            zeros = rng.permutation(size)[:count]
+            images[2 * i, zeros] = images[2 * i + 1, zeros] = 0
+        assert_kernels_match_oracle(images.reshape(-1, *shape))
+
     def test_image_holding_every_value(self):
         image = np.arange(256, dtype=np.uint8).reshape(16, 16, 1)
         images = np.stack([image, image[::-1], image.transpose(1, 0, 2)])

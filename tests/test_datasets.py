@@ -24,7 +24,6 @@ from dcx.datasets import (
     parse_iris_csv,
     stream_cifar10,
     stream_mnist,
-    write_idx,
 )
 from dcx.errors import (
     DcxError,
@@ -33,6 +32,7 @@ from dcx.errors import (
     InvalidParameter,
     TruncatedInput,
 )
+from idx_writer import write_idx
 
 
 def idx_oracle(data: bytes) -> np.ndarray:

@@ -33,9 +33,9 @@ from dcx.datasets import (
     parse_iris_csv,
     stream_cifar10,
     stream_mnist,
-    write_idx,
 )
 from dcx.errors import DcxError
+from idx_writer import write_idx
 
 settings.register_profile(
     "dcx-fuzz", derandomize=True, deadline=None, max_examples=60, database=None,

@@ -793,6 +793,18 @@ class TestCli:
         assert main(["dataset", "iris", "--split", "all"]) == 1
         assert capsys.readouterr().err == "dcx: dataset iris does not read --split\n"
 
+    def test_game_presets_refuse_the_board_flags(self, capsys):
+        # ttt and qubic fix their board, so --side, --dims, --plies and --win
+        # are refused rather than ignored
+        assert main(["game", "ttt", "--side", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "dcx: game ttt does not read --side\n"
+        argv = ["game", "qubic", "--side", "4", "--dims", "3", "--plies", "9", "--win", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "dcx: game qubic does not read --side --dims --plies --win\n"
+        )
+
     def test_dataset_iris_gini(self, capsys):
         assert main(["--format", "json", "dataset", "iris", "--measure", "gini"]) == 0
         payload = json.loads(capsys.readouterr().out)
