@@ -22,7 +22,6 @@ episodes that never fail end in ResourceLimit rather than run on.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from operator import add
 
@@ -34,6 +33,7 @@ from .errors import (
     ResourceLimit,
     check_budget,
     check_count,
+    check_real,
     count_text,
     replace,
 )
@@ -113,20 +113,9 @@ class CartPoleParams(Record):
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise InvalidParameter(f"variant must be one of {VARIANTS}")
-        # each constant is stored as a Python float; as for a limit, a bool,
-        # a non-number and a value past the float range are refused
         for name in ("gravity", "cart_mass", "pole_mass", "pole_half_length", "force_magnitude",
                      "timestep", "position_threshold", "angle_threshold"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            try:
-                value = float(value) if real else math.nan
-            except OverflowError:  # an integer past the float range
-                value = math.inf
-            if name == "gravity" and not 0 <= value < math.inf:
-                raise InvalidParameter("gravity must be finite and not negative")
-            if name != "gravity" and not 0 < value < math.inf:
-                raise InvalidParameter(f"{name} must be positive and finite")
+            value = check_real(getattr(self, name), name, 0, above=name != "gravity")
             object.__setattr__(self, name, value)
 
     @property
@@ -455,10 +444,7 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     uniform on [0, 1). The walks are counted exactly, so the value is that
     number correctly rounded and never decreases as the limit grows.
     """
-    # a bool is no limit; NaN fails the comparison; the message leaves the
-    # value out, as str() refuses an integer past 4,300 digits
-    if isinstance(limit, bool) or not isinstance(limit, numbers.Real) or not 0 < limit < math.inf:
-        raise InvalidParameter("limit must be a positive finite number")
+    limit = check_real(limit, "limit", 0, above=True)
     episode_length = check_count(episode_length, "episode_length")
     axes = check_count(axes, "axes")
     if axes > 2:
@@ -469,7 +455,7 @@ def analytic_sparsity(limit: float, episode_length: int = 200, axes: int = 1) ->
     # both bands' cells, including the absorbing ones, as for a fractional limit
     _check_work(episode_length * (800 + (4 * band + 8) * (30 + episode_length // 64)),
                 "analytic_sparsity with limit {} over {} steps", limit, episode_length)
-    num, den = float(limit - band).as_integer_ratio()  # f = num / den, exactly
+    num, den = (limit - band).as_integer_ratio()  # f = num / den, exactly
     low = _surviving_walks(band, episode_length) ** axes
     high = _surviving_walks(band + 1, episode_length) ** axes if num else 0
     return (low * (den - num) + high * num) / (den << episode_length * axes)

@@ -164,7 +164,7 @@ def image_entropy(image: np.ndarray, binarize_first: bool = False) -> MeasureRes
     mode = "binarized to bins 0 and 255" if binarize_first else "raw intensities"
     return MeasureResult(
         measure_name="image_entropy",
-        value=float(value),
+        value=value,
         convention=f"{mode}; 256 equal bins over [0, 255]; all channels pooled; event_count = 256",
         provenance=ANALYTIC,
     )
@@ -418,8 +418,9 @@ def image_measures(
     """name is mnist or cifar10; measure is dimensionality, sparsity, gini
     or entropy. source is a loaded dataset or a stream, read in one pass
     that keeps one block of images at a time besides the per-image values.
-    MNIST is binarized unless mode is raw (sparsity's zero fraction is
-    always the binarized one); CIFAR-10 is always raw. split, the part of
+    MNIST dimensionality and entropy binarize unless mode is raw; the other
+    measures read raw pixels and no mode (binarizing moves no zero, so the
+    MNIST zero fraction is the binarized one). split, the part of
     the dataset read, is recorded in the entropy convention. Classes with
     no images are named in one note and have no per-class results."""
     import numpy as np
@@ -448,7 +449,7 @@ def image_measures(
         else:
             convention = "mean zero-valued fraction over raw intensities"
         measures.append(
-            MeasureResult("zero_sparsity_mean", float(per_image.mean()), convention, ANALYTIC)
+            MeasureResult("zero_sparsity_mean", per_image.mean(), convention, ANALYTIC)
         )
         if mnist:
             summaries = summarize_by_class(per_image, labels, source.class_names)

@@ -34,6 +34,7 @@ from .errors import (
     bundled_text,
     check_budget,
     check_count,
+    check_real,
 )
 
 if TYPE_CHECKING:
@@ -139,8 +140,8 @@ class ImageStream(_ImageCounts, Record, eq=False):
 
 class TabularDataset(Record, eq=False):
     """Numeric feature rows with one class label each, stored as a tuple of
-    float tuples and a tuple of class indices; any sequences of numbers,
-    numpy arrays too, are converted."""
+    float tuples and a tuple of class indices; any sequences of finite real
+    numbers, numpy arrays too, are converted."""
 
     features: tuple[tuple[float, ...], ...]
     labels: tuple[int, ...]
@@ -148,7 +149,8 @@ class TabularDataset(Record, eq=False):
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = tuple(tuple(float(v) for v in row) for row in self.features)
+        features = tuple(tuple(check_real(v, "each feature value") for v in row)
+                         for row in self.features)
         if not features:
             raise DegenerateInput("a table needs at least one row")
         if any(len(row) != len(self.feature_names) for row in features):

@@ -343,7 +343,7 @@ def descriptor_measures(
         ]
     for field_name in ("branching_factor", "avg_game_length"):
         measures.append(
-            MeasureResult(field_name, float(getattr(d, field_name)), "descriptor field", ANALYTIC)
+            MeasureResult(field_name, getattr(d, field_name), "descriptor field", ANALYTIC)
         )
     if breakdown is not None:
         measures.append(information_entropy(breakdown))

@@ -1,8 +1,9 @@
 """Error taxonomy shared across the package, and what every module checks
-alike: count arguments (check_count), sizes in refusals (count_text), the
-one array budget, the one JSON reader and bundled-file reader, the frozen
-Record base of every value type, and the one decoder that builds
-descriptors, breakdowns and reports by their Record annotations.
+alike: count arguments (check_count), real-number arguments (check_real),
+sizes in refusals (count_text), the one array budget, the one JSON reader
+and bundled-file reader, the frozen Record base of every value type, and
+the one decoder that builds descriptors, breakdowns and reports by their
+Record annotations.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
@@ -83,14 +84,35 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def check_real(value, name: str, minimum: float = -math.inf, *, above: bool = False) -> float:
+    """value as a Python float; InvalidParameter unless it is a real number
+    (not a bool), finite as a float (an integer past the float range is
+    not), and at least minimum, or above it when above is set."""
+    real = isinstance(value, float) or is_integer(value)
+    if not real:  # numbers is imported only here, for a numpy float32 or a Fraction, say
+        import numbers
+
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and (number > minimum if above else number >= minimum)):
+        bound = (f" above {minimum!r}" if above
+                 else f" of at least {minimum!r}" if minimum > -math.inf else "")
+        raise InvalidParameter(f"{name} must be a finite number{bound}")
+    return number
+
+
 def is_finite_number(value) -> bool:
     """An integer (not a bool) or float, finite as a float: what JSON holds."""
     if not (is_integer(value) or isinstance(value, float)):
         return False
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
+        check_real(value, "a JSON number")
+    except InvalidParameter:
         return False
+    return True
 
 
 # annotation -> (what a JSON value for it must be, test). tuple stands for

@@ -428,7 +428,7 @@ def grid_measures(
         measures.append(
             MeasureResult(
                 "ssc_combinatorial_total",
-                float(total),
+                total,
                 "exact integer total of per-ply stone-count arrangements",
                 ANALYTIC,
             )
@@ -455,13 +455,13 @@ def grid_measures(
     measures += [
         MeasureResult(
             "legal_positions_total",
-            float(raw.total),
+            raw.total,
             "breadth-first count of reachable positions; wins halt expansion",
             ENUMERATED,
         ),
         MeasureResult(
             "symmetry_classes_total",
-            float(sym.total),
+            sym.total,
             "breadth-first count of canonical forms under the board symmetry group",
             ENUMERATED,
         ),

@@ -15,7 +15,7 @@ from .errors import (
     Record,
     check_budget,
     check_count,
-    is_integer,
+    check_real,
 )
 
 if TYPE_CHECKING:
@@ -165,9 +165,8 @@ def histogram(
     import numpy as np
 
     bin_count = check_count(bin_count, "bin_count")
-    lo, hi = float(value_range[0]), float(value_range[1])
-    if not hi > lo:
-        raise InvalidParameter("value range must satisfy hi > lo")
+    lo = check_real(value_range[0], "value range lo")
+    hi = check_real(value_range[1], "value range hi", lo, above=True)
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise DegenerateInput("histogram needs at least one value")
@@ -233,11 +232,8 @@ def distance_diversity(points: Sequence[Sequence[float]], metric: str = "euclide
 
 def gtc_power(branching_factor: float, depth: float) -> float:
     """log10 of branching_factor ** depth, computed in log space."""
-    if branching_factor <= 1:
-        raise InvalidParameter("branching factor must exceed 1")
-    if depth <= 0:
-        raise InvalidParameter("depth must be positive")
-    return depth * math.log10(branching_factor)
+    branching_factor = check_real(branching_factor, "branching factor", 1, above=True)
+    return check_real(depth, "depth", 0, above=True) * math.log10(branching_factor)
 
 
 class Power(Record):
@@ -247,10 +243,8 @@ class Power(Record):
     exp: int
 
     def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise InvalidValue("power base must be positive")
-        if self.exp < 0:
-            raise InvalidValue("power exponent must be non-negative")
+        object.__setattr__(self, "base", check_count(self.base, "power base"))
+        object.__setattr__(self, "exp", check_count(self.exp, "power exponent", 0))
         try:
             finite = math.isfinite(self.log10())
         except OverflowError:  # an exponent beyond the float range
@@ -265,17 +259,16 @@ class Power(Record):
 def log10_product(factors: Iterable) -> float:
     """Sum log10 over plain factors and Power factors.
 
-    The product itself is never formed, so factors like 20000 ** 5 stay
-    exact; an empty sequence gives log10(1) = 0.
+    The product itself is never formed, so a Power factor like 20000 ** 5
+    may lie past the float range; each plain factor must be a positive
+    finite number. An empty sequence gives log10(1) = 0.
     """
     total = 0.0
     for factor in factors:
         if isinstance(factor, Power):
             total += factor.log10()
-            continue
-        if factor <= 0:
-            raise InvalidValue(f"factor {factor!r} is not positive")
-        total += math.log10(factor)
+        else:
+            total += math.log10(check_real(factor, "factor", 0, above=True))
     return total
 
 
@@ -335,16 +328,14 @@ class MeasureResult(Record):
             raise InvalidParameter("measure_name must be non-empty")
         if not self.convention:
             raise InvalidParameter("every result must record its convention")
-        # stored as a Python float, which JSON can hold. numbers is imported
-        # only for a value that is neither a float nor an integer, such as a
-        # numpy float32; bool is refused, as the report decoder refuses it
-        value = self.value
-        if not (isinstance(value, float) or is_integer(value)):
-            import numbers
-
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InvalidParameter(f"measure {self.measure_name} value must be a number")
+        # stored as a Python float, so no format prints NaN or infinity,
+        # which JSON could not hold anyway
         try:
-            object.__setattr__(self, "value", float(value))
-        except OverflowError:  # an integer beyond the float range
-            raise InvalidValue(f"measure {self.measure_name} is past the float range") from None
+            value = check_real(self.value, f"measure {self.measure_name} value")
+        except InvalidParameter:
+            if isinstance(self.value, float):  # the measure's arithmetic overflowed or failed
+                raise InvalidValue(
+                    f"measure {self.measure_name} came out {self.value}, not a finite number"
+                ) from None
+            raise
+        object.__setattr__(self, "value", value)

@@ -17,25 +17,16 @@ from .errors import (
     Factory,
     FormatError,
     InvalidParameter,
-    InvalidValue,
     Record,
     asdict,
+    check_real,
     from_mapping,
-    is_finite_number,
     is_integer,
     load_json,
 )
 from .measures import MeasureResult
 
 TOOL_VERSION = "0.1.0"
-
-
-def _is_real(value) -> bool:
-    # numbers is imported only here, for a value that is neither a Python
-    # float nor an integer; bool is no number here
-    import numbers
-
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ReferenceTarget(Record):
@@ -53,17 +44,10 @@ class ReferenceTarget(Record):
         # stored as a Python int for an integer, so that the hashes keep it
         # one, and as a Python float for any other real number, such as a
         # numpy float32; either way JSON can hold it
-        for name in ("value", "tolerance"):
+        for name, least in (("value", -math.inf), ("tolerance", 0)):
             value = getattr(self, name)
-            if is_integer(value):
-                value = int(value)
-            elif isinstance(value, float) or _is_real(value):
-                value = float(value)
-            if not is_finite_number(value):
-                raise InvalidParameter(f"target {self.measure_name} {name} must be a finite number")
-            object.__setattr__(self, name, value)
-        if self.tolerance < 0:
-            raise InvalidParameter(f"target {self.measure_name} tolerance must not be negative")
+            real = check_real(value, f"target {self.measure_name} {name}", least)
+            object.__setattr__(self, name, int(value) if is_integer(value) else real)
 
 
 def _utc_now() -> str:
@@ -82,14 +66,7 @@ class ComplexityReport(Record):
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # a measure that came out infinite or NaN is refused here, once, so
-        # no format prints it; JSON could not hold it anyway. Each name
-        # appears once, so compare reads one value per name.
-        for m in self.measures:
-            if not math.isfinite(m.value):
-                raise InvalidValue(
-                    f"measure {m.measure_name} came out {m.value!r}, not a finite number"
-                )
+        # each name appears once, so compare reads one value per name
         if len({m.measure_name for m in self.measures}) < len(self.measures):
             raise InvalidParameter("a measure name appears more than once")
         # stored as a Python int, which JSON can hold; a seed may be negative

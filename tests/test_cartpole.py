@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from dcx.cartpole import (
     rollout_entropy,
 )
 from dcx.dataset_metrics import channel_gini
+from dcx.datasets import TabularDataset
 from dcx.descriptors import (
     BreakdownElement,
     Component,
@@ -46,10 +48,19 @@ from dcx.descriptors import (
     path_sparsity_bound,
     tree_complexity,
 )
-from dcx.errors import MEMORY_BUDGET, InvalidParameter, ResourceLimit, replace
+from dcx.errors import MEMORY_BUDGET, DcxError, InvalidParameter, ResourceLimit, replace
 from dcx.games import TIC_TAC_TOE, GridGameSpec, gtc_factorial
-from dcx.measures import histogram, normalized_entropy, shannon_entropy
-from dcx.report import ComplexityReport, to_json
+from dcx.measures import (
+    ANALYTIC,
+    MeasureResult,
+    Power,
+    gtc_power,
+    histogram,
+    log10_product,
+    normalized_entropy,
+    shannon_entropy,
+)
+from dcx.report import ComplexityReport, ReferenceTarget, to_json
 
 # thresholds no episode reaches, so only max_steps or the cut ends one
 ENDLESS = {"position_threshold": 1e300, "angle_threshold": 1e300}
@@ -831,7 +842,7 @@ class TestAnalyticSparsity:
     def test_rejects_a_limit_that_is_no_positive_real_number(self, limit):
         # True ran as limit 1.0, and the message for -10**5000 raised
         # ValueError, as str() refuses an integer past 4,300 digits
-        with pytest.raises(InvalidParameter, match="^limit must be a positive finite number$"):
+        with pytest.raises(InvalidParameter, match="^limit must be a finite number above 0$"):
             analytic_sparsity(limit, 200)
 
     def test_refuses_work_past_the_budget_before_counting(self):
@@ -1061,6 +1072,9 @@ def _call_id(call) -> str:
         (BreakdownElement, "x", 2, np.True_),
         (path_sparsity_bound, (1, True), 0, 2),
         (path_sparsity_bound, (1, 1), 0, np.float64(3)),
+        (Power, 2.5, 3),
+        (Power, True, 3),
+        (Power, 2, 2.5),
     ],
     ids=_call_id,
 )
@@ -1070,6 +1084,61 @@ def test_counts_that_are_not_integers_are_refused(call):
     func, *args = call
     with pytest.raises(InvalidParameter, match="must be an integer of at least"):
         func(*args)
+
+
+# each real-number argument, given v, and what the call keeps or returns
+_REAL_SITES = {
+    "gtc_power base": lambda v: gtc_power(v, 3),
+    "gtc_power depth": lambda v: gtc_power(2, v),
+    "log10_product": lambda v: log10_product([10, v]),
+    "histogram lo": lambda v: histogram([1.0, 2.0], 4, (v, 3)).lo,
+    "histogram hi": lambda v: histogram([1.0, 2.0], 4, (0, v)).hi,
+    "analytic_sparsity": lambda v: analytic_sparsity(v),
+    "CartPoleParams gravity": lambda v: CartPoleParams(gravity=v).gravity,
+    "CartPoleParams timestep": lambda v: CartPoleParams(timestep=v).timestep,
+    "ReferenceTarget value": lambda v: ReferenceTarget("m", v, 0, "s").value,
+    "ReferenceTarget tolerance": lambda v: ReferenceTarget("m", 1.0, v, "s").tolerance,
+    "TabularDataset": lambda v: TabularDataset([[v]], [0], ("f",), ("c",)).features[0][0],
+    "MeasureResult": lambda v: MeasureResult("m", v, "c", ANALYTIC).value,
+    "Power base": lambda v: Power(v, 3).base,
+    "Power exp": lambda v: Power(2, v).exp,
+}
+
+
+_NO_REALS = {"True": True, "numpy True": np.True_, "nan": math.nan, "inf": math.inf,
+             "-inf": -math.inf, "1e400": 10**400, "str": "1.5", "None": None, "complex": 1j}
+
+
+@pytest.mark.parametrize(
+    ("site", "value"),
+    [pytest.param(site, value, id=f"{site}-{name}") for site in sorted(_REAL_SITES)
+     for name, value in _NO_REALS.items()
+     if (site, name) != ("Power base", "1e400")],  # a base past the float range is Power's use
+)
+def test_values_that_are_no_finite_real_number_are_refused(site, value):
+    # a bool ran as 1, NaN came back as the result, a string raised a bare
+    # TypeError, an infinite histogram range warned, 10**400 raised
+    # OverflowError or gave sparsity 1.0, and a table stored them all
+    with pytest.raises(DcxError):
+        _REAL_SITES[site](value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2)], ids=repr)
+@pytest.mark.parametrize("site", sorted(s for s in _REAL_SITES if not s.startswith("Power")))
+def test_real_numbers_give_what_their_float_gives(site, value):
+    # refused where their float is, and elsewhere kept or computed as that
+    # Python float; a reference target keeps an integer as an int, so the
+    # report hashes do not move
+    call = _REAL_SITES[site]
+    try:
+        want = call(float(value))
+    except InvalidParameter:
+        with pytest.raises(InvalidParameter):
+            call(value)
+        return
+    got = call(value)
+    integral = site.startswith("ReferenceTarget") and isinstance(value, np.integer)
+    assert got == want and type(got) is (int if integral else float)
 
 
 def test_numpy_integer_counts_give_the_python_int_results():

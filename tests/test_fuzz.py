@@ -4,9 +4,9 @@ DcxError, within a time bound.
 Hypothesis cuts, pads and overwrites bytes of valid IDX tensors and CIFAR-10
 batches, and feeds them to the in-memory parsers and, through files, to the
 streamed readers. It also overwrites fields of valid iris rows and measures
-what parses, and runs the command line with integer, float and text flags at
-their edges. The profile is derandomized, so every run tries the same
-inputs.
+what parses, runs the command line with integer, float and text flags at
+their edges, and feeds the real-number check every kind of value. The
+profile is derandomized, so every run tries the same inputs.
 """
 
 import gzip
@@ -17,6 +17,7 @@ import tempfile
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from dcx.datasets import (
     stream_cifar10,
     stream_mnist,
 )
-from dcx.errors import DcxError
+from dcx.errors import DcxError, InvalidParameter, check_real
 from idx_writer import write_idx
 
 settings.register_profile(
@@ -227,3 +228,26 @@ def test_cli_flags(argv):
         assert out.getvalue() == ""
     else:
         assert code == 2 and lines[-1].startswith("dcx") and ": error: " in lines[-1], lines
+
+
+# anything an argument may hold: Python and numpy reals of every size and
+# edge, fractions, bools and values that are no real number
+ANY_VALUE = st.one_of(
+    st.floats(), st.integers(), st.integers(-(10**400), 10**400), st.booleans(),
+    st.fractions(), st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.complex_numbers(), st.text(max_size=4), st.none(), st.just([0.5]),
+)
+
+
+@settings(FUZZ, max_examples=500)
+@given(ANY_VALUE, st.one_of(st.just(-math.inf), st.floats(-1e3, 1e3), st.integers(-5, 5)),
+       st.booleans())
+def test_check_real_returns_the_float_or_refuses(value, minimum, above):
+    try:
+        got = check_real(value, "x", minimum, above=above)
+    except InvalidParameter:
+        return
+    assert type(got) is float and got == float(value) and math.isfinite(got)
+    assert got > minimum if above else got >= minimum

@@ -83,17 +83,9 @@ IMAGE_PINS = {
         "87ccd7e9c3abf7944fb97b112ff7e6be4d8472089c97d8919d83bd5990b6089d",
     ("mnist", "sparsity", ""):
         "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
-    ("mnist", "sparsity", "--mode raw"):
-        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
-    ("mnist", "sparsity", "--mode binarized"):
-        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
     ("mnist", "sparsity", "--split test"):
         "dfae512029b8d64873300e2dd9cb5fb9ecde6cb54aac13e74b47c962fa02f6d3",
     ("mnist", "gini", ""):
-        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
-    ("mnist", "gini", "--mode raw"):
-        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
-    ("mnist", "gini", "--mode binarized"):
         "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
     ("mnist", "gini", "--split test"):
         "da989a34214b9eb3561456e4aa56eaec3ac1ee3c8177c67a744cf1a7905ec857",
@@ -107,33 +99,17 @@ IMAGE_PINS = {
         "541b16226c42be6c5183bcefabc428efe63915f1cdd7912126cf9af5acc636ff",
     ("cifar10", "dimensionality", ""):
         "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
-    ("cifar10", "dimensionality", "--mode raw"):
-        "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
-    ("cifar10", "dimensionality", "--mode binarized"):
-        "033930aa336a19aa2290989e4fbcc40e8b1ceb01ac55e702a0315c907aeda18b",
     ("cifar10", "dimensionality", "--split test"):
         "862352eeb54ef55dce2873007ff3c253817f8fae45ca1ebe690d6449203b2d8b",
     ("cifar10", "sparsity", ""):
-        "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
-    ("cifar10", "sparsity", "--mode raw"):
-        "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
-    ("cifar10", "sparsity", "--mode binarized"):
         "caea2a15c19d75dd880ebd056f5dfbfabfdb26aea9c678ae1e7d409b39b99f8f",
     ("cifar10", "sparsity", "--split test"):
         "9b8af2c8b881994209b8d4ad6e42bba97563afc2e83f317c6152ab68ff0d993f",
     ("cifar10", "gini", ""):
         "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
-    ("cifar10", "gini", "--mode raw"):
-        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
-    ("cifar10", "gini", "--mode binarized"):
-        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
     ("cifar10", "gini", "--split test"):
         "4838e97f55bc54dd2f18a8251c097448a31a6e07d672aa63994050b773053d0a",
     ("cifar10", "entropy", ""):
-        "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
-    ("cifar10", "entropy", "--mode raw"):
-        "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
-    ("cifar10", "entropy", "--mode binarized"):
         "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
     ("cifar10", "entropy", "--split test"):
         "9999f5021656100ea579e9bb28230e51e23f28b6db63120f9f95cb4b7cc437d5",

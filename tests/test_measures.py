@@ -317,7 +317,7 @@ class TestLogScaleHelpers:
         assert log10_product([Power(10, 6), 100]) == pytest.approx(8.0)
 
     def test_log10_product_rejects_nonpositive(self):
-        with pytest.raises(InvalidValue):
+        with pytest.raises(InvalidParameter, match="^factor must be a finite number above 0$"):
             log10_product([10, 0])
 
     def test_log10_int_matches_math_log10_in_float_range(self):

@@ -146,7 +146,9 @@ class TestSerialization:
     )
     def test_reference_targets_hold_only_numbers_json_can(self, field, bad):
         # to_json would write NaN or Infinity, which from_json then refuses
-        with pytest.raises(InvalidParameter, match=f"^target alpha {field} must be a finite number$"):
+        bound = " of at least 0" if field == "tolerance" else ""
+        with pytest.raises(InvalidParameter,
+                           match=f"^target alpha {field} must be a finite number{bound}$"):
             ReferenceTarget(**{"measure_name": "alpha", "value": 1.4, "tolerance": 0.2,
                                "source": "worked example", field: bad})
 
@@ -178,11 +180,12 @@ class TestSerialization:
 
     def test_negative_tolerance_is_refused(self):
         # a window of -1 names no window; the report decoder refuses it too
-        with pytest.raises(InvalidParameter, match="^target alpha tolerance must not be negative$"):
+        with pytest.raises(InvalidParameter,
+                           match="^target alpha tolerance must be a finite number of at least 0$"):
             ReferenceTarget("alpha", 1.0, -1, "worked example")
         payload = json.loads(to_json(sample_report()))
         payload["reference_targets"][0]["tolerance"] = -0.5
-        with pytest.raises(FormatError, match="negative"):
+        with pytest.raises(FormatError, match="tolerance must be a finite number of at least 0"):
             from_json(json.dumps(payload))
 
     def test_json_embeds_matching_hash(self):
@@ -286,11 +289,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", [True, "0.5", None, 1j, [0.5]])
     def test_measure_value_must_be_a_number(self, value):
-        with pytest.raises(InvalidParameter, match="alpha value must be a number"):
+        with pytest.raises(InvalidParameter, match="^measure alpha value must be a finite number$"):
             MeasureResult("alpha", value, "stated", ANALYTIC)
 
     def test_measure_value_past_the_float_range_is_refused(self):
-        with pytest.raises(InvalidValue, match="alpha is past the float range"):
+        with pytest.raises(InvalidParameter, match="^measure alpha value must be a finite number$"):
             MeasureResult("alpha", 10**400, "stated", ANALYTIC)
 
     def test_report_seed_is_an_integer_and_may_be_negative(self):
@@ -793,6 +796,23 @@ class TestCli:
         assert main(["dataset", "iris", "--split", "all"]) == 1
         assert capsys.readouterr().err == "dcx: dataset iris does not read --split\n"
 
+    @pytest.mark.parametrize("mode", ["raw", "binarized"])
+    @pytest.mark.parametrize(("name", "measure"), [
+        *[("cifar10", m) for m in ("dimensionality", "sparsity", "gini", "entropy")],
+        ("mnist", "sparsity"), ("mnist", "gini"),
+    ])
+    def test_image_measures_refuse_a_mode_they_do_not_read(self, name, measure, mode, request,
+                                                           capsys):
+        # CIFAR-10 is never binarized, and MNIST sparsity and gini read the
+        # raw pixels, so --mode was silently ignored on these
+        directory = request.getfixturevalue(
+            "synthetic_mnist_dir" if name == "mnist" else "synthetic_cifar_dir"
+        )
+        argv = ["dataset", name, "--measure", measure, "--mode", mode, "--data-dir", str(directory)]
+        assert main(argv) == 1
+        what = f"{name} --measure {measure}" if name == "mnist" else name
+        assert capsys.readouterr() == ("", f"dcx: dataset {what} does not read --mode\n")
+
     def test_game_presets_refuse_the_board_flags(self, capsys):
         # ttt and qubic fix their board, so --side, --dims, --plies and --win
         # are refused rather than ignored
@@ -982,14 +1002,14 @@ class TestCli:
         # never touch a numpy value, so they must not pay for its import,
         # and each subcommand loads only its own domain module; an empty
         # argv means a bare `import dcx.cli`. No run loads dataclasses, and
-        # inspect loads only with numpy, which imports it
+        # inspect and numbers load only with numpy, which imports them
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
             assert main(["--format", "json", "--out", str(path), "game", name, *extra]) == 0
         argv = [arg.format(**reports) for arg in argv]
-        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses", "inspect")
-        loads = loads | ({"inspect"} if "numpy" in loads else set())
+        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses", "inspect", "numbers")
+        loads = loads | ({"inspect", "numbers"} if "numpy" in loads else set())
         probe = (
             "import sys\n"
             "import dcx\n"
