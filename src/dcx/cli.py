@@ -8,9 +8,11 @@ Each domain module is imported by the runner that computes with it:
 `game` loads `games`, `descriptor` and `cartpole --measure table` load
 `descriptors`, the other cart-pole measures `cartpole`, and `dataset` the
 two dataset modules. `compare`, `--help` and usage errors load none of
-them. numpy comes only with a value that needs it: game enumeration, the
-cart-pole simulator and the image datasets. The descriptor entropies and
-the iris table are summed in plain Python, in numpy's order.
+them. numpy comes only with a value that needs it: the enumeration of a
+board of more than nine cells, the cart-pole simulator and the image
+datasets. Board geometry is index arithmetic, boards of up to nine cells
+are enumerated in plain Python, and the descriptor entropies and the iris
+table are summed in plain Python, in numpy's order.
 
 dcx calls no BLAS routine, so `main` starts numpy with one OpenBLAS
 thread instead of a pool whose idle worker spins for CPU time. An

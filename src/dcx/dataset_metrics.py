@@ -324,13 +324,16 @@ def summarize_by_class(
     per_item_values, labels, class_names: tuple[str, ...]
 ) -> list[ClassSummary]:
     """Group values by label and summarize each class; classes without
-    members are omitted."""
+    members are omitted. Each label must index class_names."""
     import numpy as np
 
     values = np.asarray(per_item_values, dtype=float)
     label_arr = np.asarray(labels)
     if len(values) != len(label_arr):
         raise InvalidParameter("values and labels must align")
+    if label_arr.size and (label_arr.dtype.kind not in "iu" or label_arr.min() < 0
+                           or label_arr.max() >= len(class_names)):
+        raise InvalidParameter("each label must be an integer index into class_names")
     summaries = []
     for index, name in enumerate(class_names):
         members = values[label_arr == index]

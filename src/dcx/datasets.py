@@ -138,6 +138,13 @@ class ImageStream(_ImageCounts, Record, eq=False):
         return self.reader
 
 
+def _items(values, what: str) -> Iterator:
+    try:
+        return iter(values)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be a sequence, not {type(values).__name__}") from None
+
+
 class TabularDataset(Record, eq=False):
     """Numeric feature rows with one class label each, stored as a tuple of
     float tuples and a tuple of class indices; any sequences of finite real
@@ -149,13 +156,15 @@ class TabularDataset(Record, eq=False):
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = tuple(tuple(check_real(v, "each feature value") for v in row)
-                         for row in self.features)
+        features = tuple(
+            tuple(check_real(v, "each feature value") for v in _items(row, "each feature row"))
+            for row in _items(self.features, "features")
+        )
         if not features:
             raise DegenerateInput("a table needs at least one row")
         if any(len(row) != len(self.feature_names) for row in features):
             raise InvalidParameter("one name per feature column required")
-        labels = tuple(check_count(label, "label", 0) for label in self.labels)
+        labels = tuple(check_count(label, "label", 0) for label in _items(self.labels, "labels"))
         if len(labels) != len(features):
             raise InvalidParameter("one label per row required")
         if any(label >= len(self.class_names) for label in labels):

@@ -160,24 +160,44 @@ def histogram(
     """Bin values into bin_count equal-width bins over value_range.
 
     A value v maps to bin min(floor((v - lo) / width), bin_count - 1);
-    values outside the range clamp to the boundary bins.
+    values outside the range clamp to the boundary bins. Every value must
+    be a finite real number, and value_range a pair of them, hi above lo.
     """
     import numpy as np
 
     bin_count = check_count(bin_count, "bin_count")
-    lo = check_real(value_range[0], "value range lo")
-    hi = check_real(value_range[1], "value range hi", lo, above=True)
-    v = np.asarray(values, dtype=float).ravel()
+    try:
+        lo, hi = value_range
+    except (TypeError, ValueError):
+        raise InvalidParameter("value_range must be a pair (lo, hi)") from None
+    lo = check_real(lo, "value range lo")
+    hi = check_real(hi, "value range hi", lo, above=True)
+    width = (hi - lo) / bin_count
+    if not 0.0 < width < math.inf:
+        raise InvalidParameter("value range has no finite, nonzero width per bin")
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        v = values.astype(float, copy=False).ravel()
+    else:  # item by item, as numpy would read True as 1.0 and "1.5" as 1.5
+        try:
+            items = np.asarray(values, dtype=object).ravel().tolist()
+        except ValueError:  # nested arrays that do not broadcast
+            raise InvalidParameter("histogram values must be an array of numbers") from None
+        v = np.array([check_real(x, "each histogram value") for x in items], dtype=float)
     if v.size == 0:
         raise DegenerateInput("histogram needs at least one value")
     # A run at a time, so the temporaries do not grow with the values; a run
     # is at least bin_count long, as each run's bincount spans every bin.
     run = max(_HISTOGRAM_CHUNK, bin_count)
-    width = (hi - lo) / bin_count
     counts = np.zeros(bin_count, dtype=np.int64)
     for start in range(0, v.size, run):
-        idx = np.floor((v[start : start + run] - lo) / width).astype(np.int64)
-        counts += np.bincount(np.clip(idx, 0, bin_count - 1), minlength=bin_count)
+        chunk = v[start : start + run]
+        if not np.isfinite(chunk).all():
+            raise InvalidParameter("each histogram value must be a finite number")
+        # a value far outside the range overflows to an infinite quotient,
+        # which is clamped while still a float, before any integer cast
+        with np.errstate(over="ignore"):
+            idx = np.clip(np.floor((chunk - lo) / width), 0, bin_count - 1)
+        counts += np.bincount(idx.astype(np.intp), minlength=bin_count)
     return Histogram(lo=lo, hi=hi, counts=tuple(int(c) for c in counts))
 
 

@@ -217,6 +217,13 @@ class TestClassSummaries:
         assert summaries[0].median == 2.0
         assert summaries[1].median == 20.0
 
+    @pytest.mark.parametrize("labels", [[0, 7], [0, -1], [0.0, 0.5], [True, False]], ids=repr)
+    def test_labels_outside_the_classes_are_refused(self, labels):
+        # an out-of-range label dropped its item: [0, 7] over one class gave
+        # one summary of one value
+        with pytest.raises(InvalidParameter, match="class_names"):
+            summarize_by_class([1.0, 2.0], labels, ("a", "b"))
+
     def test_empty_class_is_omitted_without_a_warning(self):
         values = np.array([1.0, 2.0])
         labels = np.array([0, 0])

@@ -15,6 +15,7 @@ from dcx.dataset_metrics import image_measures
 from dcx.datasets import (
     BLOCK_IMAGES,
     LabeledImageDataset,
+    TabularDataset,
     binarize,
     load_cifar10,
     load_iris,
@@ -219,6 +220,16 @@ class TestIrisParsing:
     def test_rejects_empty_table(self):
         with pytest.raises(DegenerateInput):
             parse_iris_csv("\n\n")
+
+    @pytest.mark.parametrize(
+        ("features", "labels"),
+        [([1.0], [0]), (None, [0]), ([[1.0]], None), ([[1.0]], 0), ([["1.0"]], [0])],
+        ids=["flat-features", "no-features", "no-labels", "scalar-label", "string-cell"],
+    )
+    def test_table_refuses_what_is_not_rows_of_numbers_and_labels(self, features, labels):
+        # a flat row list and a None labels argument raised a bare TypeError
+        with pytest.raises(InvalidParameter):
+            TabularDataset(features, labels, ("a",), ("c",))
 
     def test_bundled_table(self):
         ds = load_iris()

@@ -346,6 +346,73 @@ def test_matches_tuple_enumeration(spec, symmetry):
     assert enumerate_states(spec, symmetry).counts_per_ply == oracle_counts(spec, symmetry)
 
 
+SEARCH_BOARDS = [s for s in ORACLE_BOARDS if s.cells <= games._PYTHON_SEARCH_CELLS] + [
+    GridGameSpec(side=4, dims=2, max_plies=4, win_length=win) for win in (3, 4)
+]
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["raw", "sym"])
+@pytest.mark.parametrize(
+    "spec", SEARCH_BOARDS,
+    ids=[f"{s.side}^{s.dims}-p{s.max_plies}-w{s.win_length}" for s in SEARCH_BOARDS],
+)
+def test_python_search_matches_the_numpy_kernel(spec, symmetry):
+    assert games._python_counts(spec, symmetry) == games._numpy_counts(spec, symmetry)
+
+
+# --- the numpy index grid the geometry replaced, kept as its oracle ------------
+
+
+def oracle_grid(spec):
+    return np.arange(spec.cells).reshape((spec.side,) * spec.dims)
+
+
+def oracle_win_lines(spec):
+    """The j-th cells of every segment along a direction as one grid slice."""
+    if spec.side == 1:
+        return ((0,),)
+    grid, k = oracle_grid(spec), spec.win_length
+    lines = set()
+    for d in itertools.product((-1, 0, 1), repeat=spec.dims):
+        if not any(d) or next(v for v in d if v) < 0:
+            continue
+        first = [(k - 1) * (v < 0) for v in d]
+        count = [spec.side - (k - 1) * abs(v) for v in d]
+        nth = (
+            grid[tuple(slice(f + j * v, f + j * v + n) for f, v, n in zip(first, d, count))]
+            for j in range(k)
+        )
+        lines.update(zip(*(cells.ravel().tolist() for cells in nth)))
+    return tuple(sorted(lines))
+
+
+def oracle_symmetry_maps(spec):
+    """The grid transposed and flipped, then flattened."""
+    if spec.side == 1:
+        return ((0,),)
+    grid, axes = oracle_grid(spec), range(spec.dims)
+    return tuple(
+        tuple(np.flip(grid.transpose(perm), [a for a in axes if flips[a]]).ravel().tolist())
+        for perm in itertools.permutations(axes)
+        for flips in itertools.product((False, True), repeat=spec.dims)
+    )
+
+
+GEOMETRY_BOARDS = [TTT, GridGameSpec(2, 3, 1, 2), GridGameSpec(2, 4, 1, 2),
+                   GridGameSpec(4, 2, 1, 3), GridGameSpec(4, 2, 1, 4), GridGameSpec(5, 2, 1, 5),
+                   GridGameSpec(6, 1, 1, 3), QUBIC]
+
+
+@pytest.mark.parametrize(
+    "spec", GEOMETRY_BOARDS, ids=[f"{s.side}^{s.dims}-w{s.win_length}" for s in GEOMETRY_BOARDS]
+)
+def test_geometry_matches_the_index_grid(spec):
+    # the same tuples in the same order, so the search tables and the
+    # canonical forms built from them do not move
+    assert win_lines(spec) == oracle_win_lines(spec)
+    assert symmetry_maps(spec) == oracle_symmetry_maps(spec)
+
+
 def pack(board: tuple[int, ...]) -> int:
     """A 0/1/2 cell tuple as the uint32 the enumeration uses: X bits | O bits << 16."""
     x = sum(1 << i for i, v in enumerate(board) if v == 1)

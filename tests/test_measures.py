@@ -2,6 +2,8 @@
 sums, Gini and entropy against numpy oracles, bit for bit."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -253,6 +255,52 @@ class TestHistogram:
     def test_rejects_bad_range(self):
         with pytest.raises(InvalidParameter):
             histogram([1.0], 4, (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400, True, np.True_, "1.5", "a", None, 1j],
+        ids=repr,
+    )
+    def test_refuses_values_that_are_no_finite_real_number(self, value):
+        # NaN and inf went to the first bin with a numpy RuntimeWarning, a
+        # string raised a bare ValueError, and "1.5" was read as 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for values in ([value, 0.5], np.array([0.5, value], dtype=object)):
+                with pytest.raises(InvalidParameter, match="histogram value"):
+                    histogram(values, 4, (0.0, 1.0))
+        if isinstance(value, float):  # the same from the float array's chunks
+            with pytest.raises(InvalidParameter, match="histogram value"):
+                histogram(np.r_[np.zeros(1 << 16), value], 4, (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(3), Fraction(1, 2), 2**70],
+                             ids=repr)
+    def test_real_numbers_bin_as_their_float(self, value):
+        assert histogram([value], 4, (0.0, 4.0)) == histogram([float(value)], 4, (0.0, 4.0))
+
+    @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0]], [[1.0], np.zeros((1, 2))]],
+                             ids=["ragged", "unbroadcastable"])
+    def test_refuses_nestings_that_are_no_array(self, values):
+        with pytest.raises(InvalidParameter):
+            histogram(values, 4, (0.0, 4.0))
+
+    def test_quotients_past_the_integer_range_clamp_to_the_last_bin(self):
+        # the quotient overflows to inf, which is clamped before the cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert histogram([1e300], 4, (0.0, 1e-320)).counts == (0, 0, 0, 1)
+            assert histogram([-1e300, 1e300], 2, (0.0, 1.0)).counts == (1, 1)
+
+    @pytest.mark.parametrize("value_range", [None, (1.0,), (0.0, 1.0, 2.0), 1.0, "ab"], ids=repr)
+    def test_range_must_be_a_pair_of_real_numbers(self, value_range):
+        # None raised TypeError, (1.0,) IndexError, and (0, 1, 2) was read as (0, 1)
+        with pytest.raises(InvalidParameter):
+            histogram([0.5], 4, value_range)
+
+    @pytest.mark.parametrize("value_range", [(-1e308, 1e308), (0.0, 5e-324)], ids=repr)
+    def test_range_needs_a_finite_nonzero_width_per_bin(self, value_range):
+        # the width overflows to inf or underflows to 0, so no value bins
+        with pytest.raises(InvalidParameter, match="width per bin"):
+            histogram([0.0], 4, value_range)
 
     @pytest.mark.parametrize("bin_count", [7, 256, (1 << 16) + 5])
     def test_runs_count_as_one_bincount(self, bin_count):

@@ -982,7 +982,11 @@ class TestCli:
               for v in ("2d", "2dg", "3d")],
             (("--format", "json", "game", "ttt", "--no-enumerate"), 0, {"dcx.games"}),
             (("--format", "json", "game", "qubic"), 0, {"dcx.games"}),
-            (("--format", "json", "game", "ttt"), 0, {"dcx.games", "numpy"}),
+            # boards of at most nine cells enumerate in plain Python, larger
+            # ones with the numpy kernel
+            (("--format", "json", "game", "ttt"), 0, {"dcx.games"}),
+            (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
+              "--plies", "6", "--win", "4"), 0, {"dcx.games", "numpy"}),
             (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, set()),
             (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, set()),
             (("descriptor", "nosuch"), 1, {"dcx.descriptors"}),
@@ -998,11 +1002,12 @@ class TestCli:
     )
     def test_numpy_loads_only_where_a_value_needs_it(self, tmp_path, argv, exit_code, loads):
         # closed forms (games, descriptor arithmetic, cart-pole tables,
-        # compare, errors), the descriptor entropies and the iris table
-        # never touch a numpy value, so they must not pay for its import,
-        # and each subcommand loads only its own domain module; an empty
-        # argv means a bare `import dcx.cli`. No run loads dataclasses, and
-        # inspect and numbers load only with numpy, which imports them
+        # compare, errors), small-board enumeration, the descriptor
+        # entropies and the iris table never touch a numpy value, so they
+        # must not pay for its import, and each subcommand loads only its
+        # own domain module; an empty argv means a bare `import dcx.cli`.
+        # No run loads dataclasses, and inspect and numbers load only with
+        # numpy, which imports them
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
@@ -1111,8 +1116,9 @@ class TestCli:
             "print('probe:', code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
             "      file=sys.stderr)\n"
         )
-        # game ttt enumerates, so it loads numpy
-        result = run_python("-c", probe, "--format", "json", "game", "ttt")
+        # a board of more than nine cells enumerates with numpy
+        result = run_python("-c", probe, "--format", "json", "game", "custom", "--side", "4",
+                            "--dims", "2", "--plies", "4", "--win", "4")
         assert result.stderr.splitlines()[-1] == f"probe: 0 True {threads}", result.stderr
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
