@@ -23,6 +23,7 @@ from .measures import (  # noqa: F401
     log10_product,
     normalized_entropy,
     pairwise_sum,
+    real_array,
     shannon_entropy,
 )
 
@@ -296,10 +297,24 @@ class ClassSummary(Record):
     outlier_count: int
 
 
-def summarize_class(values, class_name: str) -> ClassSummary:
+def _finite_values(values) -> np.ndarray:
+    """values as a one-dimensional float array; InvalidParameter unless they
+    are a sequence of finite real numbers."""
     import numpy as np
 
-    arr = np.sort(np.asarray(values, dtype=float))
+    arr = real_array(values, "per-item")
+    if arr.ndim != 1:
+        raise InvalidParameter("per-item values must be a sequence of numbers")
+    if not np.isfinite(arr).all():
+        raise InvalidParameter("each per-item value must be a finite number")
+    return arr
+
+
+def summarize_class(values, class_name: str) -> ClassSummary:
+    """Count, mean, quartiles, whiskers and outliers of finite real values."""
+    import numpy as np
+
+    arr = np.sort(_finite_values(values))
     if arr.size == 0:
         raise DegenerateInput(f"class {class_name!r} has no values")
     q1, median, q3 = _midpoint_quartiles(arr)
@@ -324,10 +339,11 @@ def summarize_by_class(
     per_item_values, labels, class_names: tuple[str, ...]
 ) -> list[ClassSummary]:
     """Group values by label and summarize each class; classes without
-    members are omitted. Each label must index class_names."""
+    members are omitted. The values must be a sequence of finite real
+    numbers, and each label must index class_names."""
     import numpy as np
 
-    values = np.asarray(per_item_values, dtype=float)
+    values = _finite_values(per_item_values)
     label_arr = np.asarray(labels)
     if len(values) != len(label_arr):
         raise InvalidParameter("values and labels must align")

@@ -106,8 +106,10 @@ class LabeledImageDataset(_ImageCounts, Record, eq=False):
             raise InvalidParameter("images must be an N x H x W x C array")
         if len(self.labels) != len(self.images):
             raise InvalidParameter("one label per image required")
-        if len(self.labels) and int(self.labels.max()) >= len(self.class_names):
-            raise InvalidParameter("label index outside class_names")
+        labels = self.labels
+        if len(labels) and (labels.dtype.kind not in "iu" or labels.min() < 0
+                            or labels.max() >= len(self.class_names)):
+            raise InvalidParameter("each label must be an integer index into class_names")
 
     @property
     def shape(self) -> tuple[int, ...]:

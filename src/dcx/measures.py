@@ -43,6 +43,24 @@ def _floats(values, error: type) -> list[float]:
         raise error("expected an array or a flat sequence of numbers") from exc
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """values as a float array of their own shape. An integer or float
+    ndarray is converted as it is, its values left for the caller to check;
+    anything else goes item by item through check_real, as numpy would read
+    True as 1.0 and "1.5" as 1.5. name starts the InvalidParameter message.
+    """
+    import numpy as np
+
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
+    try:
+        items = np.asarray(values, dtype=object)
+    except ValueError:  # nested arrays that do not broadcast
+        raise InvalidParameter(f"{name} values must be an array of numbers") from None
+    reals = [check_real(x, f"each {name} value") for x in items.flat]
+    return np.array(reals, dtype=float).reshape(items.shape)
+
+
 def _pairwise(x: list[float], lo: int, n: int) -> float:
     if n < 8:
         total = -0.0
@@ -175,14 +193,7 @@ def histogram(
     width = (hi - lo) / bin_count
     if not 0.0 < width < math.inf:
         raise InvalidParameter("value range has no finite, nonzero width per bin")
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        v = values.astype(float, copy=False).ravel()
-    else:  # item by item, as numpy would read True as 1.0 and "1.5" as 1.5
-        try:
-            items = np.asarray(values, dtype=object).ravel().tolist()
-        except ValueError:  # nested arrays that do not broadcast
-            raise InvalidParameter("histogram values must be an array of numbers") from None
-        v = np.array([check_real(x, "each histogram value") for x in items], dtype=float)
+    v = real_array(values, "histogram").ravel()
     if v.size == 0:
         raise DegenerateInput("histogram needs at least one value")
     # A run at a time, so the temporaries do not grow with the values; a run

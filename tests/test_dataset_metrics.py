@@ -224,6 +224,17 @@ class TestClassSummaries:
         with pytest.raises(InvalidParameter, match="class_names"):
             summarize_by_class([1.0, 2.0], labels, ("a", "b"))
 
+    @pytest.mark.parametrize(
+        "values", [["a"], 1.0, [True], [float("nan")], np.array([np.inf]), [[1.0]]], ids=repr
+    )
+    def test_values_that_are_not_finite_numbers_are_refused(self, values):
+        # a string raised a bare ValueError and a scalar a bare TypeError or
+        # AxisError; summarize_class summarized a NaN as NaN
+        with pytest.raises(InvalidParameter, match="value"):
+            summarize_by_class(values, [0], ("a",))
+        with pytest.raises(InvalidParameter, match="value"):
+            summarize_class(values, "a")
+
     def test_empty_class_is_omitted_without_a_warning(self):
         values = np.array([1.0, 2.0])
         labels = np.array([0, 0])

@@ -655,6 +655,14 @@ class TestDatasetValidation:
                 images=images, labels=np.array([2]), class_names=("a", "b")
             )
 
+    @pytest.mark.parametrize("labels", [[-1, 0], [0.5, 0]], ids=repr)
+    def test_rejects_negative_and_fractional_labels(self, labels):
+        # only the largest label was checked, so these were stored and failed
+        # later, in summarize_by_class
+        images = np.zeros((2, 2, 2, 1), dtype=np.uint8)
+        with pytest.raises(InvalidParameter, match="integer index into class_names"):
+            LabeledImageDataset(images=images, labels=np.array(labels), class_names=("a", "b"))
+
     def test_counts(self):
         images = np.zeros((3, 4, 5, 1), dtype=np.uint8)
         ds = LabeledImageDataset(

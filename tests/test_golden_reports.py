@@ -197,6 +197,15 @@ def test_report_hash(command, capsys):
     assert report_hash(command.split(), capsys) == REPORT_PINS[command]
 
 
+def test_report_hash_without_the_built_in_sha256(monkeypatch, capsys):
+    # an interpreter built without _sha2 (3.12+) or _sha256 hashes a
+    # report with hashlib, whose digest is the same
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert dcx.report._sha256() is hashlib.sha256
+    assert report_hash(["game", "qubic"], capsys) == REPORT_PINS["game qubic"]
+
+
 @pytest.mark.parametrize(("name", "measure", "options"), sorted(IMAGE_PINS))
 def test_image_report_hash(name, measure, options, request, capsys):
     directory = request.getfixturevalue(

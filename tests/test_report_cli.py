@@ -1007,13 +1007,15 @@ class TestCli:
         # must not pay for its import, and each subcommand loads only its
         # own domain module; an empty argv means a bare `import dcx.cli`.
         # No run loads dataclasses, and inspect and numbers load only with
-        # numpy, which imports them
+        # numpy, which imports them. No run loads _hashlib, OpenSSL's
+        # binding: a report's hash takes the built-in SHA-256
         reports = {"ttt": tmp_path / "ttt.json", "qubic": tmp_path / "qubic.json"}
         for name, path in reports.items():
             extra = ("--no-enumerate",) if name == "ttt" else ()
             assert main(["--format", "json", "--out", str(path), "game", name, *extra]) == 0
         argv = [arg.format(**reports) for arg in argv]
-        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses", "inspect", "numbers")
+        watched = ("numpy", "dcx.games", "dcx.descriptors", "dataclasses", "inspect", "numbers",
+                   "_hashlib")
         loads = loads | ({"inspect", "numbers"} if "numpy" in loads else set())
         probe = (
             "import sys\n"
