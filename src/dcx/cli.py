@@ -9,10 +9,13 @@ Each domain module is imported by the runner that computes with it:
 `descriptors`, the other cart-pole measures `cartpole`, and `dataset` the
 two dataset modules. `compare`, `--help` and usage errors load none of
 them. numpy comes only with a value that needs it: the enumeration of a
-board of more than nine cells, the cart-pole simulator and the image
-datasets. Board geometry is index arithmetic, boards of up to nine cells
+board of more than nine cells, the cart-pole simulator, and the image
+measures that are array kernels (CIFAR-10 gini and entropy, MNIST entropy
+--mode raw). Board geometry is index arithmetic, boards of up to nine cells
 are enumerated in plain Python, and the descriptor entropies and the iris
-table are summed in plain Python, in numpy's order.
+table are summed in plain Python, in numpy's order. The image zero
+fractions and binarized entropies are counted from the file bytes, and
+image dimensionality only reads the files, without numpy.
 
 dcx calls no BLAS routine, so `main` starts numpy with one OpenBLAS
 thread instead of a pool whose idle worker spins for CPU time. An

@@ -1,11 +1,18 @@
 """Complexity measures over ingested datasets: feature-space dimensionality,
 zero-fraction sparsity, per-image entropy, per-channel and per-class Gini,
 and boxplot-style class summaries.
+
+The zero fraction and the binarized entropy of an image depend only on how
+many of its bytes are nonzero, so both take that count in plain Python,
+from the raw blocks of a stream or the bytes of an array, and so do the
+class summaries and the means of their values. The raw entropy histograms
+and the channel Gini indices are numpy kernels.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from contextlib import closing
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -30,8 +37,11 @@ from .measures import (  # noqa: F401
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the image measures, so the iris measures load
-# without it.
+# numpy is imported inside the array kernels, so the iris measures and the
+# counting measures over a stream load without it.
+
+# log2 of the 256 intensity bins an image entropy is normalized by
+_LOG2_BINS = math.log2(256)
 
 
 def feature_space_dimensionality(dataset: LabeledImageDataset | ImageStream) -> float:
@@ -69,16 +79,50 @@ def _image_rows(images) -> np.ndarray:
     return arr.reshape(len(arr), per_image)
 
 
-def image_zero_sparsities(images) -> np.ndarray:
-    """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
+def _nonzero_counts(records, record_size: int, offset: int) -> list[int]:
+    """Per record of the bytes records, record_size bytes each, the count of
+    its nonzero bytes from offset on.
+
+    bytes.count branches on each byte: about 0.5 ns a byte where zeros are
+    rare (CIFAR-10) and 2.5 ns where four in five bytes are zero (MNIST),
+    against a steady 1.9 ns for a count of the bits set in the bytes'
+    translation to 0 and 1 (Python 3.11, x86-64). It wins on the two
+    datasets together."""
+    size = record_size - offset
+    return [size - records.count(0, i, i + size) for i in range(offset, len(records), record_size)]
+
+
+def _zero_fractions(counts: list[int], size: int) -> list[float]:
+    """1 minus the nonzero fraction, per image of size values."""
+    return [1.0 - k / size for k in counts]
+
+
+def _binarized_entropies(counts: list[int], size: int) -> list[float]:
+    """The normalized entropy of each image of size values that has count
+    nonzero ones, binarized: zeros fill the first bin, the rest the last. A
+    pairwise sum of two terms is one addition, and an empty bin adds
+    plogp[0] = 0.0; 0.0 - s, not -s, as shannon_entropy."""
+    plogp = _plogp(size)
+    return [(0.0 - (plogp[size - k] + plogp[k])) / _LOG2_BINS for k in counts]
+
+
+def _counted(images, per_image) -> np.ndarray:
+    """per_image(counts, size) over the nonzero counts of images, an
+    N x ... uint8 array, a chunk of BLOCK_IMAGES images at a time."""
     import numpy as np
 
     rows = _image_rows(images)
-    out = np.empty(len(rows))
+    size = rows.shape[1]
+    out = []
     for start in range(0, len(rows), BLOCK_IMAGES):
-        chunk = rows[start : start + BLOCK_IMAGES]
-        out[start : start + len(chunk)] = 1.0 - np.count_nonzero(chunk, axis=1) / rows.shape[1]
-    return out
+        chunk = rows[start : start + BLOCK_IMAGES].tobytes()
+        out += per_image(_nonzero_counts(chunk, size, 0), size)
+    return np.array(out, dtype=float)
+
+
+def image_zero_sparsities(images) -> np.ndarray:
+    """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
+    return _counted(images, _zero_fractions)
 
 
 def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -103,16 +147,29 @@ def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _plogp(size: int) -> np.ndarray:
+def _plogp(size: int) -> tuple[float, ...]:
     """p * log2(p) for each p = c / size, c = 0 to size, that a histogram of
     one image of size values can hold, 0.0 at c = 0. Each term is
     shannon_entropy's, taken with math.log2, whose last bit numpy's log2
-    does not always give. Read-only, as every call with one size shares it."""
+    does not always give."""
+    return (0.0, *(c / size * math.log2(c / size) for c in range(1, size + 1)))
+
+
+@lru_cache(maxsize=2)
+def _plogp_array(size: int) -> np.ndarray:
+    """_plogp(size) as a float array; read-only, as every call with one size
+    shares it."""
     import numpy as np
 
-    table = np.array([0.0] + [c / size * math.log2(c / size) for c in range(1, size + 1)])
+    table = np.array(_plogp(size))
     table.flags.writeable = False
     return table
+
+
+# the raw entropy kernel offsets each image's values by 256 times its index
+# in the chunk; in uint16 while the largest key fits, as bincount's input
+# is half the bytes of intp
+_BIN_KEY = "uint16" if BLOCK_IMAGES * 256 <= 1 << 16 else "intp"
 
 
 def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
@@ -129,26 +186,22 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     """
     import numpy as np
 
+    if binarize_first:
+        return _counted(images, _binarized_entropies)
     rows = _image_rows(images)
     count, size = rows.shape
-    plogp = _plogp(size)
+    plogp = _plogp_array(size)
     out = np.empty(count)
     for start in range(0, count, BLOCK_IMAGES):
         chunk = rows[start : start + BLOCK_IMAGES]
-        if binarize_first:
-            # zeros fill the first bin, the rest the last: a pairwise sum of
-            # two terms is one addition, and an empty bin adds plogp[0] = 0.0
-            nonzero = np.count_nonzero(chunk, axis=1)
-            sums = plogp[size - nonzero] + plogp[nonzero]
-        else:
-            # offset each image's values so that one bincount counts every image
-            bins = chunk.astype(np.intp)
-            bins += np.arange(len(chunk))[:, None] * 256
-            counts = np.bincount(bins.ravel(), minlength=len(chunk) * 256)
-            counts = counts.reshape(len(chunk), 256)
-            sums = _pairwise_row_sums(plogp[counts], counts > 0)
+        # offset each image's values so that one bincount counts every image
+        bins = chunk.astype(_BIN_KEY)
+        bins += np.arange(0, len(chunk) * 256, 256, dtype=_BIN_KEY)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=len(chunk) * 256)
+        counts = counts.reshape(len(chunk), 256)
+        sums = _pairwise_row_sums(plogp[counts], counts > 0)
         out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
-    return out / np.log2(256)
+    return out / _LOG2_BINS
 
 
 def image_entropy(image: np.ndarray, binarize_first: bool = False) -> MeasureResult:
@@ -198,11 +251,12 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
         chunk = arr[start : start + BLOCK_IMAGES]
         # channel-major copy: one row per (image, channel) plane
         planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2)).reshape(-1, n)
-        totals = planes.sum(axis=1, dtype=float)
-        zero = totals == 0.0
-        all_zero += int(np.count_nonzero(zero))
         # a stable sort of uint8 rows is a radix sort
         shares = np.sort(planes, axis=1, kind="stable").astype(float)
+        # integers below 2**53, so the float sum is exact in any order
+        totals = shares.sum(axis=1)
+        zero = totals == 0.0
+        all_zero += int(np.count_nonzero(zero))
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(shares, totals[:, None], out=shares)
         np.multiply(shares, weights, out=shares)
@@ -274,7 +328,7 @@ def _nan_median(values) -> float:
     return _sorted_median(ordered[: len(ordered) - int(np.count_nonzero(np.isnan(ordered)))])
 
 
-def _midpoint_quartiles(sorted_values: np.ndarray) -> tuple[float, float, float]:
+def _midpoint_quartiles(sorted_values) -> tuple[float, float, float]:
     """Median and Tukey hinges: the median joins both halves when N is odd."""
     n = len(sorted_values)
     half = n // 2
@@ -297,42 +351,67 @@ class ClassSummary(Record):
     outlier_count: int
 
 
-def _finite_values(values) -> np.ndarray:
-    """values as a one-dimensional float array; InvalidParameter unless they
-    are a sequence of finite real numbers."""
-    import numpy as np
-
-    arr = real_array(values, "per-item")
-    if arr.ndim != 1:
-        raise InvalidParameter("per-item values must be a sequence of numbers")
-    if not np.isfinite(arr).all():
+def _finite_values(values) -> list[float]:
+    """values as a list of Python floats; InvalidParameter unless they are a
+    sequence of finite real numbers. A list of floats is checked as it is;
+    anything else, an array too, is read by measures.real_array."""
+    if not (isinstance(values, list) and all(type(v) is float for v in values)):
+        arr = real_array(values, "per-item")
+        if arr.ndim != 1:
+            raise InvalidParameter("per-item values must be a sequence of numbers")
+        values = arr.tolist()
+    if not all(map(math.isfinite, values)):
         raise InvalidParameter("each per-item value must be a finite number")
-    return arr
+    return values
+
+
+def _class_indices(labels, count: int, class_count: int):
+    """labels as a sequence of Python ints, one per value of count; bytes and
+    lists of ints are read as they are, anything else through numpy."""
+    if not (isinstance(labels, (bytes, bytearray))
+            or isinstance(labels, list) and all(type(v) is int for v in labels)):
+        import numpy as np
+
+        arr = np.asarray(labels)
+        if len(arr) != count:
+            raise InvalidParameter("values and labels must align")
+        if arr.size and (arr.ndim != 1 or arr.dtype.kind not in "iu"):
+            raise InvalidParameter("each label must be an integer index into class_names")
+        labels = arr.tolist()
+    if len(labels) != count:
+        raise InvalidParameter("values and labels must align")
+    if labels and (min(labels) < 0 or max(labels) >= class_count):
+        raise InvalidParameter("each label must be an integer index into class_names")
+    return labels
+
+
+def _summary(ordered: list[float], class_name: str) -> ClassSummary:
+    """The summary of a non-empty ascending list of finite floats. Its mean
+    adds them in that order, as numpy's mean of the sorted array does."""
+    q1, median, q3 = _midpoint_quartiles(ordered)
+    iqr = q3 - q1
+    fence_low = q1 - 1.5 * iqr
+    fence_high = q3 + 1.5 * iqr
+    return ClassSummary(
+        class_name=class_name,
+        count=len(ordered),
+        mean=pairwise_sum(ordered) / len(ordered),
+        median=median,
+        q1=q1,
+        q3=q3,
+        whisker_low=max(fence_low, ordered[0]),
+        whisker_high=min(fence_high, ordered[-1]),
+        outlier_count=bisect_left(ordered, fence_low) + len(ordered)
+        - bisect_right(ordered, fence_high),
+    )
 
 
 def summarize_class(values, class_name: str) -> ClassSummary:
     """Count, mean, quartiles, whiskers and outliers of finite real values."""
-    import numpy as np
-
-    arr = np.sort(_finite_values(values))
-    if arr.size == 0:
+    ordered = sorted(_finite_values(values))
+    if not ordered:
         raise DegenerateInput(f"class {class_name!r} has no values")
-    q1, median, q3 = _midpoint_quartiles(arr)
-    iqr = q3 - q1
-    fence_low = q1 - 1.5 * iqr
-    fence_high = q3 + 1.5 * iqr
-    outliers = int(((arr < fence_low) | (arr > fence_high)).sum())
-    return ClassSummary(
-        class_name=class_name,
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        median=median,
-        q1=q1,
-        q3=q3,
-        whisker_low=float(max(fence_low, arr[0])),
-        whisker_high=float(min(fence_high, arr[-1])),
-        outlier_count=outliers,
-    )
+    return _summary(ordered, class_name)
 
 
 def summarize_by_class(
@@ -341,29 +420,19 @@ def summarize_by_class(
     """Group values by label and summarize each class; classes without
     members are omitted. The values must be a sequence of finite real
     numbers, and each label must index class_names."""
-    import numpy as np
-
     values = _finite_values(per_item_values)
-    label_arr = np.asarray(labels)
-    if len(values) != len(label_arr):
-        raise InvalidParameter("values and labels must align")
-    if label_arr.size and (label_arr.dtype.kind not in "iu" or label_arr.min() < 0
-                           or label_arr.max() >= len(class_names)):
-        raise InvalidParameter("each label must be an integer index into class_names")
-    summaries = []
-    for index, name in enumerate(class_names):
-        members = values[label_arr == index]
-        if members.size:
-            summaries.append(summarize_class(members, name))
-    return summaries
+    members = [[] for _ in class_names]
+    for value, label in zip(values, _class_indices(labels, len(values), len(class_names))):
+        members[label].append(value)
+    return [_summary(sorted(m), name) for m, name in zip(members, class_names) if m]
 
 
 def median_of_medians(summaries: list[ClassSummary]) -> float:
-    import numpy as np
-
     if not summaries:
         raise DegenerateInput("no class summaries to aggregate")
-    return _sorted_median(np.sort([s.median for s in summaries]))
+    medians = [s.median for s in summaries]
+    # NaN last, as numpy sorts it; sorted would leave it where it stands
+    return _sorted_median(sorted(medians, key=lambda m: (math.isnan(m), m)))
 
 
 # One function per dataset report: each returns its measures and notes.
@@ -402,32 +471,64 @@ def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureRe
     ], []
 
 
+def _counted_per_image(stream: ImageStream, measure: str):
+    """One pass over the stream's raw blocks for a measure that needs only
+    each image's count of nonzero bytes, or nothing (dimensionality).
+    Returns the per-image values as a list and the labels as bytes."""
+    kernel = {"sparsity": _zero_fractions, "entropy": _binarized_entropies}.get(measure)
+    record_size, offset = stream.record_size, stream.pixel_offset
+    size = record_size - offset
+    values, labels = [], bytearray()
+    with closing(stream.raw_blocks()) as blocks:
+        for records, block_labels in blocks:
+            if kernel is not None:
+                values += kernel(_nonzero_counts(records, record_size, offset), size)
+            labels += block_labels
+    return values, labels
+
+
 def _per_image(source: LabeledImageDataset | ImageStream, measure: str, binarized: bool):
     """One pass over source's blocks. Returns, per image, what measure
     reduces over (the zero fraction for sparsity, the entropy for entropy,
     the N x C channel Gini values for gini, nothing read for
-    dimensionality), the labels, and the count of all-zero planes."""
-    import numpy as np
-
+    dimensionality), the labels, and the count of all-zero planes. The
+    values are a list but for gini, an array. A stream's counting measures
+    (dimensionality, sparsity and binarized entropy) read its raw blocks,
+    and their labels are bytes; the others read numpy blocks."""
     count = source.image_count
-    values = np.empty((count, source.channel_count) if measure == "gini" else count)
-    labels = np.empty(count, dtype=np.int64)
-    skipped = start = 0
-    with closing(source.blocks()) as blocks:
-        for images, block_labels in blocks:
-            end = start + len(images)
-            if measure == "sparsity":
-                values[start:end] = image_zero_sparsities(images)
-            elif measure == "entropy":
-                values[start:end] = image_entropies(images, binarize_first=binarized)
-            elif measure == "gini":
-                values[start:end], planes = channel_ginis(images)
-                skipped += planes
-            labels[start:end] = block_labels
-            start = end
-    if start != count:
+    skipped = 0
+    counting = measure in ("dimensionality", "sparsity") or measure == "entropy" and binarized
+    if isinstance(source, ImageStream) and counting:
+        values, labels = _counted_per_image(source, measure)
+        read = len(labels)
+    else:
+        import numpy as np
+
+        values = np.empty((count, source.channel_count) if measure == "gini" else count)
+        labels = np.empty(count, dtype=np.int64)
+        read = 0
+        with closing(source.blocks()) as blocks:
+            for images, block_labels in blocks:
+                end = read + len(images)
+                if measure == "sparsity":
+                    values[read:end] = image_zero_sparsities(images)
+                elif measure == "entropy":
+                    values[read:end] = image_entropies(images, binarize_first=binarized)
+                elif measure == "gini":
+                    values[read:end], planes = channel_ginis(images)
+                    skipped += planes
+                labels[read:end] = block_labels
+                read = end
+        if measure != "gini":
+            values = values.tolist()
+    if read != count:
         raise InvalidParameter("the image stream has already been read")
     return values, labels, skipped
+
+
+def _mean(values: list[float]) -> float:
+    """numpy's mean of values in their order, or NaN for none."""
+    return pairwise_sum(values) / len(values) if values else math.nan
 
 
 def image_measures(
@@ -442,8 +543,6 @@ def image_measures(
     MNIST zero fraction is the binarized one). split, the part of
     the dataset read, is recorded in the entropy convention. Classes with
     no images are named in one note and have no per-class results."""
-    import numpy as np
-
     mnist = name == "mnist"
     binarized = mnist and mode != "raw"
     per_image, labels, skipped = _per_image(source, measure, binarized)
@@ -468,7 +567,7 @@ def image_measures(
         else:
             convention = "mean zero-valued fraction over raw intensities"
         measures.append(
-            MeasureResult("zero_sparsity_mean", per_image.mean(), convention, ANALYTIC)
+            MeasureResult("zero_sparsity_mean", _mean(per_image), convention, ANALYTIC)
         )
         if mnist:
             summaries = summarize_by_class(per_image, labels, source.class_names)

@@ -3,14 +3,18 @@ CIFAR-10 binary batches, and the Iris CSV.
 
 Each binary format has one decoder, a generator that reads every header
 first, then yields the images in blocks of at most BLOCK_IMAGES, then
-checks that each file ends where its header says. stream_mnist and
-stream_cifar10 hand it out as an ImageStream, so a measure holds one block
-at a time and never the whole image array; load_mnist and load_cifar10
-gather the same blocks into one array. parse_idx and parse_cifar10 run the
-same header and record readers over an in-memory stream, so a parser and
-its loader accept and refuse the same bytes, with the same message bar the
-loader's file-name prefix. Loaders locate files in a local directory and
-never touch the network.
+checks that each file ends where its header says. A block is raw: the
+image records' bytes as the file holds them, in a bytearray, and one label
+byte per image; the readers import no numpy. stream_mnist and
+stream_cifar10 hand the decoder out as an ImageStream, so a measure holds
+one block at a time and never the whole image array. A measure that only
+counts zero bytes reads the raw blocks; ImageStream.blocks() makes numpy
+views of them, without copying, for the others. load_mnist and
+load_cifar10 gather those views into one array. parse_idx and
+parse_cifar10 run the same header and record readers over an in-memory
+stream, so a parser and its loader accept and refuse the same bytes, with
+the same message bar the loader's file-name prefix. Loaders locate files
+in a local directory and never touch the network.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import os
 import re
 import zlib
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -40,8 +44,9 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-# numpy is imported inside the image readers, so the iris table loads
-# without it.
+# numpy is imported only where an array is made (parse_idx, the numpy
+# views of ImageStream.blocks(), the loaders), so the iris table and the
+# raw image blocks load without it.
 
 MNIST_CLASS_NAMES = tuple(str(d) for d in range(10))
 CIFAR10_CLASS_NAMES = (
@@ -63,9 +68,10 @@ _IDX_UBYTE = 0x08
 _CIFAR_RECORD = 3073
 
 # Images per block of a streamed dataset, and so per chunk of the batch
-# kernels in dataset_metrics. A CIFAR-10 block is 0.2 MB of records, and
-# the kernels' temporaries for it (entropy's intp bins, Gini's float
-# shares) 1.6 MB each: that, not the dataset's size, is what a streamed
+# kernels in dataset_metrics. A CIFAR-10 block is a 0.2 MB bytearray of
+# records, which blocks() only views as numpy arrays, and the kernels'
+# temporaries for it (entropy's bins, Gini's float shares) up to 1.6 MB
+# each: that, not the dataset's size, is what a streamed
 # measure holds besides its per-image values. Peak RSS grows with the
 # block, and time does not fall: CIFAR-10 entropy over 15,000 images
 # peaked at 36.5 MB with 32-image blocks, 37.7 MB with 64 and 44.8 MB
@@ -124,20 +130,44 @@ class ImageStream(_ImageCounts, Record, eq=False):
     """A dataset's images, read from its files one block at a time.
 
     shape is the whole N x H x W x C array's, as the file headers state it
-    before any payload is read. blocks() yields, once, (images, labels)
-    pairs of at most BLOCK_IMAGES images in file order, then checks that
-    each file ends where its header says. A block's arrays are overwritten
-    by the next block, so copy what must outlive it. The files stay open
-    until the last block is read or the stream is dropped.
+    before any payload is read. The reader yields, once, raw blocks of at
+    most BLOCK_IMAGES images in file order, then checks that each file ends
+    where its header says. A raw block is a pair (records, labels) of
+    bytearrays: records holds the block's image records back to back,
+    record_size bytes each, whose pixels start pixel_offset bytes in (1 for
+    CIFAR-10's label byte) and are stored channel-major, C planes of H x W;
+    labels holds one byte per image. raw_blocks() yields those pairs, and
+    blocks() numpy (images, labels) views of them. Either may be read once,
+    and only one of them. A block's bytes may be overwritten by the next
+    block, so copy what must outlive it. The files stay open until the last
+    block is read, the iteration is closed or the stream is dropped.
     """
 
     shape: tuple[int, int, int, int]
     class_names: tuple[str, ...]
-    reader: Iterator[tuple[np.ndarray, np.ndarray]]
+    reader: Iterator[tuple[bytearray, bytearray]]
     pixel_value_count: int = 256
+    pixel_offset: int = 0
+
+    @property
+    def record_size(self) -> int:
+        return self.pixel_offset + math.prod(self.shape[1:])
+
+    def raw_blocks(self) -> Iterator[tuple[bytearray, bytearray]]:
+        with closing(self.reader) as reader:
+            yield from reader
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        return self.reader
+        """N x H x W x C uint8 views of each raw block's pixels, whose
+        strides keep the channel-major storage order, and its labels."""
+        import numpy as np
+
+        _, height, width, channels = self.shape
+        for records, labels in self.raw_blocks():
+            count = len(labels)
+            pixels = np.frombuffer(records, np.uint8).reshape(count, self.record_size)
+            images = pixels[:, self.pixel_offset :].reshape(count, channels, height, width)
+            yield images.transpose(0, 2, 3, 1), np.frombuffer(labels, np.uint8)
 
 
 def _items(values, what: str) -> Iterator:
@@ -194,7 +224,8 @@ def parse_idx(data: bytes) -> np.ndarray:
         tensor = np.empty(sizes, dtype=np.uint8)
     except ValueError:  # more dimensions than a numpy array can have
         raise FormatError(f"IDX tensor has {len(sizes)} dimensions, too many for numpy") from None
-    return stream.fill(tensor)
+    stream.fill(tensor.reshape(-1))
+    return tensor
 
 
 def parse_cifar10(data: bytes) -> LabeledImageDataset:
@@ -204,7 +235,8 @@ def parse_cifar10(data: bytes) -> LabeledImageDataset:
     (red, green, blue), each a row-major 32 x 32 grid.
     """
     group = [(_Stream(io.BytesIO(data)), len(data))]
-    return _collect(_streamed(_decode([group], _cifar_shape, _read_cifar), CIFAR10_CLASS_NAMES))
+    decoder = _decode([group], _cifar_shape, _read_cifar)
+    return _collect(_streamed(decoder, CIFAR10_CLASS_NAMES, pixel_offset=1))
 
 
 def _iris_class_index(name: str) -> int:
@@ -265,8 +297,9 @@ def binarize(dataset: LabeledImageDataset) -> LabeledImageDataset:
 
 
 class _Stream:
-    """An open payload whose reads fill numpy arrays. Errors name the file,
-    when there is one; damaged gzip data raises a DcxError too."""
+    """An open payload whose reads fill bytearrays and numpy arrays. Errors
+    name the file, when there is one; damaged gzip data raises a DcxError
+    too."""
 
     def __init__(self, handle, name: str = "") -> None:
         self.handle, self.name = handle, name
@@ -282,10 +315,11 @@ class _Stream:
         except (zlib.error, gzip.BadGzipFile) as exc:
             raise self.error(FormatError, f"damaged gzip stream ({exc})") from None
 
-    def fill(self, out: np.ndarray) -> np.ndarray:
-        """Read exactly the bytes of the contiguous uint8 array out, 1 MiB per
-        request: gzip decompresses a whole request into a temporary first."""
-        view = memoryview(out.reshape(-1))
+    def fill(self, out):
+        """Read exactly len(out) bytes into out, a bytearray or a flat uint8
+        array, 1 MiB per request: gzip decompresses a whole request into a
+        temporary first."""
+        view = memoryview(out)
         for start in range(0, len(view), 1 << 20):
             chunk = view[start : start + (1 << 20)]
             if self._readinto(chunk) != len(chunk):
@@ -323,7 +357,8 @@ def _find_file(directory: Path, name: str) -> Path:
     raise FileNotFoundError(f"{name} not found under {directory} (plain or .gz)")
 
 
-def _open(data_dir, split, subdirs, parts, class_names, shape_of, read) -> ImageStream:
+def _open(data_dir, split, subdirs, parts, class_names, shape_of, read,
+          pixel_offset: int) -> ImageStream:
     """Find each file of split and open it once; parts maps train and test
     to groups of file names, one group per run of images. Every header is
     read before this returns; the payloads are read as the stream is."""
@@ -344,12 +379,13 @@ def _open(data_dir, split, subdirs, parts, class_names, shape_of, read) -> Image
         if not total:
             raise DegenerateInput(f"{directory} holds no images for split {split}")
 
-    return _streamed(decode(), class_names)
+    return _streamed(decode(), class_names, pixel_offset)
 
 
-def _streamed(decoder, class_names: tuple[str, ...]) -> ImageStream:
+def _streamed(decoder, class_names: tuple[str, ...], pixel_offset: int) -> ImageStream:
     """The stream of a _decode generator, once it has read every header."""
-    return ImageStream(shape=next(decoder), class_names=class_names, reader=decoder)
+    return ImageStream(shape=next(decoder), class_names=class_names, reader=decoder,
+                       pixel_offset=pixel_offset)
 
 
 def _collect(stream: ImageStream) -> LabeledImageDataset:
@@ -377,6 +413,10 @@ def _decode(groups, shape_of, read):
     shapes = [shape_of(group) for group in groups]
     if len({shape[1:] for shape in shapes}) != 1:
         raise FormatError("train and test images differ in size")
+    if not math.prod(shapes[0][1:]):  # no fraction or entropy of no values
+        _, height, width, _ = shapes[0]
+        raise groups[0][0][0].error(
+            DegenerateInput, f"header gives images of {height} x {width} pixels: empty image")
     total = sum(shape[0] for shape in shapes)
     # one block of images and label bytes, and what a measure keeps per
     # image: a float64 per channel and an int64 label
@@ -394,18 +434,17 @@ def _decode(groups, shape_of, read):
 def _idx_header(stream: _Stream, length: int) -> tuple[int, ...]:
     """The dimension sizes from the IDX header at the start of stream, whose
     payload is length bytes; they must promise exactly that length."""
-    import numpy as np
-
     if length < 4:
         raise stream.error(TruncatedInput, "IDX header needs at least 4 bytes")
-    first, second, type_code, ndim = stream.fill(np.empty(4, dtype=np.uint8)).tolist()
+    first, second, type_code, ndim = stream.fill(bytearray(4))
     if first or second:
         raise stream.error(FormatError, "bad IDX magic: first two bytes must be zero")
     if type_code != _IDX_UBYTE:
         raise stream.error(FormatError, f"unsupported IDX type code 0x{type_code:02x}")
     if length < 4 + 4 * ndim:
         raise stream.error(TruncatedInput, "IDX header ends before all dimension sizes")
-    sizes = tuple(stream.fill(np.empty(4 * ndim, dtype=np.uint8)).view(">u4").tolist())
+    raw = stream.fill(bytearray(4 * ndim))
+    sizes = tuple(int.from_bytes(raw[i : i + 4], "big") for i in range(0, len(raw), 4))
     if 4 + 4 * ndim + math.prod(sizes) != length:
         raise stream.error(TruncatedInput, f"IDX payload holds {length - 4 - 4 * ndim} "
                                            f"bytes, header promises {math.prod(sizes)}")
@@ -422,23 +461,23 @@ def _mnist_shape(group) -> tuple[int, ...]:
     return (*sizes[0], 1)
 
 
-def _check_labels(stream: _Stream, labels: np.ndarray) -> None:
-    if len(labels) and labels.max() > 9:
-        raise stream.error(FormatError, f"label byte {labels.max()} outside 0..9")
+def _check_labels(stream: _Stream, labels: bytearray) -> None:
+    if labels and max(labels) > 9:
+        raise stream.error(FormatError, f"label byte {max(labels)} outside 0..9")
 
 
 def _read_mnist(group, shape):
-    """Blocks of the image and label files' payloads, read side by side."""
-    import numpy as np
-
+    """Raw blocks of the image and label files' payloads, read side by side."""
     (image_stream, _), (label_stream, _) = group
-    images = np.empty((min(BLOCK_IMAGES, shape[0]), *shape[1:]), dtype=np.uint8)
-    labels = np.empty(len(images), dtype=np.uint8)
+    size = math.prod(shape[1:])
+    images = labels = bytearray()
     for start in range(0, shape[0], BLOCK_IMAGES):
         count = min(BLOCK_IMAGES, shape[0] - start)
-        image_stream.fill(images[:count])
-        _check_labels(label_stream, label_stream.fill(labels[:count]))
-        yield images[:count], labels[:count]
+        if count != len(labels):  # the first block, and a shorter last one
+            images, labels = bytearray(count * size), bytearray(count)
+        image_stream.fill(images)
+        _check_labels(label_stream, label_stream.fill(labels))
+        yield images, labels
 
 
 def _cifar_shape(group) -> tuple[int, ...]:
@@ -448,18 +487,18 @@ def _cifar_shape(group) -> tuple[int, ...]:
 
 
 def _read_cifar(group, shape):
-    """Blocks of the batch's records: a label byte in 0..9, then the red,
-    green and blue planes, each a row-major 32 x 32 grid. A block's images
-    are an N x 32 x 32 x 3 view of its records, whose strides keep that
-    channel-major storage order."""
-    import numpy as np
-
+    """Raw blocks of the batch's records: a label byte in 0..9, then the
+    red, green and blue planes, each a row-major 32 x 32 grid."""
     stream = group[0][0]
-    records = np.empty((min(BLOCK_IMAGES, shape[0]), _CIFAR_RECORD), dtype=np.uint8)
+    records = bytearray()
     for start in range(0, shape[0], BLOCK_IMAGES):
-        block = stream.fill(records[: min(BLOCK_IMAGES, shape[0] - start)])
-        _check_labels(stream, block[:, 0])
-        yield block[:, 1:].reshape(len(block), 3, 32, 32).transpose(0, 2, 3, 1), block[:, 0]
+        count = min(BLOCK_IMAGES, shape[0] - start)
+        if count * _CIFAR_RECORD != len(records):  # the first block, and a shorter last one
+            records = bytearray(count * _CIFAR_RECORD)
+        stream.fill(records)
+        labels = records[::_CIFAR_RECORD]
+        _check_labels(stream, labels)
+        yield records, labels
 
 
 _MNIST_FILES = {
@@ -475,13 +514,13 @@ def stream_mnist(data_dir: str | Path, split: str = "all") -> ImageStream:
     split is train, test, or all (train followed by test).
     """
     return _open(data_dir, split, ("mnist",), _MNIST_FILES, MNIST_CLASS_NAMES,
-                 _mnist_shape, _read_mnist)
+                 _mnist_shape, _read_mnist, pixel_offset=0)
 
 
 def stream_cifar10(data_dir: str | Path, split: str = "all") -> ImageStream:
     """Open CIFAR-10 binary batches in data_dir or its usual subdirectory."""
     return _open(data_dir, split, ("cifar-10-batches-bin", "cifar10"), _CIFAR_FILES,
-                 CIFAR10_CLASS_NAMES, _cifar_shape, _read_cifar)
+                 CIFAR10_CLASS_NAMES, _cifar_shape, _read_cifar, pixel_offset=1)
 
 
 def load_mnist(data_dir: str | Path, split: str = "all") -> LabeledImageDataset:

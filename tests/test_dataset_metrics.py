@@ -10,10 +10,15 @@ import pytest
 
 from dcx.cli import main
 from dcx.dataset_metrics import (
+    ClassSummary,
+    _binarized_entropies,
+    _mean,
     _midpoint_quartiles,
     _nan_median,
+    _nonzero_counts,
     _per_image,
     _sorted_median,
+    _zero_fractions,
     channel_gini,
     channel_ginis,
     feature_space_dimensionality,
@@ -459,6 +464,113 @@ class TestBatchKernelErrors:
         assert values.shape == (0, 3) and skipped == 0
 
 
+# --- the plain-Python counts and summaries against the numpy code they replace
+
+
+def numpy_counted(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per image, the zero fraction and the binarized entropy as the numpy
+    kernels gave them, from np.count_nonzero and a table of math.log2 terms."""
+    rows = pixels.reshape(len(pixels), -1)
+    size = rows.shape[1]
+    plogp = np.array([0.0] + [c / size * math.log2(c / size) for c in range(1, size + 1)])
+    nonzero = np.count_nonzero(rows, axis=1)
+    return 1.0 - nonzero / size, (0.0 - (plogp[size - nonzero] + plogp[nonzero])) / np.log2(256)
+
+
+def seeded_records(record_size: int, offset: int, seed: int) -> np.ndarray:
+    """BLOCK_IMAGES + 3 image records with zero fractions spread over [0, 1],
+    the first all zero and the second all 255, each after offset nonzero
+    label bytes."""
+    rng = np.random.default_rng(seed)
+    count = BLOCK_IMAGES + 3
+    records = rng.integers(1, 256, size=(count, record_size), dtype=np.uint8)
+    records[rng.random(records.shape) < rng.random((count, 1))] = 0
+    records[0], records[1] = 0, 255
+    records[:, :offset] = rng.integers(1, 10, size=(count, offset))
+    return records
+
+
+@pytest.mark.parametrize(("record_size", "offset"), [(784, 0), (3073, 1)], ids=["mnist", "cifar10"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_byte_counts_are_numpys(record_size, offset, seed):
+    records = seeded_records(record_size, offset, seed)
+    pixels = records[:, offset:]
+    size = record_size - offset
+    counts = _nonzero_counts(bytearray(records.tobytes()), record_size, offset)
+    assert counts == np.count_nonzero(pixels, axis=1).tolist()
+    assert counts[:2] == [0, size]
+    sparsities, entropies = numpy_counted(pixels)
+    assert np.array(_zero_fractions(counts, size)).tobytes() == sparsities.tobytes()
+    assert np.array(_binarized_entropies(counts, size)).tobytes() == entropies.tobytes()
+    assert image_zero_sparsities(pixels).tobytes() == sparsities.tobytes()
+    assert image_entropies(pixels, binarize_first=True).tobytes() == entropies.tobytes()
+
+
+def numpy_summary(values, class_name: str) -> ClassSummary:
+    """summarize_class as it was computed over a sorted numpy array."""
+    arr = np.sort(np.asarray(values, dtype=float))
+    q1, median, q3 = _midpoint_quartiles(arr)
+    iqr = q3 - q1
+    fence_low, fence_high = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+    return ClassSummary(class_name, int(arr.size), float(arr.mean()), median, q1, q3,
+                        float(max(fence_low, arr[0])), float(min(fence_high, arr[-1])),
+                        int(((arr < fence_low) | (arr > fence_high)).sum()))
+
+
+def numpy_summaries(values, labels, class_names) -> list[ClassSummary]:
+    values, labels = np.asarray(values, dtype=float), np.asarray(labels)
+    return [numpy_summary(values[labels == index], name)
+            for index, name in enumerate(class_names) if (labels == index).any()]
+
+
+def bits(summaries: list[ClassSummary]) -> list[tuple]:
+    return [tuple(v.hex() if isinstance(v, float) else v for v in (
+        s.class_name, s.count, s.mean, s.median, s.q1, s.q3, s.whisker_low, s.whisker_high,
+        s.outlier_count)) for s in summaries]
+
+
+class TestSummariesMatchNumpy:
+    CLASSES = tuple("abcdefghij")
+
+    def assert_matches(self, values, labels):
+        want = numpy_summaries(values, labels, self.CLASSES)
+        for given in (values.tolist(), values):
+            for label_form in (bytes(labels.astype(np.uint8)), labels.tolist(), labels):
+                got = summarize_by_class(given, label_form, self.CLASSES)
+                assert bits(got) == bits(want)
+        assert median_of_medians(got).hex() == \
+            _sorted_median(np.sort([s.median for s in want])).hex()
+        assert _mean(values.tolist()).hex() == float(values.mean()).hex()
+
+    def test_ties(self):
+        # no -0.0: numpy's sort leaves the order of -0.0 and 0.0 to its
+        # algorithm, so a whisker on a signed zero could take either sign
+        rng = np.random.default_rng(21)
+        pool = np.array([0.0, 0.25, 0.5, 0.5, 1.0, 1e-300, 3.0])
+        for n in (1, 2, 5, 17, 130, 1000):
+            self.assert_matches(rng.choice(pool, size=n), rng.integers(0, 10, size=n))
+
+    def test_one_value_classes(self):
+        rng = np.random.default_rng(22)
+        values = rng.random(40)
+        labels = np.concatenate([np.arange(10), np.zeros(30, dtype=int)])
+        self.assert_matches(values, labels)
+        self.assert_matches(values[:10], labels[:10])
+
+    def test_seventy_thousand_values(self):
+        # past the 8,192 values at which numpy's reduction splits its pairwise sums
+        rng = np.random.default_rng(23)
+        values = rng.random(70_000) ** 3
+        self.assert_matches(values, np.zeros(70_000, dtype=int))
+        self.assert_matches(values, rng.integers(0, 10, size=70_000))
+
+    def test_a_nan_median_sorts_last(self):
+        one = summarize_class([1.0], "a")
+        nan = ClassSummary("b", 1, math.nan, math.nan, math.nan, math.nan, 0.0, 0.0, 0)
+        assert math.isnan(median_of_medians([nan, one, one]))
+        assert math.isnan(_sorted_median(np.sort([math.nan, 1.0, 1.0])))
+
+
 # --- streamed datasets against the whole-array kernels ------------------------
 
 STREAM_COUNTS = [BLOCK_IMAGES - 1, BLOCK_IMAGES, BLOCK_IMAGES + 1, 2 * BLOCK_IMAGES + 37]
@@ -479,11 +591,12 @@ def assert_stream_matches_whole_array(name, directory, split, modes=(None,)):
     for measure in MEASURES:
         for mode in modes:
             binarized = name == "mnist" and mode != "raw"
+            # values may be a list, and a counting measure's labels are bytes
             values, labels, skipped = _per_image(stream(directory, split), measure, binarized)
-            assert labels.tobytes() == loaded.labels.tobytes()
+            assert np.asarray(labels, dtype=np.int64).tobytes() == loaded.labels.tobytes()
             if measure != "dimensionality":
                 want, want_skipped = whole_array_values(loaded, measure, binarized)
-                assert values.tobytes() == want.tobytes(), (measure, mode)
+                assert np.asarray(values).tobytes() == want.tobytes(), (measure, mode)
                 assert skipped == want_skipped
             streamed = image_measures(name, stream(directory, split), measure, mode, split)
             whole = image_measures(name, loaded, measure, mode, split)

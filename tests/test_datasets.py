@@ -637,6 +637,21 @@ class TestEmptyLoad:
         assert load_mnist(synthetic_mnist_dir, split="all").image_count == 24
 
     @pytest.mark.parametrize("measure", ["dimensionality", "sparsity", "gini", "entropy"])
+    def test_mnist_images_of_no_pixels(self, synthetic_mnist_dir, measure, capsys):
+        # refused at the header; each measure refused them its own way, as
+        # "factor must be a finite number above 0", "empty image" or "gini
+        # needs at least one value"
+        images = synthetic_mnist_dir / "mnist" / "train-images-idx3-ubyte"
+        images.write_bytes(write_idx(np.zeros((24, 0, 0))))
+        with pytest.raises(DegenerateInput, match="^train-images-idx3-ubyte: .* empty image$"):
+            stream_mnist(synthetic_mnist_dir, split="train")
+        argv = ["dataset", "mnist", "--measure", measure, "--split", "train",
+                "--data-dir", str(synthetic_mnist_dir)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "dcx: train-images-idx3-ubyte: header gives images of 0 x 0 pixels: empty image\n")
+
+    @pytest.mark.parametrize("measure", ["dimensionality", "sparsity", "gini", "entropy"])
     def test_cli_exits_1(self, synthetic_cifar_dir, measure, capsys):
         for batch in (synthetic_cifar_dir / "cifar-10-batches-bin").iterdir():
             batch.write_bytes(b"")

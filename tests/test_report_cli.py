@@ -40,6 +40,7 @@ from dcx.report import (
     to_json,
     to_text,
 )
+from tiny_images import write_tiny_images
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -1061,7 +1062,9 @@ class TestCli:
     )
     def test_image_summaries_leave_numpy_ma_unloaded(self, name, measure, request):
         # np.median and np.nanmedian import numpy.ma, 17-20 ms of such a
-        # run's imports; the class summaries and Gini medians sort instead
+        # run's imports; the class summaries and Gini medians sort instead.
+        # MNIST's zero fractions and binarized entropies are counted from
+        # the file bytes, so those runs load no numpy at all
         directory = request.getfixturevalue(f"synthetic_{name.removesuffix('10')}_dir")
         probe = (
             "import sys\n"
@@ -1071,7 +1074,38 @@ class TestCli:
         )
         result = run_python("-c", probe, "--out", os.devnull, "dataset", name,
                             "--measure", measure, "--data-dir", str(directory))
-        assert (result.stdout, result.stderr) == ("0 True False\n", "")
+        assert (result.stdout, result.stderr) == (f"0 {name == 'cifar10'} False\n", "")
+
+    @pytest.mark.parametrize(
+        ("argv", "needs_numpy"),
+        [
+            *[(("mnist", "--measure", m), False)
+              for m in ("sparsity", "entropy", "dimensionality")],
+            *[(("cifar10", "--measure", m), False) for m in ("sparsity", "dimensionality")],
+            *[(("cifar10", "--measure", m), True) for m in ("gini", "entropy")],
+            (("mnist", "--measure", "entropy", "--mode", "raw"), True),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else "numpy" if v else "no-numpy",
+    )
+    def test_counting_image_measures_run_without_numpy(self, tmp_path, argv, needs_numpy, capsys):
+        # the zero fractions and binarized entropies take each image's count
+        # of nonzero bytes straight from the file bytes, and dimensionality
+        # only reads the files through; raw histograms and Gini indices are
+        # numpy kernels. The files are written with the standard library only
+        directory = write_tiny_images(tmp_path)
+        argv = ["--format", "json", "dataset", *argv, "--data-dir", str(directory)]
+        probe = (
+            "import sys\n"
+            "if sys.argv[1] == 'absent':\n"
+            "    sys.modules['numpy'] = None  # so that importing numpy fails\n"
+            "from dcx.cli import main\n"
+            "code = main(sys.argv[2:])\n"
+            "print(code, sys.modules.get('numpy') is not None, file=sys.stderr)\n"
+        )
+        result = run_python("-c", probe, "present" if needs_numpy else "absent", *argv)
+        assert result.stderr == f"0 {needs_numpy}\n"
+        assert main(argv) == 0
+        assert result.stdout == capsys.readouterr().out
 
     def test_a_zipped_package_reads_its_bundled_files(self, tmp_path, capsys):
         package = Path(dcx.__file__).resolve().parent
