@@ -10,18 +10,21 @@ win line is an origin's index plus k multiples of a direction's step, and
 a symmetry map reads each image coordinate from a permuted, possibly
 reversed, board axis.
 
-Enumeration works on bitboards: a position is one 32-bit value holding
-the X cell mask in bits 0-15 and the O mask in bits 16-31, which is why
-boards are capped at 16 cells. Boards of at most nine cells are searched
-in plain Python, with one table over every cell mask for the wins and
-one per symmetry map for the images. Larger boards are searched by a
-numpy kernel: each ply is a uint32 array of positions, win lines are
-cell masks, and a symmetry map is applied through byte lookup tables.
-The canonical representative of a symmetry class is its minimum packed
+Where no line can be completed before the last ply, every arrangement
+of stones is reachable, so enumeration counts the arrangements and their
+symmetry classes (by Burnside's lemma) in closed form. Other boards are
+searched on bitboards: a position is one 32-bit value holding the X cell
+mask in bits 0-15 and the O mask in bits 16-31, which is why boards are
+capped at 16 cells. Boards of at most nine cells are searched in plain
+Python, with one table over every cell mask for the wins and one per
+symmetry map for the images. Larger boards are searched by a numpy
+kernel: each ply is a uint32 array of positions, win lines are cell
+masks, and a symmetry map is applied through byte lookup tables. The
+canonical representative of a symmetry class is its minimum packed
 image, not its minimum cell tuple, so the representatives differ from a
 tuple-based enumeration while the class counts are the same. Only the
-enumeration of boards past nine cells imports numpy; the geometry and
-the closed forms are plain integer and math arithmetic.
+search of boards past nine cells imports numpy; the geometry and the
+closed forms are plain integer and math arithmetic.
 """
 
 from __future__ import annotations
@@ -51,15 +54,18 @@ if TYPE_CHECKING:
 ENUMERATION_CELL_LIMIT = 16
 _O_SHIFT = 16
 _CELL_MASK = (1 << _O_SHIFT) - 1
-# Boards of at most this many cells (at most 6,046 legal positions, and
-# tables of 512 entries) are enumerated in plain Python, larger ones by the
-# numpy kernel. The Python search costs about 0.7 us per raw position and
-# 1.5-5 us per symmetry class, against importing numpy, about 72 ms (median
-# of 15 `python -c "import numpy"` against `python -c pass`; Python 3.11,
-# numpy 2.4.6, 2-vCPU x86-64). Raw and reduced, ttt takes 6 ms, a full
-# 10 x 1 game 40 ms, and a full 11 x 1 game 124 ms against the kernel's
-# 12 ms plus the import, so full games break even at 10-11 cells; 4 x 4 to
-# six plies takes 0.28 s against 15 ms.
+# enumerate_states takes one of three routes, each exact. A board that no
+# win can cut short (max_plies < 2 * win_length) is counted in closed form:
+# 4 x 4 to six plies with win 4, raw and reduced, in 0.14 ms. Other boards
+# of at most this many cells (at most 6,046 legal positions, and tables of
+# 512 entries) are searched in plain Python, larger ones by the numpy
+# kernel. The Python search costs about 0.7 us per raw position and 1.5-5
+# us per symmetry class, against importing numpy, about 72 ms (median of 15
+# `python -c "import numpy"` against `python -c pass`). Raw and reduced,
+# ttt takes 6 ms, a full 10 x 1 game with win 3 36 ms and a full 11 x 1
+# game 107 ms, against the kernel's 4-5 ms plus the import, so full games
+# break even at 10-11 cells; the kernel takes 4 x 4 to six plies with win 3
+# in 14 ms (medians; Python 3.11, numpy 2.4.6, 2-vCPU x86-64).
 _PYTHON_SEARCH_CELLS = 9
 _LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
@@ -142,6 +148,16 @@ def _stone_factors(spec: GridGameSpec):
             yield free, o
 
 
+def _arrangement_terms(spec: GridGameSpec):
+    """Per ply from the first, comb(cells, x) * comb(cells - x, o): the
+    arrangements of its x = ceil(ply/2) X stones and o = floor(ply/2) O
+    stones, each term exact."""
+    term = 1
+    for free, stones in _stone_factors(spec):
+        term = term * free // stones
+        yield term
+
+
 def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
     """Stone-count sum over plies 1..max_plies, exact then logged.
 
@@ -164,10 +180,7 @@ def ssc_combinatorial(spec: GridGameSpec) -> tuple[int | None, float]:
             logs.append(log_term)
         top = max(logs)
         return None, (top + math.log(math.fsum(math.exp(v - top) for v in logs))) / math.log(10)
-    total, term = 0, 1
-    for free, stones in _stone_factors(spec):
-        term = term * free // stones
-        total += term
+    total = sum(_arrangement_terms(spec))
     return total, log10_int(total)
 
 
@@ -247,6 +260,54 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
         for perm in itertools.permutations(range(spec.dims))
         for flips in itertools.product((False, True), repeat=spec.dims)
     )
+
+
+def _cycle_lengths(m: tuple[int, ...]):
+    """The length of each cycle of the index permutation m."""
+    seen = bytearray(len(m))
+    for start in range(len(m)):
+        length, cell = 0, start
+        while not seen[cell]:
+            seen[cell] = 1
+            cell = m[cell]
+            length += 1
+        if length:
+            yield length
+
+
+def _fixed_arrangements(maps, max_plies: int) -> list[int]:
+    """Per ply 0..max_plies, the sum over maps of the arrangements of the
+    ply's ceil(ply/2) X and floor(ply/2) O stones that each map fixes.
+
+    A map fixes an arrangement exactly when each of its cycles is all
+    empty, all X or all O, so the count is the coefficient of a^x b^o in
+    the product over its cycles of (1 + a^len + b^len).
+    """
+    top_x, top_o = (max_plies + 1) // 2, max_plies // 2
+    sums = [0] * (max_plies + 1)
+    for m in maps:
+        # poly[x][o] is the coefficient of a^x b^o, truncated at top_x, top_o
+        poly = [[1] + [0] * top_o] + [[0] * (top_o + 1) for _ in range(top_x)]
+        for n in _cycle_lengths(m):
+            # downwards, so each coefficient reads the two it adds before
+            # this cycle's factor updates them
+            for x in range(top_x, -1, -1):
+                row = poly[x]
+                for o in range(top_o, -1, -1):
+                    if x >= n:
+                        row[o] += poly[x - n][o]
+                    if o >= n:
+                        row[o] += row[o - n]
+        for ply in range(max_plies + 1):
+            sums[ply] += poly[(ply + 1) // 2][ply // 2]
+    return sums
+
+
+def _orbit_counts(maps, max_plies: int) -> tuple[int, ...]:
+    """Per ply 0..max_plies, the classes of the ply's stone arrangements
+    under the group of the maps: by Burnside's lemma, the mean over the
+    group of the arrangements each map fixes."""
+    return tuple(total // len(maps) for total in _fixed_arrangements(maps, max_plies))
 
 
 @lru_cache(maxsize=None)
@@ -342,6 +403,21 @@ class PlyDistribution(Record):
         return sum(self.counts_per_ply)
 
 
+def _closed_form_counts(spec: GridGameSpec, symmetry: bool) -> tuple[int, ...]:
+    """enumerate_states' per-ply counts where no line can be completed
+    before the last ply, max_plies < 2 * win_length.
+
+    Before ply 2 * win_length - 1 neither player holds win_length stones,
+    so no position short of the last ply ends the game and every
+    arrangement of each ply's stones is reachable: the raw counts are the
+    arrangement counts and the reduced ones their Burnside class counts
+    under symmetry_maps(spec).
+    """
+    if symmetry:
+        return _orbit_counts(symmetry_maps(spec), spec.max_plies)
+    return (1, *_arrangement_terms(spec))
+
+
 @lru_cache(maxsize=None)
 def _mask_tables(spec: GridGameSpec) -> tuple[bytes, tuple[tuple[tuple[int, ...], ...], ...]]:
     """The plain-Python search's lookup tables, each of 2^cells entries.
@@ -421,24 +497,31 @@ def _numpy_counts(spec: GridGameSpec, symmetry: bool) -> tuple[int, ...]:
 
 
 def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribution:
-    """Breadth-first count of legal positions reachable under alternation.
+    """Per-ply count of legal positions reachable under alternation.
 
-    Positions are packed as X mask | O mask << 16; that packing is what
-    caps boards at ENUMERATION_CELL_LIMIT cells. Positions where a player
-    has already completed a line are counted but generate no children.
-    With symmetry on, each position is replaced by its canonical form (the
-    minimum packed image, as canonical_positions defines it) before
-    deduplication, giving one position per class. Boards of at most nine
-    cells (_PYTHON_SEARCH_CELLS) are searched in plain Python, larger ones
-    by the numpy kernel; both give the same counts.
+    Positions where a player has already completed a line are counted but
+    generate no children. With symmetry on, positions are counted once per
+    class under symmetry_maps(spec). Boards past ENUMERATION_CELL_LIMIT
+    cells, the most the searches' packing (X mask | O mask << 16) holds,
+    are refused. The counts are exact on each of three routes: a board
+    that no win can cut short (max_plies < 2 * win_length) is counted in
+    closed form, other boards of at most nine cells (_PYTHON_SEARCH_CELLS)
+    are searched breadth-first in plain Python, and larger ones by the
+    numpy kernel. A search deduplicates each position's canonical form (the
+    minimum packed image, as canonical_positions defines it).
     """
     if spec.cells > ENUMERATION_CELL_LIMIT:  # refused before numpy loads
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
             f"got {count_text(spec.cells)}"
         )
-    search = _python_counts if spec.cells <= _PYTHON_SEARCH_CELLS else _numpy_counts
-    return PlyDistribution(counts_per_ply=search(spec, symmetry), symmetry_reduced=symmetry)
+    if spec.max_plies < 2 * spec.win_length:
+        count = _closed_form_counts
+    elif spec.cells <= _PYTHON_SEARCH_CELLS:
+        count = _python_counts
+    else:
+        count = _numpy_counts
+    return PlyDistribution(counts_per_ply=count(spec, symmetry), symmetry_reduced=symmetry)
 
 
 def ply_entropy(dist: PlyDistribution) -> MeasureResult:

@@ -983,11 +983,14 @@ class TestCli:
               for v in ("2d", "2dg", "3d")],
             (("--format", "json", "game", "ttt", "--no-enumerate"), 0, {"dcx.games"}),
             (("--format", "json", "game", "qubic"), 0, {"dcx.games"}),
-            # boards of at most nine cells enumerate in plain Python, larger
-            # ones with the numpy kernel
+            # a board that no win can cut short is counted in closed form,
+            # others of at most nine cells are searched in plain Python and
+            # larger ones with the numpy kernel
+            (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
+              "--plies", "6", "--win", "4"), 0, {"dcx.games"}),
             (("--format", "json", "game", "ttt"), 0, {"dcx.games"}),
             (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
-              "--plies", "6", "--win", "4"), 0, {"dcx.games", "numpy"}),
+              "--plies", "6", "--win", "3"), 0, {"dcx.games", "numpy"}),
             (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, set()),
             (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, set()),
             (("descriptor", "nosuch"), 1, {"dcx.descriptors"}),
@@ -1105,7 +1108,11 @@ class TestCli:
         result = run_python("-c", probe, "present" if needs_numpy else "absent", *argv)
         assert result.stderr == f"0 {needs_numpy}\n"
         assert main(argv) == 0
-        assert result.stdout == capsys.readouterr().out
+        # the same report but for its timestamp, which has one-second
+        # resolution and can tick between the two runs
+        child, here = json.loads(result.stdout), json.loads(capsys.readouterr().out)
+        del child["timestamp"], here["timestamp"]
+        assert child == here
 
     def test_a_zipped_package_reads_its_bundled_files(self, tmp_path, capsys):
         package = Path(dcx.__file__).resolve().parent
@@ -1152,9 +1159,10 @@ class TestCli:
             "print('probe:', code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
             "      file=sys.stderr)\n"
         )
-        # a board of more than nine cells enumerates with numpy
+        # a board of more than nine cells that a win can cut short
+        # enumerates with numpy
         result = run_python("-c", probe, "--format", "json", "game", "custom", "--side", "4",
-                            "--dims", "2", "--plies", "4", "--win", "4")
+                            "--dims", "2", "--plies", "6", "--win", "3")
         assert result.stderr.splitlines()[-1] == f"probe: 0 True {threads}", result.stderr
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
