@@ -12,14 +12,15 @@ them. numpy comes only with a value that needs it: the search of a board
 of more than nine cells, the cart-pole simulator, and the image measures
 that are array kernels (CIFAR-10 gini and entropy, MNIST entropy --mode
 raw). Board geometry is index arithmetic, and enumeration takes one of
-three routes: a board that no win can cut short (max_plies < 2 * win) is
-counted in closed form (0.14 ms for 4 x 4 to six plies with win 4, raw
-and reduced), other boards of up to nine cells are searched in plain
-Python (6 ms for ttt) and larger ones with numpy (14 ms for 4 x 4 to six
-plies with win 3, after a 72 ms import). The descriptor entropies and the
-iris table are summed in plain Python, in numpy's order. The image zero
-fractions and binarized entropies are counted from the file bytes, and
-image dimensionality only reads the files, without numpy.
+three routes: a board played to at most twice its win length (max_plies
+<= 2 * win) is counted in closed form (under 1 ms for 4 x 4 to six plies
+with win 3 or 4, raw and reduced), other boards of up to nine cells are
+searched in plain Python (6 ms for ttt) and larger ones with numpy (40 ms
+for 4 x 4 to seven plies with win 3, after a 72 ms import). The
+descriptor entropies and the iris table are summed in plain Python, in
+numpy's order. The image zero fractions and binarized entropies are
+counted from the file bytes, and image dimensionality only reads the
+files, without numpy.
 
 dcx calls no BLAS routine, so `main` starts numpy with one OpenBLAS
 thread instead of a pool whose idle worker spins for CPU time. An

@@ -10,17 +10,18 @@ win line is an origin's index plus k multiples of a direction's step, and
 a symmetry map reads each image coordinate from a permuted, possibly
 reversed, board axis.
 
-Where no line can be completed before the last ply, every arrangement
-of stones is reachable, so enumeration counts the arrangements and their
-symmetry classes (by Burnside's lemma) in closed form. Other boards are
-searched on bitboards: a position is one 32-bit value holding the X cell
-mask in bits 0-15 and the O mask in bits 16-31, which is why boards are
-capped at 16 cells. Boards of at most nine cells are searched in plain
-Python, with one table over every cell mask for the wins and one per
-symmetry map for the images. Larger boards are searched by a numpy
-kernel: each ply is a uint32 array of positions, win lines are cell
-masks, and a symmetry map is applied through byte lookup tables. The
-canonical representative of a symmetry class is its minimum packed
+With win lines of w cells, every arrangement of stones is reachable up
+to ply 2w - 1, and at ply 2w every arrangement whose X stones fill no
+line, so a board played to at most 2w plies is counted in closed form:
+its arrangements and their symmetry classes (by Burnside's lemma). Other
+boards are searched on bitboards: a position is one 32-bit value holding
+the X cell mask in bits 0-15 and the O mask in bits 16-31, which is why
+boards are capped at 16 cells. Boards of at most nine cells are searched
+in plain Python, with one table over every cell mask for the wins and
+one per symmetry map for the images. Larger boards are searched by a
+numpy kernel: each ply is a uint32 array of positions, win lines are
+cell masks, and a symmetry map is applied through byte lookup tables.
+The canonical representative of a symmetry class is its minimum packed
 image, not its minimum cell tuple, so the representatives differ from a
 tuple-based enumeration while the class counts are the same. Only the
 search of boards past nine cells imports numpy; the geometry and the
@@ -54,18 +55,19 @@ if TYPE_CHECKING:
 ENUMERATION_CELL_LIMIT = 16
 _O_SHIFT = 16
 _CELL_MASK = (1 << _O_SHIFT) - 1
-# enumerate_states takes one of three routes, each exact. A board that no
-# win can cut short (max_plies < 2 * win_length) is counted in closed form:
-# 4 x 4 to six plies with win 4, raw and reduced, in 0.14 ms. Other boards
-# of at most this many cells (at most 6,046 legal positions, and tables of
-# 512 entries) are searched in plain Python, larger ones by the numpy
-# kernel. The Python search costs about 0.7 us per raw position and 1.5-5
-# us per symmetry class, against importing numpy, about 72 ms (median of 15
-# `python -c "import numpy"` against `python -c pass`). Raw and reduced,
-# ttt takes 6 ms, a full 10 x 1 game with win 3 36 ms and a full 11 x 1
-# game 107 ms, against the kernel's 4-5 ms plus the import, so full games
-# break even at 10-11 cells; the kernel takes 4 x 4 to six plies with win 3
-# in 14 ms (medians; Python 3.11, numpy 2.4.6, 2-vCPU x86-64).
+# enumerate_states takes one of three routes, each exact. A board played to
+# at most twice its win length (max_plies <= 2 * win_length) is counted in
+# closed form: 4 x 4 to six plies, raw and reduced, in 0.2-0.3 ms with win
+# 4 and 0.6-0.9 ms with win 3. Other boards of at most this many cells (at
+# most 6,046 legal positions, and tables of 512 entries) are searched in
+# plain Python, larger ones by the numpy kernel. The Python search costs
+# about 0.7 us per raw position and 1.5-5 us per symmetry class, against
+# importing numpy, about 72 ms (median of 15 `python -c "import numpy"`
+# against `python -c pass`). Raw and reduced, ttt takes 6 ms, a full 10 x 1
+# game with win 3 36 ms and a full 11 x 1 game 107 ms, against the kernel's
+# 4-5 ms plus the import, so full games break even at 10-11 cells; the
+# kernel takes 4 x 4 to seven plies with win 3 in 40 ms (medians of warm
+# calls; Python 3.11, numpy 2.4.6, 2-vCPU x86-64).
 _PYTHON_SEARCH_CELLS = 9
 _LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
@@ -262,9 +264,12 @@ def symmetry_maps(spec: GridGameSpec) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _cycle_lengths(m: tuple[int, ...]):
-    """The length of each cycle of the index permutation m."""
+def _cycle_lengths(m: tuple[int, ...], placed=()):
+    """The length of each cycle of the index permutation m, leaving out
+    the cells in placed, which must be whole cycles of m."""
     seen = bytearray(len(m))
+    for cell in placed:
+        seen[cell] = 1
     for start in range(len(m)):
         length, cell = 0, start
         while not seen[cell]:
@@ -273,6 +278,24 @@ def _cycle_lengths(m: tuple[int, ...]):
             length += 1
         if length:
             yield length
+
+
+def _cycle_polynomial(lengths, top_x: int, top_o: int) -> list[list[int]]:
+    """poly[x][o], the coefficient of a^x b^o in the product over the cycle
+    lengths of (1 + a^len + b^len), truncated at top_x, top_o: the ways to
+    fill whole cycles with x X and o O stones."""
+    poly = [[1] + [0] * top_o] + [[0] * (top_o + 1) for _ in range(top_x)]
+    for n in lengths:
+        # downwards, so each coefficient reads the two it adds before this
+        # cycle's factor updates them
+        for x in range(top_x, -1, -1):
+            row = poly[x]
+            for o in range(top_o, -1, -1):
+                if x >= n:
+                    row[o] += poly[x - n][o]
+                if o >= n:
+                    row[o] += row[o - n]
+    return poly
 
 
 def _fixed_arrangements(maps, max_plies: int) -> list[int]:
@@ -286,28 +309,41 @@ def _fixed_arrangements(maps, max_plies: int) -> list[int]:
     top_x, top_o = (max_plies + 1) // 2, max_plies // 2
     sums = [0] * (max_plies + 1)
     for m in maps:
-        # poly[x][o] is the coefficient of a^x b^o, truncated at top_x, top_o
-        poly = [[1] + [0] * top_o] + [[0] * (top_o + 1) for _ in range(top_x)]
-        for n in _cycle_lengths(m):
-            # downwards, so each coefficient reads the two it adds before
-            # this cycle's factor updates them
-            for x in range(top_x, -1, -1):
-                row = poly[x]
-                for o in range(top_o, -1, -1):
-                    if x >= n:
-                        row[o] += poly[x - n][o]
-                    if o >= n:
-                        row[o] += row[o - n]
+        poly = _cycle_polynomial(_cycle_lengths(m), top_x, top_o)
         for ply in range(max_plies + 1):
             sums[ply] += poly[(ply + 1) // 2][ply // 2]
     return sums
 
 
-def _orbit_counts(maps, max_plies: int) -> tuple[int, ...]:
-    """Per ply 0..max_plies, the classes of the ply's stone arrangements
-    under the group of the maps: by Burnside's lemma, the mean over the
-    group of the arrangements each map fixes."""
-    return tuple(total // len(maps) for total in _fixed_arrangements(maps, max_plies))
+def _fixed_line_arrangements(maps, lines) -> int:
+    """The sum over maps of the arrangements that each map fixes in which
+    X's w stones fill one of the lines, each w cells long, and O's w
+    stones lie off it.
+
+    A map fixes such an arrangement only when it maps the line onto
+    itself, and then exactly when O's stones fill whole cycles of the map
+    outside the line: the coefficient of b^w in the product over those
+    cycles of (1 + b^len). The lines are distinct sets of w cells, so no
+    arrangement is counted under two of them.
+    """
+    w = len(lines[0])
+    return sum(
+        _cycle_polynomial(_cycle_lengths(m, line), 0, w)[0][w]
+        for m in maps for line in lines if tuple(sorted(m[cell] for cell in line)) == line
+    )
+
+
+def _orbit_counts(maps, max_plies: int, lines) -> tuple[int, ...]:
+    """Per ply 0..max_plies, at most 2w for lines w cells long, the classes
+    of the ply's reachable arrangements under the group of the maps, which
+    must map lines onto lines: by Burnside's lemma, the mean over the group
+    of the reachable arrangements each map fixes. Every arrangement is
+    reachable before ply 2w, and at ply 2w those whose X stones fill no
+    line."""
+    sums = _fixed_arrangements(maps, max_plies)
+    if max_plies == 2 * len(lines[0]):
+        sums[-1] -= _fixed_line_arrangements(maps, lines)
+    return tuple(total // len(maps) for total in sums)
 
 
 @lru_cache(maxsize=None)
@@ -404,18 +440,25 @@ class PlyDistribution(Record):
 
 
 def _closed_form_counts(spec: GridGameSpec, symmetry: bool) -> tuple[int, ...]:
-    """enumerate_states' per-ply counts where no line can be completed
-    before the last ply, max_plies < 2 * win_length.
+    """enumerate_states' per-ply counts where max_plies <= 2 * win_length.
 
     Before ply 2 * win_length - 1 neither player holds win_length stones,
-    so no position short of the last ply ends the game and every
-    arrangement of each ply's stones is reachable: the raw counts are the
-    arrangement counts and the reduced ones their Burnside class counts
-    under symmetry_maps(spec).
+    so no position short of that ply ends the game and every arrangement
+    of each ply's stones up to it is reachable. At ply 2 * win_length an
+    arrangement is reachable unless X's stones fill a line, which ended
+    the game a ply earlier. The raw counts are the arrangement counts less
+    those, and the reduced ones their Burnside class counts under
+    symmetry_maps(spec).
     """
+    w, lines = spec.win_length, win_lines(spec)
     if symmetry:
-        return _orbit_counts(symmetry_maps(spec), spec.max_plies)
-    return (1, *_arrangement_terms(spec))
+        counts = _orbit_counts(symmetry_maps(spec), spec.max_plies, lines)
+    else:
+        counts = (1, *_arrangement_terms(spec))
+        if spec.max_plies == 2 * w:  # less X on a line, O anywhere off it
+            counts = (*counts[:-1], counts[-1] - len(lines) * math.comb(spec.cells - w, w))
+    # a ply with no position ends the tuple, as it ends the searches
+    return counts if counts[-1] else counts[:-1]
 
 
 @lru_cache(maxsize=None)
@@ -503,19 +546,20 @@ def enumerate_states(spec: GridGameSpec, symmetry: bool = False) -> PlyDistribut
     generate no children. With symmetry on, positions are counted once per
     class under symmetry_maps(spec). Boards past ENUMERATION_CELL_LIMIT
     cells, the most the searches' packing (X mask | O mask << 16) holds,
-    are refused. The counts are exact on each of three routes: a board
-    that no win can cut short (max_plies < 2 * win_length) is counted in
-    closed form, other boards of at most nine cells (_PYTHON_SEARCH_CELLS)
-    are searched breadth-first in plain Python, and larger ones by the
-    numpy kernel. A search deduplicates each position's canonical form (the
-    minimum packed image, as canonical_positions defines it).
+    are refused. A ply with no position ends the counts. They are exact on
+    each of three routes: a board played to at most twice its win length
+    (max_plies <= 2 * win_length) is counted in closed form, other boards
+    of at most nine cells (_PYTHON_SEARCH_CELLS) are searched breadth-first
+    in plain Python, and larger ones by the numpy kernel. A search
+    deduplicates each position's canonical form (the minimum packed image,
+    as canonical_positions defines it).
     """
     if spec.cells > ENUMERATION_CELL_LIMIT:  # refused before numpy loads
         raise ResourceLimit(
             f"enumeration supports at most {ENUMERATION_CELL_LIMIT} cells, "
             f"got {count_text(spec.cells)}"
         )
-    if spec.max_plies < 2 * spec.win_length:
+    if spec.max_plies <= 2 * spec.win_length:
         count = _closed_form_counts
     elif spec.cells <= _PYTHON_SEARCH_CELLS:
         count = _python_counts

@@ -279,10 +279,13 @@ class TestEnumeration:
         ],
     )
     def test_four_by_four_six_plies(self, win, raw, sym):
-        # frozen from the tuple enumeration below; too slow to rerun it here
+        # frozen from the tuple enumeration below; too slow to rerun it here.
+        # Both boards are counted in closed form, so the numpy search, its
+        # oracle, is pinned too
         spec = GridGameSpec(side=4, dims=2, max_plies=6, win_length=win)
-        assert enumerate_states(spec, symmetry=False).counts_per_ply == raw
-        assert enumerate_states(spec, symmetry=True).counts_per_ply == sym
+        for symmetry, counts in ((False, raw), (True, sym)):
+            assert enumerate_states(spec, symmetry).counts_per_ply == counts
+            assert games._numpy_counts(spec, symmetry) == counts
 
 
 # --- the tuple enumeration the packed one replaced, kept as its oracle ---------
@@ -369,9 +372,9 @@ SMALL_BOARDS = [(1, dims, 1) for dims in (1, 2, 3)] + [
     for win in range(1, side + 1)
 ]
 # Most positions one oracle search visits: 4 x 4 to seven plies visits
-# 617,097. Searching every board to its last closed-form ply visits 166
-# million raw positions (19 s raw and reduced), nearly all on lines of 14-16
-# cells, so those are searched to the deepest ply within this budget.
+# 617,097. Searching every board to its last closed-form ply would visit
+# 175 million raw positions, nearly all on lines of 14-16 cells, so those
+# 36 boards are searched to the deepest ply within this budget.
 SEARCH_BUDGET = 650_000
 
 
@@ -380,7 +383,7 @@ SEARCH_BUDGET = 650_000
 )
 def test_closed_form_matches_the_searches(side, dims, win):
     cells = side**dims
-    last = min(cells, 2 * win - 1)  # the last ply count the closed form takes
+    last = min(cells, 2 * win)  # the last ply count the closed form takes
 
     def spec(plies):
         return GridGameSpec(side=side, dims=dims, max_plies=plies, win_length=win)
@@ -397,11 +400,13 @@ def test_closed_form_matches_the_searches(side, dims, win):
             assert games._python_counts(spec(depth), symmetry) == searched
         for plies in range(1, last + 1):
             counts = games._closed_form_counts(spec(plies), symmetry)
-            assert len(counts) == plies + 1
+            # a ply with no position ends the tuple; only ply 2 * win can have none
+            assert all(counts) and (len(counts) == plies + 1 or len(counts) == plies == 2 * win)
+            # the whole tuple wherever the search reaches its last ply
             assert counts[: depth + 1] == searched[: plies + 1]
-    # a ply more, and the first player's completed lines end games early
-    if 2 * win <= cells and positions(2 * win) <= SEARCH_BUDGET:
-        assert enumerate_states(spec(2 * win)).total < positions(2 * win)
+    # a ply past the closed form is searched, and completed lines still cut its count
+    if 2 * win + 1 <= cells and positions(2 * win + 1) <= SEARCH_BUDGET:
+        assert enumerate_states(spec(2 * win + 1)).total < positions(2 * win + 1)
 
 
 def test_boards_no_win_cuts_short_take_the_closed_form(monkeypatch):
@@ -412,7 +417,10 @@ def test_boards_no_win_cuts_short_take_the_closed_form(monkeypatch):
     monkeypatch.setattr(games, "_numpy_counts", search)
     spec = GridGameSpec(side=4, dims=2, max_plies=7, win_length=4)
     assert enumerate_states(spec).counts_per_ply[-1] == math.comb(16, 4) * math.comb(12, 3)
-    for spec in (TTT, GridGameSpec(side=4, dims=2, max_plies=6, win_length=3)):
+    # at ply 2 * win, less the arrangements whose X stones fill one of the 24 lines
+    spec = GridGameSpec(side=4, dims=2, max_plies=6, win_length=3)
+    assert enumerate_states(spec).counts_per_ply[-1] == (560 - 24) * math.comb(13, 3)
+    for spec in (TTT, GridGameSpec(side=4, dims=2, max_plies=7, win_length=3)):
         with pytest.raises(AssertionError, match="searched"):
             enumerate_states(spec)
 

@@ -44,6 +44,8 @@ REPORT_PINS = {
         "99d34e301e88cb61274cda13c62dcff3c82cd8f5b3c9b4d4c4937d089e9e4353",
     "game custom --side 4 --dims 2 --plies 6 --win 4":
         "ea753158e53ab26aac8ffe37459c1374f02b3fab8b609d29bc3f48174fcad53b",
+    "game custom --side 4 --dims 2 --plies 6 --win 3":
+        "faae0081e80bf5979e4ede691538a5c45f8d5e4412d08733f32cf0e02d36446a",
     "descriptor cartpole2d":
         "9e60ad915c8262c7bb9c7e0c00cecfc5ca990d1c71efb6085ccf30dc48a0a52c",
     "descriptor cartpole2d-g":

@@ -983,14 +983,16 @@ class TestCli:
               for v in ("2d", "2dg", "3d")],
             (("--format", "json", "game", "ttt", "--no-enumerate"), 0, {"dcx.games"}),
             (("--format", "json", "game", "qubic"), 0, {"dcx.games"}),
-            # a board that no win can cut short is counted in closed form,
-            # others of at most nine cells are searched in plain Python and
-            # larger ones with the numpy kernel
+            # a board played to at most twice its win length is counted in
+            # closed form, others of at most nine cells are searched in
+            # plain Python and larger ones with the numpy kernel
             (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
               "--plies", "6", "--win", "4"), 0, {"dcx.games"}),
+            (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
+              "--plies", "6", "--win", "3"), 0, {"dcx.games"}),
             (("--format", "json", "game", "ttt"), 0, {"dcx.games"}),
             (("--format", "json", "game", "custom", "--side", "4", "--dims", "2",
-              "--plies", "6", "--win", "3"), 0, {"dcx.games", "numpy"}),
+              "--plies", "7", "--win", "3"), 0, {"dcx.games", "numpy"}),
             (("--format", "json", "compare", "{ttt}", "{qubic}"), 0, set()),
             (("--format", "json", "compare", "{qubic}", "{ttt}"), 0, set()),
             (("descriptor", "nosuch"), 1, {"dcx.descriptors"}),
@@ -1159,10 +1161,10 @@ class TestCli:
             "print('probe:', code, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')),\n"
             "      file=sys.stderr)\n"
         )
-        # a board of more than nine cells that a win can cut short
+        # a board of more than nine cells played past twice its win length
         # enumerates with numpy
         result = run_python("-c", probe, "--format", "json", "game", "custom", "--side", "4",
-                            "--dims", "2", "--plies", "6", "--win", "3")
+                            "--dims", "2", "--plies", "7", "--win", "3")
         assert result.stderr.splitlines()[-1] == f"probe: 0 True {threads}", result.stderr
 
     def test_out_to_missing_directory_fails_cleanly(self, tmp_path, capsys):
