@@ -39,6 +39,7 @@ from .errors import (
     check_budget,
     check_count,
     check_real,
+    read_text,
 )
 
 if TYPE_CHECKING:
@@ -536,5 +537,5 @@ def load_cifar10(data_dir: str | Path, split: str = "all") -> LabeledImageDatase
 
 def load_iris(path: str | Path | None = None) -> TabularDataset:
     """Load the iris table; without a path, the bundled copy is used."""
-    text = bundled_text("iris.csv") if path is None else Path(path).read_text(encoding="utf-8")
+    text = bundled_text("iris.csv") if path is None else read_text(path)
     return parse_iris_csv(text)

@@ -20,6 +20,7 @@ from .errors import (
     check_count,
     from_mapping,
     load_json,
+    read_text,
     replace,
 )
 from .measures import (
@@ -122,7 +123,7 @@ def descriptor_from_mapping(obj: dict) -> DomainDescriptor:
 
 def load_descriptor(path: str | Path) -> DomainDescriptor:
     """Parse a descriptor JSON file with strict schema checking."""
-    return descriptor_from_mapping(load_json(Path(path).read_text(encoding="utf-8"), "descriptor"))
+    return descriptor_from_mapping(load_json(read_text(path), "descriptor"))
 
 
 def _bundled_json(name: str, names: tuple[str, ...], kind: str, filename: str):
@@ -239,7 +240,7 @@ def breakdown_from_mapping(obj: dict) -> InformationBreakdown:
 
 
 def load_breakdown(path: str | Path) -> InformationBreakdown:
-    return breakdown_from_mapping(load_json(Path(path).read_text(encoding="utf-8"), "breakdown"))
+    return breakdown_from_mapping(load_json(read_text(path), "breakdown"))
 
 
 def bundled_breakdown(name: str) -> InformationBreakdown:

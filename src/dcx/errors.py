@@ -1,9 +1,9 @@
 """Error taxonomy shared across the package, and what every module checks
 alike: count arguments (check_count), real-number arguments (check_real),
-sizes in refusals (count_text), the one array budget, the one JSON reader
-and bundled-file reader, the frozen Record base of every value type, and
-the one decoder that builds descriptors, breakdowns and reports by their
-Record annotations.
+sizes in refusals (count_text), the one array budget, the one JSON,
+text-file and bundled-file readers, the frozen Record base of every value
+type, and the one decoder that builds descriptors, breakdowns and reports
+by their Record annotations.
 
 Every deliberate failure raises a subclass of DcxError so the CLI can map
 library errors to one exit code and callers can catch one base class.
@@ -138,6 +138,15 @@ def load_json(text: str, what: str):
         # JSONDecodeError, an integer past the digit limit, or nesting past
         # the recursion limit
         raise FormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path; FormatError naming it if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            return file.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def bundled_text(name: str) -> str:

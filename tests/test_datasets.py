@@ -231,6 +231,12 @@ class TestIrisParsing:
         with pytest.raises(InvalidParameter):
             TabularDataset(features, labels, ("a",), ("c",))
 
+    def test_a_table_file_that_is_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "iris.csv"
+        path.write_bytes(b"\xff\xfe,")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} is not UTF-8 text"):
+            load_iris(path)
+
     def test_bundled_table(self):
         ds = load_iris()
         assert ds.row_count == 150

@@ -5,8 +5,9 @@ Hypothesis cuts, pads and overwrites bytes of valid IDX tensors and CIFAR-10
 batches, and feeds them to the in-memory parsers and, through files, to the
 streamed readers. It also overwrites fields of valid iris rows and measures
 what parses, runs the command line with integer, float and text flags at
-their edges, and feeds the real-number check every kind of value. The
-profile is derandomized, so every run tries the same inputs.
+their edges, builds and runs every kind of case with its fields at those
+edges, and feeds the real-number check every kind of value. The profile is
+derandomized, so every run tries the same inputs.
 """
 
 import gzip
@@ -20,11 +21,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dcx.cases import CartPoleCase, DatasetCase, DescriptorCase, GameCase, run
 from dcx.cli import main
 from dcx.dataset_metrics import image_measures, iris_measures
 from dcx.datasets import (
@@ -36,6 +39,7 @@ from dcx.datasets import (
     stream_mnist,
 )
 from dcx.errors import DcxError, InvalidParameter, check_real
+from dcx.report import ComplexityReport
 from idx_writer import write_idx
 
 settings.register_profile(
@@ -228,6 +232,94 @@ def test_cli_flags(argv):
         assert out.getvalue() == ""
     else:
         assert code == 2 and lines[-1].startswith("dcx") and ": error: " in lines[-1], lines
+
+
+# Each case field but those that choose the case, at a value that finishes
+# fast and at its odd values: FLAG_INTS for the integers, also nan and the
+# infinities for limit, and a value outside the CLI's choices for mode and
+# split. "." is the test's empty working directory.
+CASE_VALUES = {
+    **{name: (fast, [int(v) for v in FLAG_INTS]) for name, fast in (
+        ("side", 3), ("dims", 2), ("plies", 9), ("win", 3), ("avg_length", 5), ("trials", 100),
+        ("samples", 1000), ("bins", 16), ("episode_length", 50), ("seed", 0))},
+    "limit": (5.0, [math.nan, math.inf, -math.inf, *(int(v) for v in FLAG_INTS)]),
+    "enumerate": (True, [False]),
+    "mode": ("raw", ["binarized", "other"]),
+    "split": ("test", ["train", "all", "other"]),
+    "data_dir": (".", []),
+}
+# case type -> the values of the fields that choose the case
+CASE_CHOICES = {
+    GameCase: {"preset": ["ttt", "qubic", "custom"]},
+    CartPoleCase: {"measure": ["table", "limit", "entropy", "sparsity"],
+                   "variant": ["2d", "2dg", "3d"]},
+    DatasetCase: {"name": ["iris", "mnist", "cifar10"],
+                  "measure": ["dimensionality", "sparsity", "gini", "entropy"]},
+    DescriptorCase: {"source": ["pogo", "monopoly", "cartpole3d"], "breakdown": [None, "pogo"]},
+}
+# the fields that a case reads or refuses, by its preset, measure or dataset
+OPTIONAL = {"side", "dims", "plies", "win", "trials", "samples", "bins", "limit",
+            "episode_length", "mode", "split", "data_dir"}
+
+
+def read_fields(cls, fields: dict) -> set[str]:
+    """The optional fields the case of fields reads."""
+    if cls is GameCase:
+        return {"side", "dims", "plies", "win"} if fields["preset"] == "custom" else set()
+    if cls is CartPoleCase:
+        return {"limit": {"trials"}, "entropy": {"samples", "bins"},
+                "sparsity": {"trials", "limit", "episode_length"}}.get(fields["measure"], set())
+    if cls is DatasetCase and fields["name"] in ("mnist", "cifar10"):
+        binarizes = fields["name"] == "mnist" and fields["measure"] in ("dimensionality", "entropy")
+        return {"split", "data_dir"} | ({"mode"} if binarizes else set())
+    return set()
+
+
+@st.composite
+def case_fields(draw) -> tuple[type, dict]:
+    """A case type and its fields: each choosing field at one of its
+    choices, or one time in eight at "other", which names no case (and no
+    bundled descriptor); each other field at its fast value half the time,
+    else None or an odd value. An optional field the case does not read is
+    set one time in eight."""
+    cls = draw(st.sampled_from(list(CASE_CHOICES)))
+    fields = {name: "other" if draw(st.integers(0, 7)) == 0 else draw(st.sampled_from(values))
+              for name, values in CASE_CHOICES[cls].items()}
+    read = read_fields(cls, fields)
+    for name in cls._fields:
+        if name not in fields:
+            fast, odd = CASE_VALUES[name]
+            unread = name in OPTIONAL and name not in read
+            fields[name] = None if unread and draw(st.integers(0, 7)) else draw(
+                st.one_of(st.just(fast), st.sampled_from([None, *odd])))
+    return cls, fields
+
+
+@settings(FUZZ, max_examples=300)
+@given(case_fields())
+def test_case_fields(drawn):
+    # a case refuses the fields its preset, measure or dataset does not
+    # read, naming each by its flag in field order; any field set it
+    # accepts runs to a report or a DcxError within the time bound
+    cls, fields = drawn
+    unread = [name for name in cls._fields if name in OPTIONAL - read_fields(cls, fields)
+              and fields[name] is not None]
+    refused = unread and "other" not in [fields[name] for name in CASE_CHOICES[cls]]
+    flags = " ".join("--" + name.replace("_", "-") for name in unread)
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ):
+        os.environ.pop("DCX_DATA_DIR", None)  # unset, a dataset case reads ./data
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            case = cls(**fields)
+            assert not refused, f"{case} was made, though it does not read {flags}"
+            assert isinstance(run(case), ComplexityReport)
+        except DcxError as exc:
+            assert not refused or str(exc).endswith(f" does not read {flags}"), exc
+        finally:
+            os.chdir(cwd)
+    assert time.perf_counter() - start < TIME_BOUND, fields
 
 
 # anything an argument may hold: Python and numpy reals of every size and

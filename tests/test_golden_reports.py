@@ -18,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import dcx
+from dcx import cli
+from dcx.cases import CartPoleCase, DatasetCase, DescriptorCase, GameCase, run
 from dcx.cli import main
+from dcx.errors import replace
 
 CARTPOLE_PINS = {
     ("2d", "limit"): "617acbe20bb097e9a75ac3c0c9e19e37ac811fb94736a97858086008959070c6",
@@ -153,6 +156,23 @@ ERROR_PINS = {
 
 COMPARE_SOURCES = {"ttt": "game ttt --no-enumerate", "qubic": "game qubic"}
 
+# the case of each REPORT_PINS command, built by keyword
+REPORT_CASES = {
+    "game ttt": GameCase(preset="ttt"),
+    "game ttt --no-enumerate": GameCase(preset="ttt", enumerate=False),
+    "game qubic": GameCase(preset="qubic"),
+    **{f"game custom --side {side} --dims 2 --plies {plies} --win {win}":
+       GameCase(preset="custom", side=side, dims=2, plies=plies, win=win)
+       for side, plies, win in ((2, 4, 2), (4, 6, 4), (4, 6, 3))},
+    **{f"descriptor {name}": DescriptorCase(source=name)
+       for name in ("cartpole2d", "cartpole2d-g", "cartpole3d", "monopoly", "pogo")},
+    "descriptor pogo --breakdown pogo": DescriptorCase(source="pogo", breakdown="pogo"),
+    **{f"cartpole --variant {variant} --measure table": CartPoleCase(variant=variant)
+       for variant in ("2d", "2dg", "3d")},
+    **{f"dataset iris --measure {measure}": DatasetCase(name="iris", measure=measure)
+       for measure in ("dimensionality", "sparsity", "gini", "entropy")},
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -233,3 +253,34 @@ def test_compare_bytes(a, b, tmp_path, capsys):
 @pytest.mark.parametrize("command", sorted(ERROR_PINS))
 def test_error_bytes(command):
     assert error_pin(command) == ERROR_PINS[command]
+
+
+def check_case(argv: list[str], case, pin: str) -> None:
+    # the case the CLI builds is the one built by keyword, survives a
+    # replace round trip, and runs to the pinned report without argparse
+    assert cli._case(cli.build_parser().parse_args(["--seed", "0", *argv])) == case
+    assert replace(case) == case
+    assert run(case).determinism_hash() == pin
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_PINS))
+def test_report_case(command):
+    check_case(command.split(), REPORT_CASES[command], REPORT_PINS[command])
+
+
+@pytest.mark.parametrize(("variant", "measure"), sorted(CARTPOLE_PINS))
+def test_cartpole_case(variant, measure):
+    argv = ["cartpole", "--variant", variant, "--measure", measure]
+    case = CartPoleCase(measure=measure, variant=variant, seed=0)
+    check_case(argv, case, CARTPOLE_PINS[variant, measure])
+
+
+@pytest.mark.parametrize(("name", "measure", "options"), sorted(IMAGE_PINS))
+def test_image_case(name, measure, options, request):
+    directory = request.getfixturevalue(
+        "synthetic_mnist_dir" if name == "mnist" else "synthetic_cifar_dir"
+    )
+    argv = ["dataset", name, "--measure", measure, *options.split(), "--data-dir", str(directory)]
+    chosen = dict([options.removeprefix("--").split()]) if options else {}
+    case = DatasetCase(name=name, measure=measure, data_dir=directory, **chosen)
+    check_case(argv, case, IMAGE_PINS[name, measure, options])

@@ -97,10 +97,13 @@ def sample_report(domain="toy", value=1.5, convention="stated") -> ComplexityRep
 
 def test_cli_builds_no_measures():
     # every measure's name, convention and provenance is written in the
-    # domain module that computes it; the CLI only resolves inputs and
-    # assembles what the domain modules return
-    tree = ast.parse(Path(dcx.cli.__file__).read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
+    # domain module that computes it; the CLI only parses arguments into a
+    # case, and a case only resolves inputs and assembles what the domain
+    # modules return
+    sources = [Path(dcx.cli.__file__).with_name(name) for name in ("cli.py", "cases.py")]
+    nodes = [node for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    for node in nodes:
         if isinstance(node, ast.Call):
             func = node.func
             assert getattr(func, "id", getattr(func, "attr", None)) != "MeasureResult"
@@ -897,6 +900,23 @@ class TestCli:
         assert out == ""
         assert err.startswith("dcx: ") and "is not valid JSON: maximum recursion depth" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["compare", "{path}", "{path}"], ["descriptor", "{path}"],
+         ["descriptor", "pogo", "--breakdown", "{path}"]],
+        ids=["report", "descriptor", "breakdown"],
+    )
+    def test_input_that_is_not_utf8_exits_1_without_traceback(self, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        result = run_python("-m", "dcx.cli", *[arg.format(path=path) for arg in argv])
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            f"dcx: {path} is not UTF-8 text: invalid start byte at byte 0"
+        ]
+        assert result.stdout == ""
+
     def test_compare_non_numeric_value_exits_1_without_traceback(self, tmp_path):
         good, forged = tmp_path / "good.json", tmp_path / "forged.json"
         assert main(["--format", "json", "--out", str(good), "game", "ttt", "--no-enumerate"]) == 0
@@ -1039,6 +1059,28 @@ class TestCli:
         result = run_python("-c", probe, *argv)
         assert "Traceback" not in result.stderr, result.stderr
         assert result.stderr.splitlines()[-1] == f"probe: {exit_code} [] {sorted(loads)}"
+
+    @pytest.mark.parametrize(
+        ("argv", "exit_code", "loads"),
+        [(("--help",), 0, False), (("compare", "{report}", "{report}"), 0, False),
+         (("game", "checkers"), 2, False), (("game", "ttt", "--no-enumerate"), 0, True)],
+        ids=["help", "compare", "usage-error", "game"],
+    )
+    def test_only_a_subcommand_that_runs_a_case_loads_dcx_cases(self, tmp_path, argv, exit_code,
+                                                                 loads):
+        report = tmp_path / "ttt.json"
+        assert main(["--format", "json", "--out", str(report), "game", "ttt", "--no-enumerate"]) == 0
+        probe = (
+            "import sys\n"
+            "from dcx.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(f'probe: {code} {\"dcx.cases\" in sys.modules}', file=sys.stderr)\n"
+        )
+        result = run_python("-c", probe, *[arg.format(report=report) for arg in argv])
+        assert result.stderr.splitlines()[-1] == f"probe: {exit_code} {loads}"
 
     def test_bundled_files_load_without_resource_machinery(self):
         # -S skips site, which on some hosts imports importlib.resources
