@@ -14,9 +14,10 @@ played to at most twice its win length is counted in closed form (under
 1 ms for 4 x 4 to six plies with win 3 or 4), other boards of up to nine
 cells are searched in plain Python (6 ms for ttt) and larger ones with
 numpy (40 ms for 4 x 4 to seven plies with win 3, after a 72 ms import).
-The descriptor entropies and the iris table are summed in plain Python, in
-numpy's order, and the image zero fractions, binarized entropies and
-dimensionality are counted from the file bytes.
+The descriptor and iris entropies are summed in plain Python in numpy's
+order, the iris Gini indices are exact ratios, and the image zero
+fractions, binarized entropies and dimensionality are counted from the
+file bytes.
 """
 
 from __future__ import annotations
@@ -174,6 +175,11 @@ class DescriptorCase(Record):
     source: str
     breakdown: str | None = None
 
+    def __post_init__(self) -> None:
+        for value in (self.source, "" if self.breakdown is None else self.breakdown):
+            if not isinstance(value, str):
+                raise InvalidParameter(f"expected a file path or a bundled name, not {value!r}")
+
     def _measure(self):
         from . import descriptors
 
@@ -236,6 +242,8 @@ class DatasetCase(Record):
         _refuse_unread(self, ("dataset", self.name, self.measure), f"dataset {what}")
         if self.mode not in (None, "raw", "binarized"):
             raise InvalidParameter(f"mode must be raw or binarized, not {self.mode!r}")
+        if self.data_dir is not None and not isinstance(self.data_dir, (str, os.PathLike)):
+            raise InvalidParameter(f"data_dir must be a path, not {self.data_dir!r}")
 
     def _measure(self):
         from . import dataset_metrics as dm

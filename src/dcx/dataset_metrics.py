@@ -3,10 +3,10 @@ zero-fraction sparsity, per-image entropy, per-channel and per-class Gini,
 and boxplot-style class summaries.
 
 The zero fraction and the binarized entropy of an image depend only on how
-many of its bytes are nonzero, so both take that count in plain Python,
-from the raw blocks of a stream or the bytes of an array, and so do the
-class summaries and the means of their values. The raw entropy histograms
-and the channel Gini indices are numpy kernels.
+many of its bytes are nonzero, counted in plain Python from a stream's raw
+blocks or by np.count_nonzero in an array. A zero sparsity (zeros over all
+values) and a channel Gini index (of exact integer rank sums) are ratios
+rounded once; the raw entropy histograms and the rank sums are numpy kernels.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ def _nonzero_counts(records, record_size: int, offset: int) -> list[int]:
     return [size - records.count(0, i, i + size) for i in range(offset, len(records), record_size)]
 
 
-def _zero_fractions(counts: list[int], size: int) -> list[float]:
-    """1 minus the nonzero fraction, per image of size values."""
-    return [1.0 - k / size for k in counts]
-
-
 def _binarized_entropies(counts: list[int], size: int) -> list[float]:
     """The normalized entropy of each image of size values that has count
     nonzero ones, binarized: zeros fill the first bin, the rest the last. A
@@ -106,9 +101,9 @@ def _binarized_entropies(counts: list[int], size: int) -> list[float]:
     return [(0.0 - (plogp[size - k] + plogp[k])) / _LOG2_BINS for k in counts]
 
 
-def _counted(images, per_image) -> np.ndarray:
-    """per_image(counts, size) over the nonzero counts of images, an
-    N x ... uint8 array, a chunk of BLOCK_IMAGES images at a time.
+def _counted(images) -> tuple[list[int], int]:
+    """The nonzero count of each image of images, an N x ... uint8 array,
+    a chunk of BLOCK_IMAGES images at a time, and the values per image.
 
     An array is counted by np.count_nonzero, which gives _nonzero_counts'
     counts four times faster than it does over the array's bytes: 10 ms
@@ -117,17 +112,18 @@ def _counted(images, per_image) -> np.ndarray:
     import numpy as np
 
     rows = _image_rows(images)
-    size = rows.shape[1]
-    out = []
+    counts = []
     for start in range(0, len(rows), BLOCK_IMAGES):
-        counts = np.count_nonzero(rows[start : start + BLOCK_IMAGES], axis=1)
-        out += per_image(counts.tolist(), size)
-    return np.array(out, dtype=float)
+        counts += np.count_nonzero(rows[start : start + BLOCK_IMAGES], axis=1).tolist()
+    return counts, rows.shape[1]
 
 
 def image_zero_sparsities(images) -> np.ndarray:
     """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
-    return _counted(images, _zero_fractions)
+    import numpy as np
+
+    counts, size = _counted(images)
+    return np.array([1.0 - k / size for k in counts], dtype=float)
 
 
 def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -192,7 +188,7 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
     import numpy as np
 
     if binarize_first:
-        return _counted(images, _binarized_entropies)
+        return np.array(_binarized_entropies(*_counted(images)), dtype=float)
     rows = _image_rows(images)
     count, size = rows.shape
     plogp = _plogp_array(size)
@@ -234,8 +230,9 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
 
     images is an N x H x W x C uint8 array. Returns the N x C values, NaN
     where a plane is all zero (its Gini is undefined), and the count of
-    those planes. Each value is bit-identical to measures.gini over the
-    plane.
+    those planes. Each value is measures.gini's ratio of rank sums, exact in
+    int64 while 255 n^2 < 2^63 and bit-identical to measures.gini while
+    n sum_k x_k < 2^53, that is for planes of up to about 5.9M pixels.
     """
     import numpy as np
 
@@ -248,25 +245,17 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
     n = height * width
     if n == 0 and count * channels:
         raise DegenerateInput("gini needs at least one value")
-    ranks = np.arange(1, n + 1)
-    weights = (n - ranks + 0.5) / n
+    # the rank weights 2k - n - 1 and 1: per sorted plane, both sums at once
+    weights = np.stack([np.arange(1 - n, n, 2), np.ones(n, dtype=np.int64)], axis=1)
     out = np.empty((count, channels))
     all_zero = 0
     for start in range(0, count, BLOCK_IMAGES):
         chunk = arr[start : start + BLOCK_IMAGES]
-        # channel-major copy: one row per (image, channel) plane
-        planes = np.ascontiguousarray(chunk.transpose(0, 3, 1, 2)).reshape(-1, n)
-        # a stable sort of uint8 rows is a radix sort
-        shares = np.sort(planes, axis=1, kind="stable").astype(float)
-        # integers below 2**53, so the float sum is exact in any order
-        totals = shares.sum(axis=1)
-        zero = totals == 0.0
-        all_zero += int(np.count_nonzero(zero))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(shares, totals[:, None], out=shares)
-        np.multiply(shares, weights, out=shares)
-        values = 1.0 - 2.0 * shares.sum(axis=1)
-        values[zero] = np.nan
+        # one row per (image, channel) plane, radix-sorted (a stable uint8 sort)
+        planes = chunk.transpose(0, 3, 1, 2).reshape(-1, n)
+        ranked, totals = (np.sort(planes, axis=1, kind="stable") @ weights).T
+        all_zero += int(np.count_nonzero(totals == 0))
+        values = np.divide(ranked, n * totals, out=np.full(len(totals), np.nan), where=totals > 0)
         out[start : start + len(chunk)] = values.reshape(len(chunk), channels)
     return out, all_zero
 
@@ -411,14 +400,6 @@ def _summary(ordered: list[float], class_name: str) -> ClassSummary:
     )
 
 
-def summarize_class(values, class_name: str) -> ClassSummary:
-    """Count, mean, quartiles, whiskers and outliers of finite real values."""
-    ordered = sorted(_finite_values(values))
-    if not ordered:
-        raise DegenerateInput(f"class {class_name!r} has no values")
-    return _summary(ordered, class_name)
-
-
 def summarize_by_class(
     per_item_values, labels, class_names: tuple[str, ...]
 ) -> list[ClassSummary]:
@@ -442,7 +423,7 @@ def median_of_medians(summaries: list[ClassSummary]) -> float:
 
 # One function per dataset report: each returns its measures and notes.
 def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureResult], list[str]]:
-    """measure is dimensionality, gini (also sparsity) or entropy."""
+    """measure is dimensionality, gini (also sparsity) or entropy, else InvalidParameter."""
     if measure == "dimensionality":
         return [
             MeasureResult(
@@ -463,6 +444,8 @@ def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureRe
             for class_name in dataset.class_names
             for feature_name in dataset.feature_names
         ], []
+    if measure != "entropy":
+        raise InvalidParameter(f"unknown dataset measure {measure!r}")
     class_count = len(dataset.class_names)
     counts = [dataset.labels.count(c) for c in range(class_count)]
     return [
@@ -479,23 +462,24 @@ def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureRe
 def _counted_per_image(stream: ImageStream, measure: str):
     """One pass over the stream's raw blocks for a measure that needs only
     each image's count of nonzero bytes, or nothing (dimensionality).
-    Returns the per-image values as a list and the labels as bytes."""
-    kernel = {"sparsity": _zero_fractions, "entropy": _binarized_entropies}.get(measure)
+    Returns the per-image values (nonzero counts or binarized entropies)
+    as a list and the labels as bytes."""
     record_size, offset = stream.record_size, stream.pixel_offset
     size = record_size - offset
     values, labels = [], bytearray()
     with closing(stream.raw_blocks()) as blocks:
         for records, block_labels in blocks:
-            if kernel is not None:
-                values += kernel(_nonzero_counts(records, record_size, offset), size)
+            if measure != "dimensionality":
+                counts = _nonzero_counts(records, record_size, offset)
+                values += counts if measure == "sparsity" else _binarized_entropies(counts, size)
             labels += block_labels
     return values, labels
 
 
 def _per_image(source: LabeledImageDataset | ImageStream, measure: str, binarized: bool):
     """One pass over source's blocks. Returns, per image, what measure
-    reduces over (the zero fraction for sparsity, the entropy for entropy,
-    the N x C channel Gini values for gini, nothing read for
+    reduces over (the count of nonzero values for sparsity, the entropy for
+    entropy, the N x C channel Gini values for gini, nothing read for
     dimensionality), the labels, and the count of all-zero planes. The
     values are a list but for gini, an array. A stream's counting measures
     (dimensionality, sparsity and binarized entropy) read its raw blocks,
@@ -509,31 +493,31 @@ def _per_image(source: LabeledImageDataset | ImageStream, measure: str, binarize
     else:
         import numpy as np
 
-        values = np.empty((count, source.channel_count) if measure == "gini" else count)
+        values = np.empty((count, source.channel_count)) if measure == "gini" else []
         labels = np.empty(count, dtype=np.int64)
         read = 0
         with closing(source.blocks()) as blocks:
             for images, block_labels in blocks:
                 end = read + len(images)
                 if measure == "sparsity":
-                    values[read:end] = image_zero_sparsities(images)
+                    values += _counted(images)[0]
                 elif measure == "entropy":
-                    values[read:end] = image_entropies(images, binarize_first=binarized)
+                    values += image_entropies(images, binarize_first=binarized).tolist()
                 elif measure == "gini":
                     values[read:end], planes = channel_ginis(images)
                     skipped += planes
                 labels[read:end] = block_labels
                 read = end
-        if measure != "gini":
-            values = values.tolist()
     if read != count:
         raise InvalidParameter("the image stream has already been read")
     return values, labels, skipped
 
 
-def _mean(values: list[float]) -> float:
-    """numpy's mean of values in their order, or NaN for none."""
-    return pairwise_sum(values) / len(values) if values else math.nan
+def _zero_share(counts: list[int], size: int) -> float:
+    """The zero fraction of the images of size values with these nonzero
+    counts: their zeros over their values, one division of integers (NaN for none)."""
+    values = len(counts) * size
+    return (values - sum(counts)) / values if values else math.nan
 
 
 def image_measures(
@@ -547,13 +531,20 @@ def image_measures(
     measures read raw pixels and no mode (binarizing moves no zero, so the
     MNIST zero fraction is the binarized one). split, the part of
     the dataset read, is recorded in the entropy convention. Classes with
-    no images are named in one note and have no per-class results."""
+    no images are named in one note and have no per-class results. A zero
+    sparsity, of the dataset or a class, is its zero values over all its
+    values, rounded once. Any other measure, or a mode but raw or
+    binarized, is refused with InvalidParameter."""
+    if measure not in ("dimensionality", "sparsity", "gini", "entropy"):
+        raise InvalidParameter(f"unknown dataset measure {measure!r}")
+    if mode not in (None, "raw", "binarized"):
+        raise InvalidParameter(f"mode must be raw or binarized, not {mode!r}")
     mnist = name == "mnist"
     binarized = mnist and mode != "raw"
     per_image, labels, skipped = _per_image(source, measure, binarized)
     measures: list[MeasureResult] = []
     notes = []
-    summaries = None
+    present = None  # the classes with images, where the report has per-class results
     if measure == "dimensionality":
         if binarized:  # only the count of pixel values changes
             source = replace(source, pixel_value_count=2)
@@ -571,20 +562,19 @@ def image_measures(
             convention = "mean zero-pixel fraction after binarization at threshold 0"
         else:
             convention = "mean zero-valued fraction over raw intensities"
+        size = source.pixel_count * source.channel_count
         measures.append(
-            MeasureResult("zero_sparsity_mean", _mean(per_image), convention, ANALYTIC)
+            MeasureResult("zero_sparsity_mean", _zero_share(per_image, size), convention, ANALYTIC)
         )
         if mnist:
-            summaries = summarize_by_class(per_image, labels, source.class_names)
-            measures += [
-                MeasureResult(
-                    f"zero_sparsity_mean_{summary.class_name}",
-                    summary.mean,
-                    "per-class mean zero-pixel fraction",
-                    ANALYTIC,
-                )
-                for summary in summaries
-            ]
+            members = [[] for _ in source.class_names]
+            for k, label in zip(per_image, _class_indices(labels, len(per_image), len(members))):
+                members[label].append(k)
+            classes = [(c, m) for c, m in zip(source.class_names, members) if m]
+            present = [c for c, _ in classes]
+            measures += [MeasureResult(f"zero_sparsity_mean_{c}", _zero_share(m, size),
+                                       "per-class mean zero-pixel fraction", ANALYTIC)
+                         for c, m in classes]
     elif measure == "gini":
         channels = ("red", "green", "blue") if source.channel_count == 3 else ("gray",)
         measures += [
@@ -600,6 +590,7 @@ def image_measures(
             notes.append(f"{skipped} all-zero channel planes skipped")
     else:
         summaries = summarize_by_class(per_image, labels, source.class_names)
+        present = [s.class_name for s in summaries]
         convention = (
             "normalized per-image intensity entropy, 256 bins over [0, 255], "
             "channels pooled"
@@ -617,8 +608,7 @@ def image_measures(
             MeasureResult(f"entropy_median_{s.class_name}", s.median, convention, ANALYTIC)
             for s in summaries
         ]
-    if summaries is not None:
-        present = {s.class_name for s in summaries}
+    if present is not None:
         missing = [c for c in source.class_names if c not in present]
         if missing:
             notes.append(f"classes with no images, so no per-class result: {', '.join(missing)}")

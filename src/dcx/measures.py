@@ -5,6 +5,7 @@ diversity statistics, and log10-space products for counts too large to form.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
@@ -97,30 +98,30 @@ def pairwise_sum(x: list[float]) -> float:
 
 
 def gini(values: Sequence[float]) -> float:
-    """Gini index of an array of finite, non-negative values.
-
-    Sorts ascending and weights each normalized value by (N - k + 1/2) / N.
-    Returns 0 for a perfectly even array and approaches 1 - 1/N when a
-    single element holds all the mass.
+    """Gini index of an array of finite, non-negative values: with the N
+    values sorted ascending, sum_k (2k - N - 1) x_(k) / (N sum_k x_k)
+    (Hurley and Rickard, IEEE Trans. Inf. Theory 55, 2009). Both sums are
+    exact, over the values scaled to integers by one power of two, and
+    their ratio is rounded once. 0 for an even array; approaches 1 - 1/N
+    when one element holds all the mass.
     """
     c = _floats(values, InvalidValue)
     if not c:
         raise DegenerateInput("gini needs at least one value")
     if not all(map(math.isfinite, c)):
         raise InvalidValue("gini is defined for finite values only")
-    if any(v < 0 for v in c):
+    c.sort()
+    if c[0] < 0:
         raise InvalidValue("gini is defined for non-negative values only")
-    total = pairwise_sum(c)  # in the given order, as numpy summed it
-    if math.isinf(total):  # the index is scale-free, so sum a scaled copy
-        top = max(c)
-        c = [v / top for v in c]
-        total = pairwise_sum(c)
-    if total == 0.0:
+    # num / d, d a power of two, times the largest d is num << (its bits - d's)
+    ratios = list(map(float.as_integer_ratio, c))
+    shift = max(d for _, d in ratios).bit_length()
+    x = [num << (shift - d.bit_length()) for num, d in ratios]
+    total = sum(x)
+    if total == 0:
         raise DegenerateInput("gini is undefined for an all-zero array")
-    n = len(c)
-    return 1.0 - 2.0 * pairwise_sum(
-        [(v / total) * ((n - k + 0.5) / n) for k, v in enumerate(sorted(c), start=1)]
-    )
+    n = len(x)
+    return sum(map(operator.mul, range(1 - n, n, 2), x)) / (n * total)
 
 
 def _check_distribution(p: list[float]) -> None:

@@ -234,10 +234,12 @@ def test_cli_flags(argv):
         assert code == 2 and lines[-1].startswith("dcx") and ": error: " in lines[-1], lines
 
 
+NOT_PATHS = [5, 1.5, b"pogo", ["pogo"]]  # neither a str nor an os.PathLike
 # Each case field but those that choose the case, at a value that finishes
 # fast and at its odd values: FLAG_INTS for the integers, also nan and the
-# infinities for limit, and a value outside the CLI's choices for mode and
-# split. "." is the test's empty working directory.
+# infinities for limit, a value outside the CLI's choices for mode and
+# split, and NOT_PATHS for data_dir. "." is the test's empty working
+# directory.
 CASE_VALUES = {
     **{name: (fast, [int(v) for v in FLAG_INTS]) for name, fast in (
         ("side", 3), ("dims", 2), ("plies", 9), ("win", 3), ("avg_length", 5), ("trials", 100),
@@ -246,7 +248,7 @@ CASE_VALUES = {
     "enumerate": (True, [False]),
     "mode": ("raw", ["binarized", "other"]),
     "split": ("test", ["train", "all", "other"]),
-    "data_dir": (".", []),
+    "data_dir": (".", [Path("."), *NOT_PATHS]),
 }
 # case type -> the values of the fields that choose the case
 CASE_CHOICES = {
@@ -255,7 +257,8 @@ CASE_CHOICES = {
                    "variant": ["2d", "2dg", "3d"]},
     DatasetCase: {"name": ["iris", "mnist", "cifar10"],
                   "measure": ["dimensionality", "sparsity", "gini", "entropy"]},
-    DescriptorCase: {"source": ["pogo", "monopoly", "cartpole3d"], "breakdown": [None, "pogo"]},
+    DescriptorCase: {"source": ["pogo", "monopoly", "cartpole3d", *NOT_PATHS],
+                     "breakdown": [None, "pogo", *NOT_PATHS]},
 }
 # the fields that a case reads or refuses, by its preset, measure or dataset
 OPTIONAL = {"side", "dims", "plies", "win", "trials", "samples", "bins", "limit",
@@ -306,6 +309,9 @@ def test_case_fields(drawn):
               and fields[name] is not None]
     refused = unread and "other" not in [fields[name] for name in CASE_CHOICES[cls]]
     flags = " ".join("--" + name.replace("_", "-") for name in unread)
+    # a path field that is no str or os.PathLike ended in a bare TypeError
+    not_paths = [name for name in ("source", "breakdown", "data_dir")
+                 if not isinstance(fields.get(name), (str, os.PathLike, type(None)))]
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as directory, mock.patch.dict(os.environ):
         os.environ.pop("DCX_DATA_DIR", None)  # unset, a dataset case reads ./data
@@ -314,6 +320,7 @@ def test_case_fields(drawn):
         try:
             case = cls(**fields)
             assert not refused, f"{case} was made, though it does not read {flags}"
+            assert not not_paths, f"{case} was made, though {not_paths} are not paths"
             assert isinstance(run(case), ComplexityReport)
         except DcxError as exc:
             assert not refused or str(exc).endswith(f" does not read {flags}"), exc

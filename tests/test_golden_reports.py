@@ -70,9 +70,9 @@ REPORT_PINS = {
     "dataset iris --measure dimensionality":
         "643240cc937606380f7066317fca6a1bf6e80226be23d9a869856fa57cfd18f5",
     "dataset iris --measure sparsity":
-        "83295acec9a75d866fa9ae6d45f68d31450ec0d79bba9a1895904462bdb85e34",
+        "4b6fcc1809a03f96a75470645a7c928adfae794b62dd884e8a18a6ba9afca821",
     "dataset iris --measure gini":
-        "83295acec9a75d866fa9ae6d45f68d31450ec0d79bba9a1895904462bdb85e34",
+        "4b6fcc1809a03f96a75470645a7c928adfae794b62dd884e8a18a6ba9afca821",
     "dataset iris --measure entropy":
         "f522d82d0a3dff98160b8eec0dead3dd747a9bf4a264e600cf085bba5e50f986",
 }
@@ -89,11 +89,11 @@ IMAGE_PINS = {
     ("mnist", "dimensionality", "--split test"):
         "87ccd7e9c3abf7944fb97b112ff7e6be4d8472089c97d8919d83bd5990b6089d",
     ("mnist", "sparsity", ""):
-        "67859eb3cf4a23aacd7963fc206ab57d8d2d84aeaa2b7f2514b33bec1e9e24c8",
+        "846fbb2a6d8e69869c5ea1a6138db570e7f545c14669624a7374a868433dd5b1",
     ("mnist", "sparsity", "--split test"):
-        "dfae512029b8d64873300e2dd9cb5fb9ecde6cb54aac13e74b47c962fa02f6d3",
+        "319a9d6be6fdfb4208af00eea7e3bf6c08b317b1fc3e14f91779a53ae127ac8d",
     ("mnist", "gini", ""):
-        "0cd26f51d77bccb1a3cdf659eb9888c20f00718e9b8c6baef688a4fca7b0c235",
+        "985fa1a1c6780934df67cc3ee3ecb2a1a5118324f25fbb77a82a6f45604045a2",
     ("mnist", "gini", "--split test"):
         "da989a34214b9eb3561456e4aa56eaec3ac1ee3c8177c67a744cf1a7905ec857",
     ("mnist", "entropy", ""):
@@ -113,9 +113,9 @@ IMAGE_PINS = {
     ("cifar10", "sparsity", "--split test"):
         "9b8af2c8b881994209b8d4ad6e42bba97563afc2e83f317c6152ab68ff0d993f",
     ("cifar10", "gini", ""):
-        "33ca907e84d922bc0149f60ff5af713971af1de4f81a99894f23dd8f5e669755",
+        "ddc7f70696bba813ad1fea6f5b9ed2f21e9055f07c4b1679f9774dab3b9562f3",
     ("cifar10", "gini", "--split test"):
-        "4838e97f55bc54dd2f18a8251c097448a31a6e07d672aa63994050b773053d0a",
+        "b0ccc78cdcd74ead5f4c2b2726f16f203e8ef6a6df4662aa9b19d561ecfd0458",
     ("cifar10", "entropy", ""):
         "f3cfce609aa4b8493e9c8cb510098087edf2fc9bf69ba106500ac71676027228",
     ("cifar10", "entropy", "--split test"):

@@ -1,5 +1,6 @@
-"""Core measure functions against hand-computed values, and the plain-Python
-sums, Gini and entropy against numpy oracles, bit for bit."""
+"""Core measure functions against hand-computed values, the plain-Python
+sums and entropy against numpy oracles, and the Gini index against its
+exact rational value, bit for bit."""
 
 import math
 import warnings
@@ -8,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dcx.datasets import load_iris
 from dcx.errors import (
     DegenerateInput,
     InvalidDistribution,
@@ -33,18 +35,14 @@ from dcx.measures import (
 )
 
 
-def oracle_gini(values) -> float:
-    """The numpy Gini that measures.gini replaced, kept as its oracle."""
-    c = np.asarray(values, dtype=float).ravel()
-    with np.errstate(over="ignore"):
-        total = float(c.sum())
-    if math.isinf(total):
-        c = c / c.max()
-        total = float(c.sum())
-    c = np.sort(c)
-    n = c.size
-    ranks = np.arange(1, n + 1)
-    return float(1.0 - 2.0 * np.sum((c / total) * ((n - ranks + 0.5) / n)))
+def exact_gini(values) -> float:
+    """The Gini index as an exact fraction, sum_k (2k - n - 1) x_(k) over
+    n sum_k x_k with the values sorted ascending, rounded once to a float.
+    Whole values are summed as ints, which is quicker and as exact."""
+    x = sorted(int(v) if v.is_integer() else Fraction(v)
+               for v in np.asarray(values, dtype=float).ravel().tolist())
+    n = len(x)
+    return float(Fraction(sum((2 * k - n - 1) * v for k, v in enumerate(x, start=1)), n * sum(x)))
 
 
 def bits(x: float) -> str:
@@ -122,27 +120,41 @@ class TestGini:
         with pytest.raises(DegenerateInput):
             gini([])
 
-    def test_matches_the_numpy_oracle_bit_for_bit(self):
+    def test_is_the_exact_ratio_on_integer_values_with_ties_and_zeros(self):
         rng = np.random.default_rng(7)
-        lengths = [*range(1, 300), *BLOCK_EDGES, 1024, 1025, 5000]
-        for i, n in enumerate(lengths):
-            kind = i % 4
-            if kind == 0:
-                v = rng.random(n) * 10.0 ** rng.uniform(-8, 8, n)
-            elif kind == 1:
-                v = rng.lognormal(0.0, 1.0, n)
-            elif kind == 2:  # ties and zeros
-                v = rng.integers(0, 4, n).astype(float)
-            else:
-                v = rng.integers(0, 256, n).astype(float)
+        for n in range(1, 1026):
+            # ties and zeros: few distinct values, or bytes as in an image plane
+            v = rng.integers(0, 4 if n % 2 else 256, n).astype(float)
             if not v.any():
                 continue
-            assert bits(gini(v)) == bits(oracle_gini(v)), n
-            assert bits(gini(v.tolist())) == bits(oracle_gini(v)), n
+            assert bits(gini(v)) == bits(exact_gini(v)), n
+            assert bits(gini(v.tolist())) == bits(exact_gini(v)), n
 
-    def test_matches_the_numpy_oracle_when_the_sum_overflows(self):
-        for v in ([1e308] * 3, [1.7e308, 1.7e308, 0.0], [1e308, 5e307, 1.0] * 50):
-            assert bits(gini(v)) == bits(oracle_gini(v))
+    def test_is_the_exact_ratio_on_real_values(self):
+        rng = np.random.default_rng(8)
+        for n in [*range(1, 40), *BLOCK_EDGES, 1024, 1025, 5000]:
+            for v in (rng.random(n) * 10.0 ** rng.uniform(-8, 8, n), rng.lognormal(0.0, 1.0, n)):
+                assert bits(gini(v)) == bits(exact_gini(v)), n
+
+    def test_is_the_exact_ratio_on_the_iris_cells(self):
+        # the float form 1 - 2 sum (x / T)(n - k + 1/2) / n was up to 31 ulps off here
+        ds = load_iris()
+        for c in range(len(ds.class_names)):
+            for f in range(len(ds.feature_names)):
+                cell = [row[f] for row, label in zip(ds.features, ds.labels) if label == c]
+                assert bits(gini(cell)) == bits(exact_gini(cell)), (c, f)
+
+    def test_is_the_exact_ratio_from_1e_minus_300_to_1e300(self):
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 17, 200):
+            for _ in range(20):
+                v = 10.0 ** rng.uniform(-300, 300, n)
+                v[rng.random(n) < 0.2] = 0.0
+                if v.any():
+                    assert bits(gini(v)) == bits(exact_gini(v)), v
+        for v in ([1e308] * 3, [1.7e308, 1.7e308, 0.0], [1e308, 5e307, 1.0] * 50,
+                  [1e-300, 1e300], [5e-324, 1.7e308, 0.0], [5e-324] * 4):
+            assert bits(gini(v)) == bits(exact_gini(v)), v
 
     def test_reads_an_array_of_any_shape_in_row_major_order(self):
         image = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
