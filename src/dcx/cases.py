@@ -9,15 +9,12 @@ naming it by its flag; a field left at None is not given.
 the two dataset modules; importing this module loads none of them. numpy
 comes only with a value that needs it: the search of a board of more than
 nine cells, the cart-pole simulator, and the image measures that are array
-kernels (CIFAR-10 gini and entropy, MNIST entropy in raw mode). A board
-played to at most twice its win length is counted in closed form (under
-1 ms for 4 x 4 to six plies with win 3 or 4), other boards of up to nine
-cells are searched in plain Python (6 ms for ttt) and larger ones with
-numpy (40 ms for 4 x 4 to seven plies with win 3, after a 72 ms import).
-The descriptor and iris entropies are summed in plain Python in numpy's
-order, the iris Gini indices are exact ratios, and the image zero
-fractions, binarized entropies and dimensionality are counted from the
-file bytes.
+kernels (CIFAR-10 gini and entropy, MNIST entropy in raw mode).
+`dcx.games` states the three routes of a board's enumeration and what
+each costs. The descriptor and iris entropies are summed in plain Python
+in numpy's order, the iris Gini indices are exact ratios, and the image
+zero fractions, binarized entropies and dimensionality are counted from
+the file bytes.
 """
 
 from __future__ import annotations

@@ -12,13 +12,23 @@ rounded once; the raw entropy histograms and the rank sums are numpy kernels.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import closing
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .datasets import BLOCK_IMAGES, ImageStream, LabeledImageDataset, TabularDataset
-from .errors import DegenerateInput, InvalidParameter, Record, check_count, count_text, replace
+from .errors import (
+    DegenerateInput,
+    InvalidParameter,
+    Record,
+    ResourceLimit,
+    check_budget,
+    check_count,
+    count_text,
+    replace,
+)
 # histogram and shannon_entropy are no longer called here, but stay
 # importable from this module: the benchmark's traced run
 # (perfbench/spans.py) wraps them under these names.
@@ -92,13 +102,41 @@ def _nonzero_counts(records, record_size: int, offset: int) -> list[int]:
     return [size - records.count(0, i, i + size) for i in range(offset, len(records), record_size)]
 
 
-def _binarized_entropies(counts: list[int], size: int) -> list[float]:
-    """The normalized entropy of each image of size values that has count
+class _Memo(dict):
+    """function's values by argument, each computed when first looked up."""
+
+    def __init__(self, function) -> None:
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+@lru_cache(maxsize=2)
+def _plogp(size: int) -> _Memo:
+    """p * log2(p) for p = c / size by the count c, 0.0 at c = 0: the terms
+    a histogram of one image of size values can hold, each taken when first
+    needed, since at most 256 of the size + 1 counts occur in an image. Each
+    term is shannon_entropy's, taken with math.log2, whose last bit numpy's
+    log2 does not always give."""
+    return _Memo(lambda c: c / size * math.log2(c / size) if c else 0.0)
+
+
+@lru_cache(maxsize=2)
+def _binarized_entropy(size: int) -> _Memo:
+    """The normalized entropy of an image of size values by its count k of
     nonzero ones, binarized: zeros fill the first bin, the rest the last. A
     pairwise sum of two terms is one addition, and an empty bin adds
     plogp[0] = 0.0; 0.0 - s, not -s, as shannon_entropy."""
     plogp = _plogp(size)
-    return [(0.0 - (plogp[size - k] + plogp[k])) / _LOG2_BINS for k in counts]
+    return _Memo(lambda k: (0.0 - (plogp[size - k] + plogp[k])) / _LOG2_BINS)
+
+
+def _binarized_entropies(counts: list[int], size: int) -> list[float]:
+    """The binarized normalized entropy of each image of size values that
+    has count nonzero ones."""
+    return list(map(_binarized_entropy(size).__getitem__, counts))
 
 
 def _counted(images) -> tuple[list[int], int]:
@@ -119,11 +157,12 @@ def _counted(images) -> tuple[list[int], int]:
 
 
 def image_zero_sparsities(images) -> np.ndarray:
-    """Per image, the fraction of zero values; 1 minus the nonzero fraction."""
+    """Per image, the fraction of zero values: its zeros over its values,
+    rounded once."""
     import numpy as np
 
     counts, size = _counted(images)
-    return np.array([1.0 - k / size for k in counts], dtype=float)
+    return np.array([(size - k) / size for k in counts], dtype=float)
 
 
 def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -148,22 +187,15 @@ def _pairwise_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _plogp(size: int) -> tuple[float, ...]:
-    """p * log2(p) for each p = c / size, c = 0 to size, that a histogram of
-    one image of size values can hold, 0.0 at c = 0. Each term is
-    shannon_entropy's, taken with math.log2, whose last bit numpy's log2
-    does not always give."""
-    return (0.0, *(c / size * math.log2(c / size) for c in range(1, size + 1)))
-
-
-@lru_cache(maxsize=2)
 def _plogp_array(size: int) -> np.ndarray:
-    """_plogp(size) as a float array; read-only, as every call with one size
-    shares it."""
+    """_plogp(size) as a float array indexed by the count, NaN where
+    image_entropies has not yet copied a term in; 8 bytes a count, charged
+    to the memory budget. Every call with one size shares it."""
     import numpy as np
 
-    table = np.array(_plogp(size))
-    table.flags.writeable = False
+    check_budget(8 * (size + 1), f"entropy terms for images of {count_text(size)} values")
+    table = np.full(size + 1, np.nan)
+    table[0] = 0.0
     return table
 
 
@@ -191,7 +223,7 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
         return np.array(_binarized_entropies(*_counted(images)), dtype=float)
     rows = _image_rows(images)
     count, size = rows.shape
-    plogp = _plogp_array(size)
+    plogp, table = _plogp(size), _plogp_array(size)
     out = np.empty(count)
     for start in range(0, count, BLOCK_IMAGES):
         chunk = rows[start : start + BLOCK_IMAGES]
@@ -200,7 +232,12 @@ def image_entropies(images, binarize_first: bool = False) -> np.ndarray:
         bins += np.arange(0, len(chunk) * 256, 256, dtype=_BIN_KEY)[:, None]
         counts = np.bincount(bins.ravel(), minlength=len(chunk) * 256)
         counts = counts.reshape(len(chunk), 256)
-        sums = _pairwise_row_sums(plogp[counts], counts > 0)
+        keep = counts > 0
+        sums = _pairwise_row_sums(table[counts], keep)
+        if np.isnan(sums).any():  # a count whose term is not in the table yet
+            present = np.flatnonzero(np.bincount(counts.ravel()))
+            table[present] = [plogp[c] for c in present.tolist()]
+            sums = _pairwise_row_sums(table[counts], keep)
         out[start : start + len(chunk)] = 0.0 - sums  # 0.0, not -0.0, as shannon_entropy
     return out / _LOG2_BINS
 
@@ -233,6 +270,9 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
     those planes. Each value is measures.gini's ratio of rank sums, exact in
     int64 while 255 n^2 < 2^63 and bit-identical to measures.gini while
     n sum_k x_k < 2^53, that is for planes of up to about 5.9M pixels.
+    Planes of n pixels past the int64 bound, or whose rank weights and one
+    chunk's sorted planes exceed the memory budget, are refused with
+    ResourceLimit before anything is allocated.
     """
     import numpy as np
 
@@ -245,6 +285,12 @@ def channel_ginis(images) -> tuple[np.ndarray, int]:
     n = height * width
     if n == 0 and count * channels:
         raise DegenerateInput("gini needs at least one value")
+    if 255 * n * n >= 1 << 63:
+        raise ResourceLimit(f"planes of {count_text(n)} pixels overflow the int64 rank sums")
+    # 16 bytes a pixel of rank weights, and per chunk 9 a value: the sorted
+    # planes and the int64 copy of them that the integer product makes
+    check_budget(n * (16 + 9 * min(count, BLOCK_IMAGES) * channels),
+                 f"the Gini index of planes of {count_text(n)} pixels")
     # the rank weights 2k - n - 1 and 1: per sorted plane, both sums at once
     weights = np.stack([np.arange(1 - n, n, 2), np.ones(n, dtype=np.int64)], axis=1)
     out = np.empty((count, channels))
@@ -459,56 +505,40 @@ def iris_measures(dataset: TabularDataset, measure: str) -> tuple[list[MeasureRe
     ], []
 
 
-def _counted_per_image(stream: ImageStream, measure: str):
-    """One pass over the stream's raw blocks for a measure that needs only
-    each image's count of nonzero bytes, or nothing (dimensionality).
-    Returns the per-image values (nonzero counts or binarized entropies)
-    as a list and the labels as bytes."""
-    record_size, offset = stream.record_size, stream.pixel_offset
-    size = record_size - offset
-    values, labels = [], bytearray()
-    with closing(stream.raw_blocks()) as blocks:
-        for records, block_labels in blocks:
-            if measure != "dimensionality":
-                counts = _nonzero_counts(records, record_size, offset)
-                values += counts if measure == "sparsity" else _binarized_entropies(counts, size)
-            labels += block_labels
-    return values, labels
-
-
 def _per_image(source: LabeledImageDataset | ImageStream, measure: str, binarized: bool):
     """One pass over source's blocks. Returns, per image, what measure
-    reduces over (the count of nonzero values for sparsity, the entropy for
-    entropy, the N x C channel Gini values for gini, nothing read for
-    dimensionality), the labels, and the count of all-zero planes. The
-    values are a list but for gini, an array. A stream's counting measures
-    (dimensionality, sparsity and binarized entropy) read its raw blocks,
-    and their labels are bytes; the others read numpy blocks."""
-    count = source.image_count
-    skipped = 0
-    counting = measure in ("dimensionality", "sparsity") or measure == "entropy" and binarized
-    if isinstance(source, ImageStream) and counting:
-        values, labels = _counted_per_image(source, measure)
-        read = len(labels)
-    else:
-        import numpy as np
-
-        values = np.empty((count, source.channel_count)) if measure == "gini" else []
-        labels = np.empty(count, dtype=np.int64)
-        read = 0
-        with closing(source.blocks()) as blocks:
-            for images, block_labels in blocks:
-                end = read + len(images)
-                if measure == "sparsity":
-                    values += _counted(images)[0]
-                elif measure == "entropy":
-                    values += image_entropies(images, binarize_first=binarized).tolist()
-                elif measure == "gini":
-                    values[read:end], planes = channel_ginis(images)
-                    skipped += planes
-                labels[read:end] = block_labels
-                read = end
-    if read != count:
+    reduces over in one flat array: the nonzero count for sparsity ("q"),
+    the entropy for entropy, or the C channel Gini values for gini ("d",
+    NaN for an all-zero plane); the labels, a byte each; and the count of
+    all-zero planes. A stream's counting measures (dimensionality, sparsity
+    and binarized entropy) read its raw blocks, without numpy."""
+    if len(source.class_names) > 256:
+        raise InvalidParameter(f"a label is one byte, so at most 256 classes, "
+                               f"not {len(source.class_names)}")
+    counting = measure == "sparsity" or measure == "entropy" and binarized
+    raw = isinstance(source, ImageStream) and (counting or measure == "dimensionality")
+    size = source.pixel_count * source.channel_count
+    # made whole, then filled: growing it raised a CIFAR-10 gini run's peak RSS 0.13 MB
+    width = source.channel_count if measure == "gini" else int(measure != "dimensionality")
+    values = array("q" if measure == "sparsity" else "d", [0]) * (width * source.image_count)
+    slots, labels, skipped, read = memoryview(values), bytearray(), 0, 0
+    with closing(source.raw_blocks() if raw else source.blocks()) as blocks:
+        for images, block_labels in blocks:
+            end = read + len(block_labels)
+            if counting:
+                counts = (_nonzero_counts(images, source.record_size, source.pixel_offset)
+                          if raw else _counted(images)[0])
+                slots[read:end] = array(values.typecode, counts if measure == "sparsity"
+                                        else _binarized_entropies(counts, size))
+            elif measure == "entropy":
+                slots[read:end] = image_entropies(images)
+            elif measure == "gini":
+                ginis, planes = channel_ginis(images)
+                slots[read * width : end * width] = ginis.reshape(-1)
+                skipped += planes
+            labels += block_labels if raw else block_labels.astype("uint8").tobytes()
+            read = end
+    if read != source.image_count:
         raise InvalidParameter("the image stream has already been read")
     return values, labels, skipped
 
@@ -580,7 +610,7 @@ def image_measures(
         measures += [
             MeasureResult(
                 f"gini_median_{channel_name}",
-                _nan_median(per_image[:, c]),
+                _nan_median(per_image[c :: source.channel_count]),
                 "median over images of the per-image channel Gini index",
                 ANALYTIC,
             )
@@ -589,7 +619,7 @@ def image_measures(
         if skipped:
             notes.append(f"{skipped} all-zero channel planes skipped")
     else:
-        summaries = summarize_by_class(per_image, labels, source.class_names)
+        summaries = summarize_by_class(per_image.tolist(), labels, source.class_names)
         present = [s.class_name for s in summaries]
         convention = (
             "normalized per-image intensity entropy, 256 bins over [0, 255], "

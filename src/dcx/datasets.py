@@ -71,8 +71,8 @@ _CIFAR_RECORD = 3073
 # Images per block of a streamed dataset, and so per chunk of the batch
 # kernels in dataset_metrics. A CIFAR-10 block is a 0.2 MB bytearray of
 # records, which blocks() only views as numpy arrays, and the kernels'
-# temporaries for it (entropy's bins, Gini's float shares) up to 1.6 MB
-# each: that, not the dataset's size, is what a streamed
+# temporaries for it (entropy's bins, Gini's sorted planes and their int64
+# copy) up to 1.6 MB each: that, not the dataset's size, is what a streamed
 # measure holds besides its per-image values. Peak RSS grows with the
 # block, and time does not fall: CIFAR-10 entropy over 15,000 images
 # peaked at 36.5 MB with 32-image blocks, 37.7 MB with 64 and 44.8 MB
@@ -420,7 +420,8 @@ def _decode(groups, shape_of, read):
             DegenerateInput, f"header gives images of {height} x {width} pixels: empty image")
     total = sum(shape[0] for shape in shapes)
     # one block of images and label bytes, and what a measure keeps per
-    # image: a float64 per channel and an int64 label
+    # image: at most one 8-byte count or float per channel, in one flat
+    # array, and a label byte, charged here as 8
     per_image, channels = math.prod(shapes[0][1:]), shapes[0][3]
     check_budget(min(BLOCK_IMAGES, total) * (per_image + 1) + total * 8 * (channels + 1),
                  f"streaming {total} images")

@@ -446,17 +446,12 @@ def _closed_form_counts(spec: GridGameSpec, symmetry: bool) -> tuple[int, ...]:
     so no position short of that ply ends the game and every arrangement
     of each ply's stones up to it is reachable. At ply 2 * win_length an
     arrangement is reachable unless X's stones fill a line, which ended
-    the game a ply earlier. The raw counts are the arrangement counts less
-    those, and the reduced ones their Burnside class counts under
-    symmetry_maps(spec).
+    the game a ply earlier. The counts are the classes of those
+    arrangements under symmetry_maps(spec), or under the identity alone
+    for the raw counts.
     """
-    w, lines = spec.win_length, win_lines(spec)
-    if symmetry:
-        counts = _orbit_counts(symmetry_maps(spec), spec.max_plies, lines)
-    else:
-        counts = (1, *_arrangement_terms(spec))
-        if spec.max_plies == 2 * w:  # less X on a line, O anywhere off it
-            counts = (*counts[:-1], counts[-1] - len(lines) * math.comb(spec.cells - w, w))
+    maps = symmetry_maps(spec) if symmetry else (tuple(range(spec.cells)),)
+    counts = _orbit_counts(maps, spec.max_plies, win_lines(spec))
     # a ply with no position ends the tuple, as it ends the searches
     return counts if counts[-1] else counts[:-1]
 

@@ -17,6 +17,7 @@ from dcx.dataset_metrics import (
     _nan_median,
     _nonzero_counts,
     _per_image,
+    _plogp,
     _sorted_median,
     channel_gini,
     channel_ginis,
@@ -40,7 +41,7 @@ from dcx.datasets import (
     stream_cifar10,
     stream_mnist,
 )
-from dcx.errors import DegenerateInput, InvalidParameter
+from dcx.errors import DegenerateInput, InvalidParameter, ResourceLimit
 from dcx.measures import gini, histogram, log10_product, shannon_entropy
 
 
@@ -80,6 +81,15 @@ class TestZeroSparsity:
     def test_rejects_empty(self):
         with pytest.raises(DegenerateInput):
             image_zero_sparsities(np.zeros((1, 0, 0), dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(28, 28, 1), (32, 32, 3)], ids=["mnist", "cifar10"])
+    def test_each_count_is_rounded_once(self, shape):
+        # 1.0 - k / size, rounded twice, was a bit off for 320 of the 785
+        # MNIST-shaped counts and 1,536 of the 3,073 CIFAR-shaped ones
+        size = math.prod(shape)
+        images = (np.arange(size) < np.arange(size + 1)[:, None]).astype(np.uint8)
+        want = [float(Fraction(size - k, size)) for k in range(size + 1)]
+        assert image_zero_sparsities(images.reshape(-1, *shape)).tolist() == want
 
     def test_binarizing_at_threshold_zero_keeps_every_fraction(self):
         # MNIST sparsity reports the binarized fraction from the raw images
@@ -127,6 +137,18 @@ class TestImageEntropy:
             image_entropy(image).value
         )
 
+    @pytest.mark.parametrize("binarize_first", [False, True])
+    def test_a_large_image_takes_the_terms_of_its_counts_only(self, binarize_first):
+        # a term for each of the 1,000,001 counts took 1.8 s and 45 MB
+        rng = np.random.default_rng(4)
+        image = rng.integers(1, 256, size=(1000, 1000), dtype=np.uint8)
+        image[rng.random(image.shape) < 0.8] = 0
+        values = np.where(image > 0, 255, 0) if binarize_first else image
+        probabilities = histogram(values, 256, (0.0, 255.0)).probabilities()
+        assert image_entropy(image, binarize_first).value == shannon_entropy(probabilities) / 8
+        # at most 0, the 256 bin counts and the binarized nonzero count
+        assert len(_plogp(image.size)) <= 258
+
     def test_channels_pool_together(self):
         plane = np.zeros((4, 4), dtype=np.uint8)
         stacked = np.stack([plane, np.full((4, 4), 255, dtype=np.uint8)], axis=-1)
@@ -149,6 +171,15 @@ class TestChannelGini:
         image[0, 0, 1] = 10  # spiked green plane
         assert channel_gini(image, 0) == pytest.approx(0.0, abs=1e-12)
         assert channel_gini(image, 1) == pytest.approx(1 - 1 / 64, abs=1e-9)
+
+    @pytest.mark.parametrize(("side", "match"), [(14_000, "overflow the int64 rank sums"),
+                                                  (12_000, "budget")])
+    def test_planes_past_int64_or_the_budget_are_refused(self, side, match):
+        # a broadcast view holds one byte; n * sum gave -8.2e18 for an all-255
+        # plane of 2e8 pixels, and 16 bytes a pixel of rank weights were
+        # allocated unchecked
+        with pytest.raises(ResourceLimit, match=match):
+            channel_ginis(np.broadcast_to(np.uint8(255), (1, side, side, 1)))
 
     @pytest.mark.parametrize("channel", [3, -1, 0.5, True])
     def test_rejects_bad_channel_index(self, channel):
@@ -350,7 +381,7 @@ def oracle_ginis(images) -> tuple[np.ndarray, int]:
 
 
 def oracle_zero_sparsities(images) -> np.ndarray:
-    return np.array([1.0 - np.count_nonzero(im) / im.size for im in images], dtype=float)
+    return np.array([(im.size - np.count_nonzero(im)) / im.size for im in images], dtype=float)
 
 
 def assert_kernels_match_oracle(images):
@@ -477,7 +508,7 @@ def numpy_counted(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = rows.shape[1]
     plogp = np.array([0.0] + [c / size * math.log2(c / size) for c in range(1, size + 1)])
     nonzero = np.count_nonzero(rows, axis=1)
-    return 1.0 - nonzero / size, (0.0 - (plogp[size - nonzero] + plogp[nonzero])) / np.log2(256)
+    return (size - nonzero) / size, (0.0 - (plogp[size - nonzero] + plogp[nonzero])) / np.log2(256)
 
 
 def seeded_records(record_size: int, offset: int, seed: int) -> np.ndarray:
@@ -593,7 +624,7 @@ def assert_stream_matches_whole_array(name, directory, split, modes=(None,)):
     for measure in MEASURES:
         for mode in modes:
             binarized = name == "mnist" and mode != "raw"
-            # values may be a list, and a counting measure's labels are bytes
+            # values are one flat array, N x C for gini, and labels a bytearray
             values, labels, skipped = _per_image(stream(directory, split), measure, binarized)
             assert np.asarray(labels, dtype=np.int64).tobytes() == loaded.labels.tobytes()
             if measure != "dimensionality":
@@ -678,6 +709,23 @@ class TestUnknownChoicesAreRefused:
                 image_measures("mnist", source, measure, mode)
 
 
+class TestLabelsAreBytes:
+    def test_more_classes_than_a_byte_holds_are_refused(self):
+        # labels are kept a byte each, so label 256 would wrap to class 0
+        images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2, 1)
+        for classes, labels in ((257, [0, 256]), (256, [0, 255])):
+            ds = LabeledImageDataset(images=images, labels=np.array(labels),
+                                     class_names=tuple(map(str, range(classes))))
+            for measure in MEASURES:
+                if classes > 256:
+                    with pytest.raises(InvalidParameter, match="at most 256 classes, not 257"):
+                        image_measures("mnist", ds, measure)
+                else:
+                    image_measures("mnist", ds, measure)
+        measures, _ = image_measures("mnist", ds, "entropy")
+        assert {m.measure_name for m in measures} >= {"entropy_median_0", "entropy_median_255"}
+
+
 class TestStreamedMemory:
     @pytest.mark.parametrize("measure", MEASURES)
     def test_memory_does_not_grow_with_the_image_count(self, image_dir_factory, measure, capsys):
@@ -696,3 +744,23 @@ class TestStreamedMemory:
                 tracemalloc.stop()
         capsys.readouterr()
         assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+    @pytest.mark.parametrize(("measure", "binarized"), [(m, False) for m in MEASURES]
+                             + [("entropy", True)])
+    def test_per_image_values_take_8_bytes_each(self, image_dir_factory, measure, binarized):
+        # one 8-byte item per value and one byte per label: a list of
+        # Python floats, 32 bytes a value, passed the bound above
+        counts, peaks = (2 * BLOCK_IMAGES, 16 * BLOCK_IMAGES), []
+        for count in counts:
+            directory = image_dir_factory("cifar10", count)
+            _per_image(stream_cifar10(directory, "test"), measure, binarized)  # first calls
+            tracemalloc.start()
+            try:
+                kept = _per_image(stream_cifar10(directory, "test"), measure, binarized)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(kept[1]) == count
+        values = 0 if measure == "dimensionality" else 3 if measure == "gini" else 1
+        bound = (counts[1] - counts[0]) * (8 * values + 1) + (8 << 10)
+        assert peaks[1] - peaks[0] <= bound, peaks

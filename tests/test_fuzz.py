@@ -7,7 +7,8 @@ streamed readers. It also overwrites fields of valid iris rows and measures
 what parses, runs the command line with integer, float and text flags at
 their edges, builds and runs every kind of case with its fields at those
 edges, and feeds the real-number check every kind of value. The profile is
-derandomized, so every run tries the same inputs.
+derandomized, so every run tries the same inputs. A few refusals that no
+other test reaches are named one by one.
 """
 
 import gzip
@@ -24,21 +25,31 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dcx.cases import CartPoleCase, DatasetCase, DescriptorCase, GameCase, run
 from dcx.cli import main
-from dcx.dataset_metrics import image_measures, iris_measures
+from dcx.dataset_metrics import image_measures, iris_measures, tabular_gini
 from dcx.datasets import (
     BLOCK_IMAGES,
+    TabularDataset,
     parse_cifar10,
     parse_idx,
     parse_iris_csv,
     stream_cifar10,
     stream_mnist,
 )
-from dcx.errors import DcxError, InvalidParameter, check_real
+from dcx.descriptors import Component, DomainDescriptor, game_space_complexity, tree_complexity
+from dcx.errors import (
+    DcxError,
+    DegenerateInput,
+    InvalidDistribution,
+    InvalidParameter,
+    check_real,
+)
+from dcx.measures import shannon_entropy
 from dcx.report import ComplexityReport
 from idx_writer import write_idx
 
@@ -350,3 +361,27 @@ def test_check_real_returns_the_float_or_refuses(value, minimum, above):
         return
     assert type(got) is float and got == float(value) and math.isfinite(got)
     assert got > minimum if above else got >= minimum
+
+
+def descriptor(branching_factor: int = 2) -> DomainDescriptor:
+    """A descriptor with one state component and no instance component."""
+    return DomainDescriptor("d", branching_factor, 1, 1, (Component("c", 2, "state"),))
+
+
+@pytest.mark.parametrize(("call", "error", "message"), [
+    (lambda: shannon_entropy([]), InvalidDistribution, "empty probability vector"),
+    (lambda: tabular_gini(TabularDataset([[1.0], [2.0], [3.0]], [0, 1, 1], ("f",), ("a", "b")),
+                          "a", "f"), DegenerateInput, "class needs at least two rows"),
+    (lambda: tree_complexity(descriptor(branching_factor=1)), InvalidParameter,
+     "tree complexity needs branching_factor >= 2"),
+    (lambda: tree_complexity(descriptor(), "nonsense"), InvalidParameter,
+     "unknown tree complexity mode 'nonsense'"),
+    (lambda: game_space_complexity(descriptor()), DegenerateInput,
+     "descriptor has no instance components"),
+    (lambda: DatasetCase("mnist", "entropy", mode="nonsense"), InvalidParameter,
+     "mode must be raw or binarized, not 'nonsense'"),
+], ids=["empty-entropy", "one-row-class", "branching-1", "tree-mode", "no-instance",
+        "dataset-mode"])
+def test_refusals_end_in_their_error(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
